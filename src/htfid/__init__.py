@@ -22,7 +22,7 @@ from .errors import (
     ResamplingRequiredError,
     SingularFrequencyError,
 )
-from .model import HybridModel, ModelParams, SwitchedLinearization, eval_chart, linearize
+from .model import HybridModel, ModelParams, SwitchedLinearization, chart_accel, linearize
 from .sim import (
     LimitCycle,
     Trajectory,
@@ -95,13 +95,13 @@ __all__ = [
     "TruncatedHSS",
     "build_hss",
     "build_regressor",
+    "chart_accel",
     "chirp_value",
     "clock_phases",
     "cost",
     "default_grid",
     "error_trajectory",
     "estimate_htf",
-    "eval_chart",
     "eval_htf",
     "fit_objective",
     "fit_parameters",

@@ -260,18 +260,31 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _diff_stats(ref: np.ndarray, test: np.ndarray, mask=None) -> dict:
-    """Relative magnitude and phase discrepancies of test against ref."""
-    ref = np.asarray(ref)
-    test = np.asarray(test)
-    if mask is None:
-        mask = np.ones(ref.shape, dtype=bool)
-    mask = mask & (np.abs(ref) > 0.0)
-    n_used = int(np.sum(mask))
+def _htf_errors(ref, test):
+    """Relative magnitude error and phase error (deg) of test against ref.
+
+    The magnitude error is nan wherever the reference is exactly zero.
+    """
+    ref = np.asarray(ref, dtype=complex)
+    test = np.asarray(test, dtype=complex)
+    # hypot and the explicit parts of test * conj(ref) round as scalar
+    # complex arithmetic does; numpy's complex array loops may not.
+    ref_mag = np.hypot(ref.real, ref.imag)
+    mag_err = np.abs(np.hypot(test.real, test.imag) - ref_mag) / np.where(
+        ref_mag > 0.0, ref_mag, np.nan
+    )
+    cross_re = test.real * ref.real + test.imag * ref.imag
+    cross_im = test.imag * ref.real - test.real * ref.imag
+    phase_err = np.degrees(np.abs(np.arctan2(cross_im, cross_re)))
+    return mag_err, phase_err
+
+
+def _diff_stats(mag_err: np.ndarray, phase_err: np.ndarray, used: np.ndarray) -> dict:
+    """Summary of the errors on the `used` bins."""
+    n_used = int(np.sum(used))
     if n_used == 0:
         return {"bins": 0}
-    mag_err = np.abs(np.abs(test[mask]) - np.abs(ref[mask])) / np.abs(ref[mask])
-    phase_err = np.degrees(np.abs(np.angle(test[mask] * np.conj(ref[mask]))))
+    mag_err, phase_err = mag_err[used], phase_err[used]
     return {
         "bins": n_used,
         "mag_rel_median": float(np.median(mag_err)),
@@ -324,6 +337,7 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
         convention="output",
     )
     diff_path = os.path.join(out_dir, "theory_vs_estimate.csv")
+    print("theory vs estimate on excited bins:")
     with open(diff_path, "w", encoding="utf-8") as handle:
         handle.write(
             "omega_rad_s,n,est_re,est_im,theory_re,theory_im,"
@@ -333,12 +347,8 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
             g_ref = theory.harmonics[n]
             g_est = est.harmonics[n]
             mask = est.excitation_mask[n]
+            mag_err, phase_err = _htf_errors(g_ref, g_est)
             for i, omega in enumerate(est.omega_grid):
-                denom = abs(g_ref[i])
-                mag_err = abs(abs(g_est[i]) - denom) / denom if denom > 0 else math.nan
-                phase_err = math.degrees(
-                    abs(np.angle(g_est[i] * np.conj(g_ref[i])))
-                )
                 handle.write(
                     "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
                     % (
@@ -348,32 +358,27 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
                         g_est[i].imag,
                         g_ref[i].real,
                         g_ref[i].imag,
-                        mag_err,
-                        phase_err,
+                        mag_err[i],
+                        phase_err[i],
                         int(mask[i]),
                     )
                 )
-
-    print("theory vs estimate on excited bins:")
-    for n in sorted(theory.harmonics):
-        stats = _diff_stats(
-            theory.harmonics[n], est.harmonics[n], est.excitation_mask[n]
-        )
-        if stats["bins"] == 0:
-            print(f"  n={n:+d}: no excited bins")
-            continue
-        print(
-            "  n=%+d: %3d bins, |G| err median %7.3f%% max %8.3f%%, "
-            "phase err median %6.2f deg max %7.2f deg"
-            % (
-                n,
-                stats["bins"],
-                100.0 * stats["mag_rel_median"],
-                100.0 * stats["mag_rel_max"],
-                stats["phase_deg_median"],
-                stats["phase_deg_max"],
+            stats = _diff_stats(mag_err, phase_err, mask & (np.abs(g_ref) > 0.0))
+            if stats["bins"] == 0:
+                print(f"  n={n:+d}: no excited bins")
+                continue
+            print(
+                "  n=%+d: %3d bins, |G| err median %7.3f%% max %8.3f%%, "
+                "phase err median %6.2f deg max %7.2f deg"
+                % (
+                    n,
+                    stats["bins"],
+                    100.0 * stats["mag_rel_median"],
+                    100.0 * stats["mag_rel_max"],
+                    stats["phase_deg_median"],
+                    stats["phase_deg_max"],
+                )
             )
-        )
 
     fit_cfg = cfg["fit"]
     result = fit_parameters(
@@ -432,15 +437,12 @@ def cmd_compare(args, out_dir) -> int:
     for n in common:
         g_ref = ref.harmonics[n]
         g_test = test.harmonics[n]
-        stats = _diff_stats(g_ref, g_test)
+        mag_err, phase_err = _htf_errors(g_ref, g_test)
         usable = np.abs(g_ref) > 0.0
-        mag_err = np.abs(np.abs(g_test[usable]) - np.abs(g_ref[usable])) / np.abs(
-            g_ref[usable]
+        stats = _diff_stats(mag_err, phase_err, usable)
+        violations = int(
+            np.sum(usable & ((mag_err > args.tol_mag) | (phase_err > args.tol_phase)))
         )
-        phase_err = np.degrees(
-            np.abs(np.angle(g_test[usable] * np.conj(g_ref[usable])))
-        )
-        violations = int(np.sum((mag_err > args.tol_mag) | (phase_err > args.tol_phase)))
         stats["violations"] = violations
         report["harmonics"][str(n)] = stats
         if violations:

@@ -49,10 +49,6 @@ class NoDataError(HtfidError):
     """No usable frequency bins remain after excitation screening."""
 
 
-class LowExcitationWarning(UserWarning):
-    """A regressor column has no excitation and was zeroed."""
-
-
 class PerturbationSizeWarning(UserWarning):
     """A perturbation response is large enough to strain linearization."""
 

@@ -23,7 +23,7 @@ solved as one sparse system over all retained bins and harmonics.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,16 +149,39 @@ class EstimationProblem:
         return int(round(self.pump / self.records[0].bin_spacing))
 
 
-def _shifted_in_band(problem: EstimationProblem, q: int, n: int) -> bool:
-    """Whether output bin q shifted down by n pump steps is excited."""
-    q_shift = q - n * problem.pump_bins
-    if q_shift == 0:
-        return False
-    spacing = problem.records[0].bin_spacing
-    nu = abs(q_shift) * spacing
+def _regressor_tensor(problem: EstimationProblem, q):
+    """The `build_regressor` systems of all signed output bins q at once.
+
+    Also returns the excitation mask: whether the shifted frequency of
+    each column lies in the band.  Returns (Phi, y, mask) with shapes
+    (bins, records, 2N+1), (bins, records) and (bins, 2N+1).
+    """
+    rec0 = problem.records[0]
+    spacing = rec0.bin_spacing
+    n_fft = rec0.n_bins
+    orders = range(-problem.n_harmonics, problem.n_harmonics + 1)
+    q = np.asarray(q, dtype=int)
+    q_shift = q[:, None] - np.array(orders) * problem.pump_bins
+    nu = np.abs(q_shift) * spacing
     lo = 2.0 * math.pi * problem.band_hz[0]
     hi = 2.0 * math.pi * problem.band_hz[1]
-    return lo < nu <= hi + 0.5 * spacing
+    mask = (q_shift != 0) & (lo < nu) & (nu <= hi + 0.5 * spacing)
+
+    mod = np.array(
+        [
+            [cmath.exp(1j * n * problem.pump * rec.clock_phase) for n in orders]
+            for rec in problem.records
+        ]
+    )
+    U = np.stack([rec.U[q_shift % n_fft] for rec in problem.records], axis=1)
+    # Real and imaginary parts are formed as in scalar complex arithmetic;
+    # the array product may fuse multiply-adds and round differently.
+    Phi = np.zeros(U.shape, dtype=complex)
+    live = mask[:, None, :]
+    Phi.real = np.where(live, mod.real * U.real - mod.imag * U.imag, 0.0)
+    Phi.imag = np.where(live, mod.real * U.imag + mod.imag * U.real, 0.0)
+    y = np.stack([rec.Y[q % n_fft] for rec in problem.records], axis=1)
+    return Phi, y, mask
 
 
 def build_regressor(problem: EstimationProblem, omega: float):
@@ -169,28 +192,16 @@ def build_regressor(problem: EstimationProblem, omega: float):
     with the clock-phase modulation of record r folded into its row.
     Columns whose shifted frequency falls outside the excited band are
     zeroed.  Negative shifted frequencies wrap to the conjugate bins of
-    the DFT.
+    the DFT.  `omega` snaps to the nearest bin.
 
     Returns (Phi, y) with shapes (n_records, 2*N+1) and (n_records,).
     """
     spacing = problem.records[0].bin_spacing
-    n_fft = problem.records[0].n_bins
     q = int(round(omega / spacing))
     if abs(omega - q * spacing) > 0.5 * spacing * (1.0 + 1e-9):
         raise InvalidInputError(f"omega={omega} is more than half a bin off the grid")
-    step = problem.pump_bins
-    N = problem.n_harmonics
-    n_rec = len(problem.records)
-    Phi = np.zeros((n_rec, 2 * N + 1), dtype=complex)
-    y = np.empty(n_rec, dtype=complex)
-    for r, rec in enumerate(problem.records):
-        y[r] = rec.Y[q % n_fft]
-        for col, n in enumerate(range(-N, N + 1)):
-            if not _shifted_in_band(problem, q, n):
-                continue
-            mod = cmath.exp(1j * n * problem.pump * rec.clock_phase)
-            Phi[r, col] = mod * rec.U[(q - n * step) % n_fft]
-    return Phi, y
+    Phi, y, _ = _regressor_tensor(problem, [q])
+    return Phi[0], y[0]
 
 
 def second_difference(n_points: int) -> sp.csr_matrix:
@@ -230,9 +241,27 @@ def _candidate_bins(problem: EstimationProblem):
     return bins[keep]
 
 
-def _solve_coupled(problem, data_rows, rhs, n_bins, width):
+def _coupled(problem: EstimationProblem, n_bins: int) -> bool:
+    """Whether the curvature penalty couples the bins (it needs 3 of them)."""
+    return problem.alpha > 0.0 and n_bins >= 3
+
+
+def _misfit(problem: EstimationProblem, Phi, y, G):
+    """Data residual and curvature penalty of the per-bin harmonics G.
+
+    G has shape (bins, 2N+1), one column per harmonic order; returns
+    (sum |y - Phi g|^2, alpha * sum |D2 G|^2).
+    """
+    residual = y - (Phi @ G[:, :, None])[:, :, 0]
+    data_residual = float(np.sum(np.abs(residual) ** 2))
+    penalty = 0.0
+    if _coupled(problem, G.shape[0]):
+        penalty = problem.alpha * float(np.sum(np.abs(second_difference(G.shape[0]) @ G) ** 2))
+    return data_residual, penalty
+
+
+def _solve_coupled(problem, blocks, rhs, n_bins, width):
     """Solve the penalty-coupled normal equations; returns (g, cond)."""
-    blocks = [Phi.conj().T @ Phi for Phi, _ in data_rows]
     normal = sp.block_diag(blocks, format="csc", dtype=complex)
     d2 = second_difference(n_bins)
     penalty = problem.alpha * (d2.T @ d2)
@@ -301,51 +330,29 @@ def estimate_htf(problem: EstimationProblem) -> HarmonicTransferSet:
         1e14; a larger alpha regularizes it.
     """
     bins = _candidate_bins(problem)
-    spacing = problem.records[0].bin_spacing
-    omegas = bins * spacing
+    omegas = bins * problem.records[0].bin_spacing
     n_bins = bins.shape[0]
     N = problem.n_harmonics
     width = 2 * N + 1
-    size = n_bins * width
 
-    rhs = np.empty(size, dtype=complex)
-    data_rows = []
-    for i, q in enumerate(bins):
-        Phi, y = build_regressor(problem, float(omegas[i]))
-        rhs[i * width : (i + 1) * width] = Phi.conj().T @ y
-        data_rows.append((Phi, y))
-
-    coupled = problem.alpha > 0.0 and n_bins >= 3
-    if coupled:
-        g, cond = _solve_coupled(problem, data_rows, rhs, n_bins, width)
+    Phi, y, mask = _regressor_tensor(problem, bins)
+    if _coupled(problem, n_bins):
+        Phi_H = Phi.conj().transpose(0, 2, 1)
+        rhs = (Phi_H @ y[:, :, None]).ravel()
+        g, cond = _solve_coupled(problem, Phi_H @ Phi, rhs, n_bins, width)
+        G = g.reshape(n_bins, width)
     else:
-        g = np.empty(size, dtype=complex)
+        G = np.empty((n_bins, width), dtype=complex)
         cond = 0.0
-        for i, (Phi, y) in enumerate(data_rows):
-            sol, _, _, svals = np.linalg.lstsq(Phi, y, rcond=None)
-            g[i * width : (i + 1) * width] = sol
+        for i in range(n_bins):
+            G[i], _, _, svals = np.linalg.lstsq(Phi[i], y[i], rcond=None)
             nz = svals[svals > 0.0]
             if nz.size:
                 cond = max(cond, float(nz[0] / nz[-1]))
-    harmonics = {
-        n: g[col::width].copy() for col, n in enumerate(range(-N, N + 1))
-    }
-    masks = {
-        n: np.array([_shifted_in_band(problem, int(q), n) for q in bins])
-        for n in range(-N, N + 1)
-    }
-
-    data_residual = 0.0
-    for i in range(n_bins):
-        Phi, y = data_rows[i]
-        gi = g[i * width : (i + 1) * width]
-        data_residual += float(np.sum(np.abs(y - Phi @ gi) ** 2))
-    penalty_value = 0.0
-    if coupled:
-        d2 = second_difference(n_bins)
-        for n in range(-N, N + 1):
-            penalty_value += float(np.sum(np.abs(d2 @ harmonics[n]) ** 2))
-        penalty_value *= problem.alpha
+    orders = range(-N, N + 1)
+    harmonics = {n: G[:, col].copy() for col, n in enumerate(orders)}
+    masks = {n: mask[:, col].copy() for col, n in enumerate(orders)}
+    data_residual, penalty_value = _misfit(problem, Phi, y, G)
 
     diagnostics = {
         "alpha": problem.alpha,
@@ -356,9 +363,7 @@ def estimate_htf(problem: EstimationProblem) -> HarmonicTransferSet:
         "data_residual": data_residual,
         "penalty": penalty_value,
         "cost": data_residual + penalty_value,
-        "low_excitation_columns": int(
-            sum(int(np.sum(~masks[n])) for n in masks)
-        ),
+        "low_excitation_columns": int(np.sum(~mask)),
     }
     return HarmonicTransferSet(
         omega_grid=omegas,
@@ -378,18 +383,11 @@ def cost(problem: EstimationProblem, hts: HarmonicTransferSet) -> float:
     for optimality checks: no admissible set can beat the estimate.
     """
     bins = _candidate_bins(problem)
-    spacing = problem.records[0].bin_spacing
-    omegas = bins * spacing
+    omegas = bins * problem.records[0].bin_spacing
     if hts.omega_grid.shape != omegas.shape or np.max(np.abs(hts.omega_grid - omegas)) > 1e-9:
         raise InvalidInputError("harmonic set is not on the problem's bin grid")
     N = problem.n_harmonics
-    total = 0.0
-    for i, omega in enumerate(omegas):
-        Phi, y = build_regressor(problem, float(omega))
-        gi = np.array([hts.harmonics[n][i] for n in range(-N, N + 1)])
-        total += float(np.sum(np.abs(y - Phi @ gi) ** 2))
-    if problem.alpha > 0.0 and omegas.shape[0] >= 3:
-        d2 = second_difference(omegas.shape[0])
-        for n in range(-N, N + 1):
-            total += problem.alpha * float(np.sum(np.abs(d2 @ hts.harmonics[n]) ** 2))
-    return total
+    Phi, y, _ = _regressor_tensor(problem, bins)
+    G = np.column_stack([hts.harmonics[n] for n in range(-N, N + 1)])
+    data_residual, penalty_value = _misfit(problem, Phi, y, G)
+    return data_residual + penalty_value

@@ -49,30 +49,6 @@ class FitResult:
             handle.write("\n")
 
 
-def _theory_set(
-    k: float,
-    c: float,
-    grid: np.ndarray,
-    duty: float,
-    t_hat: float,
-    T: float,
-    m: float,
-    n_h: int,
-    convention: str,
-) -> HarmonicTransferSet:
-    lin = SwitchedLinearization(
-        A_on=np.array([[0.0, 1.0], [-k / m, -c / m]]),
-        A_off=np.array([[0.0, 1.0], [-k / m, 0.0]]),
-        B=np.array([[0.0], [1.0 / m]]),
-        C=np.array([[1.0, 0.0]]),
-        D=0.0,
-        duty=duty,
-        t_hat=t_hat,
-        T=T,
-    )
-    return eval_htf(build_hss(fourier_series(lin, n_h)), grid, n_keep=1, convention=convention)
-
-
 def fit_objective(
     k: float,
     c: float,
@@ -95,8 +71,12 @@ def fit_objective(
     for n in (-1, 0, 1):
         if n not in target.harmonics:
             raise InvalidInputError(f"target is missing harmonic {n}")
-    theory = _theory_set(
-        k, c, target.omega_grid, duty, t_hat, T, m, n_h, target.convention
+    lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, T)
+    theory = eval_htf(
+        build_hss(fourier_series(lin, n_h)),
+        target.omega_grid,
+        n_keep=1,
+        convention=target.convention,
     )
     total = 0.0
     count = 0

@@ -105,9 +105,6 @@ class FourierMatrixSeries:
         """Pumping frequency 2*pi/T in rad/s."""
         return 2.0 * math.pi / self.T
 
-    def coeff(self, name: str, n: int) -> np.ndarray:
-        return getattr(self, name)[n + self.n_h]
-
 
 def fourier_series(lin: SwitchedLinearization, n_h: int) -> FourierMatrixSeries:
     """Fourier coefficients of the switched linearization.

@@ -26,7 +26,7 @@ engagement phase measured from the periodic orbit.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -113,32 +113,29 @@ class HybridModel:
         return 1 if self.threshold(x, xdot) > 0.0 else 0
 
 
-def eval_chart(model: HybridModel, state, t: float, u: float = 0.0):
-    """Right-hand side of the active chart.
+def chart_accel(model: HybridModel, u: Optional[Callable[[float], float]] = None):
+    """Right-hand side of the active chart, as a closure accel(t, x, xdot).
 
-    Parameters
-    ----------
-    model : HybridModel
-    state : (x, xdot) pair
-    t : float
-        Time; enters through the cosine forcing.
-    u : float
-        Additional input force.
-
-    Returns
-    -------
-    (xdot, xddot) : tuple of float
-        Derivative of the state under the chart selected by the sign of
-        the threshold function at `state`.
+    The closure returns the acceleration under the chart selected by the
+    sign of the threshold function at (x, xdot), with the cosine forcing
+    at time t and the extra input force ``u(t)`` (zero when u is None).
+    The velocity row of the state equation is xdot itself.
     """
-    x, xdot = float(state[0]), float(state[1])
-    if not (math.isfinite(x) and math.isfinite(xdot)):
-        raise InvalidInputError("state must be finite")
     p = model.params
-    force = -p.m * p.g - p.k * (x - p.x0) + float(p.forcing(t)) + u
-    if model.threshold(x, xdot) > 0.0:
-        force -= p.c * xdot
-    return xdot, force / p.m
+    m, k, c, g, x0 = p.m, p.k, p.c, p.g, p.x0
+    amp = p.forcing_amplitude
+    w_f = 2.0 * math.pi * p.forcing_freq
+    thr = model.threshold
+    cos = math.cos
+    u_fn = u if u is not None else (lambda t: 0.0)
+
+    def accel(t, x, v):
+        f = -m * g - k * (x - x0) + amp * cos(w_f * t) + u_fn(t)
+        if thr(x, v) > 0.0:
+            f -= c * v
+        return f / m
+
+    return accel
 
 
 @dataclass(frozen=True)
@@ -171,6 +168,22 @@ class SwitchedLinearization:
         if not 0.0 <= self.t_hat < self.T:
             raise InvalidInputError("t_hat must lie in [0, T)")
 
+    @classmethod
+    def oscillator(
+        cls, m: float, k: float, c: float, duty: float, t_hat: float, T: float
+    ) -> "SwitchedLinearization":
+        """The one-way-damper matrices of the module docstring."""
+        return cls(
+            A_on=np.array([[0.0, 1.0], [-k / m, -c / m]]),
+            A_off=np.array([[0.0, 1.0], [-k / m, 0.0]]),
+            B=np.array([[0.0], [1.0 / m]]),
+            C=np.array([[1.0, 0.0]]),
+            D=0.0,
+            duty=duty,
+            t_hat=t_hat,
+            T=T,
+        )
+
 
 def linearize(model: HybridModel, cycle) -> SwitchedLinearization:
     """Small-signal LTP model of the deviation from a settled orbit.
@@ -187,17 +200,6 @@ def linearize(model: HybridModel, cycle) -> SwitchedLinearization:
             f"expected exactly 2 threshold crossings per period, found {cycle.n_crossings}"
         )
     p = model.params
-    A_on = np.array([[0.0, 1.0], [-p.k / p.m, -p.c / p.m]])
-    A_off = np.array([[0.0, 1.0], [-p.k / p.m, 0.0]])
-    B = np.array([[0.0], [1.0 / p.m]])
-    C = np.array([[1.0, 0.0]])
-    return SwitchedLinearization(
-        A_on=A_on,
-        A_off=A_off,
-        B=B,
-        C=C,
-        D=0.0,
-        duty=cycle.duty,
-        t_hat=cycle.t_hat,
-        T=cycle.T,
+    return SwitchedLinearization.oscillator(
+        p.m, p.k, p.c, cycle.duty, cycle.t_hat, cycle.T
     )

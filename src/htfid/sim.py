@@ -24,7 +24,7 @@ from .errors import (
     NotSettledError,
     ResamplingRequiredError,
 )
-from .model import HybridModel
+from .model import HybridModel, chart_accel
 
 #: Width (seconds) to which a threshold crossing is localized.
 EVENT_TOL = 1e-10
@@ -142,19 +142,9 @@ def integrate(
     if len(x_init) != 2 or not all(math.isfinite(float(s)) for s in x_init):
         raise InvalidInputError("initial state must be a finite (x, xdot) pair")
 
-    p = model.params
-    m, k, c, g, x0 = p.m, p.k, p.c, p.g, p.x0
-    amp = p.forcing_amplitude
-    w_f = 2.0 * math.pi * p.forcing_freq
     thr = model.threshold
-    cos = math.cos
     u_fn = u if u is not None else (lambda t: 0.0)
-
-    def accel(t, x, v):
-        f = -m * g - k * (x - x0) + amp * cos(w_f * t) + u_fn(t)
-        if thr(x, v) > 0.0:
-            f -= c * v
-        return f / m
+    accel = chart_accel(model, u_fn)
 
     def rk4(t, x, v, h):
         k1x = v

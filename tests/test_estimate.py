@@ -1,5 +1,6 @@
 """DFT bookkeeping, the banded regressor, and the regularized solve."""
 
+import cmath
 import dataclasses
 import math
 
@@ -157,6 +158,23 @@ def test_regressor_snaps_to_nearest_bin(lab_spectra):
     assert np.array_equal(y_a, y_b)
 
 
+def test_regressor_matches_scalar_reference(lab_problem):
+    # Entries formed one at a time with Python complex arithmetic, straight
+    # from the row equation and the band test; the tensor must agree exactly.
+    rec0 = lab_problem.records[0]
+    spacing, n_fft = rec0.bin_spacing, rec0.n_bins
+    lo, hi = 2.0 * math.pi * 0.0, 2.0 * math.pi * 7.0
+    for q in (-177, 1, 40, 100, 205):
+        Phi, y = build_regressor(lab_problem, q * spacing)
+        for r, rec in enumerate(lab_problem.records):
+            assert y[r] == rec.Y[q % n_fft]
+            for col, n in enumerate(range(-3, 4)):
+                shift = q - n * lab_problem.pump_bins
+                excited = shift != 0 and lo < abs(shift) * spacing <= hi + 0.5 * spacing
+                mod = cmath.exp(1j * n * lab_problem.pump * rec.clock_phase)
+                assert Phi[r, col] == (mod * rec.U[shift % n_fft] if excited else 0.0)
+
+
 def test_per_bin_solve_recovers_lti_plant():
     specs = lti_chirp_spectra()
     problem = EstimationProblem(
@@ -262,6 +280,10 @@ def test_estimate_beats_theory_on_its_own_cost(
     assert cost(lab_problem, lab_estimate) <= cost(
         lab_problem, lab_theory_on_estimate_grid
     )
+
+
+def test_cost_reproduces_estimate_diagnostics(lab_problem, lab_estimate):
+    assert cost(lab_problem, lab_estimate) == lab_estimate.diagnostics["cost"]
 
 
 def test_excitation_mask_counts(lab_estimate):
