@@ -169,20 +169,23 @@ def run_experiments(
     for k in range(plan.n_segments):
         phase = float(phases[k])
         x_init = cycle.state_at(phase)
-        u_fn = lambda t, _phase=phase: float(
-            chirp_value(plan, (t - _phase) % duration)
+        u_fn = lambda t, _phase=phase: chirp_value(
+            plan, np.remainder(t - _phase, duration)
         )
         traj = integrate(
             model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phase
         )
+        # The orbit is subtracted on the whole run's phase grid (a grid
+        # restarted at the capture rounds differently), then the capture
+        # is copied out so the warm-up samples can be freed.
         dev = error_trajectory(traj, cycle)
         dev = Trajectory(
             dt=dev.dt,
             t0=dev.t0 + warmup_periods * duration,
-            x=dev.x[skip : skip + n_per],
-            xdot=dev.xdot[skip : skip + n_per],
-            u=dev.u[skip : skip + n_per],
-            chart=dev.chart[skip : skip + n_per],
+            x=dev.x[skip : skip + n_per].copy(),
+            xdot=dev.xdot[skip : skip + n_per].copy(),
+            u=dev.u[skip : skip + n_per].copy(),
+            chart=dev.chart[skip : skip + n_per].copy(),
         )
         phase = (phase + warmup_periods * duration) % cycle.T
         peak = float(np.max(np.abs(dev.x)))

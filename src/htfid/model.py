@@ -26,7 +26,7 @@ engagement phase measured from the periodic orbit.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +72,11 @@ class ModelParams:
         return self.x0 - self.m * self.g / self.k
 
     def forcing(self, t):
-        """External forcing F(t) = amplitude * cos(2*pi*freq*t)."""
+        """External forcing F(t) = amplitude * cos(2*pi*freq*t).
+
+        Accepts scalars or arrays; `sim.integrate` tabulates it on arrays
+        of stage times.
+        """
         return self.forcing_amplitude * np.cos(2.0 * math.pi * self.forcing_freq * t)
 
     def to_dict(self) -> dict:
@@ -113,27 +117,25 @@ class HybridModel:
         return 1 if self.threshold(x, xdot) > 0.0 else 0
 
 
-def chart_accel(model: HybridModel, u: Optional[Callable[[float], float]] = None):
-    """Right-hand side of the active chart, as a closure accel(t, x, xdot).
+def chart_accel(model: HybridModel):
+    """Right-hand side of the active chart, as a function accel(x, xdot, f, u).
 
-    The closure returns the acceleration under the chart selected by the
-    sign of the threshold function at (x, xdot), with the cosine forcing
-    at time t and the extra input force ``u(t)`` (zero when u is None).
-    The velocity row of the state equation is xdot itself.
+    The function returns the acceleration under the chart selected by
+    the sign of the threshold function at (x, xdot), given the values of
+    the cosine forcing ``f = params.forcing(t)`` and of the extra input
+    force u at the same time.  The velocity row of the state equation is
+    xdot itself.
     """
     p = model.params
-    m, k, c, g, x0 = p.m, p.k, p.c, p.g, p.x0
-    amp = p.forcing_amplitude
-    w_f = 2.0 * math.pi * p.forcing_freq
+    m, k, c, x0 = p.m, p.k, p.c, p.x0
+    weight = -m * p.g
     thr = model.threshold
-    cos = math.cos
-    u_fn = u if u is not None else (lambda t: 0.0)
 
-    def accel(t, x, v):
-        f = -m * g - k * (x - x0) + amp * cos(w_f * t) + u_fn(t)
+    def accel(x, v, f, u):
+        a = weight - k * (x - x0) + f + u
         if thr(x, v) > 0.0:
-            f -= c * v
-        return f / m
+            a -= c * v
+        return a / m
 
     return accel
 

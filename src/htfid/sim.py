@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     AmbiguousSwitchingError,
@@ -32,6 +31,8 @@ EVENT_TOL = 1e-10
 EVENT_MAX_ITER = 100
 #: Default periodicity tolerance per state component.
 SETTLE_TOL = 1e-6
+#: Grid steps whose forcing and input `integrate` tabulates at a time.
+_CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,10 @@ class LimitCycle:
 
     @cached_property
     def _splines(self):
+        # Imported here: only the chirp experiments need the orbit between
+        # samples, and scipy.interpolate is slow to import.
+        from scipy.interpolate import CubicSpline
+
         phases = np.arange(self.n_samples + 1) * self.dt
         wrap = lambda a: np.concatenate([a, a[:1]])
         return (
@@ -109,7 +114,7 @@ class LimitCycle:
 def integrate(
     model: HybridModel,
     x_init,
-    u: Optional[Callable[[float], float]],
+    u: Optional[Callable[[np.ndarray], np.ndarray]],
     duration: float,
     dt: float,
     t0: float = 0.0,
@@ -121,7 +126,9 @@ def integrate(
     model : HybridModel
     x_init : (x, xdot) initial state
     u : callable or None
-        Extra input force as a function of absolute time t.
+        Extra input force as a function of absolute time.  It is called
+        with an array of times and must return an array of the same
+        shape; None means no input.
     duration, dt : float
         Total span and step; dt must divide duration.
     t0 : float
@@ -133,6 +140,13 @@ def integrate(
     -------
     Trajectory with ``round(duration/dt) + 1`` samples, chart flags set
     from the sign of the switching threshold at each sample.
+
+    Notes
+    -----
+    The forcing and the input are tabulated with numpy, a chunk of grid
+    steps at a time, at the RK4 stage times ``t = t0 + i*dt``,
+    ``t + 0.5*dt`` and ``t + dt`` of every step; only the steps split at
+    a threshold crossing evaluate them at other times.
     """
     if dt <= 0.0 or duration <= 0.0:
         raise InvalidInputError("dt and duration must be positive")
@@ -143,23 +157,37 @@ def integrate(
         raise InvalidInputError("initial state must be a finite (x, xdot) pair")
 
     thr = model.threshold
-    u_fn = u if u is not None else (lambda t: 0.0)
-    accel = chart_accel(model, u_fn)
+    forcing = model.params.forcing
+    accel = chart_accel(model)
 
-    def rk4(t, x, v, h):
+    def inputs(times):
+        # Forcing and input at an array of times, as two float arrays.
+        values = np.zeros_like(times) if u is None else np.asarray(u(times), dtype=float)
+        if values.shape != times.shape:
+            raise InvalidInputError(
+                f"u returned shape {values.shape} for times of shape {times.shape}"
+            )
+        return forcing(times), values
+
+    def rk4(x, v, h, f0, u0, fh, uh, fe, ue):
         k1x = v
-        k1v = accel(t, x, v)
-        th = t + 0.5 * h
+        k1v = accel(x, v, f0, u0)
         k2x = v + 0.5 * h * k1v
-        k2v = accel(th, x + 0.5 * h * k1x, k2x)
+        k2v = accel(x + 0.5 * h * k1x, k2x, fh, uh)
         k3x = v + 0.5 * h * k2v
-        k3v = accel(th, x + 0.5 * h * k2x, k3x)
+        k3v = accel(x + 0.5 * h * k2x, k3x, fh, uh)
         k4x = v + h * k3v
-        k4v = accel(t + h, x + h * k3x, k4x)
+        k4v = accel(x + h * k3x, k4x, fe, ue)
         return (
             x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
             v + h / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
         )
+
+    def sub_step(t, x, v, h):
+        # An RK4 step of any length h from t, off the tabulated grid.
+        f, uu = inputs(np.array([t, t + 0.5 * h, t + h]))
+        (f0, fh, fe), (u0, uh, ue) = f.tolist(), uu.tolist()
+        return rk4(x, v, h, f0, u0, fh, uh, fe, ue)
 
     def locate_crossing(t, x, v, h):
         # First sign change of the threshold along the step, assuming the
@@ -171,7 +199,7 @@ def integrate(
             if hi - lo < EVENT_TOL:
                 return hi
             mid = 0.5 * (lo + hi)
-            xm, vm = rk4(t, x, v, mid)
+            xm, vm = sub_step(t, x, v, mid)
             if (thr(xm, vm) > 0.0) == side0:
                 lo = mid
             else:
@@ -181,13 +209,14 @@ def integrate(
         )
 
     def advance(t, x, v, h):
-        # One grid step with event splitting.
+        # One step with event splitting, for the grid steps whose unsplit
+        # step changes the sign of the threshold.
         for _ in range(16):
-            x2, v2 = rk4(t, x, v, h)
+            x2, v2 = sub_step(t, x, v, h)
             if (thr(x2, v2) > 0.0) == (thr(x, v) > 0.0) or h <= EVENT_TOL:
                 return x2, v2
             h_ev = locate_crossing(t, x, v, h)
-            x, v = rk4(t, x, v, h_ev)
+            x, v = sub_step(t, x, v, h_ev)
             t += h_ev
             h -= h_ev
             if h <= 0.0:
@@ -200,17 +229,30 @@ def integrate(
     charts = np.empty(n_steps + 1, dtype=np.uint8)
 
     x, v = float(x_init[0]), float(x_init[1])
-    for i in range(n_steps + 1):
-        t = t0 + i * dt
-        xs[i] = x
-        vs[i] = v
-        us[i] = u_fn(t)
-        charts[i] = 1 if thr(x, v) > 0.0 else 0
-        if i == n_steps:
-            break
-        x, v = advance(t, x, v, dt)
-        if not (math.isfinite(x) and math.isfinite(v)):
-            raise DivergenceError(f"non-finite state at t={t + dt}")
+    for i0 in range(0, n_steps + 1, _CHUNK_STEPS):
+        i1 = min(i0 + _CHUNK_STEPS, n_steps + 1)
+        t = t0 + np.arange(i0, i1) * dt
+        f, uu = inputs(np.stack([t, t + 0.5 * dt, t + dt]))
+        us[i0:i1] = uu[0]
+        ts = t.tolist()
+        (f0s, fhs, fes), (u0s, uhs, ues) = f.tolist(), uu.tolist()
+        x_chunk, v_chunk, on_chunk = [], [], []
+        for j in range(i1 - i0):
+            on = thr(x, v) > 0.0
+            x_chunk.append(x)
+            v_chunk.append(v)
+            on_chunk.append(on)
+            if i0 + j == n_steps:
+                break
+            x2, v2 = rk4(x, v, dt, f0s[j], u0s[j], fhs[j], uhs[j], fes[j], ues[j])
+            if (thr(x2, v2) > 0.0) != on:
+                x2, v2 = advance(ts[j], x, v, dt)
+            x, v = x2, v2
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise DivergenceError(f"non-finite state at t={ts[j] + dt}")
+        xs[i0:i1] = x_chunk
+        vs[i0:i1] = v_chunk
+        charts[i0:i1] = on_chunk
 
     return Trajectory(dt=dt, t0=t0, x=xs, xdot=vs, u=us, chart=charts)
 

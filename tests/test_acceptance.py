@@ -97,7 +97,7 @@ def test_criterion_2_undamped_oracle():
     traj = integrate(
         model,
         (x_eq + dev_gain + xi_ss[0], vi_ss[0]),
-        lambda t: float(chirp_value(plan, t % 30.0)),
+        lambda t: chirp_value(plan, t % 30.0),
         30.0,
         dt,
     )

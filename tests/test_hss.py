@@ -209,7 +209,7 @@ def test_sinusoid_probe_matches_theory(lab_model, lab_cycle, lab_hss10):
     tr = integrate(
         lab_model,
         lab_cycle.state_at(0.0),
-        lambda t: amp * math.cos(w * t),
+        lambda t: amp * np.cos(w * t),
         48.0,
         lab_cycle.dt,
     )

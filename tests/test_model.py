@@ -17,15 +17,17 @@ from htfid import (
 
 
 def test_chart_damper_engaged():
-    accel = chart_accel(HybridModel())
+    p = ModelParams()
+    accel = chart_accel(HybridModel(p))
     # -g - c*v - k*(x - x0) + cos(0) = -9.81 - 2 + 0 + 1
-    assert accel(0.0, 0.2, 1.0) == pytest.approx(-10.81, abs=1e-12)
+    assert accel(0.2, 1.0, p.forcing(0.0), 0.0) == pytest.approx(-10.81, abs=1e-12)
 
 
 def test_chart_damper_released():
-    accel = chart_accel(HybridModel())
+    p = ModelParams()
+    accel = chart_accel(HybridModel(p))
     # damper off on the downstroke: -9.81 - 0 + 0 + 1
-    assert accel(0.0, 0.2, -1.0) == pytest.approx(-8.81, abs=1e-12)
+    assert accel(0.2, -1.0, p.forcing(0.0), 0.0) == pytest.approx(-8.81, abs=1e-12)
 
 
 def test_chart_equilibrium_balance():
@@ -33,15 +35,16 @@ def test_chart_equilibrium_balance():
     accel = chart_accel(HybridModel(p))
     x_eq = p.x0 - p.g * p.m / p.k
     # quarter period: the cosine forcing passes through zero there
-    assert abs(accel(0.25, x_eq, 0.0)) < 1e-12
+    assert abs(accel(x_eq, 0.0, p.forcing(0.25), 0.0)) < 1e-12
 
 
 def test_chart_zero_velocity_is_lossless():
     # At the switching boundary the damper contributes nothing, so the
     # value of c cannot matter there.
+    p = ModelParams()
     lossless = chart_accel(HybridModel(ModelParams(c=0.0)))
     heavy = chart_accel(HybridModel(ModelParams(c=1e6)))
-    assert heavy(0.1, 0.3, 0.0) == lossless(0.1, 0.3, 0.0)
+    assert heavy(0.3, 0.0, p.forcing(0.1), 0.0) == lossless(0.3, 0.0, p.forcing(0.1), 0.0)
 
 
 def test_params_validation():
