@@ -28,9 +28,7 @@ from .sim import (
     Trajectory,
     error_trajectory,
     integrate,
-    read_trajectory_csv,
     settle_limit_cycle,
-    write_trajectory_csv,
 )
 from .hss import (
     FourierMatrixSeries,
@@ -50,9 +48,7 @@ from .excite import (
     chirp_value,
     clock_phases,
     gen_chirp,
-    read_bundle,
     run_experiments,
-    write_bundle,
 )
 from .estimate import (
     EstimationProblem,
@@ -109,15 +105,11 @@ __all__ = [
     "gen_chirp",
     "integrate",
     "linearize",
-    "read_bundle",
     "read_htf_csv",
-    "read_trajectory_csv",
     "run_experiments",
     "second_difference",
     "settle_limit_cycle",
     "spectra",
     "square_wave_coeffs",
-    "write_bundle",
     "write_htf_csv",
-    "write_trajectory_csv",
 ]

@@ -14,10 +14,7 @@ evenly spread clock phases make the harmonic columns of the estimation
 regressor mutually orthogonal, like a small DFT across records.
 """
 
-import json
 import math
-import os
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +22,7 @@ import numpy as np
 
 from .errors import AliasingError, InvalidInputError, PerturbationSizeWarning
 from .model import HybridModel
-from .sim import LimitCycle, Trajectory, error_trajectory, integrate, read_trajectory_csv, write_trajectory_csv
+from .sim import LimitCycle, Trajectory, error_trajectory, integrate
 
 #: Fraction of the orbit amplitude beyond which the deviation response
 #: is considered too large for the small-signal model.
@@ -53,25 +50,6 @@ class ChirpPlan:
             raise InvalidInputError("segment_duration must be positive")
         if self.n_segments < 1:
             raise InvalidInputError("n_segments must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "f_lo": self.f_lo,
-            "f_hi": self.f_hi,
-            "segment_duration": self.segment_duration,
-            "n_segments": self.n_segments,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChirpPlan":
-        return cls(
-            amplitude=float(data["amplitude"]),
-            f_lo=float(data["f_lo"]),
-            f_hi=float(data["f_hi"]),
-            segment_duration=float(data["segment_duration"]),
-            n_segments=int(data["n_segments"]),
-        )
 
 
 def chirp_value(plan: ChirpPlan, t):
@@ -198,38 +176,3 @@ def run_experiments(
             )
         records.append(ExperimentRecord(index=k, clock_phase=phase, traj=dev))
     return records
-
-
-def write_bundle(records: list, plan: ChirpPlan, out_dir) -> None:
-    """Write rec_<k>.csv per record plus plan.json."""
-    os.makedirs(out_dir, exist_ok=True)
-    meta = plan.to_dict()
-    meta["dt"] = records[0].dt if records else None
-    meta["clock_phases"] = [rec.clock_phase for rec in records]
-    with open(os.path.join(out_dir, "plan.json"), "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2)
-        handle.write("\n")
-    for rec in records:
-        write_trajectory_csv(rec.traj, os.path.join(out_dir, f"rec_{rec.index}.csv"))
-
-
-def read_bundle(out_dir):
-    """Load a bundle written by `write_bundle`.
-
-    Returns (records, plan).
-    """
-    with open(os.path.join(out_dir, "plan.json"), "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    plan = ChirpPlan.from_dict(meta)
-    phases = meta["clock_phases"]
-    records = []
-    names = [f for f in os.listdir(out_dir) if re.fullmatch(r"rec_\d+\.csv", f)]
-    for name in sorted(names, key=lambda s: int(re.findall(r"\d+", s)[0])):
-        k = int(re.findall(r"\d+", name)[0])
-        traj = read_trajectory_csv(os.path.join(out_dir, name))
-        records.append(ExperimentRecord(index=k, clock_phase=float(phases[k]), traj=traj))
-    if len(records) != plan.n_segments:
-        raise InvalidInputError(
-            f"{out_dir}: found {len(records)} records, plan expects {plan.n_segments}"
-        )
-    return records, plan

@@ -96,15 +96,13 @@ def fit_parameters(
     m: float = 1.0,
     max_iter: int = 500,
     n_h: int = FIT_N_H,
-    progress=None,
 ) -> FitResult:
     """Minimize the harmonic transfer mismatch over (k, c).
 
     Derivative-free Nelder-Mead in variables scaled by the (positive)
     initial guess, so the stopping tolerance 1e-4 acts relatively on
     each parameter.  Candidates outside k > 0, c >= 0 are rejected with
-    a large penalty instead of being evaluated.  `progress`, if given,
-    is called once per iteration with the current best (k, c, objective).
+    a large penalty instead of being evaluated.
     """
     k0, c0 = float(init[0]), float(init[1])
     if k0 <= 0.0 or c0 <= 0.0:
@@ -116,17 +114,10 @@ def fit_parameters(
             return 1e6 * (1.0 + float(np.sum(np.abs(p))))
         return fit_objective(k, c, target, duty, t_hat, T, m=m, n_h=n_h)
 
-    callback = None
-    if progress is not None:
-        callback = lambda p: progress(
-            p[0] * k0, p[1] * c0, scaled_objective(p)
-        )
-
     result = minimize(
         scaled_objective,
         x0=np.array([1.0, 1.0]),
         method="Nelder-Mead",
-        callback=callback,
         options={
             "xatol": XTOL_REL,
             "fatol": FTOL_ABS,

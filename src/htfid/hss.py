@@ -27,8 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import DegenerateSwitchingWarning, InvalidInputError, SingularFrequencyError
 from .model import SwitchedLinearization
@@ -37,6 +35,9 @@ from .model import SwitchedLinearization
 COND_WARN = 1e12
 #: Relative perturbation applied to a grid frequency that is singular.
 SINGULAR_NUDGE = 1e-9
+#: Matrix entries per batch of grid points in `eval_htf`; bounds the
+#: memory held by the stacked systems and their inverses.
+_BATCH_ENTRIES = 2**16
 
 
 def square_wave_coeffs(duty: float, t_hat: float, T: float, n_h: int) -> np.ndarray:
@@ -138,13 +139,11 @@ def _block_toeplitz(coeffs: np.ndarray, n_h: int) -> np.ndarray:
     """
     width = 2 * n_h + 1
     rows, cols = coeffs.shape[1], coeffs.shape[2]
-    out = np.zeros((width * rows, width * cols), dtype=complex)
-    for r in range(width):
-        for c in range(width):
-            n = r - c
-            if -n_h <= n <= n_h:
-                out[r * rows : (r + 1) * rows, c * cols : (c + 1) * cols] = coeffs[n + n_h]
-    return out
+    lag = np.subtract.outer(np.arange(width), np.arange(width))
+    inside = np.abs(lag) <= n_h
+    blocks = np.zeros((width, width, rows, cols), dtype=complex)
+    blocks[inside] = coeffs[lag[inside] + n_h]
+    return blocks.transpose(0, 2, 1, 3).reshape(width * rows, width * cols)
 
 
 @dataclass(frozen=True)
@@ -218,6 +217,11 @@ def default_grid(f_hi: float = 7.0, n_points: int = 600) -> np.ndarray:
     return 2.0 * math.pi * f_hi * np.arange(1, n_points + 1) / n_points
 
 
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """Matrix 1-norms (largest absolute column sum) of a stack."""
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
 def eval_htf(
     hss: TruncatedHSS,
     omega_grid,
@@ -226,12 +230,13 @@ def eval_htf(
 ) -> HarmonicTransferSet:
     """Evaluate harmonic transfer functions on a frequency grid.
 
-    Solves ``(j*w*I - (A - N)) X = B`` at every grid point and reads the
-    harmonic gains off the resulting input/output map: the central block
-    column for the "input" convention, the central block row for the
-    "output" convention.  A grid point where the system is exactly
-    singular is nudged by one part in 1e9 (with a warning); a condition
-    number above 1e12 also gets a warning attached.
+    Inverts ``M = j*w*I - (A - N)`` for a batch of grid points at a time
+    and forms only the kept harmonic gains of the input/output map
+    ``C M^-1 B + D``: the central block column for the "input"
+    convention, the central block row for the "output" convention.  A
+    grid point where the system is exactly singular is nudged by one part
+    in 1e9 (with a warning); a condition number ``|M|_1 |M^-1|_1`` above
+    1e12 also gets a warning attached.
 
     Parameters
     ----------
@@ -244,6 +249,8 @@ def eval_htf(
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise InvalidInputError("omega_grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(omega_grid)):
+        raise InvalidInputError("omega_grid must be finite")
     if n_keep is None:
         n_keep = hss.n_h
     if n_keep > hss.n_h:
@@ -252,48 +259,60 @@ def eval_htf(
     n_h = hss.n_h
     gen = hss.A - hss.N
     eye = np.eye(hss.n_states, dtype=complex)
-    orders = range(-n_keep, n_keep + 1)
-    out = {n: np.empty(omega_grid.size, dtype=complex) for n in orders}
-    notes = []
+    keep = np.arange(-n_keep, n_keep + 1)
+    if convention == "output":
+        # gain onto output line 0 from input line -n: row n_h, column n_h - n
+        def gains_of(inv):
+            return (hss.C[n_h] @ inv) @ hss.B[:, n_h - keep] + hss.D[n_h, n_h - keep]
+    else:
+        # gain from input line 0 onto output line n: row n_h + n, column n_h
+        def gains_of(inv):
+            return (inv @ hss.B[:, n_h]) @ hss.C[n_h + keep].T + hss.D[n_h + keep, n_h]
 
-    for i, omega in enumerate(omega_grid):
-        w = float(omega)
-        gmap = None
-        for attempt in range(2):
-            M = 1j * w * eye - gen
-            with warnings.catch_warnings():
-                # Exact singularity is handled below via rcond + nudge; scipy's
-                # advisory warning from the factorization would just be noise.
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(M, check_finite=False)
-            anorm = np.linalg.norm(M, 1)
-            rcond, info = lapack.zgecon(lu, anorm)
-            if info < 0 or rcond == 0.0 or not np.isfinite(rcond):
-                if attempt == 0:
-                    w = float(omega) * (1.0 + SINGULAR_NUDGE) if omega != 0.0 else SINGULAR_NUDGE
-                    notes.append(
-                        f"omega={float(omega):.9g}: singular system, perturbed to {w:.12g}"
-                    )
-                    continue
+    def system(w):
+        M = (1j * w)[:, None, None] * eye
+        M -= gen
+        return M
+
+    solved = omega_grid.copy()
+    gains = np.empty((keep.size, omega_grid.size), dtype=complex)
+    cond = np.empty(omega_grid.size)
+    step = max(1, _BATCH_ENTRIES // hss.n_states**2)
+    for start in range(0, omega_grid.size, step):
+        w = solved[start : start + step]
+        M = system(w)
+        try:
+            inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            # an exact zero pivot makes inv raise and the determinant 0
+            singular = np.linalg.slogdet(M)[0] == 0
+            w[singular] = np.where(
+                w[singular] != 0.0, w[singular] * (1.0 + SINGULAR_NUDGE), SINGULAR_NUDGE
+            )
+            M = system(w)
+            try:
+                inv = np.linalg.inv(M)
+            except np.linalg.LinAlgError:
+                bad = omega_grid[start : start + step][np.linalg.slogdet(M)[0] == 0]
                 raise SingularFrequencyError(
-                    f"harmonic balance system singular at omega={float(omega):.9g}"
-                )
-            if rcond < 1.0 / COND_WARN:
-                notes.append(
-                    f"omega={float(omega):.9g}: condition number ~{1.0 / rcond:.3e}"
-                )
-            X = sla.lu_solve((lu, piv), hss.B, check_finite=False)
-            gmap = hss.C @ X + hss.D
-            break
-        for n in orders:
-            if convention == "output":
-                out[n][i] = gmap[n_h, n_h - n]
-            else:
-                out[n][i] = gmap[n_h + n, n_h]
+                    f"harmonic balance system singular at omega={bad[0]:.9g}"
+                ) from None
+        cond[start : start + step] = _norm1(M) * _norm1(inv)
+        gains[:, start : start + step] = gains_of(inv).T
+
+    nudged = solved != omega_grid
+    notes = []
+    for i in np.flatnonzero(nudged | (cond > COND_WARN)):
+        if nudged[i]:
+            notes.append(
+                f"omega={omega_grid[i]:.9g}: singular system, perturbed to {solved[i]:.12g}"
+            )
+        if cond[i] > COND_WARN:
+            notes.append(f"omega={omega_grid[i]:.9g}: condition number ~{cond[i]:.3e}")
 
     return HarmonicTransferSet(
         omega_grid=omega_grid.copy(),
-        harmonics=out,
+        harmonics={int(n): gains[j] for j, n in enumerate(keep)},
         n_h_kept=n_keep,
         convention=convention,
         warnings=notes,

@@ -23,7 +23,6 @@ the on/off square wave of the damper:
 engagement phase measured from the periodic orbit.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -89,11 +88,6 @@ class ModelParams:
             raise InvalidInputError(f"unknown model parameter(s): {sorted(unknown)}")
         return cls(**{key: float(value) for key, value in data.items()})
 
-    @classmethod
-    def from_json(cls, path) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 def _velocity_threshold(x: float, xdot: float) -> float:
     return xdot
@@ -111,10 +105,6 @@ class HybridModel:
 
     params: ModelParams = field(default_factory=ModelParams)
     threshold: Callable[[float, float], float] = _velocity_threshold
-
-    def chart(self, x: float, xdot: float) -> int:
-        """1 while the damper is engaged, 0 otherwise."""
-        return 1 if self.threshold(x, xdot) > 0.0 else 0
 
 
 def chart_accel(model: HybridModel):

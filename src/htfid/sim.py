@@ -369,36 +369,3 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
         u=traj.u.copy(),
         chart=traj.chart.copy(),
     )
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write `t,x,xdot,u,chart` rows with 17 significant digits."""
-    times = traj.times()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,x,xdot,u,chart\n")
-        for i in range(traj.n_samples):
-            handle.write(
-                "%.17g,%.17g,%.17g,%.17g,%d\n"
-                % (times[i], traj.x[i], traj.xdot[i], traj.u[i], traj.chart[i])
-            )
-
-
-def read_trajectory_csv(path) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    if data.shape[1] != 5:
-        raise InvalidInputError(f"{path}: expected 5 columns t,x,xdot,u,chart")
-    t = data[:, 0]
-    if t.shape[0] < 2:
-        raise InvalidInputError(f"{path}: need at least two samples")
-    dt = float(t[1] - t[0])
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * max(dt, 1.0):
-        raise ResamplingRequiredError(f"{path}: non-uniform time grid")
-    return Trajectory(
-        dt=dt,
-        t0=float(t[0]),
-        x=data[:, 1],
-        xdot=data[:, 2],
-        u=data[:, 3],
-        chart=data[:, 4].astype(np.uint8),
-    )

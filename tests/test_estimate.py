@@ -307,6 +307,17 @@ def test_estimate_diagnostics_content(lab_estimate):
     assert np.isfinite(d["cond_estimate"])
 
 
+def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_estimate):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the condition estimate touched the global RNG")
+
+    for name in ("seed", "get_state", "randint"):
+        monkeypatch.setattr(np.random, name, forbidden)
+    d = estimate_htf(lab_problem).diagnostics
+    assert np.isfinite(d["cond_estimate"])
+    assert d["cond_estimate"] == lab_estimate.diagnostics["cond_estimate"]
+
+
 def test_zero_amplitude_is_no_data(lab_model, lab_cycle):
     recs = run_experiments(
         lab_model,

@@ -1,4 +1,4 @@
-"""Chirp generation, record capture, and experiment bundle I/O."""
+"""Chirp generation and record capture."""
 
 import math
 
@@ -12,9 +12,7 @@ from htfid import (
     chirp_value,
     clock_phases,
     gen_chirp,
-    read_bundle,
     run_experiments,
-    write_bundle,
 )
 from htfid.errors import PerturbationSizeWarning
 
@@ -140,21 +138,3 @@ def test_large_amplitude_warns(lab_model, lab_cycle):
 def test_run_experiments_validation(lab_model, lab_cycle):
     with pytest.raises(InvalidInputError):
         run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=-1)
-
-
-def test_bundle_roundtrip(tmp_path, lab_model, lab_cycle):
-    plan = ChirpPlan(n_segments=2)
-    recs = run_experiments(lab_model, lab_cycle, plan, warmup_periods=0)
-    out = tmp_path / "bundle"
-    write_bundle(recs, plan, out)
-    assert sorted(p.name for p in out.iterdir()) == [
-        "plan.json",
-        "rec_0.csv",
-        "rec_1.csv",
-    ]
-    back, plan_back = read_bundle(out)
-    assert plan_back == plan
-    for a, b in zip(recs, back):
-        assert a.index == b.index and a.clock_phase == b.clock_phase
-        assert np.array_equal(a.traj.x, b.traj.x)
-        assert np.array_equal(a.traj.u, b.traj.u)

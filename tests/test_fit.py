@@ -61,20 +61,6 @@ def test_inverse_crime_recovery(crime_target, lab_cycle):
     assert abs(res.c_hat - 2.0) / 2.0 < 1e-3
 
 
-def test_progress_is_monotone(crime_target, lab_cycle):
-    seen = []
-    fit_parameters(
-        crime_target,
-        (150.0, 1.0),
-        lab_cycle.duty,
-        lab_cycle.t_hat,
-        1.0,
-        progress=lambda k, c, f: seen.append(f),
-    )
-    assert len(seen) > 10
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(seen, seen[1:]))
-
-
 def test_iteration_cap(crime_target, lab_cycle):
     res = fit_parameters(
         crime_target,

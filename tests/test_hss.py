@@ -9,6 +9,8 @@ from htfid import (
     HybridModel,
     InvalidInputError,
     ModelParams,
+    SingularFrequencyError,
+    TruncatedHSS,
     build_hss,
     default_grid,
     error_trajectory,
@@ -20,6 +22,7 @@ from htfid import (
     square_wave_coeffs,
     write_htf_csv,
 )
+from htfid import hss as hss_module
 from htfid.errors import DegenerateSwitchingWarning
 
 from conftest import relerr
@@ -231,16 +234,47 @@ def test_eval_htf_validation(lab_hss10):
         eval_htf(lab_hss10, np.array([]))
     with pytest.raises(InvalidInputError):
         eval_htf(lab_hss10, default_grid(7.0, 10), n_keep=11)
+    with pytest.raises(InvalidInputError):
+        eval_htf(lab_hss10, np.array([1.0, np.nan]))
 
 
 def test_eval_htf_singular_frequency_is_nudged(lab_cycle):
-    # the undamped system pole sits exactly on the grid point
+    # the undamped system pole sits exactly on one grid point, in the
+    # middle of the second of three batches
     lin = linearize(HybridModel(ModelParams(c=0.0)), lab_cycle)
-    hts = eval_htf(
-        build_hss(fourier_series(lin, 2)), np.array([math.sqrt(200.0)]), n_keep=1
+    hss = build_hss(fourier_series(lin, 2))
+    step = hss_module._BATCH_ENTRIES // hss.n_states**2
+    grid = np.linspace(1.0, 30.0, 2 * step + 1)
+    pole = step + step // 2
+    grid[pole] = math.sqrt(200.0)
+    hts = eval_htf(hss, grid, n_keep=1)
+    singular = [note for note in hts.warnings if "singular" in note]
+    assert len(singular) == 1
+    assert singular[0].startswith(f"omega={math.sqrt(200.0):.9g}:")
+    for n in (-1, 0, 1):
+        assert np.all(np.isfinite(hts.harmonics[n]))
+    # batching changes nothing: each point equals its own one-point solve
+    for i, w in enumerate(grid):
+        alone = eval_htf(hss, grid[i : i + 1], n_keep=1)
+        for n in (-1, 0, 1):
+            assert np.array_equal(alone.harmonics[n], hts.harmonics[n][i : i + 1])
+
+
+def test_eval_htf_raises_when_nudge_stays_singular():
+    # poles at w0 and at the nudged w0: the retry is singular too
+    w0 = 3.0
+    poles = 1j * np.array([w0, w0 * (1.0 + hss_module.SINGULAR_NUDGE)])
+    hss = TruncatedHSS(
+        n_h=0,
+        pump=2.0 * math.pi,
+        A=np.diag(poles),
+        N=np.zeros((2, 2), dtype=complex),
+        B=np.ones((2, 1), dtype=complex),
+        C=np.ones((1, 2), dtype=complex),
+        D=np.zeros((1, 1), dtype=complex),
     )
-    assert np.isfinite(hts.harmonics[0][0])
-    assert any("singular" in note for note in hts.warnings)
+    with pytest.raises(SingularFrequencyError, match="omega=3$"):
+        eval_htf(hss, np.array([1.0, w0]))
 
 
 def test_default_grid_spans_band():

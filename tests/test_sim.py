@@ -1,4 +1,4 @@
-"""Integrator order, conservation laws, settling, and trajectory I/O."""
+"""Integrator order, conservation laws and settling."""
 
 import inspect
 import math
@@ -16,9 +16,7 @@ from htfid import (
     chirp_value,
     error_trajectory,
     integrate,
-    read_trajectory_csv,
     settle_limit_cycle,
-    write_trajectory_csv,
 )
 from htfid.sim import EVENT_MAX_ITER, EVENT_TOL
 
@@ -155,16 +153,6 @@ def test_chart_flags_alternate(lab_model, lab_cycle):
     # two engage/release events per forcing period
     switches = int(np.sum(np.abs(np.diff(flags)) > 0))
     assert switches == 6
-
-
-def test_trajectory_csv_roundtrip(tmp_path, lab_model):
-    tr = integrate(lab_model, (0.17, 0.0), lambda t: np.sin(t), 0.5, 1e-3)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(tr, path)
-    back = read_trajectory_csv(path)
-    assert back.dt == tr.dt and back.t0 == tr.t0
-    for field in ("x", "xdot", "u", "chart"):
-        assert np.array_equal(getattr(back, field), getattr(tr, field))
 
 
 def scalar_integrate(model, x_init, u, duration, dt, t0=0.0):
