@@ -193,7 +193,9 @@ class HarmonicTransferSet:
     the output frequency instead, i.e. the value at w is the gain onto
     the output line at w from the input line at w - n*pump.  The two
     contain the same information on shifted grids; estimation from data
-    naturally produces the output convention.
+    naturally produces the output convention.  `sensitivities[i][n]`, when
+    `eval_htf` was asked for them, is the derivative of `harmonics[n]`
+    along the i-th state-operator direction it was given.
     """
 
     omega_grid: np.ndarray
@@ -203,6 +205,7 @@ class HarmonicTransferSet:
     warnings: list = field(default_factory=list)
     excitation_mask: dict | None = None
     diagnostics: dict | None = None
+    sensitivities: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.convention not in ("input", "output"):
@@ -227,6 +230,7 @@ def eval_htf(
     omega_grid,
     n_keep: int | None = None,
     convention: str = "input",
+    dA=(),
 ) -> HarmonicTransferSet:
     """Evaluate harmonic transfer functions on a frequency grid.
 
@@ -238,6 +242,13 @@ def eval_htf(
     in 1e9 (with a warning); a condition number ``|M|_1 |M^-1|_1`` above
     1e12 also gets a warning attached.
 
+    For each operator ``dA_i`` in `dA` the same inverse also gives the
+    sensitivities ``C M^-1 dA_i M^-1 B`` of the kept gains: their
+    derivative with respect to a parameter theta_i on which the stacked
+    state operator depends as ``dA/dtheta_i = dA_i`` (B, C, D and the
+    pump held fixed).  They go to `sensitivities`, one dict per operator
+    keyed like `harmonics`; with no operators nothing extra is computed.
+
     Parameters
     ----------
     hss : TruncatedHSS
@@ -245,6 +256,8 @@ def eval_htf(
     n_keep : int or None
         Harmonic orders to keep, |n| <= n_keep (default: all of them).
     convention : "input" or "output"
+    dA : sequence of (n_states, n_states) arrays
+        State-operator directions to differentiate along (default none).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
@@ -255,6 +268,9 @@ def eval_htf(
         n_keep = hss.n_h
     if n_keep > hss.n_h:
         raise InvalidInputError(f"n_keep={n_keep} exceeds truncation order n_h={hss.n_h}")
+    dA = [np.asarray(d) for d in dA]
+    if any(d.shape != hss.A.shape for d in dA):
+        raise InvalidInputError("each dA must have the shape of the state operator")
 
     n_h = hss.n_h
     gen = hss.A - hss.N
@@ -262,12 +278,20 @@ def eval_htf(
     keep = np.arange(-n_keep, n_keep + 1)
     if convention == "output":
         # gain onto output line 0 from input line -n: row n_h, column n_h - n
+        cols = hss.B[:, n_h - keep]
+
         def gains_of(inv):
-            return (hss.C[n_h] @ inv) @ hss.B[:, n_h - keep] + hss.D[n_h, n_h - keep]
+            row = hss.C[n_h] @ inv
+            derivs = [((row @ d)[:, None, :] @ inv)[:, 0, :] @ cols for d in dA]
+            return row @ cols + hss.D[n_h, n_h - keep], derivs
     else:
         # gain from input line 0 onto output line n: row n_h + n, column n_h
+        rows = hss.C[n_h + keep].T
+
         def gains_of(inv):
-            return (inv @ hss.B[:, n_h]) @ hss.C[n_h + keep].T + hss.D[n_h + keep, n_h]
+            col = inv @ hss.B[:, n_h]
+            derivs = [(inv @ (col @ d.T)[:, :, None])[:, :, 0] @ rows for d in dA]
+            return col @ rows + hss.D[n_h + keep, n_h], derivs
 
     def system(w):
         M = (1j * w)[:, None, None] * eye
@@ -276,6 +300,7 @@ def eval_htf(
 
     solved = omega_grid.copy()
     gains = np.empty((keep.size, omega_grid.size), dtype=complex)
+    sens = np.empty((len(dA), keep.size, omega_grid.size), dtype=complex)
     cond = np.empty(omega_grid.size)
     step = max(1, _BATCH_ENTRIES // hss.n_states**2)
     for start in range(0, omega_grid.size, step):
@@ -298,7 +323,10 @@ def eval_htf(
                     f"harmonic balance system singular at omega={bad[0]:.9g}"
                 ) from None
         cond[start : start + step] = _norm1(M) * _norm1(inv)
-        gains[:, start : start + step] = gains_of(inv).T
+        values, derivs = gains_of(inv)
+        gains[:, start : start + step] = values.T
+        for i, deriv in enumerate(derivs):
+            sens[i, :, start : start + step] = deriv.T
 
     nudged = solved != omega_grid
     notes = []
@@ -316,6 +344,7 @@ def eval_htf(
         n_h_kept=n_keep,
         convention=convention,
         warnings=notes,
+        sensitivities=[{int(n): s[j] for j, n in enumerate(keep)} for s in sens],
     )
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from htfid import (
     ChirpPlan,
@@ -316,6 +317,24 @@ def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_est
     d = estimate_htf(lab_problem).diagnostics
     assert np.isfinite(d["cond_estimate"])
     assert d["cond_estimate"] == lab_estimate.diagnostics["cond_estimate"]
+
+
+def test_nan_condition_estimate_is_ill_conditioned(monkeypatch, lab_problem):
+    monkeypatch.setattr(spla, "onenormest", lambda *args, **kwargs: float("nan"))
+    with pytest.raises(IllConditionedError, match="nan"):
+        estimate_htf(lab_problem)
+
+
+def test_condition_estimate_fault_propagates(monkeypatch, lab_problem):
+    class ProbeFault(Exception):
+        pass
+
+    def broken(*args, **kwargs):
+        raise ProbeFault("onenormest failed")
+
+    monkeypatch.setattr(spla, "onenormest", broken)
+    with pytest.raises(ProbeFault):
+        estimate_htf(lab_problem)
 
 
 def test_zero_amplitude_is_no_data(lab_model, lab_cycle):

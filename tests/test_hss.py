@@ -236,6 +236,8 @@ def test_eval_htf_validation(lab_hss10):
         eval_htf(lab_hss10, default_grid(7.0, 10), n_keep=11)
     with pytest.raises(InvalidInputError):
         eval_htf(lab_hss10, np.array([1.0, np.nan]))
+    with pytest.raises(InvalidInputError):
+        eval_htf(lab_hss10, np.array([1.0]), dA=[np.eye(2)])
 
 
 def test_eval_htf_singular_frequency_is_nudged(lab_cycle):
