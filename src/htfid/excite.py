@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AliasingError, InvalidInputError, PerturbationSizeWarning
 from .model import HybridModel
-from .sim import LimitCycle, Trajectory, error_trajectory, integrate
+from .sim import LimitCycle, Trajectory, check_cycle_dt, error_trajectory, integrate
 
 #: Fraction of the orbit amplitude beyond which the deviation response
 #: is considered too large for the small-signal model.
@@ -64,6 +64,14 @@ def clock_phases(plan: ChirpPlan, T: float) -> np.ndarray:
     return T * np.arange(plan.n_segments) / plan.n_segments
 
 
+def check_nyquist(plan: ChirpPlan, dt: float) -> None:
+    """Raise `AliasingError` unless the sweep top lies below the Nyquist rate of dt."""
+    if plan.f_hi >= 0.5 / dt:
+        raise AliasingError(
+            f"f_hi={plan.f_hi} Hz is not below the Nyquist rate {0.5 / dt} Hz"
+        )
+
+
 def gen_chirp(plan: ChirpPlan, k: int, dt: float) -> np.ndarray:
     """Sampled input for record k on the half-open grid [0, duration).
 
@@ -74,10 +82,7 @@ def gen_chirp(plan: ChirpPlan, k: int, dt: float) -> np.ndarray:
         raise InvalidInputError(f"record index {k} outside 0..{plan.n_segments - 1}")
     if dt <= 0.0:
         raise InvalidInputError("dt must be positive")
-    if plan.f_hi >= 0.5 / dt:
-        raise AliasingError(
-            f"f_hi={plan.f_hi} Hz is not below the Nyquist rate {0.5 / dt} Hz"
-        )
+    check_nyquist(plan, dt)
     n = int(round(plan.segment_duration / dt))
     if abs(n * dt - plan.segment_duration) > 1e-9 * plan.segment_duration:
         raise InvalidInputError(f"dt={dt} does not divide segment_duration")
@@ -134,11 +139,17 @@ def run_experiments(
 
     A warning is issued when the peak deviation exceeds 10% of the orbit
     amplitude, since the small-signal model is then questionable.
+
+    Raises `AliasingError` when the sweep reaches the Nyquist rate of dt,
+    and `ResamplingRequiredError` when dt is not the cycle's own step,
+    both before any record is integrated.
     """
     if dt is None:
         dt = cycle.dt
     if warmup_periods < 0:
         raise InvalidInputError("warmup_periods must be non-negative")
+    check_nyquist(plan, dt)
+    check_cycle_dt(dt, cycle)
     duration = plan.segment_duration
     n_per = int(round(duration / dt))
     skip = warmup_periods * n_per

@@ -8,8 +8,8 @@ engages while the mass moves upward:
 
 with F(t) = forcing_amplitude * cos(2*pi*forcing_freq * t) and u an
 optional extra input.  The two charts share the identity transition map;
-switching is triggered by the sign of a scalar threshold function of the
-state (the velocity, by default).
+switching is triggered by the sign of a threshold function of the state
+(the velocity, by default).
 
 Around a periodic orbit x_bar(t) the deviation xi = x - x_bar obeys, to
 first order, a linear time-periodic system whose only time dependence is
@@ -89,43 +89,85 @@ class ModelParams:
         return cls(**{key: float(value) for key, value in data.items()})
 
 
-def _velocity_threshold(x: float, xdot: float) -> float:
+def _velocity_threshold(x, xdot):
     return xdot
 
 
 @dataclass(frozen=True)
 class HybridModel:
-    """Parameters plus the scalar switching function.
+    """Parameters plus the switching function.
 
     The damper engages while ``threshold(x, xdot) > 0``.  A tie
-    (threshold exactly zero) selects the lossless chart.  Passing a
-    custom threshold gives variants such as a permanently engaged damper
-    (``lambda x, v: 1.0``), which is handy for closed-form checks.
+    (threshold exactly zero) selects the lossless chart.  The threshold
+    is evaluated elementwise: it receives two numpy arrays of one shape
+    (or two floats) and returns values of that shape, or a single scalar
+    that then applies to every state.  `sim.integrate` calls it on
+    whole blocks of stage states.  Passing a custom threshold gives
+    variants such as a permanently engaged damper (``lambda x, v: 1.0``),
+    which is handy for closed-form checks.
     """
 
     params: ModelParams = field(default_factory=ModelParams)
-    threshold: Callable[[float, float], float] = _velocity_threshold
+    threshold: Callable = _velocity_threshold
+
+    def switching(self, x, xdot) -> np.ndarray:
+        """Threshold values at the states (x, xdot), as floats of their shape.
+
+        Raises `InvalidInputError` when the threshold returns an array of
+        another shape.
+        """
+        value = np.asarray(self.threshold(x, xdot), dtype=float)
+        shape = getattr(x, "shape", ())
+        if value.shape != shape:
+            if value.ndim:
+                raise InvalidInputError(
+                    f"threshold returned shape {value.shape} for states of shape {shape}"
+                )
+            value = np.broadcast_to(value, shape)
+        return value
+
+    def engaged(self, x, xdot) -> np.ndarray:
+        """Whether the damper is engaged at the states (x, xdot)."""
+        return self.switching(x, xdot) > 0.0
+
+
+def chart_matrices(m: float, k: float, c: float):
+    """State matrices ``(A_off, A_on)`` and input column B of the two charts.
+
+    With ``x_eq = x0 - m*g/k`` the static equilibrium, each chart reads
+
+        d/dt (x - x_eq, xdot) = A (x - x_eq, xdot) + B (F(t) + u(t)),
+
+    so gravity and the spring offset only place x_eq, and the same
+    matrices govern the deviation from a periodic orbit.
+    """
+    A_off = np.array([[0.0, 1.0], [-k / m, 0.0]])
+    A_on = np.array([[0.0, 1.0], [-k / m, -c / m]])
+    B = np.array([[0.0], [1.0 / m]])
+    return A_off, A_on, B
 
 
 def chart_accel(model: HybridModel):
     """Right-hand side of the active chart, as a function accel(x, xdot, f, u).
 
-    The function returns the acceleration under the chart selected by
-    the sign of the threshold function at (x, xdot), given the values of
-    the cosine forcing ``f = params.forcing(t)`` and of the extra input
-    force u at the same time.  The velocity row of the state equation is
-    xdot itself.
+    The function returns the acceleration at one state under the chart
+    selected by the sign of the threshold function at (x, xdot), given
+    the values of the cosine forcing ``f = params.forcing(t)`` and of the
+    extra input force u at the same time: the second row of
+    `chart_matrices`.  The velocity row of the state equation is xdot
+    itself.
     """
     p = model.params
-    m, k, c, x0 = p.m, p.k, p.c, p.x0
-    weight = -m * p.g
-    thr = model.threshold
+    A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
+    stiffness, damping, gain = float(A_off[1, 0]), float(A_on[1, 1]), float(B[1, 0])
+    x_eq = p.equilibrium
+    engaged = model.engaged
 
     def accel(x, v, f, u):
-        a = weight - k * (x - x0) + f + u
-        if thr(x, v) > 0.0:
-            a -= c * v
-        return a / m
+        a = stiffness * (x - x_eq) + gain * (f + u)
+        if engaged(x, v):
+            a += damping * v
+        return a
 
     return accel
 
@@ -165,10 +207,11 @@ class SwitchedLinearization:
         cls, m: float, k: float, c: float, duty: float, t_hat: float, T: float
     ) -> "SwitchedLinearization":
         """The one-way-damper matrices of the module docstring."""
+        A_off, A_on, B = chart_matrices(m, k, c)
         return cls(
-            A_on=np.array([[0.0, 1.0], [-k / m, -c / m]]),
-            A_off=np.array([[0.0, 1.0], [-k / m, 0.0]]),
-            B=np.array([[0.0], [1.0 / m]]),
+            A_on=A_on,
+            A_off=A_off,
+            B=B,
             C=np.array([[1.0, 0.0]]),
             D=0.0,
             duty=duty,

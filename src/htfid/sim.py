@@ -1,11 +1,18 @@
 """Fixed-step integration of the hybrid oscillator and orbit extraction.
 
 The integrator is a classical fourth-order Runge-Kutta scheme on a
-uniform grid.  Whenever the switching threshold changes sign inside a
-step, the crossing is localized by bisection (to 1e-10 s) and the step
-is split there, so every partial step stays on a single chart and the
-scheme keeps its order between events.  Everything is deterministic:
-same inputs, bit-identical outputs.
+uniform grid in which each stage takes the chart of its own state.  On
+one chart the model is linear and time-invariant, so between switches
+`integrate` advances chart runs: a window of steps at a time, as the
+exact affine recurrence RK4 is on that chart (`_ChartRecurrence`),
+keeping every step up to the first one whose stage states or endpoint
+leave the chart.  That step takes the scalar path: stage by stage, and,
+when the threshold changes sign, split at the crossing, which
+`locate_crossing` localizes to `EVENT_TOL` by safeguarded regula falsi,
+so every partial step stays on a single chart and the scheme keeps its
+order between events.  The test suite checks the result against the same
+scheme run step by step in long double arithmetic.  Everything is
+deterministic: same inputs, bit-identical outputs.
 """
 
 import math
@@ -23,14 +30,18 @@ from .errors import (
     NotSettledError,
     ResamplingRequiredError,
 )
-from .model import HybridModel, chart_accel
+from .model import HybridModel, chart_accel, chart_matrices
 
 #: Width (seconds) to which a threshold crossing is localized.
 EVENT_TOL = 1e-10
-#: Bisection iteration cap before giving up on an event.
+#: Iteration cap for localizing one threshold crossing.
 EVENT_MAX_ITER = 100
 #: Default periodicity tolerance per state component.
 SETTLE_TOL = 1e-6
+#: Steps of one chart run that `integrate` advances in one numpy window.
+_WINDOW_STEPS = 256
+#: Block length of the particular solutions' Toeplitz map.
+_BLOCK_STEPS = 32
 #: Grid steps whose forcing and input `integrate` tabulates at a time.
 _CHUNK_STEPS = 4096
 
@@ -83,17 +94,22 @@ class LimitCycle:
         return self.x.shape[0]
 
     @cached_property
-    def _splines(self):
-        # Imported here: only the chirp experiments need the orbit between
-        # samples, and scipy.interpolate is slow to import.
-        from scipy.interpolate import CubicSpline
-
-        phases = np.arange(self.n_samples + 1) * self.dt
-        wrap = lambda a: np.concatenate([a, a[:1]])
-        return (
-            CubicSpline(phases, wrap(self.x), bc_type="periodic"),
-            CubicSpline(phases, wrap(self.xdot), bc_type="periodic"),
-        )
+    def _spline(self):
+        # Periodic cubic spline through the samples.  Its second derivatives
+        # M solve M[j-1] + 4 M[j] + M[j+1] = 6 (y[j+1] - 2 y[j] + y[j-1]) / dt^2
+        # around the period; the system is circulant, so the FFT solves it.
+        # Returns the knots and, per component and interval j, the
+        # coefficients of y[j] + d (c1 + d (c2 + d c3)), d = phase - knot[j].
+        dt, n = self.dt, self.n_samples
+        y = np.stack([self.x, self.xdot])
+        y_next = np.roll(y, -1, axis=1)
+        rhs = 6.0 / dt**2 * (y_next - 2.0 * y + np.roll(y, 1, axis=1))
+        eigenvalues = 4.0 + 2.0 * np.cos(2.0 * math.pi * np.arange(n // 2 + 1) / n)
+        M = np.fft.irfft(np.fft.rfft(rhs, axis=1) / eigenvalues, n, axis=1)
+        M_next = np.roll(M, -1, axis=1)
+        c1 = (y_next - y) / dt - dt * (2.0 * M + M_next) / 6.0
+        c3 = (M_next - M) / (6.0 * dt)
+        return np.arange(n + 1) * dt, np.stack([y, c1, 0.5 * M, c3], axis=1)
 
     def state_at(self, phase):
         """Orbit state (x_bar, xdot_bar) at arbitrary clock phase.
@@ -101,14 +117,155 @@ class LimitCycle:
         Periodic cubic interpolation of the stored samples; exact at the
         sample phases.  Accepts scalars or arrays.
         """
-        sx, sv = self._splines
+        knots, coefficients = self._spline
         ph = np.mod(phase, self.T)
-        return sx(ph), sv(ph)
+        j = np.clip(np.searchsorted(knots, ph, side="right") - 1, 0, self.n_samples - 1)
+        d = ph - knots[j]
+        c = np.take(coefficients, j, axis=2)
+        x, xdot = c[:, 0] + d * (c[:, 1] + d * (c[:, 2] + d * c[:, 3]))
+        return x, xdot
 
     @property
     def amplitude(self) -> float:
         """Half the peak-to-peak excursion of x over the period."""
         return 0.5 * (float(np.max(self.x)) - float(np.min(self.x)))
+
+
+class _ChartRecurrence:
+    """One chart's RK4 step as an affine recurrence.
+
+    In offset coordinates ``e = (x - x_eq, xdot)`` a chart reads
+    ``e' = A e + b g(t)`` with ``g = F + u`` (see `model.chart_matrices`),
+    so an RK4 step of length h is exactly
+
+        e[i+1] = P e[i] + q0 g(t_i) + qh g(t_i + h/2) + q1 g(t_i + h)
+
+    with ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``.  Hence
+    ``e[i+l] = P^l (e[i] - p[i]) + p[i+l]`` for the particular solution p
+    of a chunk of steps (zero state at the chunk start), which `tabulate`
+    builds in blocks of `n_block` steps: a lower-triangular block-Toeplitz
+    map of the ``P^l q`` applied to each block's 3 * n_block stage drives,
+    then the block-start states carried through.  `powers` holds ``P^l``
+    for l up to `n_window`.  Both are formed in long double and rounded
+    once.  `stages` and `stage_drive` give the three inner RK4 stage
+    states of a step as the same kind of affine map of its start state;
+    they only serve to check that a run stays on its chart.
+    """
+
+    def __init__(self, A, b, h, n_block, n_window):
+        ld = np.longdouble
+        hA = ld(h) * A.astype(ld)
+        hb = ld(h) * b.astype(ld)
+        eye = np.eye(2, dtype=ld)
+        hA2 = hA @ hA
+        hA3 = hA2 @ hA
+        P = eye + hA + hA2 / 2 + hA3 / 6 + hA3 @ hA / 24
+        q = np.stack(
+            [(eye + hA + hA2 / 2 + hA3 / 4) @ hb, (4 * eye + 2 * hA + hA2 / 2) @ hb, hb]
+        ) / 6
+        powers = np.empty((max(n_block, n_window) + 1, 2, 2), dtype=ld)
+        powers[0] = eye
+        known = 1
+        while known < powers.shape[0]:
+            # P^(known + l) = P^l P^known, doubling the table each pass.
+            top = min(2 * known, powers.shape[0])
+            powers[known:top] = powers[: top - known] @ (powers[known - 1] @ P)
+            known = top
+        #: P^l[r, c] at [r, l, c].
+        self.powers = powers.transpose(1, 0, 2).astype(float)
+        # carry[c, r*(n+1) + l] = P^l[r, c]: a block-start state's share.
+        self.carry = self.powers[:, : n_block + 1].transpose(2, 0, 1).reshape(2, -1)
+        self.block_power = self.powers[:, n_block].tolist()
+        # drive[s*n + j, r*(n+1) + l] = (P^(l-1-j) q_s)[r] for steps j < l.
+        pq = np.einsum("lrc,sc->lsr", powers[:n_block], q).astype(float)
+        step, state = np.triu_indices(n_block)
+        drive = np.zeros((3, n_block, 2, n_block + 1))
+        drive[:, step, :, state + 1] = pq[state - step]
+        self.drive = drive.reshape(3 * n_block, 2 * (n_block + 1))
+        self.n_block = n_block
+        # Stage states s2, s3, s4 of a step from e with drives g0, gh:
+        # rows (x2, v2, x3, v3, x4, v4) = stages @ e + stage_drive.T @ (g0, gh).
+        half = 0.5 * h
+        T2 = np.eye(2) + half * A
+        T3 = np.eye(2) + half * A @ T2
+        self.stages = np.concatenate([T2, T3, np.eye(2) + h * A @ T3])
+        Ab = A @ b
+        self.stage_drive = np.stack(
+            [
+                np.concatenate([half * b, half**2 * Ab, h * half**2 * A @ Ab]),
+                np.concatenate([np.zeros(2), half * b, h * (half * Ab + b)]),
+            ]
+        )
+
+    def tabulate(self, g):
+        """Chunk tables for the stage drives g, shape (3, n steps).
+
+        Returns the particular states p, shape (2, n + 1), and the drive
+        part of the inner stage states, shape (6, n).
+        """
+        n_block = self.n_block
+        n_steps = g.shape[1]
+        n_blocks = -(-n_steps // n_block)
+        padded = np.zeros((3, n_blocks * n_block))
+        padded[:, :n_steps] = g
+        blocks = padded.reshape(3, n_blocks, n_block).transpose(1, 0, 2)
+        local = (blocks.reshape(n_blocks, 3 * n_block) @ self.drive).reshape(
+            n_blocks, 2, n_block + 1
+        )
+        # Carry each block's start state through the next block.
+        (p00, p01), (p10, p11) = self.block_power
+        starts = [(0.0, 0.0)]
+        x, v = 0.0, 0.0
+        for x_end, v_end in local[:-1, :, n_block].tolist():
+            x, v = p00 * x + p01 * v + x_end, p10 * x + p11 * v + v_end
+            starts.append((x, v))
+        local += (np.array(starts) @ self.carry).reshape(local.shape)
+        particular = np.empty((2, n_blocks * n_block + 1))
+        particular[:, :-1] = local[:, :, :-1].transpose(1, 0, 2).reshape(2, -1)
+        particular[:, -1] = local[-1, :, -1]
+        return particular, self.stage_drive.T @ g[:2]
+
+
+def locate_crossing(probe, h, value_lo, value_hi, landing):
+    """A sign change of the threshold along one step of length h.
+
+    ``probe(s)`` returns ``(value, payload)``: the threshold value at the
+    state an RK4 sub-step of length s reaches, and whatever the caller
+    needs of that sub-step.  `value_lo` and `value_hi` are the values at 0
+    and h, on opposite sides of the threshold, and `landing` is the
+    payload at h.  The crossing is bracketed by safeguarded Illinois
+    regula falsi: a probe keeps a quarter of `EVENT_TOL` from the bracket
+    ends, and a bisection follows whenever two probes have not halved the
+    bracket.  Returns ``(s, payload)`` for the bracket end just past the
+    crossing, once the bracket is narrower than `EVENT_TOL`.
+    """
+    side_lo = value_lo > 0.0
+    lo, hi = 0.0, h
+    width_2, width_1 = math.inf, math.inf  # bracket widths before the last two probes
+    moved = None
+    for _ in range(EVENT_MAX_ITER):
+        width = hi - lo
+        if width < EVENT_TOL:
+            return hi, landing
+        s = lo + width * float(value_lo / (value_lo - value_hi))
+        s = min(max(s, lo + 0.25 * EVENT_TOL), hi - 0.25 * EVENT_TOL)
+        if width > 0.5 * width_2 or not lo < s < hi:
+            s = lo + 0.5 * width
+        width_2, width_1 = width_1, width
+        value, payload = probe(s)
+        if (value > 0.0) == side_lo:
+            lo, value_lo = s, value
+            if moved == "lo":
+                value_hi *= 0.5
+            moved = "lo"
+        else:
+            hi, value_hi, landing = s, value, payload
+            if moved == "hi":
+                value_lo *= 0.5
+            moved = "hi"
+    raise EventLocalizationError(
+        f"threshold crossing not localized in {EVENT_MAX_ITER} iterations"
+    )
 
 
 def integrate(
@@ -145,8 +302,17 @@ def integrate(
     -----
     The forcing and the input are tabulated with numpy, a chunk of grid
     steps at a time, at the RK4 stage times ``t = t0 + i*dt``,
-    ``t + 0.5*dt`` and ``t + dt`` of every step; only the steps split at
-    a threshold crossing evaluate them at other times.
+    ``t + 0.5*dt`` and ``t + dt`` of every step.  Between switches the
+    steps are advanced as chart runs (see `_ChartRecurrence`): up to
+    `_WINDOW_STEPS` states at once from the run's current state, of which
+    every step is kept up to the first one whose four stage states or
+    endpoint leave the run's chart.  The state is carried as the offset
+    from the static equilibrium, which keeps the rounding of the
+    recurrence at the scale of the motion.  That step alone goes through the scalar
+    path, where each RK4 stage takes the chart of its own state and a
+    step that changes the sign of the threshold is split at the crossing
+    (`locate_crossing`); the split steps evaluate the forcing and the
+    input at their own times.
     """
     if dt <= 0.0 or duration <= 0.0:
         raise InvalidInputError("dt and duration must be positive")
@@ -156,9 +322,15 @@ def integrate(
     if len(x_init) != 2 or not all(math.isfinite(float(s)) for s in x_init):
         raise InvalidInputError("initial state must be a finite (x, xdot) pair")
 
-    thr = model.threshold
-    forcing = model.params.forcing
+    p = model.params
+    forcing = p.forcing
     accel = chart_accel(model)
+    switching = model.switching
+    x_eq = p.equilibrium
+    A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
+    runs = [
+        _ChartRecurrence(A, B[:, 0], dt, _BLOCK_STEPS, _WINDOW_STEPS) for A in (A_off, A_on)
+    ]
 
     def inputs(times):
         # Forcing and input at an array of times, as two float arrays.
@@ -169,91 +341,112 @@ def integrate(
             )
         return forcing(times), values
 
-    def rk4(x, v, h, f0, u0, fh, uh, fe, ue):
-        k1x = v
-        k1v = accel(x, v, f0, u0)
+    def value(ex, v):
+        # Threshold value at one state in offset coordinates.
+        return float(switching(ex + x_eq, v))
+
+    def rk4(ex, v, h, f0, u0, fh, uh, fe, ue):
+        # One RK4 step in offset coordinates, each stage on its own chart.
+        k1v = accel(ex + x_eq, v, f0, u0)
         k2x = v + 0.5 * h * k1v
-        k2v = accel(x + 0.5 * h * k1x, k2x, fh, uh)
+        k2v = accel(ex + 0.5 * h * v + x_eq, k2x, fh, uh)
         k3x = v + 0.5 * h * k2v
-        k3v = accel(x + 0.5 * h * k2x, k3x, fh, uh)
+        k3v = accel(ex + 0.5 * h * k2x + x_eq, k3x, fh, uh)
         k4x = v + h * k3v
-        k4v = accel(x + h * k3x, k4x, fe, ue)
+        k4v = accel(ex + h * k3x + x_eq, k4x, fe, ue)
         return (
-            x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+            ex + h / 6.0 * (v + 2.0 * (k2x + k3x) + k4x),
             v + h / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
         )
 
-    def sub_step(t, x, v, h):
-        # An RK4 step of any length h from t, off the tabulated grid.
-        f, uu = inputs(np.array([t, t + 0.5 * h, t + h]))
-        (f0, fh, fe), (u0, uh, ue) = f.tolist(), uu.tolist()
-        return rk4(x, v, h, f0, u0, fh, uh, fe, ue)
+    def sub_step(t, state, h, start):
+        # An RK4 step of any length h from t, off the tabulated grid, given
+        # the inputs `start` at t.  Returns the state and the inputs at t + h.
+        f, uu = inputs(np.array([t + 0.5 * h, t + h]))
+        (fh, fe), (uh, ue) = f.tolist(), uu.tolist()
+        return rk4(*state, h, *start, fh, uh, fe, ue), (fe, ue)
 
-    def locate_crossing(t, x, v, h):
-        # First sign change of the threshold along the step, assuming the
-        # endpoint signs differ.  Returns the sub-step length to land just
-        # past the crossing.
-        side0 = thr(x, v) > 0.0
-        lo, hi = 0.0, h
-        for _ in range(EVENT_MAX_ITER):
-            if hi - lo < EVENT_TOL:
-                return hi
-            mid = 0.5 * (lo + hi)
-            xm, vm = sub_step(t, x, v, mid)
-            if (thr(xm, vm) > 0.0) == side0:
-                lo = mid
-            else:
-                hi = mid
-        raise EventLocalizationError(
-            f"threshold crossing near t={t} not localized in {EVENT_MAX_ITER} bisections"
-        )
-
-    def advance(t, x, v, h):
-        # One step with event splitting, for the grid steps whose unsplit
-        # step changes the sign of the threshold.
+    def advance(t, state, h, start, end, end_inputs):
+        # The step of length h from `state` at t, split at each threshold
+        # crossing; `end` is where the unsplit step lands.
         for _ in range(16):
-            x2, v2 = sub_step(t, x, v, h)
-            if (thr(x2, v2) > 0.0) == (thr(x, v) > 0.0) or h <= EVENT_TOL:
-                return x2, v2
-            h_ev = locate_crossing(t, x, v, h)
-            x, v = sub_step(t, x, v, h_ev)
+            value0, value1 = value(*state), value(*end)
+            if (value1 > 0.0) == (value0 > 0.0) or h <= EVENT_TOL:
+                return end
+
+            def probe(s):
+                reached, inputs_at = sub_step(t, state, s, start)
+                return value(*reached), (reached, inputs_at)
+
+            h_ev, (state, start) = locate_crossing(
+                probe, h, value0, value1, (end, end_inputs)
+            )
             t += h_ev
             h -= h_ev
             if h <= 0.0:
-                return x, v
+                return state
+            end, end_inputs = sub_step(t, state, h, start)
         raise EventLocalizationError(f"more than 16 threshold crossings inside one step at t={t}")
 
     xs = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1)
     us = np.empty(n_steps + 1)
-    charts = np.empty(n_steps + 1, dtype=np.uint8)
 
-    x, v = float(x_init[0]), float(x_init[1])
-    for i0 in range(0, n_steps + 1, _CHUNK_STEPS):
-        i1 = min(i0 + _CHUNK_STEPS, n_steps + 1)
-        t = t0 + np.arange(i0, i1) * dt
+    ex, v = float(x_init[0]) - x_eq, float(x_init[1])
+    xs[0], vs[0] = ex, v
+    on = value(ex, v) > 0.0
+    for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
+        c1 = min(c0 + _CHUNK_STEPS, n_steps + 1)
+        t = t0 + np.arange(c0, c1) * dt
         f, uu = inputs(np.stack([t, t + 0.5 * dt, t + dt]))
-        us[i0:i1] = uu[0]
-        ts = t.tolist()
-        (f0s, fhs, fes), (u0s, uhs, ues) = f.tolist(), uu.tolist()
-        x_chunk, v_chunk, on_chunk = [], [], []
-        for j in range(i1 - i0):
-            on = thr(x, v) > 0.0
-            x_chunk.append(x)
-            v_chunk.append(v)
-            on_chunk.append(on)
-            if i0 + j == n_steps:
-                break
-            x2, v2 = rk4(x, v, dt, f0s[j], u0s[j], fhs[j], uhs[j], fes[j], ues[j])
-            if (thr(x2, v2) > 0.0) != on:
-                x2, v2 = advance(ts[j], x, v, dt)
-            x, v = x2, v2
-            if not (math.isfinite(x) and math.isfinite(v)):
-                raise DivergenceError(f"non-finite state at t={ts[j] + dt}")
-        xs[i0:i1] = x_chunk
-        vs[i0:i1] = v_chunk
-        charts[i0:i1] = on_chunk
+        us[c0:c1] = uu[0]
+        n_chunk = min(c1, n_steps) - c0
+        drive = f[:, :n_chunk] + uu[:, :n_chunk]
+        tables = [None, None]
+        n = c0
+        while n < c0 + n_chunk:
+            run = runs[on]
+            if tables[on] is None:
+                tables[on] = run.tabulate(drive)
+            particular, stage_drive = tables[on]
+            j = n - c0
+            m = min(_WINDOW_STEPS, n_chunk - j)
+            # States n .. n+m of the run, then the inner stage states of its
+            # m steps, and whether any of them leaves the run's chart.
+            offset = np.array([ex - particular[0, j], v - particular[1, j]])
+            states = run.powers[:, : m + 1] @ offset
+            states += particular[:, j : j + m + 1]
+            points = np.empty((4, 2, m))
+            points[0] = states[:, 1:]
+            inner = points[1:].reshape(6, m)
+            np.matmul(run.stages, states[:, :-1], out=inner)
+            inner += stage_drive[:, j : j + m]
+            leaves = (switching(points[:, 0] + x_eq, points[:, 1]) > 0.0) != on
+            leaves = leaves.any(axis=0)
+            kept = int(np.argmax(leaves)) if leaves.any() else m
+            if kept:
+                xs[n + 1 : n + kept + 1], vs[n + 1 : n + kept + 1] = states[:, 1 : kept + 1]
+                n += kept
+                ex, v = float(states[0, kept]), float(states[1, kept])
+            if kept < m:
+                # The step leaving the chart: stage by stage, split at a
+                # crossing of the threshold.
+                j = n - c0
+                f0, fh, fe = f[:, j].tolist()
+                u0, uh, ue = uu[:, j].tolist()
+                end = rk4(ex, v, dt, f0, u0, fh, uh, fe, ue)
+                if (value(*end) > 0.0) != on:
+                    end = advance(t[j], (ex, v), dt, (f0, u0), end, (fe, ue))
+                ex, v = end
+                on = value(ex, v) > 0.0
+                n += 1
+                xs[n], vs[n] = ex, v
+            if not (math.isfinite(ex) and math.isfinite(v)):
+                finite = np.isfinite(xs[: n + 1]) & np.isfinite(vs[: n + 1])
+                raise DivergenceError(f"non-finite state at t={t0 + np.argmin(finite) * dt}")
 
+    xs += x_eq
+    charts = model.engaged(xs, vs).astype(np.uint8)
     return Trajectory(dt=dt, t0=t0, x=xs, xdot=vs, u=us, chart=charts)
 
 
@@ -347,6 +540,12 @@ def settle_limit_cycle(
     )
 
 
+def check_cycle_dt(dt: float, cycle: LimitCycle) -> None:
+    """Raise `ResamplingRequiredError` unless dt is the cycle's own step."""
+    if not math.isclose(dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
+        raise ResamplingRequiredError(f"trajectory dt={dt} differs from cycle dt={cycle.dt}")
+
+
 def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     """Deviation of a trajectory from the periodic orbit.
 
@@ -355,10 +554,7 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     trajectory must be sampled at the cycle's own dt; anything else
     would need resampling, which is refused.
     """
-    if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise ResamplingRequiredError(
-            f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}"
-        )
+    check_cycle_dt(traj.dt, cycle)
     phases = np.mod(traj.t0 + traj.dt * np.arange(traj.n_samples), cycle.T)
     x_bar, v_bar = cycle.state_at(phases)
     return Trajectory(

@@ -83,6 +83,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert err.count("config error:") == 5
 
 
+def test_identify_chirp_above_nyquist_exits_3(tmp_path, capsys):
+    # At dt = 0.02 the Nyquist rate is 25 Hz; a 30 Hz sweep would alias.
+    cfg = write_config(tmp_path / "c.json", {"chirp": {"f_hi": 30.0}, "sim": {"dt": 0.02}})
+    assert cli.main(["identify", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Nyquist" in err and not (tmp_path / "o" / "htf_estimate.csv").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

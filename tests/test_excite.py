@@ -14,7 +14,7 @@ from htfid import (
     gen_chirp,
     run_experiments,
 )
-from htfid.errors import PerturbationSizeWarning
+from htfid.errors import PerturbationSizeWarning, ResamplingRequiredError
 
 
 def test_chirp_formula():
@@ -138,3 +138,15 @@ def test_large_amplitude_warns(lab_model, lab_cycle):
 def test_run_experiments_validation(lab_model, lab_cycle):
     with pytest.raises(InvalidInputError):
         run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=-1)
+
+
+def test_run_experiments_checks_grid_before_integrating(lab_model, lab_cycle, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a record was integrated")
+
+    monkeypatch.setattr("htfid.excite.integrate", no_integration)
+    # Nyquist at the cycle's 1 kHz is 500 Hz.
+    with pytest.raises(AliasingError):
+        run_experiments(lab_model, lab_cycle, ChirpPlan(f_hi=600.0))
+    with pytest.raises(ResamplingRequiredError):
+        run_experiments(lab_model, lab_cycle, ChirpPlan(), dt=lab_cycle.dt / 2.0)

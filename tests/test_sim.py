@@ -2,12 +2,17 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import htfid
 from htfid import (
     ChirpPlan,
+    DivergenceError,
     HybridModel,
     InvalidInputError,
     ModelParams,
@@ -18,7 +23,7 @@ from htfid import (
     integrate,
     settle_limit_cycle,
 )
-from htfid.sim import EVENT_MAX_ITER, EVENT_TOL
+from htfid.sim import EVENT_TOL, locate_crossing
 
 
 def total_energy(p, x, v):
@@ -73,6 +78,14 @@ def test_integrate_is_deterministic():
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.xdot, b.xdot)
     assert np.array_equal(a.chart, b.chart)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_integrate_reports_divergence():
+    # dt = 0.5 s is far outside RK4's stability region at omega = sqrt(200);
+    # numpy warns of the overflow on the way to the typed error.
+    with pytest.raises(DivergenceError):
+        integrate(HybridModel(), (0.17, 0.0), None, 500.0, 0.5)
 
 
 def test_integrate_validation():
@@ -146,6 +159,39 @@ def test_error_trajectory_rejects_dt_mismatch(lab_model, lab_cycle):
         error_trajectory(tr, lab_cycle)
 
 
+def test_orbit_spline_matches_scipy_periodic_spline(lab_cycle):
+    from scipy.interpolate import CubicSpline
+
+    n, dt, T = lab_cycle.n_samples, lab_cycle.dt, lab_cycle.T
+    knots = np.arange(n + 1) * dt
+    phases = (np.arange(10_000) + 0.5) * (T / 10_000)
+    x, xdot = lab_cycle.state_at(phases)
+    for got, samples in ((x, lab_cycle.x), (xdot, lab_cycle.xdot)):
+        want = CubicSpline(knots, np.append(samples, samples[0]), bc_type="periodic")(phases)
+        amplitude = 0.5 * (samples.max() - samples.min())
+        assert np.max(np.abs(got - want)) <= 1e-14 * amplitude
+    x, xdot = lab_cycle.state_at(knots[:-1])
+    assert np.array_equal(x, lab_cycle.x) and np.array_equal(xdot, lab_cycle.xdot)
+
+
+def test_chirp_records_leave_out_scipy_interpolate_and_optimize():
+    src = os.path.dirname(os.path.dirname(htfid.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from htfid import ChirpPlan, HybridModel, run_experiments, settle_limit_cycle\n"
+        "model = HybridModel()\n"
+        "cycle = settle_limit_cycle(model)\n"
+        "run_experiments(model, cycle, ChirpPlan(segment_duration=2.0, n_segments=2))\n"
+        "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_chart_flags_alternate(lab_model, lab_cycle):
     tr = integrate(lab_model, lab_cycle.state_at(0.0), None, 3.0, lab_cycle.dt)
     flags = tr.chart
@@ -155,107 +201,160 @@ def test_chart_flags_alternate(lab_model, lab_cycle):
     assert switches == 6
 
 
-def scalar_integrate(model, x_init, u, duration, dt, t0=0.0):
-    """Reference RK4 with event splitting, one forcing/input call per stage.
+def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
+    """Reference RK4 with event splitting, one step at a time, in `real` arithmetic.
 
-    A transcription of the integrator as it was before the forcing and the
-    input were tabulated: the same stage times, bisection and 16-split cap.
-    F and u are evaluated one Python float at a time through the same numpy
-    functions the integrator uses, so only the RK4 and event logic differ.
+    A transcription of the scheme `integrate` implements: the same stage
+    times (``t``, ``t + h/2``, ``t + h`` in float64), each stage on the chart
+    of its own state, and a step whose endpoint changes the sign of the
+    threshold split at the crossings `locate_crossing` finds, at most 16
+    times.  F + u is evaluated in float64 at those times through the same
+    numpy functions and then converted, so with ``real=np.longdouble`` this
+    is an oracle for the integrator's rounding alone.  Also counts the steps
+    whose stages leave the chart while the endpoint does not ("mixed") and
+    the crossings split ("splits").
     """
     p, thr = model.params, model.threshold
-    u_fn = u if u is not None else (lambda t: 0.0)
+    m, k, c, x0, g = (real(value) for value in (p.m, p.k, p.c, p.x0, p.g))
+    u_fn = u if u is not None else (lambda t: np.zeros_like(t))
+    stats = {"mixed": 0, "splits": 0}
 
-    def accel(t, x, v):
-        f = -p.m * p.g - p.k * (x - p.x0) + p.forcing(t) + u_fn(t)
-        if thr(x, v) > 0.0:
-            f -= p.c * v
-        return f / p.m
+    def on(x, v):
+        return bool(thr(x, v) > 0.0)
+
+    def accel(x, v, drive):
+        a = -m * g - k * (x - x0) + drive
+        if on(x, v):
+            a -= c * v
+        return a / m
 
     def rk4(t, x, v, h):
+        times = np.array([t, t + 0.5 * h, t + h])
+        f0, fh, fe = (real(value) for value in p.forcing(times) + u_fn(times))
+        h = real(h)
         k1x = v
-        k1v = accel(t, x, v)
-        th = t + 0.5 * h
+        k1v = accel(x, v, f0)
         k2x = v + 0.5 * h * k1v
-        k2v = accel(th, x + 0.5 * h * k1x, k2x)
+        k2v = accel(x + 0.5 * h * k1x, k2x, fh)
         k3x = v + 0.5 * h * k2v
-        k3v = accel(th, x + 0.5 * h * k2x, k3x)
+        k3v = accel(x + 0.5 * h * k2x, k3x, fh)
         k4x = v + h * k3v
-        k4v = accel(t + h, x + h * k3x, k4x)
-        return (
+        k4v = accel(x + h * k3x, k4x, fe)
+        stages = [(x + 0.5 * h * k1x, k2x), (x + 0.5 * h * k2x, k3x), (x + h * k3x, k4x)]
+        end = (
             x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
             v + h / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
         )
-
-    def locate_crossing(t, x, v, h):
-        side0 = thr(x, v) > 0.0
-        lo, hi = 0.0, h
-        for _ in range(EVENT_MAX_ITER):
-            if hi - lo < EVENT_TOL:
-                return hi
-            mid = 0.5 * (lo + hi)
-            xm, vm = rk4(t, x, v, mid)
-            if (thr(xm, vm) > 0.0) == side0:
-                lo = mid
-            else:
-                hi = mid
-        raise AssertionError("crossing not localized")
+        if on(*end) == on(x, v) and any(on(*s) != on(x, v) for s in stages):
+            stats["mixed"] += 1
+        return end
 
     def advance(t, x, v, h):
+        end = rk4(t, x, v, h)
         for _ in range(16):
-            x2, v2 = rk4(t, x, v, h)
-            if (thr(x2, v2) > 0.0) == (thr(x, v) > 0.0) or h <= EVENT_TOL:
-                return x2, v2
-            h_ev = locate_crossing(t, x, v, h)
-            x, v = rk4(t, x, v, h_ev)
+            if on(*end) == on(x, v) or h <= EVENT_TOL:
+                return end
+            stats["splits"] += 1
+
+            def probe(s):
+                reached = rk4(t, x, v, s)
+                return thr(*reached), reached
+
+            h_ev, (x, v) = locate_crossing(probe, h, thr(x, v), thr(*end), end)
             t += h_ev
             h -= h_ev
             if h <= 0.0:
                 return x, v
+            end = rk4(t, x, v, h)
         raise AssertionError("more than 16 crossings in one step")
 
     n_steps = int(round(duration / dt))
-    xs, vs, us, charts = [], [], [], []
-    x, v = float(x_init[0]), float(x_init[1])
+    xs, vs, charts = [], [], []
+    x, v = real(x_init[0]), real(x_init[1])
     for i in range(n_steps + 1):
-        t = t0 + i * dt
         xs.append(x)
         vs.append(v)
-        us.append(u_fn(t))
-        charts.append(1 if thr(x, v) > 0.0 else 0)
-        if i == n_steps:
-            break
-        x, v = advance(t, x, v, dt)
-    return np.array(xs), np.array(vs), np.array(us, dtype=float), np.array(charts)
+        charts.append(1 if on(x, v) else 0)
+        if i < n_steps:
+            x, v = advance(t0 + i * dt, x, v, dt)
+    u_grid = u_fn(t0 + np.arange(n_steps + 1) * dt)
+    return np.array(xs), np.array(vs), u_grid, np.array(charts), stats
 
 
-def assert_matches_scalar_reference(model, x_init, u, duration, dt, t0=0.0):
+def assert_matches_long_double_oracle(model, x_init, u, duration, dt, t0=0.0):
+    """`integrate` against `scalar_integrate` in long double arithmetic.
+
+    The integrator's largest error in x and in xdot must stay within twice
+    that of the float64 `scalar_integrate`, and below 2e-15 and 5e-14.
+    Returns the oracle's step statistics.
+    """
     tr = integrate(model, x_init, u, duration, dt, t0=t0)
-    ref = scalar_integrate(model, x_init, u, duration, dt, t0=t0)
-    for name, want in zip(("x", "xdot", "u", "chart"), ref):
-        assert np.array_equal(getattr(tr, name), want), name
-    return tr
+    x_o, v_o, u_o, chart_o, stats = scalar_integrate(
+        model, x_init, u, duration, dt, t0=t0, real=np.longdouble
+    )
+    x_r, v_r, _, _, _ = scalar_integrate(model, x_init, u, duration, dt, t0=t0)
+    assert np.array_equal(tr.chart, chart_o)
+    assert np.array_equal(tr.u, u_o)
+    for got, ref, oracle, ceiling in ((tr.x, x_r, x_o, 2e-15), (tr.xdot, v_r, v_o, 5e-14)):
+        err = float(np.max(np.abs(got - oracle)))
+        ref_err = float(np.max(np.abs(ref - oracle)))
+        assert err <= 2.0 * ref_err and err <= ceiling, (err, ref_err)
+    return stats
 
 
 def test_integrate_matches_scalar_reference_chirp(lab_model, lab_cycle):
     # 3 s of the experiment's chirp from on the orbit: three periods of
-    # event-split steps, and more than one 4096-step table chunk at dt/2.
+    # event-split steps, and more than one table chunk at dt/2.
     plan = ChirpPlan()
     u = lambda t: chirp_value(plan, np.remainder(t - 0.3, plan.segment_duration))
-    tr = assert_matches_scalar_reference(
+    stats = assert_matches_long_double_oracle(
         lab_model, lab_cycle.state_at(0.3), u, 3.0, lab_cycle.dt / 2.0, t0=0.3
     )
-    assert int(np.sum(np.diff(tr.chart.astype(int)) != 0)) >= 6
+    assert stats["splits"] >= 6
 
 
 def test_integrate_matches_scalar_reference_without_input(lab_model):
-    assert_matches_scalar_reference(lab_model, (0.17, 0.05), None, 3.0, 1e-3)
+    assert_matches_long_double_oracle(lab_model, (0.17, 0.05), None, 3.0, 1e-3)
 
 
 def test_integrate_matches_scalar_reference_always_engaged():
     model = HybridModel(threshold=lambda x, v: 1.0)
     u = lambda t: 0.01 * np.sin(5.0 * t)
-    assert_matches_scalar_reference(model, (0.17, 0.05), u, 3.0, 1e-3)
+    assert_matches_long_double_oracle(model, (0.17, 0.05), u, 3.0, 1e-3)
+
+
+def test_integrate_grazing_threshold_takes_mixed_and_split_steps():
+    # A position threshold just below the free oscillation's peak: the
+    # first peak sits mid-step, so only the half-step stage rises above
+    # the threshold (a mixed step); later peaks straddle grid points and
+    # split steps at both crossings.
+    p = ModelParams(forcing_amplitude=0.0)
+    a, dt = 0.01, 0.01
+    theta = 0.5 * math.sqrt(p.k / p.m) * dt
+    level = p.equilibrium + a * math.cos(0.5 * theta)
+    model = HybridModel(p, threshold=lambda x, v: x - level)
+    x_init = (p.equilibrium + a * math.cos(theta), a * math.sqrt(p.k / p.m) * math.sin(theta))
+    stats = assert_matches_long_double_oracle(model, x_init, None, 3.0, dt)
+    assert stats["mixed"] >= 1
+    assert stats["splits"] >= 2
+
+
+def test_boolean_threshold_localizes_crossings(lab_model, lab_cycle):
+    # A True/False threshold gives regula falsi no slope to work with; the
+    # bisection safeguard still localizes every crossing.
+    boolean = HybridModel(lab_model.params, threshold=lambda x, v: v > 0.0)
+    x_init = lab_cycle.state_at(0.0)
+    a = integrate(lab_model, x_init, None, 3.0, lab_cycle.dt)
+    b = integrate(boolean, x_init, None, 3.0, lab_cycle.dt)
+    assert np.array_equal(a.chart, b.chart)
+    assert np.max(np.abs(a.x - b.x)) < 1e-12
+    assert np.max(np.abs(a.xdot - b.xdot)) < 1e-12
+
+
+def test_integrate_rejects_threshold_of_wrong_shape():
+    model = HybridModel(threshold=lambda x, v: np.zeros(3))
+    with pytest.raises(InvalidInputError):
+        integrate(model, (0.17, 0.0), None, 1.0, 1e-3)
 
 
 def test_integrate_rejects_input_of_wrong_shape(lab_model):
