@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, HtfidError
+from .errors import ConfigError, HtfidError, InvalidInputError
 from .estimate import DEFAULT_ALPHA, EstimationProblem, estimate_htf, spectra
 from .excite import ChirpPlan, run_experiments
 from .fit import fit_parameters
@@ -115,47 +115,66 @@ def load_config(path=None) -> dict:
 def apply_overrides(cfg: dict, args) -> dict:
     """Fold --alpha/--nh/--dt into the loaded configuration."""
     if getattr(args, "alpha", None) is not None:
-        if args.alpha < 0.0:
-            raise ConfigError("--alpha must be non-negative")
         cfg["estimate"]["alpha"] = args.alpha
     if getattr(args, "nh", None) is not None:
-        if args.nh < 0:
-            raise ConfigError("--nh must be non-negative")
         cfg["theory"]["n_h"] = args.nh
         cfg["theory"]["n_keep"] = min(cfg["theory"]["n_keep"], args.nh)
         cfg["estimate"]["n_harmonics"] = args.nh
     if getattr(args, "dt", None) is not None:
-        if args.dt <= 0.0:
-            raise ConfigError("--dt must be positive")
         cfg["sim"]["dt"] = args.dt
     return cfg
 
 
+def _is_number(value) -> bool:
+    # Not bool: JSON true/false parse to a subclass of int.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _chirp_plan(cfg: dict) -> ChirpPlan:
+    ch = cfg["chirp"]
+    return ChirpPlan(
+        amplitude=float(ch["amplitude"]),
+        f_lo=float(ch["f_lo"]),
+        f_hi=float(ch["f_hi"]),
+        segment_duration=float(ch["segment_duration"]),
+        n_segments=int(ch["n_segments"]),
+    )
+
+
 def _check_config(cfg: dict) -> None:
     """Reject settings that violate module preconditions up front."""
+    for name, section in cfg.items():
+        for key, value in section.items():
+            default = DEFAULT_CONFIG[name][key]
+            if isinstance(default, (int, float)) and not _is_number(value):
+                raise ConfigError(f"{name}.{key} must be a finite number, not {value!r}")
+    try:
+        ModelParams.from_dict(cfg["model"])
+        _chirp_plan(cfg)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
+    if int(cfg["chirp"]["warmup_periods"]) < 0:
+        raise ConfigError("chirp.warmup_periods must be non-negative")
     sim = cfg["sim"]
     if sim["dt"] <= 0.0:
         raise ConfigError("sim.dt must be positive")
-    if int(sim["n_cycles"]) < 1:
-        raise ConfigError("sim.n_cycles must be at least 1 (zero-duration run)")
+    if int(sim["n_cycles"]) < 2:
+        raise ConfigError("sim.n_cycles must be at least 2 (the last two periods are compared)")
     if sim["settle_tol"] <= 0.0:
         raise ConfigError("sim.settle_tol must be positive")
-    x_init = sim.get("x_init")
-    if x_init is not None:
-        ok = (
-            isinstance(x_init, (list, tuple))
-            and len(x_init) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in x_init)
-        )
-        if not ok:
-            raise ConfigError("sim.x_init must be null or a [position, velocity] pair")
+    if sim["x_init"] is not None and not _is_pair(sim["x_init"]):
+        raise ConfigError("sim.x_init must be null or a [position, velocity] pair")
     est = cfg["estimate"]
     if est["alpha"] < 0.0:
         raise ConfigError("estimate.alpha must be non-negative")
     if int(est["n_harmonics"]) < 0:
         raise ConfigError("estimate.n_harmonics must be non-negative")
     band = est["band"]
-    if len(band) != 2 or not 0.0 <= float(band[0]) < float(band[1]):
+    if not (_is_pair(band) and 0.0 <= band[0] < band[1]):
         raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
     th = cfg["theory"]
     if int(th["n_h"]) < 0 or int(th["n_keep"]) < 0:
@@ -171,6 +190,8 @@ def _check_config(cfg: dict) -> None:
         raise ConfigError("fit.init_k and fit.init_c must be positive")
     if int(fit_cfg["max_iter"]) < 1:
         raise ConfigError("fit.max_iter must be at least 1")
+    if int(fit_cfg["n_h"]) < 1:
+        raise ConfigError("fit.n_h must be at least 1 (the fit uses G_-1 .. G_1)")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -298,20 +319,12 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
 
-    ch = cfg["chirp"]
-    plan = ChirpPlan(
-        amplitude=float(ch["amplitude"]),
-        f_lo=float(ch["f_lo"]),
-        f_hi=float(ch["f_hi"]),
-        segment_duration=float(ch["segment_duration"]),
-        n_segments=int(ch["n_segments"]),
-    )
     records = run_experiments(
         model,
         cycle,
-        plan,
+        _chirp_plan(cfg),
         dt=float(cfg["sim"]["dt"]),
-        warmup_periods=int(ch["warmup_periods"]),
+        warmup_periods=int(cfg["chirp"]["warmup_periods"]),
     )
 
     est_cfg = cfg["estimate"]

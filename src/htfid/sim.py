@@ -4,7 +4,8 @@ The integrator is a classical fourth-order Runge-Kutta scheme on a
 uniform grid in which each stage takes the chart of its own state.  On
 one chart the model is linear and time-invariant, so between switches
 `integrate` advances chart runs: a window of steps at a time, as the
-exact affine recurrence RK4 is on that chart (`_ChartRecurrence`),
+exact affine recurrence RK4 is on that chart (`_ChartRecurrence`, whose
+particular solution is a log-depth prefix scan over a chunk of steps),
 keeping every step up to the first one whose stage states or endpoint
 leave the chart.  That step takes the scalar path: stage by stage, and,
 when the threshold changes sign, split at the crossing, which
@@ -40,8 +41,6 @@ EVENT_MAX_ITER = 100
 SETTLE_TOL = 1e-6
 #: Steps of one chart run that `integrate` advances in one numpy window.
 _WINDOW_STEPS = 256
-#: Block length of the particular solutions' Toeplitz map.
-_BLOCK_STEPS = 32
 #: Grid steps whose forcing and input `integrate` tabulates at a time.
 _CHUNK_STEPS = 4096
 
@@ -143,16 +142,18 @@ class _ChartRecurrence:
     with ``P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24``.  Hence
     ``e[i+l] = P^l (e[i] - p[i]) + p[i+l]`` for the particular solution p
     of a chunk of steps (zero state at the chunk start), which `tabulate`
-    builds in blocks of `n_block` steps: a lower-triangular block-Toeplitz
-    map of the ``P^l q`` applied to each block's 3 * n_block stage drives,
-    then the block-start states carried through.  `powers` holds ``P^l``
-    for l up to `n_window`.  Both are formed in long double and rounded
-    once.  `stages` and `stage_drive` give the three inner RK4 stage
-    states of a step as the same kind of affine map of its start state;
-    they only serve to check that a run stays on its chart.
+    builds as an inclusive prefix scan of the per-step drives (Hillis and
+    Steele): after the pass of span s, each p[i] holds the drives of its
+    last 2s steps, so ceil(log2 n) vectorised passes cover n steps.
+    `powers` holds ``P^l`` for l up to `n_powers`, enough for both the
+    windows of `integrate` and the scan's spans.  P, the q and the powers
+    are formed in long double and rounded once.  `stages` and
+    `stage_drive` give the three inner RK4 stage states of a step as the
+    same kind of affine map of its start state; they only serve to check
+    that a run stays on its chart.
     """
 
-    def __init__(self, A, b, h, n_block, n_window):
+    def __init__(self, A, b, h, n_powers):
         ld = np.longdouble
         hA = ld(h) * A.astype(ld)
         hb = ld(h) * b.astype(ld)
@@ -163,7 +164,7 @@ class _ChartRecurrence:
         q = np.stack(
             [(eye + hA + hA2 / 2 + hA3 / 4) @ hb, (4 * eye + 2 * hA + hA2 / 2) @ hb, hb]
         ) / 6
-        powers = np.empty((max(n_block, n_window) + 1, 2, 2), dtype=ld)
+        powers = np.empty((n_powers + 1, 2, 2), dtype=ld)
         powers[0] = eye
         known = 1
         while known < powers.shape[0]:
@@ -173,16 +174,8 @@ class _ChartRecurrence:
             known = top
         #: P^l[r, c] at [r, l, c].
         self.powers = powers.transpose(1, 0, 2).astype(float)
-        # carry[c, r*(n+1) + l] = P^l[r, c]: a block-start state's share.
-        self.carry = self.powers[:, : n_block + 1].transpose(2, 0, 1).reshape(2, -1)
-        self.block_power = self.powers[:, n_block].tolist()
-        # drive[s*n + j, r*(n+1) + l] = (P^(l-1-j) q_s)[r] for steps j < l.
-        pq = np.einsum("lrc,sc->lsr", powers[:n_block], q).astype(float)
-        step, state = np.triu_indices(n_block)
-        drive = np.zeros((3, n_block, 2, n_block + 1))
-        drive[:, step, :, state + 1] = pq[state - step]
-        self.drive = drive.reshape(3 * n_block, 2 * (n_block + 1))
-        self.n_block = n_block
+        #: (q0, qh, q1) as the columns of a 2 x 3 matrix.
+        self.q = q.T.astype(float)
         # Stage states s2, s3, s4 of a step from e with drives g0, gh:
         # rows (x2, v2, x3, v3, x4, v4) = stages @ e + stage_drive.T @ (g0, gh).
         half = 0.5 * h
@@ -198,32 +191,21 @@ class _ChartRecurrence:
         )
 
     def tabulate(self, g):
-        """Chunk tables for the stage drives g, shape (3, n steps).
+        """Chunk tables for the drive g on the half-step grid, 2n + 1 points.
 
+        Step i reads its stage drives at points 2i, 2i + 1 and 2i + 2.
         Returns the particular states p, shape (2, n + 1), and the drive
         part of the inner stage states, shape (6, n).
         """
-        n_block = self.n_block
-        n_steps = g.shape[1]
-        n_blocks = -(-n_steps // n_block)
-        padded = np.zeros((3, n_blocks * n_block))
-        padded[:, :n_steps] = g
-        blocks = padded.reshape(3, n_blocks, n_block).transpose(1, 0, 2)
-        local = (blocks.reshape(n_blocks, 3 * n_block) @ self.drive).reshape(
-            n_blocks, 2, n_block + 1
-        )
-        # Carry each block's start state through the next block.
-        (p00, p01), (p10, p11) = self.block_power
-        starts = [(0.0, 0.0)]
-        x, v = 0.0, 0.0
-        for x_end, v_end in local[:-1, :, n_block].tolist():
-            x, v = p00 * x + p01 * v + x_end, p10 * x + p11 * v + v_end
-            starts.append((x, v))
-        local += (np.array(starts) @ self.carry).reshape(local.shape)
-        particular = np.empty((2, n_blocks * n_block + 1))
-        particular[:, :-1] = local[:, :, :-1].transpose(1, 0, 2).reshape(2, -1)
-        particular[:, -1] = local[-1, :, -1]
-        return particular, self.stage_drive.T @ g[:2]
+        stage_g = np.stack([g[:-1:2], g[1::2], g[2::2]])
+        n_steps = stage_g.shape[1]
+        particular = np.zeros((2, n_steps + 1))
+        particular[:, 1:] = self.q @ stage_g
+        span = 1
+        while span < n_steps:
+            particular[:, span:] += self.powers[:, span] @ particular[:, :-span]
+            span *= 2
+        return particular, self.stage_drive.T @ stage_g[:2]
 
 
 def locate_crossing(probe, h, value_lo, value_hi, landing):
@@ -301,16 +283,19 @@ def integrate(
     Notes
     -----
     The forcing and the input are tabulated with numpy, a chunk of grid
-    steps at a time, at the RK4 stage times ``t = t0 + i*dt``,
-    ``t + 0.5*dt`` and ``t + dt`` of every step.  Between switches the
-    steps are advanced as chart runs (see `_ChartRecurrence`): up to
-    `_WINDOW_STEPS` states at once from the run's current state, of which
-    every step is kept up to the first one whose four stage states or
-    endpoint leave the run's chart.  The state is carried as the offset
-    from the static equilibrium, which keeps the rounding of the
-    recurrence at the scale of the motion.  That step alone goes through the scalar
-    path, where each RK4 stage takes the chart of its own state and a
-    step that changes the sign of the threshold is split at the crossing
+    steps at a time, once on the half-step grid ``t0 + j*(0.5*dt)``: step
+    i takes its three RK4 stage times at j = 2i, 2i + 1 and 2i + 2, so the
+    end of one step and the start of the next share one evaluation.
+    Between switches the steps are advanced as chart runs (see
+    `_ChartRecurrence`): the chunk's particular solution on the run's
+    chart is one prefix scan, and from it follow up to `_WINDOW_STEPS`
+    states at once from the run's current state, of which every step is
+    kept up to the first one whose four stage states or endpoint leave
+    the run's chart.  The state is carried as the offset from the static
+    equilibrium, which keeps the rounding of the recurrence at the scale
+    of the motion.  That step alone goes through the scalar path, where
+    each RK4 stage takes the chart of its own state and a step that
+    changes the sign of the threshold is split at the crossing
     (`locate_crossing`); the split steps evaluate the forcing and the
     input at their own times.
     """
@@ -328,9 +313,7 @@ def integrate(
     switching = model.switching
     x_eq = p.equilibrium
     A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
-    runs = [
-        _ChartRecurrence(A, B[:, 0], dt, _BLOCK_STEPS, _WINDOW_STEPS) for A in (A_off, A_on)
-    ]
+    runs = [_ChartRecurrence(A, B[:, 0], dt, _CHUNK_STEPS) for A in (A_off, A_on)]
 
     def inputs(times):
         # Forcing and input at an array of times, as two float arrays.
@@ -397,11 +380,11 @@ def integrate(
     on = value(ex, v) > 0.0
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, n_steps + 1)
-        t = t0 + np.arange(c0, c1) * dt
-        f, uu = inputs(np.stack([t, t + 0.5 * dt, t + dt]))
-        us[c0:c1] = uu[0]
+        t = t0 + np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
+        f, uu = inputs(t)
+        us[c0:c1] = uu[: 2 * (c1 - c0) : 2]
         n_chunk = min(c1, n_steps) - c0
-        drive = f[:, :n_chunk] + uu[:, :n_chunk]
+        drive = f[: 2 * n_chunk + 1] + uu[: 2 * n_chunk + 1]
         tables = [None, None]
         n = c0
         while n < c0 + n_chunk:
@@ -432,11 +415,11 @@ def integrate(
                 # The step leaving the chart: stage by stage, split at a
                 # crossing of the threshold.
                 j = n - c0
-                f0, fh, fe = f[:, j].tolist()
-                u0, uh, ue = uu[:, j].tolist()
+                f0, fh, fe = f[2 * j : 2 * j + 3].tolist()
+                u0, uh, ue = uu[2 * j : 2 * j + 3].tolist()
                 end = rk4(ex, v, dt, f0, u0, fh, uh, fe, ue)
                 if (value(*end) > 0.0) != on:
-                    end = advance(t[j], (ex, v), dt, (f0, u0), end, (fe, ue))
+                    end = advance(t[2 * j], (ex, v), dt, (f0, u0), end, (fe, ue))
                 ex, v = end
                 on = value(ex, v) > 0.0
                 n += 1

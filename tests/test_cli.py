@@ -63,24 +63,34 @@ def test_config_merge_and_flag_overrides(tmp_path):
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
-    missing = str(tmp_path / "nope.json")
-    assert cli.main(["simulate", "--config", missing, "--out", str(tmp_path / "o")]) == 2
-
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    assert cli.main(["simulate", "--config", str(bad_json), "--out", str(tmp_path / "o")]) == 2
-
-    unknown = write_config(tmp_path / "u.json", {"model": {"stiffness": 1.0}})
-    assert cli.main(["simulate", "--config", unknown, "--out", str(tmp_path / "o")]) == 2
-
-    zero = write_config(tmp_path / "z.json", {"sim": {"n_cycles": 0}})
-    assert cli.main(["simulate", "--config", zero, "--out", str(tmp_path / "o")]) == 2
-
-    bad_init = write_config(tmp_path / "i.json", {"sim": {"x_init": [1.0]}})
-    assert cli.main(["simulate", "--config", bad_init, "--out", str(tmp_path / "o")]) == 2
-
-    err = capsys.readouterr().err
-    assert err.count("config error:") == 5
+    configs = [
+        {"model": {"stiffness": 1.0}},
+        {"sim": {"n_cycles": 0}},
+        {"sim": {"x_init": [1.0]}},
+        {"model": {"k": "abc"}},
+        {"sim": {"dt": "x"}},
+        {"estimate": {"band": 5}},
+        {"estimate": {"band": [0, "a"]}},
+        {"fit": {"max_iter": None}},
+        {"model": {"c": True}},
+        {"model": {"k": -1}},
+        {"sim": {"n_cycles": 1}},
+        {"chirp": {"f_hi": -1.0}},
+        {"chirp": {"warmup_periods": -1}},
+        {"fit": {"n_h": 0}},
+    ]
+    paths = [str(tmp_path / "nope.json"), str(bad_json)] + [
+        write_config(tmp_path / f"c{i}.json", payload) for i, payload in enumerate(configs)
+    ]
+    runs = [["--config", path] for path in paths]
+    runs += [["--alpha", "-1"], ["--nh", "-1"], ["--dt", "0"]]
+    out = tmp_path / "o"
+    for extra in runs:
+        assert cli.main(["simulate", *extra, "--out", str(out)]) == 2, extra
+        assert "config error:" in capsys.readouterr().err, extra
+        assert not out.exists(), extra
 
 
 def test_identify_chirp_above_nyquist_exits_3(tmp_path, capsys):

@@ -23,7 +23,8 @@ from htfid import (
     integrate,
     settle_limit_cycle,
 )
-from htfid.sim import EVENT_TOL, locate_crossing
+from htfid.model import chart_matrices
+from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence, locate_crossing
 
 
 def total_energy(p, x, v):
@@ -205,10 +206,11 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
     """Reference RK4 with event splitting, one step at a time, in `real` arithmetic.
 
     A transcription of the scheme `integrate` implements: the same stage
-    times (``t``, ``t + h/2``, ``t + h`` in float64), each stage on the chart
-    of its own state, and a step whose endpoint changes the sign of the
-    threshold split at the crossings `locate_crossing` finds, at most 16
-    times.  F + u is evaluated in float64 at those times through the same
+    times in float64 (grid step i at ``t0 + j*(dt/2)`` for j = 2i, 2i+1,
+    2i+2; a split sub-step of length h from t at ``t``, ``t + h/2``,
+    ``t + h``), each stage on the chart of its own state, and a step whose
+    endpoint changes the sign of the threshold split at the crossings
+    `locate_crossing` finds, at most 16 times.  F + u is evaluated in float64 at those times through the same
     numpy functions and then converted, so with ``real=np.longdouble`` this
     is an oracle for the integrator's rounding alone.  Also counts the steps
     whose stages leave the chart while the endpoint does not ("mixed") and
@@ -228,8 +230,10 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
             a -= c * v
         return a / m
 
-    def rk4(t, x, v, h):
-        times = np.array([t, t + 0.5 * h, t + h])
+    def sub_times(t, h):
+        return np.array([t, t + 0.5 * h, t + h])
+
+    def rk4(times, x, v, h):
         f0, fh, fe = (real(value) for value in p.forcing(times) + u_fn(times))
         h = real(h)
         k1x = v
@@ -249,15 +253,16 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
             stats["mixed"] += 1
         return end
 
-    def advance(t, x, v, h):
-        end = rk4(t, x, v, h)
+    def advance(times, x, v, h):
+        end = rk4(times, x, v, h)
+        t = times[0]
         for _ in range(16):
             if on(*end) == on(x, v) or h <= EVENT_TOL:
                 return end
             stats["splits"] += 1
 
             def probe(s):
-                reached = rk4(t, x, v, s)
+                reached = rk4(sub_times(t, s), x, v, s)
                 return thr(*reached), reached
 
             h_ev, (x, v) = locate_crossing(probe, h, thr(x, v), thr(*end), end)
@@ -265,7 +270,7 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
             h -= h_ev
             if h <= 0.0:
                 return x, v
-            end = rk4(t, x, v, h)
+            end = rk4(sub_times(t, h), x, v, h)
         raise AssertionError("more than 16 crossings in one step")
 
     n_steps = int(round(duration / dt))
@@ -276,7 +281,7 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
         vs.append(v)
         charts.append(1 if on(x, v) else 0)
         if i < n_steps:
-            x, v = advance(t0 + i * dt, x, v, dt)
+            x, v = advance(t0 + np.arange(2 * i, 2 * i + 3) * (0.5 * dt), x, v, dt)
     u_grid = u_fn(t0 + np.arange(n_steps + 1) * dt)
     return np.array(xs), np.array(vs), u_grid, np.array(charts), stats
 
@@ -337,6 +342,35 @@ def test_integrate_grazing_threshold_takes_mixed_and_split_steps():
     stats = assert_matches_long_double_oracle(model, x_init, None, 3.0, dt)
     assert stats["mixed"] >= 1
     assert stats["splits"] >= 2
+
+
+def test_particular_scan_matches_long_double_recurrence():
+    # Chunk lengths with no scan pass, a partial last pass and a full
+    # chunk, against RK4 stage by stage in long double on each chart,
+    # driven by the experiment's forcing plus chirp on the half-step grid.
+    p, dt, ld = ModelParams(), 1e-3, np.longdouble
+    t = np.arange(2 * _CHUNK_STEPS + 1) * (0.5 * dt)
+    g = p.forcing(t) + chirp_value(ChirpPlan(), t)
+    A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
+    for A in (A_off, A_on):
+        A_ld, b_ld, h = A.astype(ld), B[:, 0].astype(ld), ld(dt)
+        e = np.zeros(2, dtype=ld)
+        oracle = [e]
+        for i in range(_CHUNK_STEPS):
+            g0, gh, g1 = (ld(value) for value in g[2 * i : 2 * i + 3])
+            k1 = A_ld @ e + b_ld * g0
+            k2 = A_ld @ (e + h / 2 * k1) + b_ld * gh
+            k3 = A_ld @ (e + h / 2 * k2) + b_ld * gh
+            k4 = A_ld @ (e + h * k3) + b_ld * g1
+            e = e + h / 6 * (k1 + 2 * (k2 + k3) + k4)
+            oracle.append(e)
+        oracle = np.array(oracle).T
+        run = _ChartRecurrence(A, B[:, 0], dt, _CHUNK_STEPS)
+        for n in (1, 2, 3, _CHUNK_STEPS - 1, _CHUNK_STEPS):
+            particular, stage_drive = run.tabulate(g[: 2 * n + 1])
+            assert particular.shape == (2, n + 1) and stage_drive.shape == (6, n)
+            err = np.abs(particular - oracle[:, : n + 1]).max(axis=1)
+            assert err[0] <= 2e-15 and err[1] <= 5e-14, (n, err)
 
 
 def test_boolean_threshold_localizes_crossings(lab_model, lab_cycle):
