@@ -16,8 +16,9 @@ the file is read.  Each run echoes its exact effective settings to
 depends on wall-clock time or ambient RNG state, so rerunning a command
 with the same inputs reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-failure (no settling, singular solve, unusable data).
+Exit codes: 0 success, 2 configuration or usage error (an unreadable
+input file included), 3 numerical failure (no settling, singular solve,
+unusable data) or a malformed HTF file.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ DEFAULT_CONFIG = {
     },
     "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": 10},
 }
+
+#: `compare`'s default tolerances, which `identify` also counts its
+#: theory-versus-estimate bins against.
+TOL_MAG_REL = 0.05
+TOL_PHASE_DEG = 5.0
 
 
 def _merge_section(name: str, defaults: dict, override: dict) -> dict:
@@ -200,6 +206,10 @@ def _write_json(path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _write_csv(path, header: str, table: np.ndarray, fmt="%.17g") -> None:
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+
+
 def _prepare_out(out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return out_dir
@@ -222,12 +232,8 @@ def _settle(cfg: dict):
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
     model, cycle = _settle(cfg)
     orbit_path = os.path.join(out_dir, "orbit.csv")
-    with open(orbit_path, "w", encoding="utf-8") as handle:
-        handle.write("t,x,xdot\n")
-        for j in range(cycle.n_samples):
-            handle.write(
-                "%.17g,%.17g,%.17g\n" % (j * cycle.dt, cycle.x[j], cycle.xdot[j])
-            )
+    t = np.arange(cycle.n_samples) * cycle.dt
+    _write_csv(orbit_path, "t,x,xdot", np.column_stack([t, cycle.x, cycle.xdot]))
     summary = {
         "T": cycle.T,
         "dt": cycle.dt,
@@ -259,18 +265,15 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
 
     csv_path = os.path.join(out_dir, "htf_theory.csv")
     write_htf_csv(hts, csv_path)
-    for n in sorted(hts.harmonics):
-        values = hts.harmonics[n]
-        plot_path = os.path.join(out_dir, f"plot_h{n}.csv")
-        with open(plot_path, "w", encoding="utf-8") as handle:
-            handle.write("omega_rad_s,f_hz,magnitude,magnitude_db,phase_deg\n")
-            for omega, val in zip(grid, values):
-                mag = abs(val)
-                db = 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
-                handle.write(
-                    "%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                    % (omega, omega / (2.0 * math.pi), mag, db, math.degrees(np.angle(val)))
-                )
+    for n, g in sorted(hts.harmonics.items()):
+        mag = np.hypot(g.real, g.imag)
+        # scalar log10: numpy's differs from libm's in the last bit
+        db = [20.0 * math.log10(m) if m > 0.0 else -math.inf for m in mag]
+        _write_csv(
+            os.path.join(out_dir, f"plot_h{n}.csv"),
+            "omega_rad_s,f_hz,magnitude,magnitude_db,phase_deg",
+            np.column_stack([grid, grid / (2.0 * math.pi), mag, db, np.degrees(np.angle(g))]),
+        )
     kept = int(th["n_keep"])
     print(
         f"wrote {csv_path} plus plot data plot_h[-{kept}..{kept}].csv "
@@ -281,38 +284,52 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _htf_errors(ref, test):
-    """Relative magnitude error and phase error (deg) of test against ref.
+def htf_diff(ref: dict, test: dict, used: dict, tol_mag: float, tol_phase: float):
+    """Errors of `test` against `ref`, one harmonic order at a time.
 
-    The magnitude error is nan wherever the reference is exactly zero.
+    `ref` and `test` map each order n to values on one grid, and `used[n]`
+    masks the bins that count.  Returns `errors[n] = (mag_rel, phase_deg)`
+    on every bin, the magnitude error nan where the reference is exactly
+    zero, and `stats[n]`: the number of used bins, the median and max of
+    both errors over them, and how many of them exceed `tol_mag` or
+    `tol_phase`.
     """
-    ref = np.asarray(ref, dtype=complex)
-    test = np.asarray(test, dtype=complex)
-    # hypot and the explicit parts of test * conj(ref) round as scalar
-    # complex arithmetic does; numpy's complex array loops may not.
-    ref_mag = np.hypot(ref.real, ref.imag)
-    mag_err = np.abs(np.hypot(test.real, test.imag) - ref_mag) / np.where(
-        ref_mag > 0.0, ref_mag, np.nan
-    )
-    cross_re = test.real * ref.real + test.imag * ref.imag
-    cross_im = test.imag * ref.real - test.real * ref.imag
-    phase_err = np.degrees(np.abs(np.arctan2(cross_im, cross_re)))
-    return mag_err, phase_err
+    errors, stats = {}, {}
+    for n in sorted(used):
+        g_ref, g_test = ref[n], test[n]
+        # hypot and the explicit parts of test * conj(ref) round as scalar
+        # complex arithmetic does; numpy's complex array loops may not.
+        ref_mag = np.hypot(g_ref.real, g_ref.imag)
+        mag_err = np.abs(np.hypot(g_test.real, g_test.imag) - ref_mag) / np.where(
+            ref_mag > 0.0, ref_mag, np.nan
+        )
+        cross_re = g_test.real * g_ref.real + g_test.imag * g_ref.imag
+        cross_im = g_test.imag * g_ref.real - g_test.real * g_ref.imag
+        phase_err = np.degrees(np.abs(np.arctan2(cross_im, cross_re)))
+        errors[n] = mag_err, phase_err
+        bins = used[n]
+        out = bins & ((mag_err > tol_mag) | (phase_err > tol_phase))
+        stats[n] = {"bins": int(np.sum(bins)), "violations": int(np.sum(out))}
+        if stats[n]["bins"]:
+            stats[n].update(
+                mag_rel_median=float(np.median(mag_err[bins])),
+                mag_rel_max=float(np.max(mag_err[bins])),
+                phase_deg_median=float(np.median(phase_err[bins])),
+                phase_deg_max=float(np.max(phase_err[bins])),
+            )
+    return errors, stats
 
 
-def _diff_stats(mag_err: np.ndarray, phase_err: np.ndarray, used: np.ndarray) -> dict:
-    """Summary of the errors on the `used` bins."""
-    n_used = int(np.sum(used))
-    if n_used == 0:
-        return {"bins": 0}
-    mag_err, phase_err = mag_err[used], phase_err[used]
-    return {
-        "bins": n_used,
-        "mag_rel_median": float(np.median(mag_err)),
-        "mag_rel_max": float(np.max(mag_err)),
-        "phase_deg_median": float(np.median(phase_err)),
-        "phase_deg_max": float(np.max(phase_err)),
-    }
+def _print_diff(stats: dict) -> None:
+    for n, s in stats.items():
+        if s["bins"] == 0:
+            print(f"  n={n:+d}: no bins to compare")
+            continue
+        print(
+            "  n=%+d: %3d bins, |G| err median %9.4g%%, phase err median %8.4g deg, "
+            "%3d out of tolerance"
+            % (n, s["bins"], 100.0 * s["mag_rel_median"], s["phase_deg_median"], s["violations"])
+        )
 
 
 def cmd_identify(cfg: dict, out_dir: str) -> int:
@@ -349,49 +366,26 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
         n_keep=est.n_h_kept,
         convention="output",
     )
+    used = {n: est.excitation_mask[n] & (np.abs(g) > 0.0) for n, g in theory.harmonics.items()}
+    errors, stats = htf_diff(theory.harmonics, est.harmonics, used, TOL_MAG_REL, TOL_PHASE_DEG)
     diff_path = os.path.join(out_dir, "theory_vs_estimate.csv")
-    print("theory vs estimate on excited bins:")
-    with open(diff_path, "w", encoding="utf-8") as handle:
-        handle.write(
-            "omega_rad_s,n,est_re,est_im,theory_re,theory_im,"
-            "mag_rel_err,phase_err_deg,excited\n"
-        )
-        for n in sorted(theory.harmonics):
-            g_ref = theory.harmonics[n]
-            g_est = est.harmonics[n]
-            mask = est.excitation_mask[n]
-            mag_err, phase_err = _htf_errors(g_ref, g_est)
-            for i, omega in enumerate(est.omega_grid):
-                handle.write(
-                    "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-                    % (
-                        omega,
-                        n,
-                        g_est[i].real,
-                        g_est[i].imag,
-                        g_ref[i].real,
-                        g_ref[i].imag,
-                        mag_err[i],
-                        phase_err[i],
-                        int(mask[i]),
-                    )
-                )
-            stats = _diff_stats(mag_err, phase_err, mask & (np.abs(g_ref) > 0.0))
-            if stats["bins"] == 0:
-                print(f"  n={n:+d}: no excited bins")
-                continue
-            print(
-                "  n=%+d: %3d bins, |G| err median %7.3f%% max %8.3f%%, "
-                "phase err median %6.2f deg max %7.2f deg"
-                % (
-                    n,
-                    stats["bins"],
-                    100.0 * stats["mag_rel_median"],
-                    100.0 * stats["mag_rel_max"],
-                    stats["phase_deg_median"],
-                    stats["phase_deg_max"],
-                )
+    blocks = []
+    for n, (mag_err, phase_err) in errors.items():
+        g_est, g_th = est.harmonics[n], theory.harmonics[n]
+        blocks.append(
+            np.column_stack(
+                [est.omega_grid, np.full(g_est.size, n), g_est.real, g_est.imag, g_th.real]
+                + [g_th.imag, mag_err, phase_err, est.excitation_mask[n]]
             )
+        )
+    _write_csv(
+        diff_path,
+        "omega_rad_s,n,est_re,est_im,theory_re,theory_im,mag_rel_err,phase_err_deg,excited",
+        np.vstack(blocks),
+        fmt=["%.17g", "%d"] + ["%.17g"] * 6 + ["%d"],
+    )
+    print("theory vs estimate on excited bins:")
+    _print_diff(stats)
 
     fit_cfg = cfg["fit"]
     result = fit_parameters(
@@ -419,9 +413,22 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def cmd_compare(args, out_dir) -> int:
-    ref = read_htf_csv(args.reference)
-    test = read_htf_csv(args.candidate)
+def cmd_compare(args) -> int:
+    settings = {
+        "reference": args.reference,
+        "candidate": args.candidate,
+        "tol_mag_rel": args.tol_mag,
+        "tol_phase_deg": args.tol_phase,
+    }
+    try:
+        ref, test = read_htf_csv(args.reference), read_htf_csv(args.candidate)
+    except OSError as exc:
+        raise ConfigError(f"cannot read HTF file: {exc}") from exc
+    if ref.convention != test.convention:
+        raise InvalidInputError(
+            f"{args.reference} is in the {ref.convention} convention and "
+            f"{args.candidate} in the {test.convention} convention"
+        )
     if ref.omega_grid.shape != test.omega_grid.shape or np.max(
         np.abs(ref.omega_grid - test.omega_grid)
     ) > 1e-9:
@@ -432,58 +439,23 @@ def cmd_compare(args, out_dir) -> int:
     common = sorted(set(ref.harmonics) & set(test.harmonics))
     if not common:
         raise HtfidError("the two files share no harmonic orders")
-    only_ref = sorted(set(ref.harmonics) - set(test.harmonics))
-    only_test = sorted(set(test.harmonics) - set(ref.harmonics))
-
-    report = {
-        "reference": args.reference,
-        "candidate": args.candidate,
-        "tol_mag_rel": args.tol_mag,
-        "tol_phase_deg": args.tol_phase,
-        "harmonics": {},
-    }
-    all_within = True
+    used = {n: np.abs(ref.harmonics[n]) > 0.0 for n in common}
+    _, stats = htf_diff(ref.harmonics, test.harmonics, used, args.tol_mag, args.tol_phase)
+    all_within = not any(s["violations"] for s in stats.values())
     print(
         "comparing %s against %s (tolerance %.3g relative magnitude, %.3g deg phase)"
         % (args.candidate, args.reference, args.tol_mag, args.tol_phase)
     )
-    for n in common:
-        g_ref = ref.harmonics[n]
-        g_test = test.harmonics[n]
-        mag_err, phase_err = _htf_errors(g_ref, g_test)
-        usable = np.abs(g_ref) > 0.0
-        stats = _diff_stats(mag_err, phase_err, usable)
-        violations = int(
-            np.sum(usable & ((mag_err > args.tol_mag) | (phase_err > args.tol_phase)))
-        )
-        stats["violations"] = violations
-        report["harmonics"][str(n)] = stats
-        if violations:
-            all_within = False
-        if stats["bins"] == 0:
-            print(f"  n={n:+d}: no comparable bins (reference is zero)")
-            continue
-        print(
-            "  n=%+d: %3d bins, |G| err median %.4g max %.4g, phase err "
-            "median %.4g deg max %.4g deg, %d bin(s) out of tolerance"
-            % (
-                n,
-                stats["bins"],
-                stats["mag_rel_median"],
-                stats["mag_rel_max"],
-                stats["phase_deg_median"],
-                stats["phase_deg_max"],
-                violations,
-            )
-        )
-    for n in only_ref:
-        print(f"  n={n:+d}: only in {args.reference}, skipped")
-    for n in only_test:
-        print(f"  n={n:+d}: only in {args.candidate}, skipped")
-    report["within_tolerance"] = all_within
+    _print_diff(stats)
+    for n in sorted(set(ref.harmonics) ^ set(test.harmonics)):
+        only = args.reference if n in ref.harmonics else args.candidate
+        print(f"  n={n:+d}: only in {only}, skipped")
     print("within tolerance: %s" % ("yes" if all_within else "no"))
-    if out_dir is not None:
-        _write_json(os.path.join(out_dir, "compare.json"), report)
+    if args.out is not None:
+        out_dir = _prepare_out(args.out)
+        _write_json(os.path.join(out_dir, "resolved_config.json"), {"command": "compare", **settings})
+        report = {"harmonics": {str(n): s for n, s in stats.items()}, "within_tolerance": all_within}
+        _write_json(os.path.join(out_dir, "compare.json"), {**settings, **report})
         print(f"wrote {os.path.join(out_dir, 'compare.json')}")
     return 0
 
@@ -531,14 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--tol-mag",
         type=float,
-        default=0.05,
-        help="relative magnitude tolerance (default 0.05)",
+        default=TOL_MAG_REL,
+        help=f"relative magnitude tolerance (default {TOL_MAG_REL})",
     )
     p_cmp.add_argument(
         "--tol-phase",
         type=float,
-        default=5.0,
-        help="phase tolerance in degrees (default 5.0)",
+        default=TOL_PHASE_DEG,
+        help=f"phase tolerance in degrees (default {TOL_PHASE_DEG})",
     )
     return parser
 
@@ -549,19 +521,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "compare":
-            out_dir = _prepare_out(args.out) if args.out is not None else None
-            if out_dir is not None:
-                _write_json(
-                    os.path.join(out_dir, "resolved_config.json"),
-                    {
-                        "command": "compare",
-                        "reference": args.reference,
-                        "candidate": args.candidate,
-                        "tol_mag_rel": args.tol_mag,
-                        "tol_phase_deg": args.tol_phase,
-                    },
-                )
-            return cmd_compare(args, out_dir)
+            return cmd_compare(args)
 
         cfg = apply_overrides(load_config(args.config), args)
         _check_config(cfg)

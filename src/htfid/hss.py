@@ -348,37 +348,66 @@ def eval_htf(
     )
 
 
+_HTF_HEADER = "omega_rad_s,n,re,im"
+_CONVENTION_TAG = "# convention="
+
+
 def write_htf_csv(hts: HarmonicTransferSet, path) -> None:
-    """Write `omega_rad_s,n,re,im` rows, harmonics ascending."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("omega_rad_s,n,re,im\n")
-        for n in sorted(hts.harmonics):
-            values = hts.harmonics[n]
-            for omega, val in zip(hts.omega_grid, values):
-                handle.write("%.17g,%d,%.17g,%.17g\n" % (omega, n, val.real, val.imag))
+    """Write `omega_rad_s,n,re,im` rows, harmonics ascending, after a
+    `# convention=<input|output>` line that `read_htf_csv` reads back."""
+    rows = [
+        np.column_stack([hts.omega_grid, np.full(hts.omega_grid.size, n), g.real, g.imag])
+        for n, g in sorted(hts.harmonics.items())
+    ]
+    np.savetxt(
+        path,
+        np.reshape(rows, (-1, 4)),
+        fmt=["%.17g", "%d", "%.17g", "%.17g"],
+        delimiter=",",
+        header=f"{_HTF_HEADER}\n{_CONVENTION_TAG}{hts.convention}",
+        comments="",
+    )
 
 
-def read_htf_csv(path, convention: str = "input") -> HarmonicTransferSet:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise InvalidInputError(f"{path}: expected 4 columns omega_rad_s,n,re,im")
-    orders = np.unique(data[:, 1]).astype(int)
-    harmonics = {}
-    grid = None
-    for n in orders:
-        rows = data[data[:, 1] == n]
-        order = np.argsort(rows[:, 0])
-        rows = rows[order]
-        if grid is None:
-            grid = rows[:, 0]
-        elif rows.shape[0] != grid.shape[0] or np.max(np.abs(rows[:, 0] - grid)) > 1e-9:
+def read_htf_csv(path) -> HarmonicTransferSet:
+    """Read a file written by `write_htf_csv`, convention included.
+
+    Content that is not such a file (no header or convention line, rows
+    that are not four finite numbers, a non-integer order, orders on
+    different grids) raises `InvalidInputError`; an unreadable path
+    raises `OSError`.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            header, tag = handle.readline().strip(), handle.readline().strip()
+            data = (
+                np.loadtxt(handle, delimiter=",", ndmin=2)
+                if header == _HTF_HEADER and tag.startswith(_CONVENTION_TAG)
+                else None
+            )
+        except ValueError as exc:  # undecodable bytes, or a row that is not numbers
+            raise InvalidInputError(f"{path}: {exc}") from exc
+    if data is None:
+        raise InvalidInputError(
+            f"{path}: expected a '{_HTF_HEADER}' header and a "
+            f"'{_CONVENTION_TAG}input' or '{_CONVENTION_TAG}output' line"
+        )
+    if data.shape[1] != 4 or not np.all(np.isfinite(data)) or np.any(data[:, 1] % 1.0):
+        raise InvalidInputError(
+            f"{path}: expected rows of four finite numbers omega_rad_s,n,re,im "
+            "with an integer order n"
+        )
+    rows = {}
+    for n in np.unique(data[:, 1]):
+        block = data[data[:, 1] == n]
+        rows[int(n)] = block[np.argsort(block[:, 0])]
+    grid = rows[min(rows)][:, 0]
+    for block in rows.values():
+        if block.shape[0] != grid.size or np.max(np.abs(block[:, 0] - grid)) > 1e-9:
             raise InvalidInputError(f"{path}: harmonics sampled on different grids")
-        harmonics[int(n)] = rows[:, 2] + 1j * rows[:, 3]
-    if grid is None:
-        raise InvalidInputError(f"{path}: no data rows")
     return HarmonicTransferSet(
         omega_grid=grid,
-        harmonics=harmonics,
-        n_h_kept=int(np.max(np.abs(orders))) if orders.size else 0,
-        convention=convention,
+        harmonics={n: block[:, 2:].copy().view(complex)[:, 0] for n, block in rows.items()},
+        n_h_kept=max(map(abs, rows)),
+        convention=tag[len(_CONVENTION_TAG) :],
     )

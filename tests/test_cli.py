@@ -5,11 +5,12 @@ import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from htfid import cli, read_htf_csv
+from htfid import cli, fit_parameters, read_htf_csv
 
 
 def write_config(path, payload):
@@ -110,7 +111,8 @@ def test_missing_subcommand_is_usage_error():
 def test_htf_theory_artifacts(tmp_path):
     out = tmp_path / "theory"
     assert cli.main(["htf-theory", "--out", str(out)]) == 0
-    hts = read_htf_csv(out / "htf_theory.csv", convention="input")
+    hts = read_htf_csv(out / "htf_theory.csv")
+    assert hts.convention == "input"
     assert hts.omega_grid.size == 600
     assert sorted(hts.harmonics) == list(range(-3, 4))
     for n in range(-3, 4):
@@ -139,7 +141,8 @@ def test_htf_theory_undamped_yields_pure_frf(tmp_path):
     )
     out = tmp_path / "c0"
     assert cli.main(["htf-theory", "--config", cfg, "--out", str(out)]) == 0
-    hts = read_htf_csv(out / "htf_theory.csv", convention="input")
+    hts = read_htf_csv(out / "htf_theory.csv")
+    assert hts.convention == "input"
     for n in (-2, -1, 1, 2):
         assert np.max(np.abs(hts.harmonics[n])) < 1e-12
     frf = 1.0 / (200.0 - hts.omega_grid**2)
@@ -184,6 +187,50 @@ def test_compare_rejects_mismatched_grids(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_rejects_mismatched_conventions(tmp_path, capsys):
+    output = write_config(tmp_path / "o.json", {"theory": {"convention": "output"}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["htf-theory", "--out", str(a)]) == 0
+    assert cli.main(["htf-theory", "--config", output, "--out", str(b)]) == 0
+    assert read_htf_csv(b / "htf_theory.csv").convention == "output"
+    rc = cli.main(["compare", str(a / "htf_theory.csv"), str(b / "htf_theory.csv")])
+    assert rc == 3
+    assert "convention" in capsys.readouterr().err
+
+
+HEAD = "omega_rad_s,n,re,im\n# convention=input\n"
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        (None, 2),  # no such file
+        ("README", 3),
+        (b"\xff\xfe\x00binary", 3),
+        ("omega_rad_s,n,re,im\n1,0,1,0\n2,0,1,0\n", 3),  # no convention line
+        (HEAD + "1,0,1,0\n2,0,1,0,7\n", 3),
+        (HEAD + "1,0,1,0\n2,0,1,0\n1,0.5,1,0\n2,0.5,1,0\n", 3),
+        (HEAD + "1,0,nan,nan\n2,0,nan,nan\n", 3),
+        (HEAD + "1,0,inf,0\n2,0,1,0\n", 3),
+    ],
+    ids=["missing", "readme", "binary", "no-convention", "ragged", "half-order", "nan", "inf"],
+)
+def test_compare_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content, code):
+    ref = tmp_path / "ref.csv"
+    ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
+    assert cli.main(["compare", str(ref), str(ref)]) == 0
+    bad = tmp_path / "bad.csv"
+    if content == "README":
+        bad = Path(__file__).resolve().parents[1] / "README.md"
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    assert cli.main(["compare", str(ref), str(bad)]) == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def identify_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("identify") / "run"
@@ -191,7 +238,7 @@ def identify_dir(tmp_path_factory):
     return out
 
 
-def test_identify_artifacts(identify_dir):
+def test_identify_artifacts(identify_dir, lab_estimate):
     for name in (
         "htf_estimate.csv",
         "theory_vs_estimate.csv",
@@ -200,7 +247,8 @@ def test_identify_artifacts(identify_dir):
         "resolved_config.json",
     ):
         assert (identify_dir / name).exists()
-    est = read_htf_csv(identify_dir / "htf_estimate.csv", convention="output")
+    est = read_htf_csv(identify_dir / "htf_estimate.csv")
+    assert est.convention == "output"
     assert est.omega_grid.size == 210
     diag = read_json(identify_dir / "diagnostics.json")
     assert diag["n_bins"] == 210 and diag["n_records"] == 9
@@ -210,6 +258,40 @@ def test_identify_artifacts(identify_dir):
         "mag_rel_err,phase_err_deg,excited"
     )
     assert len(table) == 1 + 7 * 210
+
+    # the estimate columns are htf_estimate.csv's rows, digit for digit
+    est_rows = (identify_dir / "htf_estimate.csv").read_text().splitlines()[2:]
+    assert [",".join(row.split(",")[:4]) for row in table[1:]] == est_rows
+
+    # the error columns are the shared comparison of the parsed values
+    data = np.loadtxt(identify_dir / "theory_vs_estimate.csv", delimiter=",", skiprows=1)
+    rows = {n: data[data[:, 1] == n] for n in est.harmonics}
+    theory = {n: r[:, 4] + 1j * r[:, 5] for n, r in rows.items()}
+    used = {n: r[:, 8] > 0.5 for n, r in rows.items()}
+    errors, _ = cli.htf_diff(theory, est.harmonics, used, cli.TOL_MAG_REL, cli.TOL_PHASE_DEG)
+    for n, r in rows.items():
+        assert np.array_equal(r[:, 6], errors[n][0], equal_nan=True)
+        assert np.array_equal(r[:, 7], errors[n][1])
+
+    # the session fixture is the estimate identify makes at the default config
+    for n, values in lab_estimate.harmonics.items():
+        assert np.array_equal(est.harmonics[n], values)
+        assert np.array_equal(rows[n][:, 8], lab_estimate.excitation_mask[n])
+
+
+def test_fit_on_read_back_estimate_matches_fit_json(identify_dir, lab_lin, lab_cycle):
+    fit = read_json(identify_dir / "fit.json")
+    cfg = cli.DEFAULT_CONFIG["fit"]
+    result = fit_parameters(
+        read_htf_csv(identify_dir / "htf_estimate.csv"),
+        (cfg["init_k"], cfg["init_c"]),
+        lab_lin.duty,
+        lab_lin.t_hat,
+        lab_cycle.T,
+        max_iter=cfg["max_iter"],
+        n_h=cfg["n_h"],
+    )
+    assert (result.k_hat, result.c_hat) == (fit["k_hat"], fit["c_hat"])
 
 
 def test_identify_recovers_parameters(identify_dir):
@@ -222,8 +304,9 @@ def test_identify_recovers_parameters(identify_dir):
 def test_identify_alpha_halving_is_continuous(identify_dir, tmp_path):
     other = tmp_path / "halved"
     assert cli.main(["identify", "--out", str(other), "--alpha", "5e-9"]) == 0
-    base = read_htf_csv(identify_dir / "htf_estimate.csv", convention="output")
-    half = read_htf_csv(other / "htf_estimate.csv", convention="output")
+    base = read_htf_csv(identify_dir / "htf_estimate.csv")
+    half = read_htf_csv(other / "htf_estimate.csv")
+    assert base.convention == half.convention == "output"
     num = sum(
         float(np.sum(np.abs(half.harmonics[n] - base.harmonics[n]) ** 2))
         for n in base.harmonics

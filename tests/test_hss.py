@@ -287,12 +287,16 @@ def test_default_grid_spans_band():
     assert np.all(grid > 0.0)
 
 
-def test_htf_csv_roundtrip(tmp_path, lab_hss10):
-    hts = eval_htf(lab_hss10, default_grid(7.0, 25), n_keep=2)
+@pytest.mark.parametrize("convention", ["input", "output"])
+def test_htf_csv_roundtrip(tmp_path, lab_hss10, convention):
+    hts = eval_htf(lab_hss10, default_grid(7.0, 25), n_keep=2, convention=convention)
+    hts.harmonics[1][:2] = [complex(-0.0, 1.0), complex(1.0, -0.0)]
     path = tmp_path / "htf.csv"
     write_htf_csv(hts, path)
-    back = read_htf_csv(path, convention="input")
+    back = read_htf_csv(path)
+    assert back.convention == convention
     assert np.array_equal(back.omega_grid, hts.omega_grid)
     assert sorted(back.harmonics) == sorted(hts.harmonics)
     for n, vals in hts.harmonics.items():
-        assert np.array_equal(back.harmonics[n], vals)
+        # bit for bit, signed zeros included
+        assert back.harmonics[n].tobytes() == vals.tobytes()
