@@ -212,9 +212,21 @@ HEAD = "omega_rad_s,n,re,im\n# convention=input\n"
         (HEAD + "1,0,1,0\n2,0,1,0\n1,0.5,1,0\n2,0.5,1,0\n", 3),
         (HEAD + "1,0,nan,nan\n2,0,nan,nan\n", 3),
         (HEAD + "1,0,inf,0\n2,0,1,0\n", 3),
+        (HEAD, 3),  # header only
     ],
-    ids=["missing", "readme", "binary", "no-convention", "ragged", "half-order", "nan", "inf"],
+    ids=[
+        "missing",
+        "readme",
+        "binary",
+        "no-convention",
+        "ragged",
+        "half-order",
+        "nan",
+        "inf",
+        "header-only",
+    ],
 )
+@pytest.mark.filterwarnings("error")  # a stray warning fails the test, not just pytest's log
 def test_compare_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content, code):
     ref = tmp_path / "ref.csv"
     ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
@@ -228,7 +240,7 @@ def test_compare_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content,
         bad.write_text(content)
     assert cli.main(["compare", str(ref), str(bad)]) == code
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert "error:" in err and "Traceback" not in err and "Warning" not in err
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import htfid.fit
 from htfid import (
     HybridModel,
     InvalidInputError,
@@ -245,7 +246,7 @@ def test_eval_htf_singular_frequency_is_nudged(lab_cycle):
     # middle of the second of three batches
     lin = linearize(HybridModel(ModelParams(c=0.0)), lab_cycle)
     hss = build_hss(fourier_series(lin, 2))
-    step = hss_module._BATCH_ENTRIES // hss.n_states**2
+    step = hss_module._BATCH_ENTRIES // hss.n_states
     grid = np.linspace(1.0, 30.0, 2 * step + 1)
     pole = step + step // 2
     grid[pole] = math.sqrt(200.0)
@@ -277,6 +278,110 @@ def test_eval_htf_raises_when_nudge_stays_singular():
     )
     with pytest.raises(SingularFrequencyError, match="omega=3$"):
         eval_htf(hss, np.array([1.0, w0]))
+
+
+def _solve_long_double(M, b):
+    """x with M x = b by Gaussian elimination with partial pivoting in
+    extended precision (np.clongdouble), an oracle independent of LAPACK."""
+    M = np.array(M, dtype=np.clongdouble)
+    x = np.array(b, dtype=np.clongdouble)
+    n = M.shape[0]
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(M[j:, j])))
+        M[[j, p]], x[[j, p]] = M[[p, j]], x[[p, j]]
+        f = M[j + 1 :, j] / M[j, j]
+        M[j + 1 :, j:] -= f[:, None] * M[j, j:]
+        x[j + 1 :] -= f * x[j]
+    for j in range(n - 1, -1, -1):
+        x[j] = (x[j] - M[j, j + 1 :] @ x[j + 1 :]) / M[j, j]
+    return x
+
+
+@pytest.mark.parametrize("convention", ["input", "output"])
+def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention):
+    """Gains and both (k, c) sensitivities at n_h=3 against an extended-
+    precision elimination of the same harmonic balance system."""
+    n_h = 3
+    hss = build_hss(fourier_series(lab_lin, n_h))
+    dA = htfid.fit._parameter_directions(1.0, lab_cycle.duty, lab_cycle.t_hat, 1.0, n_h)
+    grid = np.linspace(0.7, 43.0, 10)
+    hts = eval_htf(hss, grid, convention=convention, dA=dA)
+    keep = np.arange(-n_h, n_h + 1)
+    gen = (hss.A - hss.N).astype(np.clongdouble)
+    worst = 0.0
+    for i, w in enumerate(grid):
+        M = 1j * np.clongdouble(w) * np.eye(hss.n_states) - gen
+        if convention == "input":
+            x = _solve_long_double(M, hss.B[:, n_h])
+            out = hss.C[n_h + keep]
+            gains = out @ x + hss.D[n_h + keep, n_h]
+            derivs = [out @ _solve_long_double(M, d @ x) for d in dA]
+        else:
+            y = _solve_long_double(M.T, hss.C[n_h])
+            out = hss.B[:, n_h - keep]
+            gains = y @ out + hss.D[n_h, n_h - keep]
+            derivs = [_solve_long_double(M.T, y @ d) @ out for d in dA]
+        for j, n in enumerate(keep):
+            worst = max(worst, relerr(hts.harmonics[n][i], gains[j]))
+            for got, exact in zip(hts.sensitivities, derivs):
+                worst = max(worst, relerr(got[n][i], exact[j]))
+    assert worst <= 1e-13
+
+
+def test_condition_note_next_to_undamped_pole(lab_cycle):
+    # beside (not on) the pole at sqrt(200): the bound must not miss a
+    # point whose exact |M|_1 |M^-1|_1 is past the warning level
+    lin = linearize(HybridModel(ModelParams(c=0.0)), lab_cycle)
+    hss = build_hss(fourier_series(lin, 2))
+    w = math.sqrt(200.0) + 1e-11
+    M = 1j * w * np.eye(hss.n_states) - (hss.A - hss.N)
+    exact = np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1)
+    assert exact > hss_module.COND_WARN
+    hts = eval_htf(hss, np.array([w]), n_keep=1)
+    assert not any("singular" in note for note in hts.warnings)
+    [note] = [note for note in hts.warnings if "condition number" in note]
+    # the noted figure is an upper bound on the exact one
+    assert float(note.split("~")[1]) >= exact
+
+
+@pytest.mark.parametrize("n_h", [3, 10, 40])
+def test_default_grid_has_no_condition_notes(lab_lin, n_h):
+    hts = eval_htf(build_hss(fourier_series(lab_lin, n_h)), default_grid(), n_keep=3)
+    assert hts.warnings == []
+
+
+def test_eval_htf_defective_generator():
+    # a 2x2 Jordan block has no eigenvector basis; the refinement step
+    # still recovers G = 1/(jw - a)^2
+    a = -0.5 + 2.0j
+    hss = TruncatedHSS(
+        n_h=0,
+        pump=2.0 * math.pi,
+        A=np.array([[a, 1.0], [0.0, a]]),
+        N=np.zeros((2, 2), dtype=complex),
+        B=np.array([[0.0], [1.0]], dtype=complex),
+        C=np.array([[1.0, 0.0]], dtype=complex),
+        D=np.zeros((1, 1), dtype=complex),
+    )
+    grid = np.linspace(-5.0, 5.0, 21)
+    hts = eval_htf(hss, grid)
+    assert np.max(relerr(hts.harmonics[0], 1.0 / (1j * grid - a) ** 2)) <= 1e-13
+
+
+def test_eval_htf_without_eigenbasis_is_a_typed_error():
+    # LAPACK refuses a non-finite generator; that must not escape as a
+    # LinAlgError traceback
+    hss = TruncatedHSS(
+        n_h=0,
+        pump=2.0 * math.pi,
+        A=np.array([[np.nan, 1.0], [0.0, -1.0]], dtype=complex),
+        N=np.zeros((2, 2), dtype=complex),
+        B=np.ones((2, 1), dtype=complex),
+        C=np.ones((1, 2), dtype=complex),
+        D=np.zeros((1, 1), dtype=complex),
+    )
+    with pytest.raises(SingularFrequencyError, match="eigenbasis"):
+        eval_htf(hss, np.array([1.0]))
 
 
 def test_default_grid_spans_band():
