@@ -340,7 +340,6 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
         model,
         cycle,
         _chirp_plan(cfg),
-        dt=float(cfg["sim"]["dt"]),
         warmup_periods=int(cfg["chirp"]["warmup_periods"]),
     )
 

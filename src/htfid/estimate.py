@@ -18,7 +18,7 @@ penalty (applied per harmonic), giving the regularized normal equations
 
     (P^H P + alpha * D2^T D2) g = P^H y
 
-solved as one sparse system over all retained bins and harmonics.
+solved by band LU as one system over all retained bins and harmonics.
 """
 
 import cmath
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     IllConditionedError,
@@ -204,7 +202,7 @@ def build_regressor(problem: EstimationProblem, omega: float):
     return Phi[0], y[0]
 
 
-def second_difference(n_points: int) -> sp.csr_matrix:
+def second_difference(n_points: int) -> np.ndarray:
     """Second-difference operator with rows [1, -2, 1].
 
     Maps a length-n vector to its n-2 interior curvatures; exact zero on
@@ -212,9 +210,7 @@ def second_difference(n_points: int) -> sp.csr_matrix:
     """
     if n_points < 3:
         raise InvalidInputError("second difference needs at least 3 points")
-    return sp.diags(
-        [1.0, -2.0, 1.0], [0, 1, 2], shape=(n_points - 2, n_points), format="csr"
-    )
+    return np.diff(np.eye(n_points), n=2, axis=0)
 
 
 def _candidate_bins(problem: EstimationProblem):
@@ -256,56 +252,70 @@ def _misfit(problem: EstimationProblem, Phi, y, G):
     data_residual = float(np.sum(np.abs(residual) ** 2))
     penalty = 0.0
     if _coupled(problem, G.shape[0]):
-        penalty = problem.alpha * float(np.sum(np.abs(second_difference(G.shape[0]) @ G) ** 2))
+        # The slices round as the [1, -2, 1] stencil applied term by term.
+        curvature = G[:-2] - 2.0 * G[1:-1] + G[2:]
+        penalty = problem.alpha * float(np.sum(np.abs(curvature) ** 2))
     return data_residual, penalty
 
 
-def _solve_coupled(problem, blocks, rhs, n_bins, width):
-    """Solve the penalty-coupled normal equations; returns (g, cond)."""
-    normal = sp.block_diag(blocks, format="csc", dtype=complex)
+def _solve_coupled(problem, blocks, rhs):
+    """Solve the penalty-coupled normal equations; returns (g, cond).
+
+    Bin by bin, the penalty's two-bin reach leaves k = 2*width sub- and
+    superdiagonals, so the matrix goes straight into LAPACK band storage:
+    entry (i, j) at row 2k + i - j, under k rows of LU fill space.
+    """
+    # Imported here so that commands which never estimate load no scipy.
+    from scipy.linalg import lapack
+
+    n_bins, width, _ = blocks.shape
+    n, k = n_bins * width, 2 * width
+    band = np.zeros((3 * k + 1, n), dtype=complex)
+    local = np.arange(width)
+    starts = width * np.arange(n_bins)
+    band[2 * k + local[:, None] - local, starts[:, None, None] + local] = blocks
     d2 = second_difference(n_bins)
     penalty = problem.alpha * (d2.T @ d2)
-    normal = normal + sp.kron(penalty, sp.eye(width), format="csc")
+    for lag in (-2, -1, 0, 1, 2):
+        cols = slice(max(lag, 0) * width, n + min(lag, 0) * width)
+        band[2 * k - lag * width, cols] += np.repeat(np.diagonal(penalty, lag), width)
+    norm_a = float(np.max(np.abs(band[k:]).sum(axis=0)))
 
-    try:
-        lu = spla.splu(normal)
-    except RuntimeError as exc:
+    lu, pivots, info = lapack.zgbtrf(band, k, k)
+    if info > 0:
         raise IllConditionedError(
             "normal matrix is singular (some harmonic carries no excitation "
             "anywhere in the band); a larger alpha cannot help, widen the "
             "band or reduce n_harmonics"
-        ) from exc
-    # The normal matrix is Hermitian, so its transpose is its conjugate;
-    # that gives onenormest the adjoint solve it needs for the inverse.
-    inv_op = spla.LinearOperator(
-        normal.shape,
-        matvec=lu.solve,
-        rmatvec=lambda x: np.conj(lu.solve(np.conj(x))),
-        dtype=complex,
-    )
-    norm_a = float(np.max(np.abs(normal).sum(axis=0)))
-    # One probe column (t=1) makes the estimate deterministic: only
-    # wider probe blocks draw random columns.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cond = norm_a * float(spla.onenormest(inv_op, t=1))
+        )
+    _checked("zgbtrf", lu, info)
+    rcond = _checked("zgbcon", *lapack.zgbcon(k, k, lu, pivots, norm_a))
+    cond = 1.0 / rcond if rcond else math.inf
     if not cond <= COND_LIMIT:  # a nan estimate fails too
         raise IllConditionedError(
             f"normal matrix condition estimate {cond:.3e} is not below {COND_LIMIT:.1e}; "
             "increase alpha"
         )
-    return lu.solve(rhs), cond
+    return _checked("zgbtrs", *lapack.zgbtrs(lu, k, k, rhs, pivots)), cond
+
+
+def _checked(name, value, info):
+    """`value`, unless LAPACK reports a fault that no input here can cause."""
+    if info:
+        raise RuntimeError(f"{name} returned info={info}")
+    return value
 
 
 def estimate_htf(problem: EstimationProblem) -> HarmonicTransferSet:
     """Regularized least-squares estimate of G_{-N}..G_{N}.
 
     Assembles the per-bin regressors of all records and the per-harmonic
-    curvature penalty into one sparse Hermitian system and solves the
-    normal equations.  With alpha = 0 (or fewer than 3 bins, where the
-    second-difference penalty is undefined) nothing couples neighboring
-    bins, and each bin is solved independently by minimum-norm least
-    squares: columns without excitation get an exact zero instead of
-    making the joint system singular.  Returns the estimate in the
+    curvature penalty into one banded Hermitian system and solves the
+    normal equations by band LU.  With alpha = 0 (or fewer than 3 bins,
+    where the second-difference penalty is undefined) nothing couples
+    neighboring bins, and each bin is solved independently by minimum-norm
+    least squares: columns without excitation get an exact zero instead
+    of making the joint system singular.  Returns the estimate in the
     output-frequency convention, with a per-harmonic mask of bins whose
     regressor column actually carried excitation (values on masked-out
     bins are purely penalty interpolation, or zero in the uncoupled
@@ -330,7 +340,7 @@ def estimate_htf(problem: EstimationProblem) -> HarmonicTransferSet:
     if _coupled(problem, n_bins):
         Phi_H = Phi.conj().transpose(0, 2, 1)
         rhs = (Phi_H @ y[:, :, None]).ravel()
-        g, cond = _solve_coupled(problem, Phi_H @ Phi, rhs, n_bins, width)
+        g, cond = _solve_coupled(problem, Phi_H @ Phi, rhs)
         G = g.reshape(n_bins, width)
     else:
         G = np.empty((n_bins, width), dtype=complex)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AliasingError, InvalidInputError, PerturbationSizeWarning
 from .model import HybridModel
-from .sim import LimitCycle, Trajectory, check_cycle_dt, error_trajectory, integrate
+from .sim import LimitCycle, Trajectory, error_trajectory, integrate
 
 #: Fraction of the orbit amplitude beyond which the deviation response
 #: is considered too large for the small-signal model.
@@ -119,7 +119,6 @@ def run_experiments(
     model: HybridModel,
     cycle: LimitCycle,
     plan: ChirpPlan,
-    dt: float | None = None,
     warmup_periods: int = 1,
 ) -> list:
     """Simulate all chirp records and return deviation responses.
@@ -140,16 +139,13 @@ def run_experiments(
     A warning is issued when the peak deviation exceeds 10% of the orbit
     amplitude, since the small-signal model is then questionable.
 
-    Raises `AliasingError` when the sweep reaches the Nyquist rate of dt,
-    and `ResamplingRequiredError` when dt is not the cycle's own step,
-    both before any record is integrated.
+    Records are sampled at the cycle's own step.  Raises `AliasingError`,
+    before any record is integrated, when the sweep reaches its Nyquist rate.
     """
-    if dt is None:
-        dt = cycle.dt
+    dt = cycle.dt
     if warmup_periods < 0:
         raise InvalidInputError("warmup_periods must be non-negative")
     check_nyquist(plan, dt)
-    check_cycle_dt(dt, cycle)
     duration = plan.segment_duration
     n_per = int(round(duration / dt))
     skip = warmup_periods * n_per

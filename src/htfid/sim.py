@@ -523,12 +523,6 @@ def settle_limit_cycle(
     )
 
 
-def check_cycle_dt(dt: float, cycle: LimitCycle) -> None:
-    """Raise `ResamplingRequiredError` unless dt is the cycle's own step."""
-    if not math.isclose(dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise ResamplingRequiredError(f"trajectory dt={dt} differs from cycle dt={cycle.dt}")
-
-
 def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     """Deviation of a trajectory from the periodic orbit.
 
@@ -537,7 +531,8 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     trajectory must be sampled at the cycle's own dt; anything else
     would need resampling, which is refused.
     """
-    check_cycle_dt(traj.dt, cycle)
+    if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
+        raise ResamplingRequiredError(f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}")
     phases = np.mod(traj.t0 + traj.dt * np.arange(traj.n_samples), cycle.T)
     x_bar, v_bar = cycle.state_at(phases)
     return Trajectory(

@@ -3,10 +3,11 @@
 import cmath
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from htfid import (
     ChirpPlan,
@@ -24,6 +25,7 @@ from htfid import (
     second_difference,
     spectra,
 )
+from htfid.estimate import _solve_coupled
 
 from conftest import relerr
 
@@ -320,7 +322,7 @@ def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_est
 
 
 def test_nan_condition_estimate_is_ill_conditioned(monkeypatch, lab_problem):
-    monkeypatch.setattr(spla, "onenormest", lambda *args, **kwargs: float("nan"))
+    monkeypatch.setattr(lapack, "zgbcon", lambda *args, **kwargs: (float("nan"), 0))
     with pytest.raises(IllConditionedError, match="nan"):
         estimate_htf(lab_problem)
 
@@ -330,11 +332,83 @@ def test_condition_estimate_fault_propagates(monkeypatch, lab_problem):
         pass
 
     def broken(*args, **kwargs):
-        raise ProbeFault("onenormest failed")
+        raise ProbeFault("zgbcon failed")
 
-    monkeypatch.setattr(spla, "onenormest", broken)
+    monkeypatch.setattr(lapack, "zgbcon", broken)
     with pytest.raises(ProbeFault):
         estimate_htf(lab_problem)
+
+
+def test_singular_band_factor_is_ill_conditioned(monkeypatch, lab_problem):
+    factor = lapack.zgbtrf
+
+    def zero_pivot(*args, **kwargs):
+        lu, pivots, _ = factor(*args, **kwargs)
+        return lu, pivots, 5
+
+    monkeypatch.setattr(lapack, "zgbtrf", zero_pivot)
+    with pytest.raises(IllConditionedError, match="normal matrix is singular"):
+        estimate_htf(lab_problem)
+
+
+@pytest.mark.parametrize("name", ["zgbtrf", "zgbcon", "zgbtrs"])
+def test_lapack_argument_fault_raises(monkeypatch, lab_problem, name):
+    # A negative info flags an illegal argument: a fault, never a result.
+    routine = getattr(lapack, name)
+
+    def illegal(*args, **kwargs):
+        return (*routine(*args, **kwargs)[:-1], -4)
+
+    monkeypatch.setattr(lapack, name, illegal)
+    with pytest.raises(RuntimeError, match=f"{name} returned info=-4"):
+        estimate_htf(lab_problem)
+
+
+def test_band_solve_matches_dense_oracle():
+    rng = np.random.default_rng(7)
+    n_bins, width, alpha = 6, 3, 0.3
+    X = rng.standard_normal((n_bins, 5, width)) + 1j * rng.standard_normal((n_bins, 5, width))
+    blocks = X.conj().transpose(0, 2, 1) @ X
+    rhs = rng.standard_normal(n_bins * width) + 1j * rng.standard_normal(n_bins * width)
+    g, cond = _solve_coupled(SimpleNamespace(alpha=alpha), blocks, rhs)
+    dense = np.zeros((n_bins * width, n_bins * width), dtype=complex)
+    for b in range(n_bins):
+        dense[b * width : (b + 1) * width, b * width : (b + 1) * width] = blocks[b]
+    d2 = np.zeros((n_bins - 2, n_bins))
+    for r in range(n_bins - 2):
+        d2[r, r : r + 3] = (1.0, -2.0, 1.0)
+    dense += alpha * np.kron(d2.T @ d2, np.eye(width))
+    want = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+    exact = np.abs(dense).sum(axis=0).max() * np.abs(np.linalg.inv(dense)).sum(axis=0).max()
+    assert exact / 10.0 <= cond <= exact * (1.0 + 1e-8)
+
+
+def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
+    # Oracle: refine the estimate against the normal equations, with the
+    # residual in long double and the corrections from a dense solve.
+    orders = range(-lab_problem.n_harmonics, lab_problem.n_harmonics + 1)
+    G = np.column_stack([lab_estimate.harmonics[n] for n in orders])
+    n_bins, width = G.shape
+    systems = [build_regressor(lab_problem, w) for w in lab_estimate.omega_grid]
+    Phi, y = (np.stack(part) for part in zip(*systems))
+    Phi_H = Phi.conj().transpose(0, 2, 1)
+    blocks = Phi_H @ Phi
+    d2 = second_difference(n_bins)
+    curv = lab_problem.alpha * (d2.T @ d2)
+    dense = np.kron(curv, np.eye(width)).astype(complex)
+    for b in range(n_bins):
+        dense[b * width : (b + 1) * width, b * width : (b + 1) * width] += blocks[b]
+    wide_blocks = blocks.astype(np.clongdouble)
+    wide_curv = curv.astype(np.longdouble)
+    wide_rhs = (Phi_H @ y[:, :, None])[:, :, 0].astype(np.clongdouble)
+    ref = G.astype(np.clongdouble)
+    for _ in range(3):
+        applied = (wide_blocks @ ref[:, :, None])[:, :, 0] + wide_curv @ ref
+        residual = (wide_rhs - applied).astype(complex)
+        ref = ref + np.linalg.solve(dense, residual.ravel()).reshape(n_bins, width)
+    ref = ref.astype(complex)
+    assert np.max(np.abs(G - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_zero_amplitude_is_no_data(lab_model, lab_cycle):

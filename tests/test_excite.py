@@ -14,7 +14,7 @@ from htfid import (
     gen_chirp,
     run_experiments,
 )
-from htfid.errors import PerturbationSizeWarning, ResamplingRequiredError
+from htfid.errors import PerturbationSizeWarning
 
 
 def test_chirp_formula():
@@ -148,5 +148,3 @@ def test_run_experiments_checks_grid_before_integrating(lab_model, lab_cycle, mo
     # Nyquist at the cycle's 1 kHz is 500 Hz.
     with pytest.raises(AliasingError):
         run_experiments(lab_model, lab_cycle, ChirpPlan(f_hi=600.0))
-    with pytest.raises(ResamplingRequiredError):
-        run_experiments(lab_model, lab_cycle, ChirpPlan(), dt=lab_cycle.dt / 2.0)

@@ -218,11 +218,11 @@ def test_inverse_crime_fit_evaluation_budget(crime_target, lab_cycle, count_eval
     assert len(count_evals) <= 25
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def _fresh_python(code):
+    """Stdout of `code` run in a new interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(htfid.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, htfid.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -230,4 +230,39 @@ def test_cli_import_leaves_out_scipy_optimize():
         env=env,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # No scipy at all: only the estimator's band solve imports it, lazily.
+    assert _fresh_python("import sys, htfid.cli\n" + SCIPY_LOADED) == "[]"
+
+
+def test_htf_theory_run_loads_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from htfid import cli\n"
+        f"assert cli.main(['htf-theory', '--nh', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        + SCIPY_LOADED
+    )
+    assert _fresh_python(code).splitlines()[-1] == "[]"
+
+
+def test_estimate_loads_no_scipy_sparse():
+    code = (
+        "import math, sys\n"
+        "from htfid import ChirpPlan, EstimationProblem, HybridModel, estimate_htf\n"
+        "from htfid import run_experiments, settle_limit_cycle, spectra\n"
+        "model = HybridModel()\n"
+        "cycle = settle_limit_cycle(model)\n"
+        "plan = ChirpPlan(segment_duration=2.0, n_segments=3)\n"
+        "records = [spectra(r) for r in run_experiments(model, cycle, plan)]\n"
+        "problem = EstimationProblem(records, n_harmonics=1, pump=2.0 * math.pi / cycle.T)\n"
+        "print(estimate_htf(problem).diagnostics['cond_estimate'] > 0.0)\n"
+        "print([m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules])\n"
+    )
+    # The coupled solve ran (a condition figure and scipy.linalg), without scipy.sparse.
+    assert _fresh_python(code).splitlines() == ["True", "['scipy.linalg']"]

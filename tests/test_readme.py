@@ -1,5 +1,6 @@
 """The README's examples run as written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -40,3 +41,10 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv[1:]) == 0, argv
+
+
+def test_configuration_block_is_the_default_config():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Configuration") :]
+    block = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
+    assert json.loads(block) == cli.DEFAULT_CONFIG
