@@ -11,20 +11,24 @@ Configuration is a JSON object with sections ``model``, ``sim``,
 ``chirp``, ``estimate``, ``theory`` and ``fit``; every key is optional
 and falls back to the built-in defaults (the study configuration).
 ``--alpha``, ``--nh`` and ``--dt`` override the matching entries after
-the file is read.  Each run echoes its exact effective settings to
-``resolved_config.json`` in the output directory.  Nothing written
-depends on wall-clock time or ambient RNG state, so rerunning a command
-with the same inputs reproduces every output byte for byte.
+the file is read.  `_check_config` then gives every setting the type of
+its default and checks it once; the commands pass the typed values on
+as they are, and each run echoes them to ``resolved_config.json`` in the
+output directory.  Nothing written depends on wall-clock time or ambient
+RNG state, so rerunning a command with the same inputs reproduces every
+output byte for byte.
 
 Exit codes: 0 success, 2 configuration or usage error (an unreadable
-input file included), 3 numerical failure (no settling, singular solve,
-unusable data) or a malformed HTF file.
+input file and a setting the library refuses included), 3 numerical
+failure (no settling, singular solve, unusable data) or a malformed HTF
+file.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -33,9 +37,9 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, HtfidError, InvalidInputError
-from .estimate import DEFAULT_ALPHA, EstimationProblem, estimate_htf, spectra
+from .estimate import DEFAULT_ALPHA, MIN_EXCITATION, EstimationProblem, estimate_htf, spectra
 from .excite import ChirpPlan, run_experiments
-from .fit import fit_parameters
+from .fit import FIT_N_H, fit_parameters
 from .hss import (
     build_hss,
     default_grid,
@@ -45,24 +49,17 @@ from .hss import (
     write_htf_csv,
 )
 from .model import HybridModel, ModelParams, linearize
-from .sim import settle_limit_cycle
+from .sim import SETTLE_TOL, settle_limit_cycle
 
 DEFAULT_CONFIG = {
     "model": ModelParams().to_dict(),
-    "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": 1e-6, "x_init": None},
-    "chirp": {
-        "amplitude": 0.004,
-        "f_lo": 0.0,
-        "f_hi": 7.0,
-        "segment_duration": 30.0,
-        "n_segments": 9,
-        "warmup_periods": 1,
-    },
+    "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": SETTLE_TOL, "x_init": None},
+    "chirp": {**dataclasses.asdict(ChirpPlan()), "warmup_periods": 1},
     "estimate": {
         "n_harmonics": 3,
         "alpha": DEFAULT_ALPHA,
         "band": [0.0, 7.0],
-        "min_excitation": 1e-3,
+        "min_excitation": MIN_EXCITATION,
     },
     "theory": {
         "n_h": 10,
@@ -71,7 +68,27 @@ DEFAULT_CONFIG = {
         "grid_points": 600,
         "convention": "input",
     },
-    "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": 10},
+    "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": FIT_N_H},
+}
+
+#: Lower bound of a numeric setting, as (bound, strict): a strict bound
+#: must be exceeded, any other only reached.  The model and chirp
+#: settings are checked by `ModelParams` and `ChirpPlan` themselves.
+LOWER_BOUNDS = {
+    "sim.dt": (0.0, True),
+    "sim.n_cycles": (2, False),  # the last two periods are compared
+    "sim.settle_tol": (0.0, True),
+    "chirp.warmup_periods": (0, False),
+    "estimate.n_harmonics": (0, False),
+    "estimate.alpha": (0.0, False),
+    "theory.n_h": (0, False),
+    "theory.n_keep": (0, False),
+    "theory.f_hi": (0.0, True),
+    "theory.grid_points": (1, False),
+    "fit.init_k": (0.0, True),
+    "fit.init_c": (0.0, True),
+    "fit.max_iter": (1, False),
+    "fit.n_h": (1, False),  # the fit uses G_-1 .. G_1
 }
 
 #: `compare`'s default tolerances, which `identify` also counts its
@@ -118,86 +135,72 @@ def load_config(path=None) -> dict:
     return cfg
 
 
-def apply_overrides(cfg: dict, args) -> dict:
-    """Fold --alpha/--nh/--dt into the loaded configuration."""
-    if getattr(args, "alpha", None) is not None:
+def _resolve(name: str, value, default):
+    """`value` in the type of its default, checked against `LOWER_BOUNDS`.
+
+    An integer default takes only an integral number, a float default any
+    finite one.  A pair default takes two numbers, stored as floats:
+    `estimate.band`, and `sim.x_init`, which may also stay null.  A string
+    passes unchanged; `_check_config` checks it.
+    """
+    if isinstance(default, str):
+        return value
+    if default is None or isinstance(default, list):
+        if value is None and default is None:
+            return None
+        if not (isinstance(value, list) and len(value) == 2):
+            allowed = "null or " if default is None else ""
+            raise ConfigError(f"{name} must be {allowed}a pair of numbers, not {value!r}")
+        return [_resolve(f"{name}[{i}]", v, 0.0) for i, v in enumerate(value)]
+    # Not bool: JSON true/false parse to a subclass of int.  The bound
+    # also rejects nan, the infinities and integers beyond float range.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    if type(default) is int:
+        if value != int(value):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+        value = int(value)
+    else:
+        value = float(value)
+    bound, strict = LOWER_BOUNDS.get(name, (-math.inf, False))
+    if value < bound or (strict and value == bound):
+        relation = "greater than" if strict else "at least"
+        raise ConfigError(f"{name} must be {relation} {bound}, not {value!r}")
+    return value
+
+
+def _check_config(cfg: dict, args) -> dict:
+    """Fold in the --alpha/--nh/--dt overrides and type every setting.
+
+    Returns `cfg` with each value in the type of its `DEFAULT_CONFIG`
+    default, the form the commands pass on and `resolved_config.json`
+    records.  Raises `ConfigError` for a value of the wrong type, below
+    its lower bound, or inconsistent with another setting, and
+    `InvalidInputError` for model or chirp settings that `ModelParams`
+    or `ChirpPlan` refuse.
+    """
+    if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
-    if getattr(args, "nh", None) is not None:
-        cfg["theory"]["n_h"] = args.nh
-        cfg["theory"]["n_keep"] = min(cfg["theory"]["n_keep"], args.nh)
-        cfg["estimate"]["n_harmonics"] = args.nh
-    if getattr(args, "dt", None) is not None:
+    if args.nh is not None:
+        cfg["theory"]["n_h"] = cfg["estimate"]["n_harmonics"] = args.nh
+    if args.dt is not None:
         cfg["sim"]["dt"] = args.dt
-    return cfg
-
-
-def _is_number(value) -> bool:
-    # Not bool: JSON true/false parse to a subclass of int.
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_pair(value) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-
-
-def _chirp_plan(cfg: dict) -> ChirpPlan:
-    ch = cfg["chirp"]
-    return ChirpPlan(
-        amplitude=float(ch["amplitude"]),
-        f_lo=float(ch["f_lo"]),
-        f_hi=float(ch["f_hi"]),
-        segment_duration=float(ch["segment_duration"]),
-        n_segments=int(ch["n_segments"]),
-    )
-
-
-def _check_config(cfg: dict) -> None:
-    """Reject settings that violate module preconditions up front."""
     for name, section in cfg.items():
         for key, value in section.items():
-            default = DEFAULT_CONFIG[name][key]
-            if isinstance(default, (int, float)) and not _is_number(value):
-                raise ConfigError(f"{name}.{key} must be a finite number, not {value!r}")
-    try:
-        ModelParams.from_dict(cfg["model"])
-        _chirp_plan(cfg)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
-    if int(cfg["chirp"]["warmup_periods"]) < 0:
-        raise ConfigError("chirp.warmup_periods must be non-negative")
-    sim = cfg["sim"]
-    if sim["dt"] <= 0.0:
-        raise ConfigError("sim.dt must be positive")
-    if int(sim["n_cycles"]) < 2:
-        raise ConfigError("sim.n_cycles must be at least 2 (the last two periods are compared)")
-    if sim["settle_tol"] <= 0.0:
-        raise ConfigError("sim.settle_tol must be positive")
-    if sim["x_init"] is not None and not _is_pair(sim["x_init"]):
-        raise ConfigError("sim.x_init must be null or a [position, velocity] pair")
-    est = cfg["estimate"]
-    if est["alpha"] < 0.0:
-        raise ConfigError("estimate.alpha must be non-negative")
-    if int(est["n_harmonics"]) < 0:
-        raise ConfigError("estimate.n_harmonics must be non-negative")
-    band = est["band"]
-    if not (_is_pair(band) and 0.0 <= band[0] < band[1]):
-        raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
+            section[key] = _resolve(f"{name}.{key}", value, DEFAULT_CONFIG[name][key])
     th = cfg["theory"]
-    if int(th["n_h"]) < 0 or int(th["n_keep"]) < 0:
-        raise ConfigError("theory.n_h and theory.n_keep must be non-negative")
-    if int(th["n_keep"]) > int(th["n_h"]):
+    if args.nh is not None:
+        th["n_keep"] = min(th["n_keep"], th["n_h"])
+    if th["n_keep"] > th["n_h"]:
         raise ConfigError("theory.n_keep cannot exceed theory.n_h")
     if th["convention"] not in ("input", "output"):
         raise ConfigError("theory.convention must be 'input' or 'output'")
-    if int(th["grid_points"]) < 1 or th["f_hi"] <= 0.0:
-        raise ConfigError("theory grid needs grid_points >= 1 and f_hi > 0")
-    fit_cfg = cfg["fit"]
-    if fit_cfg["init_k"] <= 0.0 or fit_cfg["init_c"] <= 0.0:
-        raise ConfigError("fit.init_k and fit.init_c must be positive")
-    if int(fit_cfg["max_iter"]) < 1:
-        raise ConfigError("fit.max_iter must be at least 1")
-    if int(fit_cfg["n_h"]) < 1:
-        raise ConfigError("fit.n_h must be at least 1 (the fit uses G_-1 .. G_1)")
+    lo, hi = cfg["estimate"]["band"]
+    if not 0.0 <= lo < hi:
+        raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
+    ModelParams(**cfg["model"])
+    ChirpPlan(**{k: v for k, v in cfg["chirp"].items() if k != "warmup_periods"})
+    return cfg
 
 
 def _write_json(path, payload: dict) -> None:
@@ -210,21 +213,11 @@ def _write_csv(path, header: str, table: np.ndarray, fmt="%.17g") -> None:
     np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
-def _prepare_out(out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def _settle(cfg: dict):
-    model = HybridModel(ModelParams.from_dict(cfg["model"]))
+    model = HybridModel(ModelParams(**cfg["model"]))
     sim = cfg["sim"]
-    x_init = sim.get("x_init")
     cycle = settle_limit_cycle(
-        model,
-        n_cycles=int(sim["n_cycles"]),
-        dt=float(sim["dt"]),
-        tol=float(sim["settle_tol"]),
-        x_init=None if x_init is None else (float(x_init[0]), float(x_init[1])),
+        model, n_cycles=sim["n_cycles"], dt=sim["dt"], tol=sim["settle_tol"], x_init=sim["x_init"]
     )
     return model, cycle
 
@@ -259,9 +252,9 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
     th = cfg["theory"]
-    hss = build_hss(fourier_series(lin, int(th["n_h"])))
-    grid = default_grid(float(th["f_hi"]), int(th["grid_points"]))
-    hts = eval_htf(hss, grid, n_keep=int(th["n_keep"]), convention=th["convention"])
+    hss = build_hss(fourier_series(lin, th["n_h"]))
+    grid = default_grid(th["f_hi"], th["grid_points"])
+    hts = eval_htf(hss, grid, n_keep=th["n_keep"], convention=th["convention"])
 
     csv_path = os.path.join(out_dir, "htf_theory.csv")
     write_htf_csv(hts, csv_path)
@@ -274,10 +267,10 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
             "omega_rad_s,f_hz,magnitude,magnitude_db,phase_deg",
             np.column_stack([grid, grid / (2.0 * math.pi), mag, db, np.degrees(np.angle(g))]),
         )
-    kept = int(th["n_keep"])
+    kept = th["n_keep"]
     print(
         f"wrote {csv_path} plus plot data plot_h[-{kept}..{kept}].csv "
-        f"({grid.size} points, n_h={int(th['n_h'])}, {th['convention']} convention)"
+        f"({grid.size} points, n_h={th['n_h']}, {th['convention']} convention)"
     )
     for note in hts.warnings:
         print(f"note: {note}")
@@ -336,21 +329,18 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
 
-    records = run_experiments(
-        model,
-        cycle,
-        _chirp_plan(cfg),
-        warmup_periods=int(cfg["chirp"]["warmup_periods"]),
-    )
+    plan = dict(cfg["chirp"])
+    warmup_periods = plan.pop("warmup_periods")
+    records = run_experiments(model, cycle, ChirpPlan(**plan), warmup_periods=warmup_periods)
 
     est_cfg = cfg["estimate"]
     problem = EstimationProblem(
         records=[spectra(rec) for rec in records],
-        n_harmonics=int(est_cfg["n_harmonics"]),
+        n_harmonics=est_cfg["n_harmonics"],
         pump=2.0 * math.pi / cycle.T,
-        alpha=float(est_cfg["alpha"]),
-        band_hz=(float(est_cfg["band"][0]), float(est_cfg["band"][1])),
-        min_excitation=float(est_cfg["min_excitation"]),
+        alpha=est_cfg["alpha"],
+        band_hz=tuple(est_cfg["band"]),
+        min_excitation=est_cfg["min_excitation"],
     )
     est = estimate_htf(problem)
     est_path = os.path.join(out_dir, "htf_estimate.csv")
@@ -358,7 +348,7 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
     _write_json(os.path.join(out_dir, "diagnostics.json"), est.diagnostics)
 
     th = cfg["theory"]
-    n_h = max(int(th["n_h"]), est.n_h_kept)
+    n_h = max(th["n_h"], est.n_h_kept)
     theory = eval_htf(
         build_hss(fourier_series(lin, n_h)),
         est.omega_grid,
@@ -389,13 +379,13 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
     fit_cfg = cfg["fit"]
     result = fit_parameters(
         est,
-        (float(fit_cfg["init_k"]), float(fit_cfg["init_c"])),
+        (fit_cfg["init_k"], fit_cfg["init_c"]),
         lin.duty,
         lin.t_hat,
         cycle.T,
         m=model.params.m,
-        max_iter=int(fit_cfg["max_iter"]),
-        n_h=int(fit_cfg["n_h"]),
+        max_iter=fit_cfg["max_iter"],
+        n_h=fit_cfg["n_h"],
     )
     result.to_json(os.path.join(out_dir, "fit.json"))
     print(
@@ -451,11 +441,11 @@ def cmd_compare(args) -> int:
         print(f"  n={n:+d}: only in {only}, skipped")
     print("within tolerance: %s" % ("yes" if all_within else "no"))
     if args.out is not None:
-        out_dir = _prepare_out(args.out)
-        _write_json(os.path.join(out_dir, "resolved_config.json"), {"command": "compare", **settings})
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(os.path.join(args.out, "resolved_config.json"), {"command": "compare", **settings})
         report = {"harmonics": {str(n): s for n, s in stats.items()}, "within_tolerance": all_within}
-        _write_json(os.path.join(out_dir, "compare.json"), {**settings, **report})
-        print(f"wrote {os.path.join(out_dir, 'compare.json')}")
+        _write_json(os.path.join(args.out, "compare.json"), {**settings, **report})
+        print(f"wrote {os.path.join(args.out, 'compare.json')}")
     return 0
 
 
@@ -521,16 +511,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "compare":
             return cmd_compare(args)
-
-        cfg = apply_overrides(load_config(args.config), args)
-        _check_config(cfg)
-        out_dir = _prepare_out(args.out)
-        _write_json(os.path.join(out_dir, "resolved_config.json"), cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "htf-theory":
-            return cmd_htf_theory(cfg, out_dir)
-        return cmd_identify(cfg, out_dir)
+        try:
+            cfg = _check_config(load_config(args.config), args)
+            os.makedirs(args.out, exist_ok=True)
+            _write_json(os.path.join(args.out, "resolved_config.json"), cfg)
+            run = {"simulate": cmd_simulate, "htf-theory": cmd_htf_theory, "identify": cmd_identify}
+            return run[args.command](cfg, args.out)
+        except InvalidInputError as exc:
+            # a setting the library refuses, such as a dt that does not
+            # divide the forcing period, is a configuration error too
+            raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ also gives their exact Jacobian, dG_n/dtheta = C_n M^-1 (dA/dtheta) M^-1 B.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,18 +43,9 @@ class FitResult:
     iterations: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "k_hat": self.k_hat,
-            "c_hat": self.c_hat,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
+            json.dump(asdict(self), handle, indent=2)
             handle.write("\n")
 
 

@@ -221,24 +221,28 @@ def test_criterion_4_end_to_end_estimation():
 
     viol = {n: stats[n][0] for n in stats}
     ok = all(v == 0 for v in viol.values()) and elapsed < 60.0
+    shown = {n: "(%d, %.4g, %.4g)" % s for n, s in stats.items()}
     print(
         "CRITERION 4: %s — %.1f s pipeline (<60 s); violations/max-mag/max-phase "
         "per harmonic: n=-1 %s, n=0 %s, n=+1 %s; permitted 12-15 rad/s mismatch %s"
         % (
             "PASS" if ok else "FAIL",
             elapsed,
-            stats[-1],
-            stats[0],
-            stats[1],
+            shown[-1],
+            shown[0],
+            shown[1],
             "; ".join(report),
         )
     )
     assert elapsed < 60.0
     assert viol[0] == 0, "G_0 outside 5%/5deg on excited bins"
-    # Measured floor: the record deviations carry a second-order hybrid
-    # distortion ~0.8% of G_0 scale, which the near-null G_{+/-1} regions
-    # around the pump line cannot absorb within 5%.  Kept as specified
-    # rather than loosened -- see the decisions log.
+    # Measured budget: the 9 records start at clock phases k/9 of the
+    # period, so orders n and n +/- 9 share one regressor column and alias
+    # onto each other.  With the true (k, c), orders |n| <= 3 leave a data
+    # residual of 8.1e-4 of sum|y|^2 and orders |n| <= 10 leave 7.5e-5:
+    # about 91 % of the residual is orders 4..10 aliasing, the rest
+    # even-order hybrid distortion.  The small G_{+/-1} cannot absorb
+    # either within 5 %.  Kept as specified rather than loosened.
     assert viol[-1] == 0, "G_-1 outside 5%/5deg on excited bins"
     assert viol[1] == 0, "G_+1 outside 5%/5deg on excited bins"
 

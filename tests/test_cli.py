@@ -81,17 +81,53 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"chirp": {"f_hi": -1.0}},
         {"chirp": {"warmup_periods": -1}},
         {"fit": {"n_h": 0}},
+        {"sim": {"n_cycles": 30.7}},
+        {"theory": {"grid_points": 20.9}},
+        {"chirp": {"n_segments": 9.5}},
+        {"model": {"k": 10**400}},
     ]
     paths = [str(tmp_path / "nope.json"), str(bad_json)] + [
         write_config(tmp_path / f"c{i}.json", payload) for i, payload in enumerate(configs)
     ]
     runs = [["--config", path] for path in paths]
     runs += [["--alpha", "-1"], ["--nh", "-1"], ["--dt", "0"]]
+    # the --nh clamp of theory.n_keep meets the value only once it is typed
+    for n_keep in ("abc", None):
+        path = write_config(tmp_path / f"keep{n_keep}.json", {"theory": {"n_keep": n_keep}})
+        runs.append(["--nh", "3", "--config", path])
     out = tmp_path / "o"
     for extra in runs:
         assert cli.main(["simulate", *extra, "--out", str(out)]) == 2, extra
         assert "config error:" in capsys.readouterr().err, extra
         assert not out.exists(), extra
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("simulate", ["--dt", "0.003"], None),  # does not divide the 1 s period
+        ("simulate", [], {"model": {"forcing_freq": 0.7}}),  # nor 1/0.7 s
+        ("identify", ["--nh", "10"], None),  # 9 records, 21 orders
+        ("identify", [], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
+    ],
+    ids=["dt", "forcing-freq", "nh", "segment-duration"],
+)
+def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, config):
+    if config is not None:
+        flags = flags + ["--config", write_config(tmp_path / "c.json", config)]
+    assert cli.main([command, *flags, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_resolved_config_holds_typed_values(tmp_path):
+    # float keys spelled as ints and int keys as integral floats resolve
+    # to the default run's values, so resolved_config.json is the same
+    cfg = write_config(tmp_path / "c.json", {"model": {"k": 200}, "sim": {"n_cycles": 30.0}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["simulate", "--out", str(a)]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--out", str(b)]) == 0
+    assert sha256(a / "resolved_config.json") == sha256(b / "resolved_config.json")
 
 
 def test_identify_chirp_above_nyquist_exits_3(tmp_path, capsys):
