@@ -22,7 +22,7 @@ from .errors import (
     ResamplingRequiredError,
     SingularFrequencyError,
 )
-from .model import HybridModel, ModelParams, SwitchedLinearization, chart_accel, linearize
+from .model import HybridModel, ModelParams, SwitchedLinearization, linearize
 from .sim import (
     LimitCycle,
     Trajectory,
@@ -91,7 +91,6 @@ __all__ = [
     "TruncatedHSS",
     "build_hss",
     "build_regressor",
-    "chart_accel",
     "chirp_value",
     "clock_phases",
     "cost",

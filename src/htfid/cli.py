@@ -200,6 +200,21 @@ def _check_config(cfg: dict, args) -> dict:
         raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
     ModelParams(**cfg["model"])
     ChirpPlan(**{k: v for k, v in cfg["chirp"].items() if k != "warmup_periods"})
+    if args.command == "identify":
+        # what `EstimationProblem` would refuse only after every record is
+        # integrated
+        chirp, orders = cfg["chirp"], 2 * cfg["estimate"]["n_harmonics"] + 1
+        if chirp["n_segments"] < orders:
+            raise ConfigError(
+                f"chirp.n_segments={chirp['n_segments']} records cannot identify "
+                f"{orders} harmonic orders"
+            )
+        periods = chirp["segment_duration"] * cfg["model"]["forcing_freq"]
+        if abs(periods - round(periods)) > 1e-6:
+            raise ConfigError(
+                f"chirp.segment_duration={chirp['segment_duration']} s is not a whole "
+                f"number of forcing periods ({periods:.6g})"
+            )
     return cfg
 
 
@@ -403,6 +418,9 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_compare(args) -> int:
+    for flag, tol in (("--tol-mag", args.tol_mag), ("--tol-phase", args.tol_phase)):
+        if not 0.0 <= tol < math.inf:
+            raise ConfigError(f"{flag} must be finite and non-negative, not {tol!r}")
     settings = {
         "reference": args.reference,
         "candidate": args.candidate,

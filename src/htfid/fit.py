@@ -52,26 +52,16 @@ class FitResult:
 def _parameter_directions(m, duty, t_hat, T, n_h):
     """dA/dk and dA/dc of the stacked harmonic state operator.
 
-    k enters both charts as -k/m in the velocity row, c only the engaged
-    chart as -c/m, so each derivative is the state operator of a switched
-    pair that is constant in k and c.
+    The operator is affine in (k, c), so each derivative is the operator
+    at a unit parameter minus the operator at k = c = 0.
     """
-    d_k = np.array([[0.0, 0.0], [-1.0 / m, 0.0]])
-    d_c = np.array([[0.0, 0.0], [0.0, -1.0 / m]])
-    directions = []
-    for d_on, d_off in ((d_k, d_k), (d_c, np.zeros((2, 2)))):
-        lin = SwitchedLinearization(
-            A_on=d_on,
-            A_off=d_off,
-            B=np.zeros((2, 1)),
-            C=np.zeros((1, 2)),
-            D=0.0,
-            duty=duty,
-            t_hat=t_hat,
-            T=T,
-        )
-        directions.append(build_hss(fourier_series(lin, n_h)).A)
-    return directions
+
+    def operator(k, c):
+        lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, T)
+        return build_hss(fourier_series(lin, n_h)).A
+
+    zero = operator(0.0, 0.0)
+    return [operator(1.0, 0.0) - zero, operator(0.0, 1.0) - zero]
 
 
 def _residuals(k, c, target, duty, t_hat, T, m, n_h, dA=()):

@@ -139,37 +139,14 @@ def chart_matrices(m: float, k: float, c: float):
         d/dt (x - x_eq, xdot) = A (x - x_eq, xdot) + B (F(t) + u(t)),
 
     so gravity and the spring offset only place x_eq, and the same
-    matrices govern the deviation from a periodic orbit.
+    matrices govern the deviation from a periodic orbit.  This is the one
+    statement of the vector field: `sim.integrate` steps it, and the fit
+    differentiates the harmonic state operator built from it.
     """
     A_off = np.array([[0.0, 1.0], [-k / m, 0.0]])
     A_on = np.array([[0.0, 1.0], [-k / m, -c / m]])
     B = np.array([[0.0], [1.0 / m]])
     return A_off, A_on, B
-
-
-def chart_accel(model: HybridModel):
-    """Right-hand side of the active chart, as a function accel(x, xdot, f, u).
-
-    The function returns the acceleration at one state under the chart
-    selected by the sign of the threshold function at (x, xdot), given
-    the values of the cosine forcing ``f = params.forcing(t)`` and of the
-    extra input force u at the same time: the second row of
-    `chart_matrices`.  The velocity row of the state equation is xdot
-    itself.
-    """
-    p = model.params
-    A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
-    stiffness, damping, gain = float(A_off[1, 0]), float(A_on[1, 1]), float(B[1, 0])
-    x_eq = p.equilibrium
-    engaged = model.engaged
-
-    def accel(x, v, f, u):
-        a = stiffness * (x - x_eq) + gain * (f + u)
-        if engaged(x, v):
-            a += damping * v
-        return a
-
-    return accel
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .errors import (
     NotSettledError,
     ResamplingRequiredError,
 )
-from .model import HybridModel, chart_accel, chart_matrices
+from .model import HybridModel, chart_matrices
 
 #: Width (seconds) to which a threshold crossing is localized.
 EVENT_TOL = 1e-10
@@ -73,8 +73,8 @@ class LimitCycle:
 
     Samples cover clock phases ``j*dt`` for ``j = 0 .. T/dt - 1``; the
     clock origin is the forcing cosine maximum.  `t_hat` is the phase at
-    which the damper engages (upward velocity crossing), `duty` the
-    fraction of the period it stays engaged, and `residual` the
+    which the damper engages (the switching threshold turns positive),
+    `duty` the fraction of the period it stays engaged, and `residual` the
     per-component peak difference between the last two integrated
     periods.
     """
@@ -309,47 +309,54 @@ def integrate(
 
     p = model.params
     forcing = p.forcing
-    accel = chart_accel(model)
     switching = model.switching
     x_eq = p.equilibrium
     A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
     runs = [_ChartRecurrence(A, B[:, 0], dt, _CHUNK_STEPS) for A in (A_off, A_on)]
+    # The velocity row of each chart, for the scalar path.
+    stiffness, damping, gain = float(A_off[1, 0]), float(A_on[1, 1]), float(B[1, 0])
 
     def inputs(times):
-        # Forcing and input at an array of times, as two float arrays.
+        # Drive g = F + u and input u at an array of times.
         values = np.zeros_like(times) if u is None else np.asarray(u(times), dtype=float)
         if values.shape != times.shape:
             raise InvalidInputError(
                 f"u returned shape {values.shape} for times of shape {times.shape}"
             )
-        return forcing(times), values
+        return forcing(times) + values, values
 
     def value(ex, v):
         # Threshold value at one state in offset coordinates.
         return float(switching(ex + x_eq, v))
 
-    def rk4(ex, v, h, f0, u0, fh, uh, fe, ue):
+    def accel(ex, v, g):
+        # Acceleration at one state in offset coordinates, on its own chart.
+        a = stiffness * ex + gain * g
+        if value(ex, v) > 0.0:
+            a += damping * v
+        return a
+
+    def rk4(ex, v, h, g0, gh, ge):
         # One RK4 step in offset coordinates, each stage on its own chart.
-        k1v = accel(ex + x_eq, v, f0, u0)
+        k1v = accel(ex, v, g0)
         k2x = v + 0.5 * h * k1v
-        k2v = accel(ex + 0.5 * h * v + x_eq, k2x, fh, uh)
+        k2v = accel(ex + 0.5 * h * v, k2x, gh)
         k3x = v + 0.5 * h * k2v
-        k3v = accel(ex + 0.5 * h * k2x + x_eq, k3x, fh, uh)
+        k3v = accel(ex + 0.5 * h * k2x, k3x, gh)
         k4x = v + h * k3v
-        k4v = accel(ex + h * k3x + x_eq, k4x, fe, ue)
+        k4v = accel(ex + h * k3x, k4x, ge)
         return (
             ex + h / 6.0 * (v + 2.0 * (k2x + k3x) + k4x),
             v + h / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
         )
 
-    def sub_step(t, state, h, start):
+    def sub_step(t, state, h, g0):
         # An RK4 step of any length h from t, off the tabulated grid, given
-        # the inputs `start` at t.  Returns the state and the inputs at t + h.
-        f, uu = inputs(np.array([t + 0.5 * h, t + h]))
-        (fh, fe), (uh, ue) = f.tolist(), uu.tolist()
-        return rk4(*state, h, *start, fh, uh, fe, ue), (fe, ue)
+        # the drive g0 at t.  Returns the state and the drive at t + h.
+        gh, ge = inputs(np.array([t + 0.5 * h, t + h]))[0].tolist()
+        return rk4(*state, h, g0, gh, ge), ge
 
-    def advance(t, state, h, start, end, end_inputs):
+    def advance(t, state, h, g0, end, ge):
         # The step of length h from `state` at t, split at each threshold
         # crossing; `end` is where the unsplit step lands.
         for _ in range(16):
@@ -358,17 +365,15 @@ def integrate(
                 return end
 
             def probe(s):
-                reached, inputs_at = sub_step(t, state, s, start)
-                return value(*reached), (reached, inputs_at)
+                reached, g_reached = sub_step(t, state, s, g0)
+                return value(*reached), (reached, g_reached)
 
-            h_ev, (state, start) = locate_crossing(
-                probe, h, value0, value1, (end, end_inputs)
-            )
+            h_ev, (state, g0) = locate_crossing(probe, h, value0, value1, (end, ge))
             t += h_ev
             h -= h_ev
             if h <= 0.0:
                 return state
-            end, end_inputs = sub_step(t, state, h, start)
+            end, ge = sub_step(t, state, h, g0)
         raise EventLocalizationError(f"more than 16 threshold crossings inside one step at t={t}")
 
     xs = np.empty(n_steps + 1)
@@ -381,10 +386,10 @@ def integrate(
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, n_steps + 1)
         t = t0 + np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
-        f, uu = inputs(t)
+        drive, uu = inputs(t)
         us[c0:c1] = uu[: 2 * (c1 - c0) : 2]
         n_chunk = min(c1, n_steps) - c0
-        drive = f[: 2 * n_chunk + 1] + uu[: 2 * n_chunk + 1]
+        drive = drive[: 2 * n_chunk + 1]
         tables = [None, None]
         n = c0
         while n < c0 + n_chunk:
@@ -415,11 +420,10 @@ def integrate(
                 # The step leaving the chart: stage by stage, split at a
                 # crossing of the threshold.
                 j = n - c0
-                f0, fh, fe = f[2 * j : 2 * j + 3].tolist()
-                u0, uh, ue = uu[2 * j : 2 * j + 3].tolist()
-                end = rk4(ex, v, dt, f0, u0, fh, uh, fe, ue)
+                g0, gh, ge = drive[2 * j : 2 * j + 3].tolist()
+                end = rk4(ex, v, dt, g0, gh, ge)
                 if (value(*end) > 0.0) != on:
-                    end = advance(t[2 * j], (ex, v), dt, (f0, u0), end, (fe, ue))
+                    end = advance(t[2 * j], (ex, v), dt, g0, end, ge)
                 ex, v = end
                 on = value(ex, v) > 0.0
                 n += 1
@@ -433,20 +437,21 @@ def integrate(
     return Trajectory(dt=dt, t0=t0, x=xs, xdot=vs, u=us, chart=charts)
 
 
-def _cyclic_crossings(xdot: np.ndarray, dt: float, T: float):
+def _cyclic_crossings(value: np.ndarray, dt: float, T: float):
     """Linear-interpolated threshold crossing phases of a sampled period.
 
-    Returns (upward, downward) lists of phases in [0, T); "upward" means
-    the velocity turns positive (damper engages).
+    `value` holds the switching threshold at the samples.  Returns
+    (upward, downward) lists of phases in [0, T); "upward" means the
+    threshold turns positive (the damper engages).
     """
-    n = xdot.shape[0]
-    pos = xdot > 0.0
+    n = value.shape[0]
+    pos = value > 0.0
     ups, downs = [], []
     for j in range(n):
         j2 = (j + 1) % n
         if pos[j] == pos[j2]:
             continue
-        v0, v1 = xdot[j], xdot[j2]
+        v0, v1 = value[j], value[j2]
         frac = v0 / (v0 - v1) if v0 != v1 else 0.0
         phase = ((j + frac) * dt) % T
         (ups if pos[j2] else downs).append(phase)
@@ -502,7 +507,7 @@ def settle_limit_cycle(
     # The slice starts at an integer multiple of T, so sample j sits at
     # clock phase j*dt.
 
-    ups, downs = _cyclic_crossings(v_per, dt, T)
+    ups, downs = _cyclic_crossings(model.switching(x_per, v_per), dt, T)
     n_crossings = len(ups) + len(downs)
     if n_crossings != 2:
         raise AmbiguousSwitchingError(

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,30 @@ def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, c
     assert cli.main([command, *flags, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--nh", "10"], None),  # 9 records, 21 orders
+        ([], {"chirp": {"n_segments": 5}}),  # 5 records, 7 orders
+        ([], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
+    ],
+    ids=["nh", "n-segments", "segment-duration"],
+)
+def test_identify_refuses_unidentifiable_plan_before_settling(
+    tmp_path, capsys, monkeypatch, flags, config
+):
+    def settle(*args, **kwargs):
+        raise AssertionError("settle_limit_cycle called")
+
+    monkeypatch.setattr(cli, "settle_limit_cycle", settle)
+    if config is not None:
+        flags = flags + ["--config", write_config(tmp_path / "c.json", config)]
+    out = tmp_path / "o"
+    assert cli.main(["identify", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_resolved_config_holds_typed_values(tmp_path):
@@ -277,6 +303,42 @@ def test_compare_bad_file_is_an_error_not_a_traceback(tmp_path, capsys, content,
     assert cli.main(["compare", str(ref), str(bad)]) == code
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-mag", "--tol-phase"])
+def test_compare_refuses_tolerance_not_finite_and_non_negative(tmp_path, capsys, flag, tol):
+    ref, doubled = tmp_path / "ref.csv", tmp_path / "doubled.csv"
+    ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
+    doubled.write_text(HEAD + "1,0,2,0\n2,0,2,0\n")
+    assert cli.main(["compare", str(ref), str(doubled)]) == 0
+    assert "within tolerance: no" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert cli.main(["compare", str(ref), str(doubled), flag, tol, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {flag}") and captured.out == ""
+    assert not out.exists()
+
+
+def test_bench_trace_targets_resolve():
+    # `bench/run.py --trace 1` rebinds these names in the htfid modules;
+    # a renamed or deleted one would break the traced benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "bench"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import htfid.fit, spans, trace_launcher\n"
+        "for module, attr, _, _ in trace_launcher.TRACED:\n"
+        "    assert callable(getattr(module, attr, None)), (module.__name__, attr)\n"
+        "assert callable(htfid.fit.FitResult.to_json)\n"
+        "trace_launcher.install(spans.Tracer())\n"
+        "print(len(trace_launcher.TRACED))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 @pytest.fixture(scope="module")

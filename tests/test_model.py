@@ -1,6 +1,4 @@
-"""Chart right-hand side, parameter validation, and the switched linearization."""
-
-import math
+"""Chart matrices, parameter validation, and the switched linearization."""
 
 import numpy as np
 import pytest
@@ -11,40 +9,63 @@ from htfid import (
     InvalidInputError,
     LimitCycle,
     ModelParams,
-    chart_accel,
     linearize,
 )
+from htfid.model import chart_matrices
+
+
+def chart_rhs(p, engaged, x, v, drive):
+    """d/dt (x, xdot) from `chart_matrices` at an absolute state."""
+    A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
+    A = A_on if engaged else A_off
+    return A @ [x - p.equilibrium, v] + B[:, 0] * drive
+
+
+def docstring_rhs(p, engaged, x, v, drive):
+    """The model docstring's ODE, m*xddot = -m*g - c*xdot - k*(x - x0) + F + u."""
+    damper = p.c * v if engaged else 0.0
+    return np.array([v, (-p.m * p.g - damper - p.k * (x - p.x0) + drive) / p.m])
 
 
 def test_chart_damper_engaged():
     p = ModelParams()
-    accel = chart_accel(HybridModel(p))
     # -g - c*v - k*(x - x0) + cos(0) = -9.81 - 2 + 0 + 1
-    assert accel(0.2, 1.0, p.forcing(0.0), 0.0) == pytest.approx(-10.81, abs=1e-12)
+    rhs = chart_rhs(p, True, 0.2, 1.0, p.forcing(0.0))
+    assert rhs == pytest.approx([1.0, -10.81], abs=1e-12)
 
 
 def test_chart_damper_released():
     p = ModelParams()
-    accel = chart_accel(HybridModel(p))
     # damper off on the downstroke: -9.81 - 0 + 0 + 1
-    assert accel(0.2, -1.0, p.forcing(0.0), 0.0) == pytest.approx(-8.81, abs=1e-12)
+    rhs = chart_rhs(p, False, 0.2, -1.0, p.forcing(0.0))
+    assert rhs == pytest.approx([-1.0, -8.81], abs=1e-12)
 
 
 def test_chart_equilibrium_balance():
     p = ModelParams()
-    accel = chart_accel(HybridModel(p))
     x_eq = p.x0 - p.g * p.m / p.k
     # quarter period: the cosine forcing passes through zero there
-    assert abs(accel(x_eq, 0.0, p.forcing(0.25), 0.0)) < 1e-12
+    for engaged in (False, True):
+        assert np.max(np.abs(chart_rhs(p, engaged, x_eq, 0.0, p.forcing(0.25)))) < 1e-12
+
+
+@pytest.mark.parametrize("engaged", [False, True])
+def test_chart_matrices_state_the_docstring_ode(engaged):
+    p = ModelParams(m=1.7, k=230.0, c=3.1, g=9.0, x0=0.35, forcing_amplitude=0.8)
+    for x, v, t, u in [(0.2, 1.0, 0.0, 0.0), (0.31, -0.4, 0.3, 0.02), (0.4, 2.5, 0.8, -0.1)]:
+        drive = p.forcing(t) + u
+        expected = docstring_rhs(p, engaged, x, v, drive)
+        assert chart_rhs(p, engaged, x, v, drive) == pytest.approx(expected, rel=1e-12)
 
 
 def test_chart_zero_velocity_is_lossless():
-    # At the switching boundary the damper contributes nothing, so the
-    # value of c cannot matter there.
-    p = ModelParams()
-    lossless = chart_accel(HybridModel(ModelParams(c=0.0)))
-    heavy = chart_accel(HybridModel(ModelParams(c=1e6)))
-    assert heavy(0.3, 0.0, p.forcing(0.1), 0.0) == lossless(0.3, 0.0, p.forcing(0.1), 0.0)
+    # c enters the engaged chart's damping entry only, so at the
+    # switching boundary (zero velocity) its value cannot matter.
+    light, heavy = chart_matrices(1.0, 200.0, 0.0), chart_matrices(1.0, 200.0, 1e6)
+    assert np.array_equal(light[0], heavy[0]) and np.array_equal(light[2], heavy[2])
+    changed = light[1] != heavy[1]
+    assert changed[1, 1] and np.count_nonzero(changed) == 1
+    assert np.array_equal(light[1] @ [0.3, 0.0], heavy[1] @ [0.3, 0.0])
 
 
 def test_params_validation():

@@ -11,6 +11,7 @@ import pytest
 
 import htfid
 from htfid import (
+    AmbiguousSwitchingError,
     ChirpPlan,
     DivergenceError,
     HybridModel,
@@ -120,6 +121,29 @@ def test_settle_requires_dt_dividing_period(lab_model):
 def test_settle_reports_unsettled(lab_model):
     with pytest.raises(NotSettledError):
         settle_limit_cycle(lab_model, n_cycles=2, dt=1e-3, tol=1e-6)
+
+
+def test_settle_always_engaged_threshold_has_no_crossings():
+    # The velocity changes sign twice a period, the threshold never.
+    model = HybridModel(threshold=lambda x, v: 1.0)
+    with pytest.raises(AmbiguousSwitchingError, match="0 threshold crossings"):
+        settle_limit_cycle(model, n_cycles=30, dt=1e-3)
+
+
+def test_settle_crossings_follow_the_threshold():
+    # A damper engaged on the downstroke: t_hat is where -xdot turns
+    # positive, and [t_hat, t_hat + duty*T) is the engaged window.
+    model = HybridModel(threshold=lambda x, v: -v)
+    cycle = settle_limit_cycle(model, n_cycles=30, dt=1e-3)
+    phases = cycle.dt * np.arange(cycle.n_samples)
+    window = np.mod(phases - cycle.t_hat, cycle.T) < cycle.duty * cycle.T
+    engaged = model.engaged(cycle.x, cycle.xdot)
+    far = np.ones(cycle.n_samples, dtype=bool)
+    for switch in (cycle.t_hat, cycle.t_hat + cycle.duty * cycle.T):
+        lag = np.mod(phases - switch, cycle.T)
+        far &= np.minimum(lag, cycle.T - lag) > cycle.dt
+    assert np.count_nonzero(far) >= cycle.n_samples - 4
+    assert np.array_equal(window[far], engaged[far])
 
 
 def test_settle_independent_of_initial_condition(lab_model, lab_cycle):
