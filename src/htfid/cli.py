@@ -198,12 +198,15 @@ def _check_config(cfg: dict, args) -> dict:
     lo, hi = cfg["estimate"]["band"]
     if not 0.0 <= lo < hi:
         raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
-    ModelParams(**cfg["model"])
+    # the dt check of settling, made before any output is written
+    ModelParams(**cfg["model"]).steps_per_period(cfg["sim"]["dt"])
     ChirpPlan(**{k: v for k, v in cfg["chirp"].items() if k != "warmup_periods"})
     if args.command == "identify":
-        # what `EstimationProblem` would refuse only after every record is
-        # integrated
+        # what `EstimationProblem` and the fit would refuse only after every
+        # record is integrated
         chirp, orders = cfg["chirp"], 2 * cfg["estimate"]["n_harmonics"] + 1
+        if orders < 3:
+            raise ConfigError("estimate.n_harmonics must be at least 1: the fit reads G_-1 .. G_1")
         if chirp["n_segments"] < orders:
             raise ConfigError(
                 f"chirp.n_segments={chirp['n_segments']} records cannot identify "

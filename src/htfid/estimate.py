@@ -18,7 +18,8 @@ penalty (applied per harmonic), giving the regularized normal equations
 
     (P^H P + alpha * D2^T D2) g = P^H y
 
-solved by band LU as one system over all retained bins and harmonics.
+solved by block elimination as one system over all retained bins and
+harmonics.
 """
 
 import cmath
@@ -261,65 +262,76 @@ def _misfit(problem: EstimationProblem, Phi, y, G):
 def _solve_coupled(problem, blocks, rhs):
     """Solve the penalty-coupled normal equations; returns (g, cond).
 
-    Bin by bin, the penalty's two-bin reach leaves k = 2*width sub- and
-    superdiagonals, so the matrix goes straight into LAPACK band storage:
-    entry (i, j) at row 2k + i - j, under k rows of LU fill space.
+    The penalty reaches two bins, so over pairs of bins the matrix is
+    Hermitian block tridiagonal, with real penalty-only blocks U_j above
+    and U_j^T below the diagonal.  Block elimination inverts each pair's
+    Schur complement (Golub & Van Loan, Matrix Computations, 4.5).  An
+    odd bin count gets a decoupled unit bin, which solves to zero and
+    which no norm or probe sees.  `cond` is ||A||_1 times a deterministic
+    Hager estimate of ||A^-1||_1 (Higham, ACM TOMS 14, 1988).
     """
-    # Imported here so that commands which never estimate load no scipy.
-    from scipy.linalg import lapack
-
     n_bins, width, _ = blocks.shape
-    n, k = n_bins * width, 2 * width
-    band = np.zeros((3 * k + 1, n), dtype=complex)
-    local = np.arange(width)
-    starts = width * np.arange(n_bins)
-    band[2 * k + local[:, None] - local, starts[:, None, None] + local] = blocks
+    pairs, n, eye = (n_bins + 1) // 2, n_bins * width, np.eye(width)
     d2 = second_difference(n_bins)
-    penalty = problem.alpha * (d2.T @ d2)
-    for lag in (-2, -1, 0, 1, 2):
-        cols = slice(max(lag, 0) * width, n + min(lag, 0) * width)
-        band[2 * k - lag * width, cols] += np.repeat(np.diagonal(penalty, lag), width)
-    norm_a = float(np.max(np.abs(band[k:]).sum(axis=0)))
+    coupling = np.pad(problem.alpha * (d2.T @ d2), (0, 2 * pairs - n_bins))
+    coupling, step = coupling.reshape(pairs, 2, pairs, 2), np.arange(pairs)
+    upper = np.kron(coupling[step[:-1], :, step[1:]], eye)
+    diag = np.kron(coupling[step, :, step], eye).astype(complex)
+    diag[:, :width, :width] += blocks[0::2]
+    diag[:, width:, width:] += np.concatenate([blocks[1::2], eye[None]])[:pairs]
 
-    lu, pivots, info = lapack.zgbtrf(band, k, k)
-    if info > 0:
-        raise IllConditionedError(
-            "normal matrix is singular (some harmonic carries no excitation "
-            "anywhere in the band); a larger alpha cannot help, widen the "
-            "band or reduce n_harmonics"
-        )
-    _checked("zgbtrf", lu, info)
-    rcond = _checked("zgbcon", *lapack.zgbcon(k, k, lu, pivots, norm_a))
-    cond = 1.0 / rcond if rcond else math.inf
+    inverses = np.empty_like(diag)
+    for j in range(pairs):
+        schur = diag[j] - upper[j - 1].T @ (inverses[j - 1] @ upper[j - 1]) if j else diag[j]
+        try:
+            inverses[j] = np.linalg.inv(schur)
+        except np.linalg.LinAlgError:
+            raise IllConditionedError(
+                "normal matrix is singular (some harmonic carries no excitation "
+                "anywhere in the band); a larger alpha cannot help, widen the "
+                "band or reduce n_harmonics"
+            ) from None
+
+    def solve(b):
+        z = np.zeros((pairs, 2 * width), dtype=complex)
+        z.flat[:n] = b
+        for j in range(1, pairs):
+            z[j] -= upper[j - 1].T @ (inverses[j - 1] @ z[j - 1])
+        z[-1] = inverses[-1] @ z[-1]
+        for j in range(pairs - 2, -1, -1):
+            z[j] = inverses[j] @ (z[j] - upper[j] @ z[j + 1])
+        return z.ravel()[:n]
+
+    colsum = np.abs(diag).sum(axis=1)
+    colsum[1:] += np.abs(upper).sum(axis=1)
+    colsum[:-1] += np.abs(upper).sum(axis=2)
+    x = solve(np.full(n, 1.0 / n))
+    # The sign vector is x/|x|, with 1 at zeros; A^-H = A^-1 since A is Hermitian.
+    z = np.abs(solve(np.exp(1j * np.angle(x))))
+    inv_norm = max(np.abs(x).sum(), np.abs(solve(np.eye(1, n, int(np.argmax(z)))[0])).sum())
+    cond = float(colsum.ravel()[:n].max() * inv_norm)
     if not cond <= COND_LIMIT:  # a nan estimate fails too
         raise IllConditionedError(
             f"normal matrix condition estimate {cond:.3e} is not below {COND_LIMIT:.1e}; "
             "increase alpha"
         )
-    return _checked("zgbtrs", *lapack.zgbtrs(lu, k, k, rhs, pivots)), cond
-
-
-def _checked(name, value, info):
-    """`value`, unless LAPACK reports a fault that no input here can cause."""
-    if info:
-        raise RuntimeError(f"{name} returned info={info}")
-    return value
+    return solve(rhs), cond
 
 
 def estimate_htf(problem: EstimationProblem) -> HarmonicTransferSet:
     """Regularized least-squares estimate of G_{-N}..G_{N}.
 
     Assembles the per-bin regressors of all records and the per-harmonic
-    curvature penalty into one banded Hermitian system and solves the
-    normal equations by band LU.  With alpha = 0 (or fewer than 3 bins,
-    where the second-difference penalty is undefined) nothing couples
-    neighboring bins, and each bin is solved independently by minimum-norm
-    least squares: columns without excitation get an exact zero instead
-    of making the joint system singular.  Returns the estimate in the
-    output-frequency convention, with a per-harmonic mask of bins whose
-    regressor column actually carried excitation (values on masked-out
-    bins are purely penalty interpolation, or zero in the uncoupled
-    case) and solver diagnostics attached.
+    curvature penalty into one block-tridiagonal Hermitian system and
+    solves the normal equations by block elimination.  With alpha = 0 (or
+    fewer than 3 bins, where the second-difference penalty is undefined)
+    nothing couples neighboring bins, and each bin is solved independently
+    by minimum-norm least squares: columns without excitation get an exact
+    zero instead of making the joint system singular.  Returns the
+    estimate in the output-frequency convention, with a per-harmonic mask
+    of bins whose regressor column actually carried excitation (values on
+    masked-out bins are purely penalty interpolation, or zero in the
+    uncoupled case) and solver diagnostics attached.
 
     Raises
     ------

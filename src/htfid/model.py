@@ -65,6 +65,13 @@ class ModelParams:
         """Forcing period; also the clock period of the system."""
         return 1.0 / self.forcing_freq
 
+    def steps_per_period(self, dt: float) -> int:
+        """Steps of `dt` in one period; refuses a `dt` that does not divide it."""
+        n = int(round(self.period / dt))
+        if abs(n * dt - self.period) > 1e-9 * self.period:
+            raise InvalidInputError(f"dt={dt} does not divide the forcing period T={self.period}")
+        return n
+
     @property
     def equilibrium(self) -> float:
         """Static rest position x0 - m*g/k of the (lossless) spring."""

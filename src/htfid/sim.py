@@ -483,9 +483,7 @@ def settle_limit_cycle(
         raise InvalidInputError("need at least 2 cycles to measure periodicity")
     p = model.params
     T = p.period
-    samples_per_period = int(round(T / dt))
-    if abs(samples_per_period * dt - T) > 1e-9 * T:
-        raise InvalidInputError(f"dt={dt} does not divide the forcing period T={T}")
+    samples_per_period = p.steps_per_period(dt)
     if x_init is None:
         x_init = (p.equilibrium, 0.0)
 

@@ -122,18 +122,7 @@ def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, c
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "flags, config",
-    [
-        (["--nh", "10"], None),  # 9 records, 21 orders
-        ([], {"chirp": {"n_segments": 5}}),  # 5 records, 7 orders
-        ([], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
-    ],
-    ids=["nh", "n-segments", "segment-duration"],
-)
-def test_identify_refuses_unidentifiable_plan_before_settling(
-    tmp_path, capsys, monkeypatch, flags, config
-):
+def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, config):
     def settle(*args, **kwargs):
         raise AssertionError("settle_limit_cycle called")
 
@@ -141,9 +130,45 @@ def test_identify_refuses_unidentifiable_plan_before_settling(
     if config is not None:
         flags = flags + ["--config", write_config(tmp_path / "c.json", config)]
     out = tmp_path / "o"
-    assert cli.main(["identify", *flags, "--out", str(out)]) == 2
+    assert cli.main([command, *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--nh", "10"], None),  # 9 records, 21 orders
+        (["--nh", "0"], None),  # the fit reads G_-1 .. G_1
+        ([], {"chirp": {"n_segments": 5}}),  # 5 records, 7 orders
+        ([], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
+    ],
+    ids=["nh", "nh-0", "n-segments", "segment-duration"],
+)
+def test_identify_refuses_unidentifiable_plan_before_settling(
+    tmp_path, capsys, monkeypatch, flags, config
+):
+    refused_before_settling(tmp_path, capsys, monkeypatch, "identify", flags, config)
+
+
+@pytest.mark.parametrize("command", ["simulate", "htf-theory", "identify"])
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--dt", "0.003"], None),  # does not divide the 1 s period
+        ([], {"model": {"forcing_freq": 0.7}}),  # nor 1/0.7 s
+    ],
+    ids=["dt", "forcing-freq"],
+)
+def test_dt_off_the_period_refused_before_settling(
+    tmp_path, capsys, monkeypatch, command, flags, config
+):
+    refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, config)
+
+
+def test_htf_theory_takes_nh_0(tmp_path):
+    # only identify's fit needs G_-1 .. G_1
+    assert cli.main(["htf-theory", "--nh", "0", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_resolved_config_holds_typed_values(tmp_path):

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from htfid import (
     ChirpPlan,
@@ -321,56 +320,42 @@ def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_est
     assert d["cond_estimate"] == lab_estimate.diagnostics["cond_estimate"]
 
 
-def test_nan_condition_estimate_is_ill_conditioned(monkeypatch, lab_problem):
-    monkeypatch.setattr(lapack, "zgbcon", lambda *args, **kwargs: (float("nan"), 0))
+def gram_blocks(n_bins, width, seed=7):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_bins, 5, width)) + 1j * rng.standard_normal((n_bins, 5, width))
+    rhs = rng.standard_normal(n_bins * width) + 1j * rng.standard_normal(n_bins * width)
+    return X.conj().transpose(0, 2, 1) @ X, rhs
+
+
+def test_nan_condition_estimate_is_ill_conditioned():
+    blocks, rhs = gram_blocks(6, 3)
+    blocks[2, 1, 1] = np.nan
     with pytest.raises(IllConditionedError, match="nan"):
-        estimate_htf(lab_problem)
+        _solve_coupled(SimpleNamespace(alpha=0.3), blocks, rhs)
 
 
-def test_condition_estimate_fault_propagates(monkeypatch, lab_problem):
+def test_inverse_fault_propagates(monkeypatch, lab_problem):
     class ProbeFault(Exception):
         pass
 
     def broken(*args, **kwargs):
-        raise ProbeFault("zgbcon failed")
+        raise ProbeFault("inv failed")
 
-    monkeypatch.setattr(lapack, "zgbcon", broken)
+    monkeypatch.setattr(np.linalg, "inv", broken)
     with pytest.raises(ProbeFault):
         estimate_htf(lab_problem)
 
 
-def test_singular_band_factor_is_ill_conditioned(monkeypatch, lab_problem):
-    factor = lapack.zgbtrf
-
-    def zero_pivot(*args, **kwargs):
-        lu, pivots, _ = factor(*args, **kwargs)
-        return lu, pivots, 5
-
-    monkeypatch.setattr(lapack, "zgbtrf", zero_pivot)
+def test_singular_band_factor_is_ill_conditioned():
+    # the penalty alone leaves constant and linear runs of every harmonic free
+    blocks = np.zeros((7, 3, 3), dtype=complex)
     with pytest.raises(IllConditionedError, match="normal matrix is singular"):
-        estimate_htf(lab_problem)
+        _solve_coupled(SimpleNamespace(alpha=1.0), blocks, np.ones(21, dtype=complex))
 
 
-@pytest.mark.parametrize("name", ["zgbtrf", "zgbcon", "zgbtrs"])
-def test_lapack_argument_fault_raises(monkeypatch, lab_problem, name):
-    # A negative info flags an illegal argument: a fault, never a result.
-    routine = getattr(lapack, name)
-
-    def illegal(*args, **kwargs):
-        return (*routine(*args, **kwargs)[:-1], -4)
-
-    monkeypatch.setattr(lapack, name, illegal)
-    with pytest.raises(RuntimeError, match=f"{name} returned info=-4"):
-        estimate_htf(lab_problem)
-
-
-def test_band_solve_matches_dense_oracle():
-    rng = np.random.default_rng(7)
-    n_bins, width, alpha = 6, 3, 0.3
-    X = rng.standard_normal((n_bins, 5, width)) + 1j * rng.standard_normal((n_bins, 5, width))
-    blocks = X.conj().transpose(0, 2, 1) @ X
-    rhs = rng.standard_normal(n_bins * width) + 1j * rng.standard_normal(n_bins * width)
+def assert_matches_dense_oracle(blocks, rhs, alpha):
     g, cond = _solve_coupled(SimpleNamespace(alpha=alpha), blocks, rhs)
+    n_bins, width, _ = blocks.shape
     dense = np.zeros((n_bins * width, n_bins * width), dtype=complex)
     for b in range(n_bins):
         dense[b * width : (b + 1) * width, b * width : (b + 1) * width] = blocks[b]
@@ -382,6 +367,20 @@ def test_band_solve_matches_dense_oracle():
     assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
     exact = np.abs(dense).sum(axis=0).max() * np.abs(np.linalg.inv(dense)).sum(axis=0).max()
     assert exact / 10.0 <= cond <= exact * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("n_bins", [3, 6, 7])
+def test_band_solve_matches_dense_oracle(n_bins):
+    blocks, rhs = gram_blocks(n_bins, 3)
+    assert_matches_dense_oracle(blocks, rhs, 0.3)
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e2])
+def test_unit_bin_stays_out_of_the_condition_estimate(scale):
+    # With ||A||_1 < 1 (or ||A^-1||_1 < 1) an odd bin count's unit padding
+    # bin would dominate the norm (or the probes) if either saw it.
+    blocks, rhs = gram_blocks(7, 3)
+    assert_matches_dense_oracle(scale * blocks, rhs, 0.3 * scale)
 
 
 def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
@@ -408,7 +407,7 @@ def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
         residual = (wide_rhs - applied).astype(complex)
         ref = ref + np.linalg.solve(dense, residual.ravel()).reshape(n_bins, width)
     ref = ref.astype(complex)
-    assert np.max(np.abs(G - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(G - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_zero_amplitude_is_no_data(lab_model, lab_cycle):
