@@ -205,7 +205,7 @@ def _check_config(cfg: dict, args) -> dict:
         # what `EstimationProblem` and the fit would refuse only after every
         # record is integrated
         chirp, orders = cfg["chirp"], 2 * cfg["estimate"]["n_harmonics"] + 1
-        if orders < 3:
+        if cfg["estimate"]["n_harmonics"] < 1:
             raise ConfigError("estimate.n_harmonics must be at least 1: the fit reads G_-1 .. G_1")
         if chirp["n_segments"] < orders:
             raise ConfigError(

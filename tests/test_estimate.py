@@ -320,8 +320,8 @@ def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_est
     assert d["cond_estimate"] == lab_estimate.diagnostics["cond_estimate"]
 
 
-def gram_blocks(n_bins, width, seed=7):
-    rng = np.random.default_rng(seed)
+def gram_blocks(n_bins, width):
+    rng = np.random.default_rng(7)
     X = rng.standard_normal((n_bins, 5, width)) + 1j * rng.standard_normal((n_bins, 5, width))
     rhs = rng.standard_normal(n_bins * width) + 1j * rng.standard_normal(n_bins * width)
     return X.conj().transpose(0, 2, 1) @ X, rhs
