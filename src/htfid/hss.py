@@ -23,7 +23,14 @@ decay like 1/n.
 The generator A_blk - N_blk does not depend on w, so `eval_htf`
 diagonalizes it once per call, A_blk - N_blk = V diag(lam) V^-1, and
 solves each grid point in the modal basis, M(w)^-1 = V diag(1/(j*w -
-lam)) V^-1, at O(n^2) instead of O(n^3) per point.  One step of
+lam)) V^-1, at O(n^2) instead of O(n^3) per point.  The time-domain
+system is real, so the coefficients of harmonics n and -n are complex
+conjugates and conj(A_blk - N_blk) = P (A_blk - N_blk) P, with P
+swapping n and -n (Wereley, Analysis and Control of Linear Periodically
+Time Varying Systems, MIT PhD thesis, 1991).  In cosine and sine
+coordinates, x_n + x_-n and j*(x_n - x_-n), the generator is therefore
+a real matrix; `eval_htf` diagonalizes that real form and maps its
+eigenvectors back, which needs no complex eigensolver.  One step of
 fixed-precision iterative refinement against M(w) itself follows every
 modal solve (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 12); it brings the result to working accuracy even where V is ill
@@ -46,6 +53,9 @@ from .model import SwitchedLinearization
 COND_WARN = 1e12
 #: Relative perturbation applied to a grid frequency that is singular.
 SINGULAR_NUDGE = 1e-9
+#: Conjugate-symmetry tolerance: absolute for Fourier coefficients, and
+#: relative to the generator's 1-norm for its real form in `eval_htf`.
+_SYMMETRY_TOL = 1e-12
 #: Vector entries per batch of grid points in `eval_htf`; bounds the
 #: memory held by the per-point solution and residual vectors.
 _BATCH_ENTRIES = 2**12
@@ -109,7 +119,7 @@ class FourierMatrixSeries:
             coeff = getattr(self, name)
             if coeff.shape[0] != 2 * self.n_h + 1:
                 raise InvalidInputError(f"{name} must hold 2*n_h+1 coefficients")
-            if not np.allclose(coeff, coeff[::-1].conj(), atol=1e-12):
+            if not np.allclose(coeff, coeff[::-1].conj(), atol=_SYMMETRY_TOL):
                 raise InvalidInputError(f"{name} coefficients break conjugate symmetry")
 
     @property
@@ -226,6 +236,67 @@ class HarmonicTransferSet:
                 raise InvalidInputError(f"harmonic {n} length mismatch with grid")
 
 
+def _harmonic_pairs(n_h: int, n_states: int):
+    """State indices of harmonic 0, of harmonics 1..n_h and of -1..-n_h.
+
+    The k-th entries of the last two arrays index the same state of
+    harmonics n and -n, so slicing with them pairs each line with its
+    mirror.
+    """
+    per = n_states // (2 * n_h + 1)
+    state = np.arange(per)
+    zero = n_h * per + state
+    pos = (np.arange(n_h + 1, 2 * n_h + 1)[:, None] * per + state).ravel()
+    neg = (np.arange(n_h - 1, -1, -1)[:, None] * per + state).ravel()
+    return zero, pos, neg
+
+
+def _real_form(gen: np.ndarray, n_h: int) -> np.ndarray:
+    """The generator in cosine/sine coordinates, ``W gen W^-1``.
+
+    W keeps harmonic 0 and maps each pair (x_n, x_-n) to the cosine row
+    x_n + x_-n and the sine row j*(x_n - x_-n); W^-1 undoes it with
+    factors of 0.5.  Both are row and column slicing with exact scalings,
+    no matrix product.  For the HSS of a real system (conj(gen) = P gen P,
+    P swapping n and -n) the result is real; its imaginary part measures
+    how far `gen` is from that.  Rows and columns are ordered harmonic 0,
+    cosines, sines.
+    """
+    zero, pos, neg = _harmonic_pairs(n_h, gen.shape[0])
+    p, q = gen[pos], gen[neg]
+    rows = np.concatenate([gen[zero], p + q, 1j * (p - q)])
+    p, q = rows[:, pos], rows[:, neg]
+    return np.concatenate([rows[:, zero], 0.5 * (p + q), -0.5j * (p - q)], axis=1)
+
+
+def _real_eig(gen: np.ndarray, n_h: int, gen_norm: float):
+    """Eigenvalues and unit eigenvectors of `gen`, from its real form.
+
+    Raises `InvalidInputError` if the real form's imaginary part exceeds
+    `_SYMMETRY_TOL` of `gen_norm` (or of 1, if that is larger).
+    """
+    real = _real_form(gen, n_h)
+    if np.max(np.abs(real.imag)) > _SYMMETRY_TOL * max(gen_norm, 1.0):
+        raise InvalidInputError(
+            "harmonic state operator is not that of a real system: harmonics n and -n "
+            "are not complex conjugates"
+        )
+    lam, vectors = np.linalg.eig(real.real)
+    # V = W^-1 vectors
+    zero, pos, neg = _harmonic_pairs(n_h, gen.shape[0])
+    cos, sin = np.split(vectors[zero.size :], 2)
+    V = np.empty(vectors.shape, dtype=complex)
+    V[zero] = vectors[: zero.size]
+    V[pos] = 0.5 * (cos - 1j * sin)
+    V[neg] = 0.5 * (cos + 1j * sin)
+    # unit columns, as a complex eig returns them: W^-1 shrinks each by a
+    # factor between 1/sqrt(2) and 1, which would loosen the condition
+    # bound; einsum sums the squares without n x n temporaries
+    norm2 = np.einsum("ij,ij->j", V.real, V.real) + np.einsum("ij,ij->j", V.imag, V.imag)
+    V /= np.sqrt(norm2)
+    return lam, V
+
+
 def default_grid(f_hi: float = 7.0, n_points: int = 600) -> np.ndarray:
     """Uniform grid over (0, f_hi] Hz, returned in rad/s."""
     return 2.0 * math.pi * f_hi * np.arange(1, n_points + 1) / n_points
@@ -242,10 +313,16 @@ def eval_htf(
 
     Diagonalizes the generator ``A - N = V diag(lam) V^-1`` once, so that
     ``M^-1 = V diag(1/(j*w - lam)) V^-1`` for every ``M = j*w*I - (A - N)``
-    costs O(n^2) per grid point.  Each modal solve is followed by one step
-    of iterative refinement against ``M`` itself, which recovers full
-    working accuracy when the eigenvectors are ill conditioned.  Only the
-    kept harmonic gains of ``C M^-1 B + D`` are formed: the central block
+    costs O(n^2) per grid point.  The eigensolver runs in real arithmetic
+    on the generator's cosine/sine form ``W (A - N) W^-1``, and V is that
+    form's eigenvectors mapped back by ``W^-1`` with unit columns.  So
+    `hss` must be the HSS of a real system, as every `build_hss` output
+    is: harmonics n and -n of every operator complex conjugates.  A
+    generator whose real form has an imaginary part above 1e-12 of its
+    1-norm raises `InvalidInputError`.  Each modal solve is followed by
+    one step of iterative refinement against ``M`` itself, which recovers
+    full working accuracy when the eigenvectors are ill conditioned.  Only
+    the kept harmonic gains of ``C M^-1 B + D`` are formed: the central block
     column for the "input" convention, the central block row for the
     "output" convention.  A grid point within rounding of an eigenvalue
     (``min|j*w - lam| <= n*eps*max(|A-N|_1, 1)``) is nudged by one part
@@ -287,7 +364,7 @@ def eval_htf(
     gen = hss.A - hss.N
     gen_norm = np.linalg.norm(gen, 1)
     try:
-        lam, V = np.linalg.eig(gen)
+        lam, V = _real_eig(gen, n_h, gen_norm)
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise SingularFrequencyError(

@@ -1,5 +1,6 @@
 """Square-wave coefficients, harmonic state space assembly, and eval_htf."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,19 +264,32 @@ def test_eval_htf_singular_frequency_is_nudged(lab_cycle):
             assert np.array_equal(alone.harmonics[n], hts.harmonics[n][i : i + 1])
 
 
-def test_eval_htf_raises_when_nudge_stays_singular():
-    # poles at w0 and at the nudged w0: the retry is singular too
-    w0 = 3.0
-    poles = 1j * np.array([w0, w0 * (1.0 + hss_module.SINGULAR_NUDGE)])
-    hss = TruncatedHSS(
+def _real_hss(A, B, C):
+    """An n_h = 0 harmonic system: the plain LTI system (A, B, C)."""
+    A, B, C = (np.asarray(x, dtype=complex) for x in (A, B, C))
+    return TruncatedHSS(
         n_h=0,
         pump=2.0 * math.pi,
-        A=np.diag(poles),
-        N=np.zeros((2, 2), dtype=complex),
-        B=np.ones((2, 1), dtype=complex),
-        C=np.ones((1, 2), dtype=complex),
-        D=np.zeros((1, 1), dtype=complex),
+        A=A,
+        N=np.zeros(A.shape, dtype=complex),
+        B=B,
+        C=C,
+        D=np.zeros((C.shape[0], B.shape[1]), dtype=complex),
     )
+
+
+def _rotation(w):
+    """Real 2x2 block with eigenvalues +/- j*w."""
+    return np.array([[0.0, w], [-w, 0.0]])
+
+
+def test_eval_htf_raises_when_nudge_stays_singular():
+    # poles at +/-j*w0 and at +/-j times the nudged w0: the retry is singular too
+    w0 = 3.0
+    A = np.zeros((4, 4))
+    A[:2, :2] = _rotation(w0)
+    A[2:, 2:] = _rotation(w0 * (1.0 + hss_module.SINGULAR_NUDGE))
+    hss = _real_hss(A, np.ones((4, 1)), np.ones((1, 4)))
     with pytest.raises(SingularFrequencyError, match="omega=3$"):
         eval_htf(hss, np.array([1.0, w0]))
 
@@ -351,21 +365,65 @@ def test_default_grid_has_no_condition_notes(lab_lin, n_h):
 
 
 def test_eval_htf_defective_generator():
-    # a 2x2 Jordan block has no eigenvector basis; the refinement step
-    # still recovers G = 1/(jw - a)^2
-    a = -0.5 + 2.0j
-    hss = TruncatedHSS(
-        n_h=0,
-        pump=2.0 * math.pi,
-        A=np.array([[a, 1.0], [0.0, a]]),
-        N=np.zeros((2, 2), dtype=complex),
-        B=np.array([[0.0], [1.0]], dtype=complex),
-        C=np.array([[1.0, 0.0]], dtype=complex),
-        D=np.zeros((1, 1), dtype=complex),
-    )
+    # Jordan blocks have no eigenvector basis; the refinement step still
+    # recovers the closed forms
     grid = np.linspace(-5.0, 5.0, 21)
+    s = 1j * grid
+    a = -0.5
+    hss = _real_hss([[a, 1.0], [0.0, a]], [[0.0], [1.0]], [[1.0, 0.0]])
     hts = eval_htf(hss, grid)
-    assert np.max(relerr(hts.harmonics[0], 1.0 / (1j * grid - a) ** 2)) <= 1e-13
+    assert np.max(relerr(hts.harmonics[0], 1.0 / (s - a) ** 2)) <= 1e-13
+    # the real Jordan form of the defective pair sigma +/- j*w: from the
+    # first state of the second block to the first state of the first,
+    # the gain is the (0, 0) entry of (sI - L)^-2, L = [[sigma, w], [-w, sigma]]
+    sigma, w = -0.5, 2.0
+    L = np.array([[sigma, w], [-w, sigma]])
+    A = np.block([[L, np.eye(2)], [np.zeros((2, 2)), L]])
+    hss = _real_hss(A, np.eye(4)[:, 2:3], np.eye(4)[:1])
+    hts = eval_htf(hss, grid)
+    exact = ((s - sigma) ** 2 - w**2) / ((s - sigma) ** 2 + w**2) ** 2
+    assert np.max(relerr(hts.harmonics[0], exact)) <= 1e-13
+
+
+def test_eval_htf_refuses_a_complex_system(lab_lin):
+    # a generator whose real form keeps an imaginary part is not the HSS
+    # of a real system: neither a complex LTI system ...
+    poles = 1j * np.array([3.0, 5.0])
+    hss = _real_hss(np.diag(poles), np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.raises(InvalidInputError, match="real system"):
+        eval_htf(hss, np.array([1.0]))
+    # ... nor a real one whose harmonic n = 1 coefficient lost its mirror
+    hss = build_hss(fourier_series(lab_lin, 2))
+    A = hss.A.copy()
+    A[6, 4] += 1e-6  # row block n = 1, column block n = 0
+    with pytest.raises(InvalidInputError, match="real system"):
+        eval_htf(dataclasses.replace(hss, A=A), np.array([1.0]))
+
+
+def test_eval_htf_decomposes_a_real_matrix(monkeypatch, lab_hss10):
+    seen = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        seen.append(a.dtype)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    eval_htf(lab_hss10, default_grid(7.0, 5), n_keep=1)
+    assert seen == [np.dtype(np.float64)]
+
+
+@pytest.mark.parametrize("n_h", [0, 3, 10, 40])
+def test_real_form_keeps_the_spectrum(lab_lin, n_h):
+    hss = build_hss(fourier_series(lab_lin, n_h))
+    gen = hss.A - hss.N
+    real = hss_module._real_form(gen, n_h)
+    assert not real.imag.any()
+    lam = np.linalg.eigvals(gen)
+    lam_real = np.linalg.eigvals(real.real)
+    # nearest match: the two orderings need not agree
+    gap = np.abs(lam_real[:, None] - lam[None, :]).min(axis=1)
+    assert gap.max() <= 1e-12 * np.abs(lam).max()
 
 
 def test_eval_htf_without_eigenbasis_is_a_typed_error():
