@@ -37,18 +37,26 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, HtfidError, InvalidInputError
-from .estimate import DEFAULT_ALPHA, MIN_EXCITATION, EstimationProblem, estimate_htf, spectra
+from .estimate import (
+    DEFAULT_ALPHA,
+    MIN_EXCITATION,
+    EstimationProblem,
+    check_design,
+    estimate_htf,
+    spectra,
+)
 from .excite import ChirpPlan, run_experiments
-from .fit import FIT_N_H, fit_parameters
+from .fit import FIT_N_H, ORDERS, fit_parameters
 from .hss import (
     build_hss,
     default_grid,
     eval_htf,
     fourier_series,
     read_htf_csv,
+    same_grid,
     write_htf_csv,
 )
-from .model import HybridModel, ModelParams, linearize
+from .model import HybridModel, ModelParams, linearize, steps_in
 from .sim import SETTLE_TOL, settle_limit_cycle
 
 DEFAULT_CONFIG = {
@@ -75,7 +83,6 @@ DEFAULT_CONFIG = {
 #: must be exceeded, any other only reached.  The model and chirp
 #: settings are checked by `ModelParams` and `ChirpPlan` themselves.
 LOWER_BOUNDS = {
-    "sim.dt": (0.0, True),
     "sim.n_cycles": (2, False),  # the last two periods are compared
     "sim.settle_tol": (0.0, True),
     "chirp.warmup_periods": (0, False),
@@ -88,7 +95,7 @@ LOWER_BOUNDS = {
     "fit.init_k": (0.0, True),
     "fit.init_c": (0.0, True),
     "fit.max_iter": (1, False),
-    "fit.n_h": (1, False),  # the fit uses G_-1 .. G_1
+    "fit.n_h": (max(ORDERS), False),  # the orders the fit reads
 }
 
 #: `compare`'s default tolerances, which `identify` also counts its
@@ -176,8 +183,8 @@ def _check_config(cfg: dict, args) -> dict:
     default, the form the commands pass on and `resolved_config.json`
     records.  Raises `ConfigError` for a value of the wrong type, below
     its lower bound, or inconsistent with another setting, and
-    `InvalidInputError` for model or chirp settings that `ModelParams`
-    or `ChirpPlan` refuse.
+    `InvalidInputError` for settings that `ModelParams`, `ChirpPlan`,
+    `steps_in` or (for `identify`) `check_design` refuse.
     """
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
@@ -199,25 +206,16 @@ def _check_config(cfg: dict, args) -> dict:
     if not 0.0 <= lo < hi:
         raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
     # the dt check of settling, made before any output is written
-    ModelParams(**cfg["model"]).steps_per_period(cfg["sim"]["dt"])
+    steps_in(ModelParams(**cfg["model"]).period, cfg["sim"]["dt"])
     ChirpPlan(**{k: v for k, v in cfg["chirp"].items() if k != "warmup_periods"})
     if args.command == "identify":
-        # what `EstimationProblem` and the fit would refuse only after every
+        # what the estimator and the fit would refuse only after every
         # record is integrated
-        chirp, orders = cfg["chirp"], 2 * cfg["estimate"]["n_harmonics"] + 1
-        if cfg["estimate"]["n_harmonics"] < 1:
-            raise ConfigError("estimate.n_harmonics must be at least 1: the fit reads G_-1 .. G_1")
-        if chirp["n_segments"] < orders:
-            raise ConfigError(
-                f"chirp.n_segments={chirp['n_segments']} records cannot identify "
-                f"{orders} harmonic orders"
-            )
+        chirp, n_h = cfg["chirp"], cfg["estimate"]["n_harmonics"]
+        if n_h < max(ORDERS):
+            raise ConfigError(f"estimate.n_harmonics must reach the fit's orders {ORDERS}")
         periods = chirp["segment_duration"] * cfg["model"]["forcing_freq"]
-        if abs(periods - round(periods)) > 1e-6:
-            raise ConfigError(
-                f"chirp.segment_duration={chirp['segment_duration']} s is not a whole "
-                f"number of forcing periods ({periods:.6g})"
-            )
+        check_design(chirp["n_segments"], n_h, periods)
     return cfg
 
 
@@ -439,9 +437,7 @@ def cmd_compare(args) -> int:
             f"{args.reference} is in the {ref.convention} convention and "
             f"{args.candidate} in the {test.convention} convention"
         )
-    if ref.omega_grid.shape != test.omega_grid.shape or np.max(
-        np.abs(ref.omega_grid - test.omega_grid)
-    ) > 1e-9:
+    if not same_grid(ref.omega_grid, test.omega_grid):
         raise HtfidError(
             f"{args.reference} and {args.candidate} are sampled on different "
             "frequency grids; interpolate one of them first"

@@ -18,7 +18,7 @@ class DivergenceError(HtfidError):
 
 
 class EventLocalizationError(HtfidError):
-    """Bisection failed to localize a threshold crossing."""
+    """`sim.locate_crossing` (regula falsi) failed to localize a crossing."""
 
 
 class AmbiguousSwitchingError(HtfidError):

@@ -34,7 +34,7 @@ from .errors import (
     NoDataError,
 )
 from .excite import ExperimentRecord
-from .hss import HarmonicTransferSet
+from .hss import HarmonicTransferSet, same_grid
 
 #: Fraction of the band-median excitation below which an output bin is
 #: dropped from the estimation grid.
@@ -96,14 +96,27 @@ def spectra(record: ExperimentRecord) -> SpectrumRecord:
     )
 
 
+def check_design(n_records: int, n_harmonics: int, periods: float) -> None:
+    """Refuse a record design that cannot identify G_-N .. G_N.
+
+    That takes at least 2N+1 records, each spanning a whole number of
+    pump periods (to 1e-6 of a period) so that every harmonic shift lands
+    on a DFT bin.  `periods` is the record duration over the pump period.
+    """
+    orders = 2 * n_harmonics + 1
+    if n_records < orders:
+        raise InvalidInputError(f"{n_records} records cannot identify {orders} harmonic orders")
+    if abs(periods - round(periods)) > 1e-6:
+        raise InvalidInputError(f"a record spans {periods:.9g} pump periods, not a whole number")
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Spectra plus estimation settings.
 
     `band_hz` is the excited band (lo, hi]; shifted regressor bins whose
     absolute frequency falls outside it carry no input energy and are
-    zeroed.  The record duration must be an exact multiple of the pump
-    period so harmonic shifts land on bins.
+    zeroed.  The records must pass `check_design`.
     """
 
     records: list
@@ -120,21 +133,11 @@ class EstimationProblem:
             raise InvalidInputError("pump frequency must be positive")
         if self.alpha < 0.0:
             raise InvalidInputError("alpha must be non-negative")
-        if len(self.records) < 2 * self.n_harmonics + 1:
-            raise InvalidInputError(
-                f"{len(self.records)} records cannot identify "
-                f"{2 * self.n_harmonics + 1} harmonic orders"
-            )
         ref = self.records[0]
         for rec in self.records[1:]:
             if rec.n_bins != ref.n_bins or abs(rec.bin_spacing - ref.bin_spacing) > 1e-12:
                 raise InvalidInputError("records disagree on the frequency grid")
-        ratio = self.pump / ref.bin_spacing
-        if abs(ratio - round(ratio)) > 1e-6:
-            raise InvalidInputError(
-                "record duration is not an integer multiple of the pump period; "
-                f"pump/bin ratio {ratio} is not an integer"
-            )
+        check_design(len(self.records), self.n_harmonics, self.pump / ref.bin_spacing)
         nyquist = math.pi / (ref.duration / ref.n_bins)
         top = 2.0 * math.pi * self.band_hz[1] + self.n_harmonics * self.pump
         if top >= nyquist:
@@ -148,6 +151,15 @@ class EstimationProblem:
         return int(round(self.pump / self.records[0].bin_spacing))
 
 
+def _in_band(problem: EstimationProblem, q) -> np.ndarray:
+    """Whether the signed bins q lie in the band (lo, hi]: bin 0 never,
+    others when |frequency| is above lo and at most half a bin above hi."""
+    spacing = problem.records[0].bin_spacing
+    nu = np.abs(q) * spacing
+    lo, hi = (2.0 * math.pi * f for f in problem.band_hz)
+    return (q != 0) & (lo < nu) & (nu <= hi + 0.5 * spacing)
+
+
 def _regressor_tensor(problem: EstimationProblem, q):
     """The `build_regressor` systems of all signed output bins q at once.
 
@@ -155,16 +167,11 @@ def _regressor_tensor(problem: EstimationProblem, q):
     each column lies in the band.  Returns (Phi, y, mask) with shapes
     (bins, records, 2N+1), (bins, records) and (bins, 2N+1).
     """
-    rec0 = problem.records[0]
-    spacing = rec0.bin_spacing
-    n_fft = rec0.n_bins
+    n_fft = problem.records[0].n_bins
     orders = range(-problem.n_harmonics, problem.n_harmonics + 1)
     q = np.asarray(q, dtype=int)
     q_shift = q[:, None] - np.array(orders) * problem.pump_bins
-    nu = np.abs(q_shift) * spacing
-    lo = 2.0 * math.pi * problem.band_hz[0]
-    hi = 2.0 * math.pi * problem.band_hz[1]
-    mask = (q_shift != 0) & (lo < nu) & (nu <= hi + 0.5 * spacing)
+    mask = _in_band(problem, q_shift)
 
     mod = np.array(
         [
@@ -232,16 +239,10 @@ def _curvature_gram(n_points: int) -> np.ndarray:
 
 def _candidate_bins(problem: EstimationProblem):
     """Excited output bins: band membership plus excitation screening."""
-    rec0 = problem.records[0]
-    spacing = rec0.bin_spacing
-    lo = 2.0 * math.pi * problem.band_hz[0]
-    hi = 2.0 * math.pi * problem.band_hz[1]
-    q_lo = max(1, int(math.floor(lo / spacing)) + 1)
-    q_hi = int(round(hi / spacing))
-    q_hi = min(q_hi, rec0.n_bins // 2 - 1)
-    if q_hi < q_lo:
+    bins = np.arange(1, problem.records[0].n_bins // 2)
+    bins = bins[_in_band(problem, bins)]
+    if bins.size == 0:
         raise NoDataError("excited band contains no FFT bins")
-    bins = np.arange(q_lo, q_hi + 1)
     mag = np.median(
         np.abs(np.stack([rec.U[bins] for rec in problem.records])), axis=0
     )
@@ -412,7 +413,7 @@ def cost(problem: EstimationProblem, hts: HarmonicTransferSet) -> float:
     """
     bins = _candidate_bins(problem)
     omegas = bins * problem.records[0].bin_spacing
-    if hts.omega_grid.shape != omegas.shape or np.max(np.abs(hts.omega_grid - omegas)) > 1e-9:
+    if not same_grid(hts.omega_grid, omegas):
         raise InvalidInputError("harmonic set is not on the problem's bin grid")
     N = problem.n_harmonics
     Phi, y, _ = _regressor_tensor(problem, bins)

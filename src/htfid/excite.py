@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, InvalidInputError, PerturbationSizeWarning
-from .model import HybridModel
+from .model import HybridModel, steps_in
 from .sim import LimitCycle, Trajectory, error_trajectory, integrate
 
 #: Fraction of the orbit amplitude beyond which the deviation response
@@ -80,12 +80,8 @@ def gen_chirp(plan: ChirpPlan, k: int, dt: float) -> np.ndarray:
     """
     if not 0 <= k < plan.n_segments:
         raise InvalidInputError(f"record index {k} outside 0..{plan.n_segments - 1}")
-    if dt <= 0.0:
-        raise InvalidInputError("dt must be positive")
+    n = steps_in(plan.segment_duration, dt)
     check_nyquist(plan, dt)
-    n = int(round(plan.segment_duration / dt))
-    if abs(n * dt - plan.segment_duration) > 1e-9 * plan.segment_duration:
-        raise InvalidInputError(f"dt={dt} does not divide segment_duration")
     return chirp_value(plan, dt * np.arange(n))
 
 
@@ -139,15 +135,17 @@ def run_experiments(
     A warning is issued when the peak deviation exceeds 10% of the orbit
     amplitude, since the small-signal model is then questionable.
 
-    Records are sampled at the cycle's own step.  Raises `AliasingError`,
-    before any record is integrated, when the sweep reaches its Nyquist rate.
+    Records are sampled at the cycle's own step.  Before any record is
+    integrated, raises `AliasingError` when the sweep reaches its Nyquist
+    rate and `InvalidInputError` when the step does not divide
+    `segment_duration`.
     """
     dt = cycle.dt
     if warmup_periods < 0:
         raise InvalidInputError("warmup_periods must be non-negative")
     check_nyquist(plan, dt)
     duration = plan.segment_duration
-    n_per = int(round(duration / dt))
+    n_per = steps_in(duration, dt)
     skip = warmup_periods * n_per
     phases = clock_phases(plan, cycle.T)
     records = []

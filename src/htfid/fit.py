@@ -28,7 +28,7 @@ STEP_TOL = 1e-8
 #: Harmonic truncation used when evaluating the model during the fit.
 FIT_N_H = 10
 #: Harmonic orders whose mismatch the fit minimizes.
-_ORDERS = (-1, 0, 1)
+ORDERS = (-1, 0, 1)
 #: Initial Levenberg-Marquardt damping and its factor per rejected
 #: (multiply) or accepted (divide) step.
 _DAMPING = 1e-2
@@ -65,23 +65,23 @@ def _parameter_directions(m, duty, t_hat, T, n_h):
 
 
 def _residuals(k, c, target, duty, t_hat, T, m, n_h, dA=()):
-    """Stacked residuals G_n(k, c) - target_n over `_ORDERS`, and their
+    """Stacked residuals G_n(k, c) - target_n over `ORDERS`, and their
     derivatives along each of `dA` as the columns of a Jacobian."""
-    for n in _ORDERS:
+    for n in ORDERS:
         if n not in target.harmonics:
             raise InvalidInputError(f"target is missing harmonic {n}")
     lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, T)
     theory = eval_htf(
         build_hss(fourier_series(lin, n_h)),
         target.omega_grid,
-        n_keep=1,
+        n_keep=max(ORDERS),
         convention=target.convention,
         dA=dA,
     )
     residual = np.concatenate(
-        [theory.harmonics[n] - target.harmonics[n] for n in _ORDERS]
+        [theory.harmonics[n] - target.harmonics[n] for n in ORDERS]
     )
-    jac = [np.concatenate([s[n] for n in _ORDERS]) for s in theory.sensitivities]
+    jac = [np.concatenate([s[n] for n in ORDERS]) for s in theory.sensitivities]
     return residual, np.transpose(jac)
 
 

@@ -53,12 +53,19 @@ from .model import SwitchedLinearization
 COND_WARN = 1e12
 #: Relative perturbation applied to a grid frequency that is singular.
 SINGULAR_NUDGE = 1e-9
-#: Conjugate-symmetry tolerance: absolute for Fourier coefficients, and
-#: relative to the generator's 1-norm for its real form in `eval_htf`.
-_SYMMETRY_TOL = 1e-12
 #: Vector entries per batch of grid points in `eval_htf`; bounds the
 #: memory held by the per-point solution and residual vectors.
 _BATCH_ENTRIES = 2**12
+
+
+def _check_conjugate(residue: np.ndarray, column: np.ndarray, what: str) -> None:
+    """Refuse `what` unless harmonics n and -n are complex conjugates:
+    max|residue| <= 1e-12 * max(|column|_1, 1), where `residue` is c_n -
+    conj(c_-n) of a series or the (no larger) imaginary part of its HSS
+    generator's real form, and `column` the harmonic-0 block column, the
+    same numbers for both.  So a series that passes builds one that does."""
+    if np.max(np.abs(residue)) > 1e-12 * max(np.linalg.norm(column, 1), 1.0):
+        raise InvalidInputError(f"{what}: harmonics n and -n are not complex conjugates")
 
 
 def square_wave_coeffs(duty: float, t_hat: float, T: float, n_h: int) -> np.ndarray:
@@ -100,9 +107,9 @@ def square_wave_coeffs(duty: float, t_hat: float, T: float, n_h: int) -> np.ndar
 class FourierMatrixSeries:
     """Matrix Fourier coefficients of an LTP state-space model.
 
-    Arrays are indexed ``[n + n_h]`` for harmonic n.  Coefficients obey
-    conjugate symmetry (the time-domain matrices are real), which is
-    validated on construction.
+    Arrays are indexed ``[n + n_h]`` for harmonic n.  Coefficients are
+    finite and obey conjugate symmetry (the time-domain matrices are
+    real), which `_check_conjugate` validates on construction.
     """
 
     n_h: int
@@ -117,10 +124,9 @@ class FourierMatrixSeries:
             raise InvalidInputError("T must be positive")
         for name in ("A", "B", "C", "D"):
             coeff = getattr(self, name)
-            if coeff.shape[0] != 2 * self.n_h + 1:
-                raise InvalidInputError(f"{name} must hold 2*n_h+1 coefficients")
-            if not np.allclose(coeff, coeff[::-1].conj(), atol=_SYMMETRY_TOL):
-                raise InvalidInputError(f"{name} coefficients break conjugate symmetry")
+            if coeff.shape[0] != 2 * self.n_h + 1 or not np.all(np.isfinite(coeff)):
+                raise InvalidInputError(f"{name} must hold 2*n_h+1 finite coefficients")
+            _check_conjugate(coeff - coeff[::-1].conj(), coeff.reshape(-1, coeff.shape[2]), name)
 
     @property
     def pump(self) -> float:
@@ -135,8 +141,6 @@ def fourier_series(lin: SwitchedLinearization, n_h: int) -> FourierMatrixSeries:
     so A_0 = A_off + dA*duty and A_n = dA*s_n for n != 0.  B, C, D are
     constant and only contribute at n = 0.
     """
-    if n_h < 0:
-        raise InvalidInputError("n_h must be non-negative")
     width = 2 * n_h + 1
     s = square_wave_coeffs(lin.duty, lin.t_hat, lin.T, n_h)
     dA = lin.A_on - lin.A_off
@@ -269,21 +273,17 @@ def _real_form(gen: np.ndarray, n_h: int) -> np.ndarray:
     return np.concatenate([rows[:, zero], 0.5 * (p + q), -0.5j * (p - q)], axis=1)
 
 
-def _real_eig(gen: np.ndarray, n_h: int, gen_norm: float):
+def _real_eig(gen: np.ndarray, n_h: int):
     """Eigenvalues and unit eigenvectors of `gen`, from its real form.
 
-    Raises `InvalidInputError` if the real form's imaginary part exceeds
-    `_SYMMETRY_TOL` of `gen_norm` (or of 1, if that is larger).
+    Raises `InvalidInputError` if the real form's imaginary part breaks
+    `_check_conjugate`.
     """
     real = _real_form(gen, n_h)
-    if np.max(np.abs(real.imag)) > _SYMMETRY_TOL * max(gen_norm, 1.0):
-        raise InvalidInputError(
-            "harmonic state operator is not that of a real system: harmonics n and -n "
-            "are not complex conjugates"
-        )
+    zero, pos, neg = _harmonic_pairs(n_h, gen.shape[0])
+    _check_conjugate(real.imag, gen[:, zero], "not the HSS of a real system")
     lam, vectors = np.linalg.eig(real.real)
     # V = W^-1 vectors
-    zero, pos, neg = _harmonic_pairs(n_h, gen.shape[0])
     cos, sin = np.split(vectors[zero.size :], 2)
     V = np.empty(vectors.shape, dtype=complex)
     V[zero] = vectors[: zero.size]
@@ -295,6 +295,11 @@ def _real_eig(gen: np.ndarray, n_h: int, gen_norm: float):
     norm2 = np.einsum("ij,ij->j", V.real, V.real) + np.einsum("ij,ij->j", V.imag, V.imag)
     V /= np.sqrt(norm2)
     return lam, V
+
+
+def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two frequency grids hold the same points, to 1e-9 rad/s."""
+    return a.shape == b.shape and not np.max(np.abs(a - b), initial=0.0) > 1e-9
 
 
 def default_grid(f_hi: float = 7.0, n_points: int = 600) -> np.ndarray:
@@ -317,11 +322,10 @@ def eval_htf(
     on the generator's cosine/sine form ``W (A - N) W^-1``, and V is that
     form's eigenvectors mapped back by ``W^-1`` with unit columns.  So
     `hss` must be the HSS of a real system, as every `build_hss` output
-    is: harmonics n and -n of every operator complex conjugates.  A
-    generator whose real form has an imaginary part above 1e-12 of its
-    1-norm raises `InvalidInputError`.  Each modal solve is followed by
-    one step of iterative refinement against ``M`` itself, which recovers
-    full working accuracy when the eigenvectors are ill conditioned.  Only
+    is: a generator that breaks `_check_conjugate` raises
+    `InvalidInputError`.  Each modal solve is followed by one step of
+    iterative refinement against ``M`` itself, which recovers full
+    working accuracy when the eigenvectors are ill conditioned.  Only
     the kept harmonic gains of ``C M^-1 B + D`` are formed: the central block
     column for the "input" convention, the central block row for the
     "output" convention.  A grid point within rounding of an eigenvalue
@@ -364,7 +368,7 @@ def eval_htf(
     gen = hss.A - hss.N
     gen_norm = np.linalg.norm(gen, 1)
     try:
-        lam, V = _real_eig(gen, n_h, gen_norm)
+        lam, V = _real_eig(gen, n_h)
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise SingularFrequencyError(
@@ -502,7 +506,7 @@ def read_htf_csv(path) -> HarmonicTransferSet:
         rows[int(n)] = block[np.argsort(block[:, 0])]
     grid = rows[min(rows)][:, 0]
     for block in rows.values():
-        if block.shape[0] != grid.size or np.max(np.abs(block[:, 0] - grid)) > 1e-9:
+        if not same_grid(block[:, 0], grid):
             raise InvalidInputError(f"{path}: harmonics sampled on different grids")
     return HarmonicTransferSet(
         omega_grid=grid,

@@ -65,13 +65,6 @@ class ModelParams:
         """Forcing period; also the clock period of the system."""
         return 1.0 / self.forcing_freq
 
-    def steps_per_period(self, dt: float) -> int:
-        """Steps of `dt` in one period; refuses a `dt` that does not divide it."""
-        n = int(round(self.period / dt))
-        if abs(n * dt - self.period) > 1e-9 * self.period:
-            raise InvalidInputError(f"dt={dt} does not divide the forcing period T={self.period}")
-        return n
-
     @property
     def equilibrium(self) -> float:
         """Static rest position x0 - m*g/k of the (lossless) spring."""
@@ -94,6 +87,17 @@ class ModelParams:
         if unknown:
             raise InvalidInputError(f"unknown model parameter(s): {sorted(unknown)}")
         return cls(**{key: float(value) for key, value in data.items()})
+
+
+def steps_in(span: float, dt: float) -> int:
+    """Steps of `dt` in `span`: both positive, and the steps cover the span
+    to 1e-9 of it.  The one rule for the period, a record and a run."""
+    if dt <= 0.0 or span <= 0.0:
+        raise InvalidInputError(f"dt={dt} and the span {span} must be positive")
+    n = int(round(span / dt))
+    if abs(n * dt - span) > 1e-9 * span:
+        raise InvalidInputError(f"dt={dt} does not divide the span {span}")
+    return n
 
 
 def _velocity_threshold(x, xdot):

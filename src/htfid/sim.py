@@ -31,7 +31,7 @@ from .errors import (
     NotSettledError,
     ResamplingRequiredError,
 )
-from .model import HybridModel, chart_matrices
+from .model import HybridModel, chart_matrices, steps_in
 
 #: Width (seconds) to which a threshold crossing is localized.
 EVENT_TOL = 1e-10
@@ -299,11 +299,7 @@ def integrate(
     (`locate_crossing`); the split steps evaluate the forcing and the
     input at their own times.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise InvalidInputError("dt and duration must be positive")
-    n_steps = int(round(duration / dt))
-    if abs(n_steps * dt - duration) > 1e-9 * max(1.0, abs(duration)):
-        raise InvalidInputError(f"dt={dt} does not divide duration={duration}")
+    n_steps = steps_in(duration, dt)
     if len(x_init) != 2 or not all(math.isfinite(float(s)) for s in x_init):
         raise InvalidInputError("initial state must be a finite (x, xdot) pair")
 
@@ -483,7 +479,7 @@ def settle_limit_cycle(
         raise InvalidInputError("need at least 2 cycles to measure periodicity")
     p = model.params
     T = p.period
-    samples_per_period = p.steps_per_period(dt)
+    samples_per_period = steps_in(T, dt)
     if x_init is None:
         x_init = (p.equilibrium, 0.0)
 

@@ -6,7 +6,6 @@ estimate) is session-scoped so the suite simulates each of them once.
 
 import math
 
-import numpy as np
 import pytest
 
 from htfid import (
@@ -83,10 +82,3 @@ def lab_theory_on_estimate_grid(lab_hss10, lab_estimate):
         n_keep=lab_estimate.n_h_kept,
         convention="output",
     )
-
-
-def relerr(a, b):
-    """Elementwise |a - b| / |b| as plain float array."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return np.abs(a - b) / np.abs(b)

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: configs, artifacts, exit codes."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htfid import cli, fit_parameters, read_htf_csv
+from htfid import EstimationProblem, SpectrumRecord, cli, cost, fit_parameters, read_htf_csv
+from htfid.hss import same_grid
+
+from helpers import refuses
 
 
 def write_config(path, payload):
@@ -141,14 +146,37 @@ def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, confi
         (["--nh", "10"], None),  # 9 records, 21 orders
         (["--nh", "0"], None),  # the fit reads G_-1 .. G_1
         ([], {"chirp": {"n_segments": 5}}),  # 5 records, 7 orders
+        ([], {"chirp": {"n_segments": 6}}),  # one record short
         ([], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
     ],
-    ids=["nh", "nh-0", "n-segments", "segment-duration"],
+    ids=["nh", "nh-0", "n-segments", "n-segments-6", "segment-duration"],
 )
 def test_identify_refuses_unidentifiable_plan_before_settling(
     tmp_path, capsys, monkeypatch, flags, config
 ):
     refused_before_settling(tmp_path, capsys, monkeypatch, "identify", flags, config)
+
+
+IDENTIFY = argparse.Namespace(command="identify", alpha=None, nh=None, dt=None)
+
+
+@pytest.mark.parametrize(
+    "n_segments, periods, refused",
+    [(7, 30.0, False), (6, 30.0, True), (7, 30.0 + 5e-7, False), (7, 30.0 + 2e-6, True)],
+)
+def test_identify_checks_the_estimators_design_rule(n_segments, periods, refused):
+    # the pre-flight and `EstimationProblem` accept or refuse a design alike
+    cfg = cli.load_config()
+    cfg["chirp"].update(n_segments=n_segments, segment_duration=periods)
+    n = 3000  # samples per record of `periods` one-second forcing periods
+    blank = np.zeros(n, dtype=complex)
+    freq = 2.0 * math.pi * np.fft.fftfreq(n, d=periods / n)
+    records = [SpectrumRecord(freq, blank, blank, 0.0)] * n_segments
+    sites = [
+        lambda: cli._check_config(cfg, IDENTIFY),
+        lambda: EstimationProblem(records=records, n_harmonics=3, pump=2.0 * math.pi),
+    ]
+    assert [refuses(site) for site in sites] == [refused, refused]
 
 
 @pytest.mark.parametrize("command", ["simulate", "htf-theory", "identify"])
@@ -286,6 +314,23 @@ def test_compare_rejects_mismatched_conventions(tmp_path, capsys):
 
 
 HEAD = "omega_rad_s,n,re,im\n# convention=input\n"
+
+
+@pytest.mark.parametrize("offset, refused", [(5e-10, False), (2e-9, True)])
+def test_every_grid_check_takes_one_tolerance(tmp_path, lab_problem, lab_estimate, offset, refused):
+    # two grids `offset` rad/s apart, met by each check of grid agreement
+    ref, moved, mixed = (tmp_path / f"{name}.csv" for name in ("ref", "moved", "mixed"))
+    ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
+    moved.write_text(HEAD + f"{1.0 + offset!r},0,1,0\n2,0,1,0\n")
+    mixed.write_text(HEAD + f"1,0,1,0\n2,0,1,0\n{1.0 + offset!r},1,1,0\n2,1,1,0\n")
+    shifted = dataclasses.replace(lab_estimate, omega_grid=lab_estimate.omega_grid + offset)
+    verdicts = [
+        not same_grid(np.array([1.0, 2.0]), np.array([1.0 + offset, 2.0])),
+        refuses(lambda: read_htf_csv(mixed)),
+        cli.main(["compare", str(ref), str(moved)]) == 3,
+        refuses(lambda: cost(lab_problem, shifted)),
+    ]
+    assert verdicts == [refused] * 4
 
 
 @pytest.mark.parametrize(

@@ -24,9 +24,9 @@ from htfid import (
     second_difference,
     spectra,
 )
-from htfid.estimate import _curvature_gram, _solve_coupled
+from htfid.estimate import _candidate_bins, _curvature_gram, _regressor_tensor, _solve_coupled
 
-from conftest import relerr
+from helpers import relerr
 
 
 def lti_frf(w):
@@ -175,6 +175,20 @@ def test_regressor_matches_scalar_reference(lab_problem):
                 excited = shift != 0 and lo < abs(shift) * spacing <= hi + 0.5 * spacing
                 mod = cmath.exp(1j * n * lab_problem.pump * rec.clock_phase)
                 assert Phi[r, col] == (mod * rec.U[shift % n_fft] if excited else 0.0)
+
+
+@pytest.mark.parametrize(
+    "band_hz", [(0.0, 7.0), (11 / 30, 7.0), (0.0, 6.75), (22 / 30, 202.5 / 30)]
+)
+def test_candidate_bins_are_the_regressors_in_band_bins(lab_spectra, band_hz):
+    # band edges on a bin (11/30 Hz) or half a bin above one (6.75 Hz): the
+    # estimation grid and the regressor mask of the unshifted column agree
+    problem = EstimationProblem(
+        records=lab_spectra, n_harmonics=3, pump=2.0 * math.pi, band_hz=band_hz
+    )
+    q = np.arange(1, 400)
+    _, _, mask = _regressor_tensor(problem, q)
+    assert np.array_equal(_candidate_bins(problem), q[mask[:, 3]])
 
 
 def test_per_bin_solve_recovers_lti_plant():

@@ -1,5 +1,6 @@
 """Grey-box recovery of (k, c) from harmonic transfer targets."""
 
+import argparse
 import dataclasses
 import math
 import os
@@ -13,6 +14,7 @@ import htfid
 import htfid.fit
 from htfid import (
     InvalidInputError,
+    cli,
     build_hss,
     eval_htf,
     fit_objective,
@@ -20,6 +22,8 @@ from htfid import (
     fourier_series,
 )
 from htfid.model import SwitchedLinearization
+
+from helpers import refuses
 
 
 def oscillator(k, c, duty, t_hat):
@@ -117,6 +121,28 @@ def test_fit_validation(crime_target, lab_cycle):
         fit_parameters(partial, (150.0, 1.0), lab_cycle.duty, lab_cycle.t_hat, 1.0)
     with pytest.raises(InvalidInputError, match="missing harmonic"):
         fit_objective(200.0, 2.0, partial, lab_cycle.duty, lab_cycle.t_hat, 1.0)
+
+
+@pytest.mark.parametrize("n_h", [0, 1])
+def test_cli_checks_the_fits_orders(crime_target, lab_cycle, n_h):
+    # truncation and target must reach the orders the fit reads; the
+    # pre-flight refuses both settings just where the fit would
+    refused = n_h < max(htfid.fit.ORDERS)
+    cfg = cli.load_config()
+    cfg["fit"]["n_h"] = n_h
+    simulate = argparse.Namespace(command="simulate", alpha=None, nh=None, dt=None)
+    identify = argparse.Namespace(command="identify", alpha=None, nh=n_h, dt=None)
+    target = dataclasses.replace(
+        crime_target, harmonics={n: g for n, g in crime_target.harmonics.items() if abs(n) <= n_h}
+    )
+    args = (lab_cycle.duty, lab_cycle.t_hat, 1.0)
+    sites = [
+        lambda: cli._check_config(cfg, simulate),  # fit.n_h
+        lambda: cli._check_config(cli.load_config(), identify),  # estimate.n_harmonics
+        lambda: fit_objective(200.0, 2.0, crime_target, *args, n_h=n_h),
+        lambda: fit_objective(200.0, 2.0, target, *args),
+    ]
+    assert [refuses(site) for site in sites] == [refused] * len(sites)
 
 
 def test_grid_has_single_basin(crime_target, lab_cycle):

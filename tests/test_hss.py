@@ -27,7 +27,7 @@ from htfid import (
 from htfid import hss as hss_module
 from htfid.errors import DegenerateSwitchingWarning
 
-from conftest import relerr
+from helpers import relerr
 
 
 def test_square_wave_half_duty_closed_form():
@@ -398,6 +398,50 @@ def test_eval_htf_refuses_a_complex_system(lab_lin):
     A[6, 4] += 1e-6  # row block n = 1, column block n = 0
     with pytest.raises(InvalidInputError, match="real system"):
         eval_htf(dataclasses.replace(hss, A=A), np.array([1.0]))
+
+
+def test_series_off_its_mirror_is_refused_at_construction(lab_lin):
+    # the n = 1 damping entry scaled by 1 + 1e-6 sits 6.4e-7 off its mirror:
+    # `eval_htf` refuses such a generator, so the series must refuse it first
+    series = fourier_series(lab_lin, 10)
+    A = series.A.copy()
+    A[11, 1, 1] *= 1.0 + 1e-6
+    assert abs(A[11, 1, 1] - np.conj(A[9, 1, 1])) == pytest.approx(6.4e-7, rel=0.01)
+    with pytest.raises(InvalidInputError, match="conjugates"):
+        dataclasses.replace(series, A=A)
+    A[11, 1, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        dataclasses.replace(series, A=A)
+
+
+@pytest.mark.parametrize(
+    "n, row, col, direction",
+    [
+        (0, 1, 0, 1j),
+        (0, 1, 1, 1j),
+        (1, 1, 1, 1.0),
+        (1, 1, 1, 1j),
+        (-2, 1, 1, 1 + 1j),
+        (10, 0, 1, 1j),
+    ],
+)
+def test_series_that_constructs_also_evaluates(lab_lin, n, row, col, direction):
+    # one coefficient moved off its mirror by just under, then just over,
+    # what the series accepts: under it the built generator evaluates
+    series = fourier_series(lab_lin, 10)
+    limit = 1e-12 * np.linalg.norm(series.A.reshape(-1, 2), 1)
+
+    def moved(size):
+        A = series.A.copy()
+        A[10 + n, row, col] += size * direction
+        return A
+
+    unit = np.max(np.abs(moved(1.0) - moved(1.0)[::-1].conj()))
+    inside = dataclasses.replace(series, A=moved(0.999 * limit / unit))
+    hts = eval_htf(build_hss(inside), default_grid(7.0, 5), n_keep=1)
+    assert all(np.all(np.isfinite(g)) for g in hts.harmonics.values())
+    with pytest.raises(InvalidInputError, match="conjugates"):
+        dataclasses.replace(series, A=moved(1.001 * limit / unit))
 
 
 def test_eval_htf_decomposes_a_real_matrix(monkeypatch, lab_hss10):

@@ -20,12 +20,17 @@ from htfid import (
     NotSettledError,
     ResamplingRequiredError,
     chirp_value,
+    LimitCycle,
     error_trajectory,
+    gen_chirp,
     integrate,
+    run_experiments,
     settle_limit_cycle,
 )
-from htfid.model import chart_matrices
+from htfid.model import chart_matrices, steps_in
 from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence, locate_crossing
+
+from helpers import refuses
 
 
 def total_energy(p, x, v):
@@ -106,6 +111,30 @@ def test_settle_study_cycle(lab_cycle):
     # mean height sits below the static equilibrium: the one-way damper
     # saps energy only on the way up
     assert lab_cycle.x.mean() < 0.2 - 9.81 / 200.0
+
+
+@pytest.mark.parametrize("excess, refused", [(2.5e-10, False), (7.5e-10, True)])
+# the records run off a stand-in orbit, so their deviation is not small
+@pytest.mark.filterwarnings("ignore::htfid.errors.PerturbationSizeWarning")
+def test_every_span_takes_one_divisibility_rule(excess, refused):
+    # 500 steps that overrun a 0.5 s span by `excess`: under 1 s, a bound
+    # of 1e-9 s and one of 1e-9 of the span tell these two cases apart
+    span = 0.5
+    dt = (span + excess) / 500
+    model = HybridModel(ModelParams(forcing_freq=1.0 / span))
+    plan = ChirpPlan(segment_duration=span, n_segments=1)
+    zeros = np.zeros(500)
+    cycle = LimitCycle(
+        T=span, dt=dt, x=zeros, xdot=zeros, t_hat=0.0, duty=0.5, residual=(0.0, 0.0), n_crossings=2
+    )
+    sites = [
+        lambda: steps_in(span, dt),
+        lambda: integrate(model, (0.17, 0.0), None, span, dt),
+        lambda: settle_limit_cycle(model, n_cycles=2, dt=dt, tol=math.inf),
+        lambda: gen_chirp(plan, 0, dt),
+        lambda: run_experiments(model, cycle, plan),
+    ]
+    assert [refuses(site) for site in sites] == [refused] * len(sites)
 
 
 def test_settle_requires_two_cycles(lab_model):
