@@ -201,12 +201,18 @@ def build_regressor(problem: EstimationProblem, omega: float):
     the DFT.  `omega` snaps to the nearest bin.
 
     Returns (Phi, y) with shapes (n_records, 2*N+1) and (n_records,).
+    Raises `InvalidInputError` unless omega is finite and its nearest bin
+    is one of the records' signed bins, up to n_bins // 2.
     """
     spacing = problem.records[0].bin_spacing
-    q = int(round(omega / spacing))
-    if abs(omega - q * spacing) > 0.5 * spacing * (1.0 + 1e-9):
-        raise InvalidInputError(f"omega={omega} is more than half a bin off the grid")
-    Phi, y, _ = _regressor_tensor(problem, [q])
+    top = problem.records[0].n_bins // 2
+    ratio = omega / spacing
+    if not abs(ratio) < top + 0.5:
+        raise InvalidInputError(
+            f"omega={omega} rad/s lies outside the records' bins (|omega| < "
+            f"{(top + 0.5) * spacing:.6g} rad/s)"
+        )
+    Phi, y, _ = _regressor_tensor(problem, [int(round(ratio))])
     return Phi[0], y[0]
 
 

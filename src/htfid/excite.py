@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AliasingError, InvalidInputError, PerturbationSizeWarning
 from .model import HybridModel, steps_in
-from .sim import LimitCycle, Trajectory, error_trajectory, integrate
+from .sim import LimitCycle, Trajectory, integrate
 
 #: Fraction of the orbit amplitude beyond which the deviation response
 #: is considered too large for the small-signal model.
@@ -139,6 +139,12 @@ def run_experiments(
     integrated, raises `AliasingError` when the sweep reaches its Nyquist
     rate and `InvalidInputError` when the step does not divide
     `segment_duration`.
+
+    All records run in lockstep, as one batch of one `sim.integrate`
+    call, which stores only the captured play of each: the warm-up states
+    are dropped as they pass.  The orbit is subtracted at the clock phases
+    of the run's own grid, evaluated for one period per record and
+    repeated over the capture (`LimitCycle.on_grid`).
     """
     dt = cycle.dt
     if warmup_periods < 0:
@@ -148,27 +154,25 @@ def run_experiments(
     n_per = steps_in(duration, dt)
     skip = warmup_periods * n_per
     phases = clock_phases(plan, cycle.T)
+    x_init = np.stack(cycle.state_at(phases), axis=1)
+    u_fn = lambda t: chirp_value(plan, np.remainder(t - phases[:, None], duration))
+    traj = integrate(model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phases, skip=skip)
+    # The capture is the first n_per stored samples; the boundary sample
+    # after it is dropped so records match the DFT analysis window.
+    x_bar, v_bar = cycle.on_grid(phases, skip, n_per)
+    xi, xi_dot = traj.x[:, :n_per], traj.xdot[:, :n_per]
+    xi -= x_bar
+    xi_dot -= v_bar
     records = []
     for k in range(plan.n_segments):
         phase = float(phases[k])
-        x_init = cycle.state_at(phase)
-        u_fn = lambda t, _phase=phase: chirp_value(
-            plan, np.remainder(t - _phase, duration)
-        )
-        traj = integrate(
-            model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phase
-        )
-        # The orbit is subtracted on the whole run's phase grid (a grid
-        # restarted at the capture rounds differently), then the capture
-        # is copied out so the warm-up samples can be freed.
-        dev = error_trajectory(traj, cycle)
         dev = Trajectory(
-            dt=dev.dt,
-            t0=dev.t0 + warmup_periods * duration,
-            x=dev.x[skip : skip + n_per].copy(),
-            xdot=dev.xdot[skip : skip + n_per].copy(),
-            u=dev.u[skip : skip + n_per].copy(),
-            chart=dev.chart[skip : skip + n_per].copy(),
+            dt=dt,
+            t0=phase + warmup_periods * duration,
+            x=xi[k],
+            xdot=xi_dot[k],
+            u=traj.u[k, :n_per],
+            chart=traj.chart[k, :n_per],
         )
         phase = (phase + warmup_periods * duration) % cycle.T
         peak = float(np.max(np.abs(dev.x)))

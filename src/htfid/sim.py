@@ -14,6 +14,14 @@ so every partial step stays on a single chart and the scheme keeps its
 order between events.  The test suite checks the result against the same
 scheme run step by step in long double arithmetic.  Everything is
 deterministic: same inputs, bit-identical outputs.
+
+`integrate` takes a batch of S trajectories on one grid (one dt, one
+duration): ``x_init`` of shape (S, 2), one ``t0`` per member, and an input
+``u(times)`` called with times of shape (S, n).  The members run in
+lockstep, each with its own step pointer and chart: the chunk tables of
+both charts are tabulated once for the whole batch, each trip of the loop
+advances every member by its own windows, and the members' due scalar
+steps are taken together.  A single (x, xdot) pair is the batch of one.
 """
 
 import math
@@ -22,6 +30,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AmbiguousSwitchingError,
@@ -41,6 +50,8 @@ EVENT_MAX_ITER = 100
 SETTLE_TOL = 1e-6
 #: Steps of one chart run that `integrate` advances in one numpy window.
 _WINDOW_STEPS = 256
+#: Windows by which `integrate` advances a member in one trip of its loop.
+_TRIP_WINDOWS = 2
 #: Grid steps whose forcing and input `integrate` tabulates at a time.
 _CHUNK_STEPS = 4096
 
@@ -50,6 +61,8 @@ class Trajectory:
     """Sampled solution on a uniform time grid.
 
     `chart[i]` is 1 when the damper is engaged at sample i, 0 otherwise.
+    A batch of S trajectories on one grid holds rows: `x`, `xdot`, `u`
+    and `chart` of shape (S, n) and one start time per row in `t0`.
     """
 
     dt: float
@@ -61,10 +74,10 @@ class Trajectory:
 
     @property
     def n_samples(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
+        return np.asarray(self.t0)[..., None] + self.dt * np.arange(self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,31 @@ class LimitCycle:
         x, xdot = c[:, 0] + d * (c[:, 1] + d * (c[:, 2] + d * c[:, 3]))
         return x, xdot
 
+    def grid_phases(self, t0, first: int, n: int) -> np.ndarray:
+        """Clock phases of samples first .. first + n - 1 of the grid t0 + i*dt.
+
+        The grid steps by the cycle's own dt; t0 is a float or an array
+        of starts, one per row of the result.  One period of phases,
+        ``((t0 mod T) + j*dt) mod T`` for ``j < T/dt``, serves every period
+        of the grid: sample i takes the phase of j = i mod (T/dt).  Each
+        phase is then off the exact one by the rounding of one such sum
+        plus i*dt/T times the rounding of T/dt steps against T, well
+        below the rounding of ``(t0 + i*dt) mod T`` for long grids.
+        """
+        start = np.mod(np.asarray(t0, dtype=float), self.T)[..., None]
+        period = np.mod(start + self.dt * np.arange(self.n_samples), self.T)
+        return period[..., (first + np.arange(n)) % self.n_samples]
+
+    def on_grid(self, t0, first: int, n: int):
+        """Orbit states (x_bar, xdot_bar) at the samples of `grid_phases`.
+
+        The spline is evaluated at one period of phases per start and
+        the period repeated over the n samples.
+        """
+        x, xdot = self.state_at(self.grid_phases(t0, 0, self.n_samples))
+        index = (first + np.arange(n)) % self.n_samples
+        return x[..., index], xdot[..., index]
+
     @property
     def amplitude(self) -> float:
         """Half the peak-to-peak excursion of x over the period."""
@@ -147,10 +185,10 @@ class _ChartRecurrence:
     last 2s steps, so ceil(log2 n) vectorised passes cover n steps.
     `powers` holds ``P^l`` for l up to `n_powers`, enough for both the
     windows of `integrate` and the scan's spans.  P, the q and the powers
-    are formed in long double and rounded once.  `stages` and
-    `stage_drive` give the three inner RK4 stage states of a step as the
-    same kind of affine map of its start state; they only serve to check
-    that a run stays on its chart.
+    are formed in long double and rounded once.  `stages` gives the three
+    inner RK4 stage states of a step as the same kind of affine map of its
+    start state and first two stage drives; they only serve to check that
+    a run stays on its chart.
     """
 
     def __init__(self, A, b, h, n_powers):
@@ -177,50 +215,39 @@ class _ChartRecurrence:
         #: (q0, qh, q1) as the columns of a 2 x 3 matrix.
         self.q = q.T.astype(float)
         # Stage states s2, s3, s4 of a step from e with drives g0, gh:
-        # rows (x2, v2, x3, v3, x4, v4) = stages @ e + stage_drive.T @ (g0, gh).
+        # rows (x2, v2, x3, v3, x4, v4) = stages @ (e, g0, gh).
         half = 0.5 * h
         T2 = np.eye(2) + half * A
         T3 = np.eye(2) + half * A @ T2
-        self.stages = np.concatenate([T2, T3, np.eye(2) + h * A @ T3])
         Ab = A @ b
-        self.stage_drive = np.stack(
-            [
-                np.concatenate([half * b, half**2 * Ab, h * half**2 * A @ Ab]),
-                np.concatenate([np.zeros(2), half * b, h * (half * Ab + b)]),
-            ]
-        )
+        drives = [
+            np.concatenate([half * b, half**2 * Ab, h * half**2 * A @ Ab]),
+            np.concatenate([np.zeros(2), half * b, h * (half * Ab + b)]),
+        ]
+        self.stages = np.column_stack([np.concatenate([T2, T3, np.eye(2) + h * A @ T3])] + drives)
 
     def tabulate(self, g):
-        """Chunk tables for the drive g on the half-step grid, 2n + 1 points.
+        """Particular states p of a chunk, shape (2, n + 1), for the drive g.
 
-        Step i reads its stage drives at points 2i, 2i + 1 and 2i + 2.
-        Returns the particular states p, shape (2, n + 1), and the drive
-        part of the inner stage states, shape (6, n).
+        g lies on the half-step grid, 2n + 1 points; step i reads its
+        stage drives at points 2i, 2i + 1 and 2i + 2.  A batch of drives,
+        g of shape (S, 2n + 1), gives p of shape (S, 2, n + 1), each row
+        the table of its own drive.
         """
-        stage_g = np.stack([g[:-1:2], g[1::2], g[2::2]])
-        n_steps = stage_g.shape[1]
-        particular = np.zeros((2, n_steps + 1))
-        particular[:, 1:] = self.q @ stage_g
+        stage_g = np.stack([g[..., :-1:2], g[..., 1::2], g[..., 2::2]], axis=-2)
+        n_steps = stage_g.shape[-1]
+        particular = np.zeros(g.shape[:-1] + (2, n_steps + 1))
+        particular[..., 1:] = self.q @ stage_g
         span = 1
         while span < n_steps:
-            particular[:, span:] += self.powers[:, span] @ particular[:, :-span]
+            particular[..., span:] += self.powers[:, span] @ particular[..., :-span]
             span *= 2
-        return particular, self.stage_drive.T @ stage_g[:2]
+        return particular
 
 
-def locate_crossing(probe, h, value_lo, value_hi, landing):
-    """A sign change of the threshold along one step of length h.
-
-    ``probe(s)`` returns ``(value, payload)``: the threshold value at the
-    state an RK4 sub-step of length s reaches, and whatever the caller
-    needs of that sub-step.  `value_lo` and `value_hi` are the values at 0
-    and h, on opposite sides of the threshold, and `landing` is the
-    payload at h.  The crossing is bracketed by safeguarded Illinois
-    regula falsi: a probe keeps a quarter of `EVENT_TOL` from the bracket
-    ends, and a bisection follows whenever two probes have not halved the
-    bracket.  Returns ``(s, payload)`` for the bracket end just past the
-    crossing, once the bracket is narrower than `EVENT_TOL`.
-    """
+def _regula_falsi(h, value_lo, value_hi, landing):
+    """`locate_crossing` as a coroutine: yields each probe length s and is
+    sent that probe's ``(value, payload)``; returns ``(s, payload)``."""
     side_lo = value_lo > 0.0
     lo, hi = 0.0, h
     width_2, width_1 = math.inf, math.inf  # bracket widths before the last two probes
@@ -234,7 +261,7 @@ def locate_crossing(probe, h, value_lo, value_hi, landing):
         if width > 0.5 * width_2 or not lo < s < hi:
             s = lo + 0.5 * width
         width_2, width_1 = width_1, width
-        value, payload = probe(s)
+        value, payload = yield s
         if (value > 0.0) == side_lo:
             lo, value_lo = s, value
             if moved == "lo":
@@ -250,35 +277,73 @@ def locate_crossing(probe, h, value_lo, value_hi, landing):
     )
 
 
+def locate_crossing(probe, h, value_lo, value_hi, landing):
+    """A sign change of the threshold along one step of length h.
+
+    ``probe(s)`` returns ``(value, payload)``: the threshold value at the
+    state an RK4 sub-step of length s reaches, and whatever the caller
+    needs of that sub-step.  `value_lo` and `value_hi` are the values at 0
+    and h, on opposite sides of the threshold, and `landing` is the
+    payload at h.  The crossing is bracketed by safeguarded Illinois
+    regula falsi: a probe keeps a quarter of `EVENT_TOL` from the bracket
+    ends, and a bisection follows whenever two probes have not halved the
+    bracket.  Returns ``(s, payload)`` for the bracket end just past the
+    crossing, once the bracket is narrower than `EVENT_TOL`.
+    `integrate` runs the same search as a coroutine, so that the searches
+    of a batch's members probe together.
+    """
+    search = _regula_falsi(h, value_lo, value_hi, landing)
+    s = next(search)
+    while True:
+        try:
+            s = search.send(probe(s))
+        except StopIteration as found:
+            return found.value
+
+
 def integrate(
     model: HybridModel,
     x_init,
     u: Optional[Callable[[np.ndarray], np.ndarray]],
     duration: float,
     dt: float,
-    t0: float = 0.0,
+    t0=0.0,
+    skip: int = 0,
 ) -> Trajectory:
-    """Integrate the hybrid model over [t0, t0 + duration].
+    """Integrate the hybrid model over [t0, t0 + duration], one run or a batch.
 
     Parameters
     ----------
     model : HybridModel
-    x_init : (x, xdot) initial state
+    x_init : (x, xdot) initial state, or an (S, 2) array of them
+        An (S, 2) array integrates a batch of S members in lockstep.  The
+        members share the grid (dt and duration); each has its own start
+        time, input and chart.
     u : callable or None
         Extra input force as a function of absolute time.  It is called
         with an array of times and must return an array of the same
-        shape; None means no input.
+        shape; None means no input.  For a batch the times have shape
+        (S, n), row s holding member s's times.
     duration, dt : float
         Total span and step; dt must divide duration.
-    t0 : float
-        Start time.  The forcing phase is referenced to absolute time,
-        so trajectories started at different t0 see different clock
-        phases.
+    t0 : float or array of S floats
+        Start time, one per member or one for all.  The forcing phase is
+        referenced to absolute time, so trajectories started at
+        different t0 see different clock phases.
+    skip : int
+        Samples integrated but not stored, such as a warm-up: the result
+        starts at sample `skip`, time ``t0 + skip*dt``.
 
     Returns
     -------
-    Trajectory with ``round(duration/dt) + 1`` samples, chart flags set
-    from the sign of the switching threshold at each sample.
+    Trajectory with ``round(duration/dt) + 1 - skip`` samples (rows of
+    them for a batch), chart flags set from the sign of the switching
+    threshold at each sample.
+
+    Raises
+    ------
+    DivergenceError, EventLocalizationError
+        With the index of the member that failed and its time.
 
     Notes
     -----
@@ -287,43 +352,75 @@ def integrate(
     i takes its three RK4 stage times at j = 2i, 2i + 1 and 2i + 2, so the
     end of one step and the start of the next share one evaluation.
     Between switches the steps are advanced as chart runs (see
-    `_ChartRecurrence`): the chunk's particular solution on the run's
-    chart is one prefix scan, and from it follow up to `_WINDOW_STEPS`
-    states at once from the run's current state, of which every step is
-    kept up to the first one whose four stage states or endpoint leave
-    the run's chart.  The state is carried as the offset from the static
-    equilibrium, which keeps the rounding of the recurrence at the scale
-    of the motion.  That step alone goes through the scalar path, where
-    each RK4 stage takes the chart of its own state and a step that
-    changes the sign of the threshold is split at the crossing
-    (`locate_crossing`); the split steps evaluate the forcing and the
-    input at their own times.
+    `_ChartRecurrence`): the chunk's particular solution on each chart is
+    one prefix scan for the whole batch, and from it follow a window of
+    up to `_WINDOW_STEPS` states at once from a member's current state.
+    A trip of `_TRIP_WINDOWS` windows, each from the state the one before
+    reached, keeps every step up to the first one whose four stage states
+    or endpoint leave the member's chart.  The state is carried as the
+    offset from the static equilibrium, which keeps the rounding of the
+    recurrence at the scale of the motion.  That step alone goes through
+    the scalar path, where each RK4 stage takes the chart of its own
+    state and a step that changes the sign of the threshold is split at
+    the crossing (`locate_crossing`); the split steps evaluate the
+    forcing and the input at their own times.
+
+    The loop runs trips until every member is due for such a step or done
+    with the chunk, then takes the due steps one member at a time in
+    Python floats.  The split steps run as coroutines, whose sub-steps
+    are taken in rounds: one evaluation of the forcing and `u` per round
+    serves all of them.  Every operation on a member's numbers is
+    elementwise or a small matrix product of its own, so a member gets the
+    same bits in a batch as alone.
     """
     n_steps = steps_in(duration, dt)
-    if len(x_init) != 2 or not all(math.isfinite(float(s)) for s in x_init):
-        raise InvalidInputError("initial state must be a finite (x, xdot) pair")
+    try:
+        x_init = np.asarray(x_init, dtype=float)
+        starts = np.broadcast_to(np.asarray(t0, dtype=float), x_init.shape[:-1])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"initial states and start times do not match: {exc}") from None
+    batch = x_init.ndim == 2
+    if x_init.ndim not in (1, 2) or x_init.shape[-1] != 2 or not x_init.size:
+        raise InvalidInputError("initial state must be an (x, xdot) pair or an (S, 2) array")
+    if not (np.isfinite(x_init).all() and np.isfinite(starts).all()):
+        raise InvalidInputError("initial states and start times must be finite")
+    if not 0 <= skip <= n_steps:
+        raise InvalidInputError(f"skip={skip} outside 0..{n_steps}")
+    x_init, starts = x_init.reshape(-1, 2), starts.reshape(-1)
 
     p = model.params
     forcing = p.forcing
-    switching = model.switching
+    switching, threshold = model.switching, model.threshold
     x_eq = p.equilibrium
     A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
-    runs = [_ChartRecurrence(A, B[:, 0], dt, _CHUNK_STEPS) for A in (A_off, A_on)]
+    # Powers up to the longest window and the longest scan span.
+    n_powers = max(_WINDOW_STEPS, _CHUNK_STEPS // 2)
+    runs = [_ChartRecurrence(A, B[:, 0], dt, n_powers) for A in (A_off, A_on)]
+    # Per chart, gathered by each member's chart index.
+    powers = np.stack([run.powers[:, : _WINDOW_STEPS + 1] for run in runs])
+    stages = np.stack([run.stages for run in runs])
     # The velocity row of each chart, for the scalar path.
     stiffness, damping, gain = float(A_off[1, 0]), float(A_on[1, 1]), float(B[1, 0])
 
     def inputs(times):
-        # Drive g = F + u and input u at an array of times.
-        values = np.zeros_like(times) if u is None else np.asarray(u(times), dtype=float)
-        if values.shape != times.shape:
-            raise InvalidInputError(
-                f"u returned shape {values.shape} for times of shape {times.shape}"
-            )
+        # Drive g = F + u and input u at an (S, n) array of times; u sees
+        # the times of a lone trajectory as a 1-D array.
+        shape = times.shape if batch else times.shape[1:]
+        if u is None:
+            values = np.zeros(shape)
+        else:
+            values = np.asarray(u(times.reshape(shape)), dtype=float)
+            if values.shape != shape:
+                raise InvalidInputError(
+                    f"u returned shape {values.shape} for times of shape {shape}"
+                )
+        values = values.reshape(times.shape)
         return forcing(times) + values, values
 
     def value(ex, v):
-        # Threshold value at one state in offset coordinates.
-        return float(switching(ex + x_eq, v))
+        # Threshold value at one state in offset coordinates.  The shape
+        # contract of `switching` has been checked on the batch's arrays.
+        return float(threshold(ex + x_eq, v))
 
     def accel(ex, v, g):
         # Acceleration at one state in offset coordinates, on its own chart.
@@ -346,91 +443,182 @@ def integrate(
             v + h / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
         )
 
-    def sub_step(t, state, h, g0):
-        # An RK4 step of any length h from t, off the tabulated grid, given
-        # the drive g0 at t.  Returns the state and the drive at t + h.
-        gh, ge = inputs(np.array([t + 0.5 * h, t + h]))[0].tolist()
-        return rk4(*state, h, g0, gh, ge), ge
-
-    def advance(t, state, h, g0, end, ge):
-        # The step of length h from `state` at t, split at each threshold
-        # crossing; `end` is where the unsplit step lands.
+    def split_step(t, state, g0, end, ge):
+        # The step of length dt from `state` at t, split at each threshold
+        # crossing; `end` is where the unsplit step lands.  A coroutine: it
+        # yields each sub-step (t, state, h, g0) it needs, an RK4 step of
+        # length h off the tabulated grid given the drive g0 at t, and is
+        # sent the state reached and the drive at t + h.
+        h = dt
         for _ in range(16):
             value0, value1 = value(*state), value(*end)
             if (value1 > 0.0) == (value0 > 0.0) or h <= EVENT_TOL:
                 return end
-
-            def probe(s):
-                reached, g_reached = sub_step(t, state, s, g0)
-                return value(*reached), (reached, g_reached)
-
-            h_ev, (state, g0) = locate_crossing(probe, h, value0, value1, (end, ge))
+            search = _regula_falsi(h, value0, value1, (end, ge))
+            s = next(search)
+            while True:
+                reached, g_reached = yield t, state, s, g0
+                try:
+                    s = search.send((value(*reached), (reached, g_reached)))
+                except StopIteration as found:
+                    h_ev, (state, g0) = found.value
+                    break
             t += h_ev
             h -= h_ev
             if h <= 0.0:
                 return state
-            end, ge = sub_step(t, state, h, g0)
+            end, ge = yield t, state, h, g0
         raise EventLocalizationError(f"more than 16 threshold crossings inside one step at t={t}")
 
-    xs = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
+    def resume(k, reply):
+        # Send `reply` to member k's split step in the loop below, then keep
+        # the sub-step it asks for next in `pending`, or take the state it
+        # lands on.
+        try:
+            pending[k] = split[k].send(reply)
+        except StopIteration as landed:
+            pending.pop(k, None)
+            y[k] = landed.value
+            if not np.isfinite(y[k]).all():
+                raise DivergenceError(
+                    f"non-finite state in member {k} at t={t[k, 2 * (n[k] - c0 + 1)]}"
+                ) from None
+        except EventLocalizationError as exc:
+            raise EventLocalizationError(
+                f"member {k}, step from t={t[k, 2 * (n[k] - c0)]}: {exc}"
+            ) from None
 
-    ex, v = float(x_init[0]) - x_eq, float(x_init[1])
-    xs[0], vs[0] = ex, v
-    on = value(ex, v) > 0.0
+    n_members = len(x_init)
+    members = np.arange(n_members)
+    n_keep = n_steps + 1 - skip
+    # (offset, xdot) of every sample.  A trip stores all the states it
+    # computes, sample i at column max(i - skip + pad, 0): the warm-up goes
+    # to the first `pad` columns, which are dropped, and the states past a
+    # member's first leaving step are overwritten as the member moves on,
+    # the last ones into `pad` columns of room past the final sample.
+    span = _TRIP_WINDOWS * _WINDOW_STEPS  # steps a member advances by in one trip
+    pad = span
+    samples = np.empty((n_members, 2, pad + n_keep + pad))
+    trip_samples = sliding_window_view(samples, span, axis=2, writeable=True)
+    us = np.empty((n_members, n_keep))
+    # The chunk's particular solutions on both charts for the whole batch,
+    # member s on chart c at row c*S + s, and the drives of the stages
+    # (e, g0, gh) of each step, with room for one trip past the chunk end;
+    # the states of that room are never kept.
+    n_table = min(_CHUNK_STEPS, n_steps)
+    particular = np.zeros((2 * n_members, 2, n_table + 1 + span))
+    particular_trips = sliding_window_view(particular, span + 1, axis=2)
+    stage_g = np.zeros((n_members, 2, n_table + span))
+    stage_g_trips = sliding_window_view(stage_g, span, axis=2)
+    # A trip's states, the stage inputs (e, g0, gh) of its steps, their
+    # endpoints and inner stage states, and which of them leave the chart,
+    # the last column never.
+    states = np.empty((n_members, 2, span + 1))
+    stage_in = np.empty((n_members, 4, span))
+    points = np.empty((n_members, 4, 2, span))
+    inner = points[:, 1:].reshape(n_members, 6, span)
+    leaves = np.ones((n_members, span + 1), dtype=bool)
+
+    y = np.stack([x_init[:, 0] - x_eq, x_init[:, 1]], axis=1)  # offset from x_eq, and xdot
+    samples[:, :, max(pad - skip, 0)] = y
+    n = np.zeros(n_members, dtype=np.intp)  # each member's step pointer
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, n_steps + 1)
-        t = t0 + np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
+        t = starts[:, None] + np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
         drive, uu = inputs(t)
-        us[c0:c1] = uu[: 2 * (c1 - c0) : 2]
-        n_chunk = min(c1, n_steps) - c0
-        drive = drive[: 2 * n_chunk + 1]
-        tables = [None, None]
-        n = c0
-        while n < c0 + n_chunk:
-            run = runs[on]
-            if tables[on] is None:
-                tables[on] = run.tabulate(drive)
-            particular, stage_drive = tables[on]
-            j = n - c0
-            m = min(_WINDOW_STEPS, n_chunk - j)
-            # States n .. n+m of the run, then the inner stage states of its
-            # m steps, and whether any of them leaves the run's chart.
-            offset = np.array([ex - particular[0, j], v - particular[1, j]])
-            states = run.powers[:, : m + 1] @ offset
-            states += particular[:, j : j + m + 1]
-            points = np.empty((4, 2, m))
-            points[0] = states[:, 1:]
-            inner = points[1:].reshape(6, m)
-            np.matmul(run.stages, states[:, :-1], out=inner)
-            inner += stage_drive[:, j : j + m]
-            leaves = (switching(points[:, 0] + x_eq, points[:, 1]) > 0.0) != on
-            leaves = leaves.any(axis=0)
-            kept = int(np.argmax(leaves)) if leaves.any() else m
-            if kept:
-                xs[n + 1 : n + kept + 1], vs[n + 1 : n + kept + 1] = states[:, 1 : kept + 1]
-                n += kept
-                ex, v = float(states[0, kept]), float(states[1, kept])
-            if kept < m:
-                # The step leaving the chart: stage by stage, split at a
-                # crossing of the threshold.
+        first = max(c0, skip)
+        if first < c1:
+            us[:, first - skip : c1 - skip] = uu[:, 2 * (first - c0) : 2 * (c1 - c0) : 2]
+        end = min(c1, n_steps)
+        n_chunk = end - c0
+        if not n_chunk:
+            continue
+        drive = drive[:, : 2 * n_chunk + 1]
+        for c, run in enumerate(runs):
+            particular[c * n_members : (c + 1) * n_members, :, : n_chunk + 1] = run.tabulate(drive)
+        stage_g[:, 0, :n_chunk], stage_g[:, 1, :n_chunk] = drive[:, :-1:2], drive[:, 1::2]
+        due = np.zeros(n_members, dtype=bool)
+        while True:
+            # A member's chart changes only at a due step.
+            on = switching(y[:, 0] + x_eq, y[:, 1]) > 0.0
+            chart = on.astype(np.intp)
+            rows = chart * n_members + members
+            chart_powers, chart_stages = powers[chart], stages[chart]
+            while True:
+                # One trip of every member that is neither due nor done
+                # with the chunk: states n .. n+m of its run, each window
+                # of them from the state the one before reached, then the
+                # inner stage states of its m steps, and the first of them
+                # that leaves the member's chart.  The other members
+                # (m = 0) are carried along and change nothing.
+                m = np.minimum(span, end - n)
+                m[due] = 0
+                if not np.count_nonzero(m):
+                    break
                 j = n - c0
-                g0, gh, ge = drive[2 * j : 2 * j + 3].tolist()
-                end = rk4(ex, v, dt, g0, gh, ge)
-                if (value(*end) > 0.0) != on:
-                    end = advance(t[2 * j], (ex, v), dt, g0, end, ge)
-                ex, v = end
-                on = value(ex, v) > 0.0
-                n += 1
-                xs[n], vs[n] = ex, v
-            if not (math.isfinite(ex) and math.isfinite(v)):
-                finite = np.isfinite(xs[: n + 1]) & np.isfinite(vs[: n + 1])
-                raise DivergenceError(f"non-finite state at t={t0 + np.argmin(finite) * dt}")
+                part = particular_trips[rows, :, j]
+                states[:, :, 0] = y
+                for w in range(0, span, _WINDOW_STEPS):
+                    offset = states[:, :, w] - part[:, :, w]
+                    window = (chart_powers @ offset[:, None, :, None])[..., 0]
+                    window += part[:, :, w : w + _WINDOW_STEPS + 1]
+                    states[:, :, w + 1 : w + _WINDOW_STEPS + 1] = window[:, :, 1:]
+                points[:, 0] = states[:, :, 1:]
+                stage_in[:, :2] = states[:, :, :-1]
+                stage_in[:, 2:] = stage_g_trips[members, :, j]
+                np.matmul(chart_stages, stage_in, out=inner)
+                above = switching(points[:, :, 0] + x_eq, points[:, :, 1]) > 0.0
+                np.logical_or.reduce(above != on[:, None, None], axis=1, out=leaves[:, :-1])
+                stop = np.argmax(leaves, axis=1)
+                kept = np.minimum(stop, m)
+                trip_samples[members, :, np.maximum(n + (1 - skip + pad), 0)] = states[:, :, 1:]
+                y = states[members, :, kept]
+                if not np.isfinite(y).all():
+                    k = int(np.argmin(np.isfinite(y).all(axis=1)))
+                    bad = int(np.argmin(np.isfinite(states[k, :, 1:]).all(axis=0)))
+                    raise DivergenceError(
+                        f"non-finite state in member {k} at t={t[k, 2 * (j[k] + bad + 1)]}"
+                    )
+                n += kept
+                due |= stop < m
+            if not due.any():
+                break
+            # Every member is due or done with the chunk.  The steps leaving
+            # their charts take the scalar path, one member at a time, stage
+            # by stage, and split at a crossing of the threshold; the
+            # sub-steps of the split steps are taken in rounds, one
+            # evaluation of the forcing and the input per round.
+            split, pending = {}, {}
+            for k in np.flatnonzero(due).tolist():
+                j = 2 * (int(n[k]) - c0)
+                state = tuple(y[k].tolist())
+                g0, gh, ge = drive[k, j : j + 3].tolist()
+                y[k] = end_state = rk4(*state, dt, g0, gh, ge)
+                if not all(map(math.isfinite, end_state)):
+                    raise DivergenceError(f"non-finite state in member {k} at t={t[k, j + 2]}")
+                if (value(*end_state) > 0.0) != on[k]:
+                    split[k] = split_step(float(t[k, j]), state, g0, end_state, ge)
+                    resume(k, None)
+            # Members not in a round read the drive at their chunk's start.
+            times = t[:, :2].copy()
+            while pending:
+                for k, (t_k, _, h_k, _) in pending.items():
+                    times[k] = t_k + 0.5 * h_k, t_k + h_k
+                g = inputs(times)[0].tolist()
+                for k, (_, state, h_k, g0) in list(pending.items()):
+                    resume(k, (rk4(*state, h_k, g0, *g[k]), g[k][1]))
+            n += due
+            # Every other member rewrites its sample n with the same value.
+            samples[members, :, np.maximum(n - skip + pad, 0)] = y
+            due[:] = False
 
+    xs, vs = samples[:, 0, pad : pad + n_keep], samples[:, 1, pad : pad + n_keep]
     xs += x_eq
     charts = model.engaged(xs, vs).astype(np.uint8)
-    return Trajectory(dt=dt, t0=t0, x=xs, xdot=vs, u=us, chart=charts)
+    t_first = starts + skip * dt
+    if not batch:
+        xs, vs, us, charts, t_first = xs[0], vs[0], us[0], charts[0], float(t_first[0])
+    return Trajectory(dt=dt, t0=t_first, x=xs, xdot=vs, u=us, chart=charts)
 
 
 def _cyclic_crossings(value: np.ndarray, dt: float, T: float):
@@ -440,18 +628,12 @@ def _cyclic_crossings(value: np.ndarray, dt: float, T: float):
     (upward, downward) lists of phases in [0, T); "upward" means the
     threshold turns positive (the damper engages).
     """
-    n = value.shape[0]
     pos = value > 0.0
-    ups, downs = [], []
-    for j in range(n):
-        j2 = (j + 1) % n
-        if pos[j] == pos[j2]:
-            continue
-        v0, v1 = value[j], value[j2]
-        frac = v0 / (v0 - v1) if v0 != v1 else 0.0
-        phase = ((j + frac) * dt) % T
-        (ups if pos[j2] else downs).append(phase)
-    return ups, downs
+    after = np.roll(pos, -1)
+    j = np.flatnonzero(pos != after)  # sample j and the next lie on opposite sides
+    v0, v1 = value[j], np.roll(value, -1)[j]
+    phases = ((j + v0 / (v0 - v1)) * dt) % T
+    return list(phases[after[j]]), list(phases[~after[j]])
 
 
 def settle_limit_cycle(
@@ -483,7 +665,9 @@ def settle_limit_cycle(
     if x_init is None:
         x_init = (p.equilibrium, 0.0)
 
-    traj = integrate(model, x_init, None, n_cycles * T, dt)
+    # Only the last two periods are stored: the orbit and the one before.
+    skip = steps_in(n_cycles * T, dt) - 2 * samples_per_period
+    traj = integrate(model, x_init, None, n_cycles * T, dt, skip=skip)
 
     last = slice(traj.n_samples - samples_per_period - 1, traj.n_samples)
     prev = slice(traj.n_samples - 2 * samples_per_period - 1, traj.n_samples - samples_per_period)
@@ -526,14 +710,14 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     """Deviation of a trajectory from the periodic orbit.
 
     Subtracts the orbit at matching clock phase, ``xi(t) = state(t) -
-    x_bar(t mod T)``, keeping the input and chart columns.  The
-    trajectory must be sampled at the cycle's own dt; anything else
-    would need resampling, which is refused.
+    x_bar(t mod T)`` (`LimitCycle.on_grid`), keeping the input and chart
+    columns; a batch is taken row by row.  The trajectory must be
+    sampled at the cycle's own dt; anything else would need resampling,
+    which is refused.
     """
     if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ResamplingRequiredError(f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}")
-    phases = np.mod(traj.t0 + traj.dt * np.arange(traj.n_samples), cycle.T)
-    x_bar, v_bar = cycle.state_at(phases)
+    x_bar, v_bar = cycle.on_grid(traj.t0, 0, traj.n_samples)
     return Trajectory(
         dt=traj.dt,
         t0=traj.t0,

@@ -160,6 +160,23 @@ def test_regressor_snaps_to_nearest_bin(lab_spectra):
     assert np.array_equal(y_a, y_b)
 
 
+@pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan, 1e6, 15_000.6, -15_001])
+def test_regressor_refuses_frequency_off_the_records_bins(lab_problem, omega):
+    # 30 000 samples have signed bins up to 15 000 (omega = 15 000 * 2 pi/30
+    # rad/s); 1e6 rad/s is far past them.  The finite cases are in bins.
+    if math.isfinite(omega) and abs(omega) < 1e5:
+        omega *= lab_problem.records[0].bin_spacing
+    with pytest.raises(InvalidInputError, match="outside the records' bins"):
+        build_regressor(lab_problem, omega)
+
+
+def test_regressor_takes_the_last_bin(lab_problem):
+    spacing = lab_problem.records[0].bin_spacing
+    for q in (15_000, -15_000, 15_000.4):
+        Phi, y = build_regressor(lab_problem, q * spacing)
+        assert Phi.shape == (9, 2 * lab_problem.n_harmonics + 1) and y.shape == (9,)
+
+
 def test_regressor_matches_scalar_reference(lab_problem):
     # Entries formed one at a time with Python complex arithmetic, straight
     # from the row equation and the band test; the tensor must agree exactly.

@@ -15,6 +15,7 @@ from htfid import (
     run_experiments,
 )
 from htfid.errors import PerturbationSizeWarning
+from htfid.sim import integrate
 
 
 def test_chirp_formula():
@@ -148,3 +149,17 @@ def test_run_experiments_checks_grid_before_integrating(lab_model, lab_cycle, mo
     # Nyquist at the cycle's 1 kHz is 500 Hz.
     with pytest.raises(AliasingError):
         run_experiments(lab_model, lab_cycle, ChirpPlan(f_hi=600.0))
+
+
+def test_run_experiments_integrates_all_records_in_one_call(lab_model, lab_cycle, monkeypatch):
+    # The records run in lockstep; a loop of one integration per record
+    # would call `integrate` nine times.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr("htfid.excite.integrate", counting)
+    records = run_experiments(lab_model, lab_cycle, ChirpPlan())
+    assert calls == [(9, 2)] and len(records) == 9

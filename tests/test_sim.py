@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,12 +15,14 @@ from htfid import (
     AmbiguousSwitchingError,
     ChirpPlan,
     DivergenceError,
+    EventLocalizationError,
     HybridModel,
     InvalidInputError,
     ModelParams,
     NotSettledError,
     ResamplingRequiredError,
     chirp_value,
+    clock_phases,
     LimitCycle,
     error_trajectory,
     gen_chirp,
@@ -420,8 +423,8 @@ def test_particular_scan_matches_long_double_recurrence():
         oracle = np.array(oracle).T
         run = _ChartRecurrence(A, B[:, 0], dt, _CHUNK_STEPS)
         for n in (1, 2, 3, _CHUNK_STEPS - 1, _CHUNK_STEPS):
-            particular, stage_drive = run.tabulate(g[: 2 * n + 1])
-            assert particular.shape == (2, n + 1) and stage_drive.shape == (6, n)
+            particular = run.tabulate(g[: 2 * n + 1])
+            assert particular.shape == (2, n + 1)
             err = np.abs(particular - oracle[:, : n + 1]).max(axis=1)
             assert err[0] <= 2e-15 and err[1] <= 5e-14, (n, err)
 
@@ -453,3 +456,117 @@ def test_integrate_signature_has_duration_and_dt():
     # The benchmark's trace hook binds these two arguments to count steps.
     params = inspect.signature(integrate).parameters
     assert "duration" in params and "dt" in params
+
+
+def chirp_batch(cycle, plan):
+    """Start states, start times and input of a plan's records' runs."""
+    phases = clock_phases(plan, cycle.T)
+    x_init = np.stack(cycle.state_at(phases), axis=1)
+    u = lambda t: chirp_value(plan, np.remainder(t - phases[:, None], plan.segment_duration))
+    return x_init, phases, u
+
+
+def test_batch_equals_its_members_one_at_a_time(lab_model, lab_cycle):
+    # The nine records' whole runs, warm-up play included, in lockstep and
+    # one by one: elementwise arithmetic gives the same bits either way.
+    plan = ChirpPlan()
+    x_init, phases, u = chirp_batch(lab_cycle, plan)
+    duration = 2 * plan.segment_duration
+    batch = integrate(lab_model, x_init, u, duration, lab_cycle.dt, t0=phases)
+    assert batch.x.shape == (9, 60_001) and np.array_equal(batch.t0, phases)
+    for k, phase in enumerate(phases):
+        u_k = lambda t, t0=phase: chirp_value(plan, np.remainder(t - t0, plan.segment_duration))
+        alone = integrate(lab_model, x_init[k], u_k, duration, lab_cycle.dt, t0=phase)
+        for field in ("x", "xdot", "u", "chart"):
+            assert np.array_equal(getattr(batch, field)[k], getattr(alone, field)), (k, field)
+
+
+def test_batch_keeps_the_samples_after_skip(lab_model, lab_cycle):
+    x_init, phases, u = chirp_batch(lab_cycle, ChirpPlan(n_segments=3))
+    whole = integrate(lab_model, x_init, u, 3.0, lab_cycle.dt, t0=phases)
+    tail = integrate(lab_model, x_init, u, 3.0, lab_cycle.dt, t0=phases, skip=1234)
+    for field in ("x", "xdot", "u", "chart"):
+        assert np.array_equal(getattr(whole, field)[:, 1234:], getattr(tail, field))
+    assert np.array_equal(tail.t0, phases + 1234 * lab_cycle.dt)
+
+
+@pytest.mark.parametrize("onset", [1.2345, 1.6101, 2.0504])
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, onset):
+    # Only member 2's input turns non-finite: at 1.2345 s and 2.0504 s
+    # inside a chart run, at 1.6101 s in a step that leaves its chart.  The
+    # error names member 2 and its first non-finite sample, the end of the
+    # step whose stages first read the bad input.
+    phases = np.arange(4) / 4.0
+    x_init = np.stack(lab_cycle.state_at(phases), axis=1)
+
+    def u(t):
+        values = 0.004 * np.sin(3.0 * t)
+        values[2] = np.where(t[2] > onset, np.nan, values[2])
+        return values
+
+    dt = lab_cycle.dt
+    with pytest.raises(DivergenceError, match="member 2 ") as caught:
+        integrate(lab_model, x_init, u, 3.0, dt, t0=phases)
+    half_grid = phases[2] + np.arange(6001) * (0.5 * dt)
+    first_bad = int(np.argmax(half_grid > onset))
+    reported = float(re.search(r"t=(\S+)", str(caught.value)).group(1))
+    assert reported == half_grid[2 * math.ceil(first_bad / 2)]
+    # without the bad input the same batch runs through
+    finite = lambda t: 0.004 * np.sin(3.0 * t)
+    assert np.isfinite(integrate(lab_model, x_init, finite, 3.0, dt, t0=phases).x).all()
+
+
+def test_batch_refuses_input_of_the_wrong_shape(lab_model, lab_cycle):
+    x_init = np.stack(lab_cycle.state_at(np.arange(3) / 3.0), axis=1)
+    with pytest.raises(InvalidInputError, match="u returned shape"):
+        integrate(lab_model, x_init, lambda t: np.sin(t[0]), 1.0, 1e-3, t0=np.arange(3) / 3.0)
+    with pytest.raises(InvalidInputError):
+        integrate(lab_model, x_init, None, 1.0, 1e-3, t0=np.arange(2) / 3.0)
+    with pytest.raises(InvalidInputError):
+        integrate(lab_model, x_init, None, 1.0, 1e-3, skip=1001)
+
+
+def test_tiled_phases_match_long_double_phases(lab_cycle):
+    # Each record's capture, samples skip .. skip + n - 1 of a run that
+    # starts at its clock phase, against t0 + dt*i mod T in long double.
+    ld, dt, T = np.longdouble, lab_cycle.dt, lab_cycle.T
+    phases = clock_phases(ChirpPlan(), T)
+    skip, n = 30_000, 30_000
+    tiled = lab_cycle.grid_phases(phases, skip, n)
+    i = np.arange(skip, skip + n, dtype=ld)
+    exact = np.mod(phases.astype(ld)[:, None] + ld(dt) * i, ld(T))
+    off = np.abs(tiled.astype(ld) - exact)
+    off = np.minimum(off, ld(T) - off)  # a phase just below T against one just above 0
+    assert float(off.max()) <= 2e-15
+
+
+def test_tiled_subtraction_moves_records_by_rounding(lab_cycle, lab_records):
+    # Against the orbit evaluated at np.mod(t0 + dt*i, T) on the whole
+    # run's grid, one spline evaluation per sample.
+    dt, skip, n = lab_cycle.dt, 30_000, 30_000
+    for rec in lab_records:
+        start = rec.clock_phase  # the capture starts a whole number of periods after t0
+        tiled = lab_cycle.on_grid(start, skip, n)
+        direct = lab_cycle.state_at(np.mod(start + dt * np.arange(skip, skip + n), lab_cycle.T))
+        for got, want, xi in zip(tiled, direct, (rec.traj.x, rec.traj.xdot)):
+            rms = float(np.sqrt(np.mean(xi**2)))
+            assert float(np.max(np.abs(got - want))) <= 1e-11 * rms
+
+
+def test_batch_names_the_member_whose_crossing_is_not_localized(monkeypatch):
+    # Without forcing, members 0 and 2 rest at the equilibrium and never
+    # cross the threshold (the velocity); member 1 is kicked and reverses
+    # after about a quarter period.  With one regula falsi iteration
+    # allowed, localizing that crossing fails, and the error names member
+    # 1 and the start of the step it reverses in.
+    model = HybridModel(ModelParams(forcing_amplitude=0.0))
+    x_eq = model.params.equilibrium
+    x_init = np.array([[x_eq, 0.0], [x_eq, 0.1], [x_eq, 0.0]])
+    alone = integrate(model, x_init[1], None, 1.0, 1e-3)
+    reversal = int(np.argmax(alone.xdot[1:] < 0.0))
+    monkeypatch.setattr("htfid.sim.EVENT_MAX_ITER", 1)
+    with pytest.raises(EventLocalizationError, match="member 1, step from t=") as caught:
+        integrate(model, x_init, None, 1.0, 1e-3)
+    reported = float(re.search(r"t=(\S+):", str(caught.value)).group(1))
+    assert reported == pytest.approx(reversal * 1e-3, abs=1e-12)
