@@ -43,6 +43,7 @@ from .estimate import (
     EstimationProblem,
     check_design,
     estimate_htf,
+    median,
     spectra,
 )
 from .excite import ChirpPlan, run_experiments
@@ -55,6 +56,7 @@ from .hss import (
     read_htf_csv,
     same_grid,
     write_htf_csv,
+    write_table,
 )
 from .model import HybridModel, ModelParams, linearize, steps_in
 from .sim import SETTLE_TOL, settle_limit_cycle
@@ -225,10 +227,6 @@ def _write_json(path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _write_csv(path, header: str, table: np.ndarray, fmt="%.17g") -> None:
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
-
-
 def _settle(cfg: dict):
     model = HybridModel(ModelParams(**cfg["model"]))
     sim = cfg["sim"]
@@ -242,7 +240,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     model, cycle = _settle(cfg)
     orbit_path = os.path.join(out_dir, "orbit.csv")
     t = np.arange(cycle.n_samples) * cycle.dt
-    _write_csv(orbit_path, "t,x,xdot", np.column_stack([t, cycle.x, cycle.xdot]))
+    write_table(orbit_path, "t,x,xdot", np.column_stack([t, cycle.x, cycle.xdot]))
     summary = {
         "T": cycle.T,
         "dt": cycle.dt,
@@ -278,7 +276,7 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
         mag = np.hypot(g.real, g.imag)
         # scalar log10: numpy's differs from libm's in the last bit
         db = [20.0 * math.log10(m) if m > 0.0 else -math.inf for m in mag]
-        _write_csv(
+        write_table(
             os.path.join(out_dir, f"plot_h{n}.csv"),
             "omega_rad_s,f_hz,magnitude,magnitude_db,phase_deg",
             np.column_stack([grid, grid / (2.0 * math.pi), mag, db, np.degrees(np.angle(g))]),
@@ -321,9 +319,9 @@ def htf_diff(ref: dict, test: dict, used: dict, tol_mag: float, tol_phase: float
         stats[n] = {"bins": int(np.sum(bins)), "violations": int(np.sum(out))}
         if stats[n]["bins"]:
             stats[n].update(
-                mag_rel_median=float(np.median(mag_err[bins])),
+                mag_rel_median=float(median(mag_err[bins])),
                 mag_rel_max=float(np.max(mag_err[bins])),
-                phase_deg_median=float(np.median(phase_err[bins])),
+                phase_deg_median=float(median(phase_err[bins])),
                 phase_deg_max=float(np.max(phase_err[bins])),
             )
     return errors, stats
@@ -383,7 +381,7 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
                 + [g_th.imag, mag_err, phase_err, est.excitation_mask[n]]
             )
         )
-    _write_csv(
+    write_table(
         diff_path,
         "omega_rad_s,n,est_re,est_im,theory_re,theory_im,mag_rel_err,phase_err_deg,excited",
         np.vstack(blocks),

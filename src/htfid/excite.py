@@ -142,9 +142,14 @@ def run_experiments(
 
     All records run in lockstep, as one batch of one `sim.integrate`
     call, which stores only the captured play of each: the warm-up states
-    are dropped as they pass.  The orbit is subtracted at the clock phases
-    of the run's own grid, evaluated for one period per record and
-    repeated over the capture (`LimitCycle.on_grid`).
+    are dropped as they pass.  They all play one waveform, so the chirp is
+    one input of the time since each record's start: `integrate` evaluates
+    it once per point of the batch's shared grid, scans its particular
+    solutions once per chart, and superposes them with those of the two
+    shared forcing columns, weighted by each record's start phase.  The
+    orbit is subtracted at the clock phases of the run's own grid,
+    evaluated for one period per record and repeated over the capture
+    (`LimitCycle.on_grid`).
     """
     dt = cycle.dt
     if warmup_periods < 0:
@@ -155,7 +160,7 @@ def run_experiments(
     skip = warmup_periods * n_per
     phases = clock_phases(plan, cycle.T)
     x_init = np.stack(cycle.state_at(phases), axis=1)
-    u_fn = lambda t: chirp_value(plan, np.remainder(t - phases[:, None], duration))
+    u_fn = lambda tau: chirp_value(plan, np.remainder(tau, duration))
     traj = integrate(model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phases, skip=skip)
     # The capture is the first n_per stored samples; the boundary sample
     # after it is dropped so records match the DFT analysis window.

@@ -56,6 +56,8 @@ SINGULAR_NUDGE = 1e-9
 #: Vector entries per batch of grid points in `eval_htf`; bounds the
 #: memory held by the per-point solution and residual vectors.
 _BATCH_ENTRIES = 2**12
+#: Rows that `write_table` formats at a time.
+_CSV_BLOCK_ROWS = 256
 
 
 def _check_conjugate(residue: np.ndarray, column: np.ndarray, what: str) -> None:
@@ -451,6 +453,26 @@ _HTF_HEADER = "omega_rad_s,n,re,im"
 _CONVENTION_TAG = "# convention="
 
 
+def write_table(path, header: str, table, fmt="%.17g") -> None:
+    """Write a 2-D table as CSV after an ASCII header: the bytes of
+    ``np.savetxt(path, table, fmt=fmt, delimiter=",", header=header,
+    comments="")``.
+
+    `fmt` is one format for every column or a list of one per column.
+    Each block of `_CSV_BLOCK_ROWS` rows is formatted by one ``%`` on
+    Python floats, which is about twice as fast as savetxt's row-by-row
+    formatting of numpy scalars and gives the same text; the blocks bound
+    the memory the text and the floats take.
+    """
+    table = np.asarray(table)
+    row = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            handle.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def write_htf_csv(hts: HarmonicTransferSet, path) -> None:
     """Write `omega_rad_s,n,re,im` rows, harmonics ascending, after a
     `# convention=<input|output>` line that `read_htf_csv` reads back."""
@@ -458,13 +480,11 @@ def write_htf_csv(hts: HarmonicTransferSet, path) -> None:
         np.column_stack([hts.omega_grid, np.full(hts.omega_grid.size, n), g.real, g.imag])
         for n, g in sorted(hts.harmonics.items())
     ]
-    np.savetxt(
+    write_table(
         path,
+        f"{_HTF_HEADER}\n{_CONVENTION_TAG}{hts.convention}",
         np.reshape(rows, (-1, 4)),
         fmt=["%.17g", "%d", "%.17g", "%.17g"],
-        delimiter=",",
-        header=f"{_HTF_HEADER}\n{_CONVENTION_TAG}{hts.convention}",
-        comments="",
     )
 
 

@@ -70,13 +70,37 @@ class ModelParams:
         """Static rest position x0 - m*g/k of the (lossless) spring."""
         return self.x0 - self.m * self.g / self.k
 
+    def _angle(self, t):
+        # The forcing's argument w*t, w = 2*pi*freq, in one rounding order.
+        return 2.0 * math.pi * self.forcing_freq * t
+
     def forcing(self, t):
         """External forcing F(t) = amplitude * cos(2*pi*freq*t).
 
-        Accepts scalars or arrays; `sim.integrate` tabulates it on arrays
-        of stage times.
+        Accepts scalars or arrays; `sim.integrate` evaluates it at the
+        off-grid times of its split steps.
         """
-        return self.forcing_amplitude * np.cos(2.0 * math.pi * self.forcing_freq * t)
+        return self.forcing_amplitude * np.cos(self._angle(t))
+
+    def forcing_columns(self, tau):
+        """The forcing's two quadratures ``(A cos(w*tau), A sin(w*tau))``.
+
+        A run started at t0 sees, at the time tau since its start,
+
+            F(t0 + tau) = cos(w*t0) * A cos(w*tau) - sin(w*t0) * A sin(w*tau),
+
+        with the weights ``forcing_weights(t0)``; so the two columns on one
+        grid of elapsed times serve runs of every start.  At t0 = 0 the
+        weights are exactly (1, 0), and the first column is `forcing`
+        itself, bit for bit.
+        """
+        angle = self._angle(tau)
+        return self.forcing_amplitude * np.cos(angle), self.forcing_amplitude * np.sin(angle)
+
+    def forcing_weights(self, t0):
+        """``(cos(w*t0), sin(w*t0))``, the weights of `forcing_columns`."""
+        angle = self._angle(t0)
+        return np.cos(angle), np.sin(angle)
 
     def to_dict(self) -> dict:
         return {key: float(getattr(self, key)) for key in PARAM_KEYS}

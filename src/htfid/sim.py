@@ -17,11 +17,14 @@ deterministic: same inputs, bit-identical outputs.
 
 `integrate` takes a batch of S trajectories on one grid (one dt, one
 duration): ``x_init`` of shape (S, 2), one ``t0`` per member, and an input
-``u(times)`` called with times of shape (S, n).  The members run in
+``u(tau)`` of the time since each member's start, called with the 1-D
+grid of such times that all members share.  The members run in
 lockstep, each with its own step pointer and chart: the chunk tables of
-both charts are tabulated once for the whole batch, each trip of the loop
-advances every member by its own windows, and the members' due scalar
-steps are taken together.  A single (x, xdot) pair is the batch of one.
+both charts are scanned once for the drives the members share (the two
+forcing columns and a shared input) and superposed per member, each trip
+of the loop advances every member by its own windows, and the members'
+due scalar steps are taken together.  A single (x, xdot) pair is the
+batch of one.
 """
 
 import math
@@ -182,8 +185,9 @@ class _ChartRecurrence:
     of a chunk of steps (zero state at the chunk start), which `tabulate`
     builds as an inclusive prefix scan of the per-step drives (Hillis and
     Steele): after the pass of span s, each p[i] holds the drives of its
-    last 2s steps, so ceil(log2 n) vectorised passes cover n steps.
-    `powers` holds ``P^l`` for l up to `n_powers`, enough for both the
+    last 2s steps, so ceil(log2 n) vectorised passes cover n steps.  p is
+    linear in g, so the table of a weighted sum of drives is the same sum
+    of their tables, up to rounding.  `powers` holds ``P^l`` for l up to `n_powers`, enough for both the
     windows of `integrate` and the scan's spans.  P, the q and the powers
     are formed in long double and rounded once.  `stages` gives the three
     inner RK4 stage states of a step as the same kind of affine map of its
@@ -320,10 +324,12 @@ def integrate(
         members share the grid (dt and duration); each has its own start
         time, input and chart.
     u : callable or None
-        Extra input force as a function of absolute time.  It is called
-        with an array of times and must return an array of the same
-        shape; None means no input.  For a batch the times have shape
-        (S, n), row s holding member s's times.
+        Extra input force as a function of the time since the start,
+        ``tau = t - t0``.  It is called with a 1-D array of such times,
+        the same for every member, and returns either an array of that
+        shape, one waveform that every member plays, or one of shape
+        (S, n), row s for member s; anything else raises
+        `InvalidInputError`.  None means no input.
     duration, dt : float
         Total span and step; dt must divide duration.
     t0 : float or array of S floats
@@ -347,23 +353,31 @@ def integrate(
 
     Notes
     -----
-    The forcing and the input are tabulated with numpy, a chunk of grid
-    steps at a time, once on the half-step grid ``t0 + j*(0.5*dt)``: step
-    i takes its three RK4 stage times at j = 2i, 2i + 1 and 2i + 2, so the
-    end of one step and the start of the next share one evaluation.
+    The drive ``g = F + u`` is tabulated a chunk of grid steps at a time
+    on the half-step grid of elapsed times ``tau_j = j*(0.5*dt)``, which
+    every member shares: step i takes its three RK4 stage times at j = 2i,
+    2i + 1 and 2i + 2, so the end of one step and the start of the next
+    share one evaluation.  `u` is called once per chunk on that grid, and
+    the forcing comes from its two columns ``A cos(w*tau)`` and
+    ``A sin(w*tau)`` (`ModelParams.forcing_columns`), which each member
+    weighs by ``cos(w*t0)`` and ``sin(w*t0)`` of its own start.
     Between switches the steps are advanced as chart runs (see
-    `_ChartRecurrence`): the chunk's particular solution on each chart is
-    one prefix scan for the whole batch, and from it follow a window of
-    up to `_WINDOW_STEPS` states at once from a member's current state.
-    A trip of `_TRIP_WINDOWS` windows, each from the state the one before
-    reached, keeps every step up to the first one whose four stage states
-    or endpoint leave the member's chart.  The state is carried as the
-    offset from the static equilibrium, which keeps the rounding of the
-    recurrence at the scale of the motion.  That step alone goes through
-    the scalar path, where each RK4 stage takes the chart of its own
-    state and a step that changes the sign of the threshold is split at
-    the crossing (`locate_crossing`); the split steps evaluate the
-    forcing and the input at their own times.
+    `_ChartRecurrence`).  RK4 on one chart is linear in its drive, so the
+    chunk's particular solutions are scanned once per chart for the
+    shared drives only (the two forcing columns and a shared `u`, at most
+    three), and each member's table is their superposition
+    ``cos(w*t0)*p_cos - sin(w*t0)*p_sin + p_u``, formed in place.  From it
+    follow a window of up to `_WINDOW_STEPS` states at once from a
+    member's current state.  A trip of `_TRIP_WINDOWS` windows, each from
+    the state the one before reached, keeps every step up to the first
+    one whose four stage states or endpoint leave the member's chart.
+    The state is carried as the offset from the static equilibrium, which
+    keeps the rounding of the recurrence at the scale of the motion.  That
+    step alone goes through the scalar path, where each RK4 stage takes
+    the chart of its own state and a step that changes the sign of the
+    threshold is split at the crossing (`locate_crossing`); the split
+    steps evaluate the forcing at their own times ``t0 + tau`` and the
+    input at their own elapsed times ``tau``.
 
     The loop runs trips until every member is due for such a step or done
     with the chunk, then takes the due steps one member at a time in
@@ -371,7 +385,9 @@ def integrate(
     are taken in rounds: one evaluation of the forcing and `u` per round
     serves all of them.  Every operation on a member's numbers is
     elementwise or a small matrix product of its own, so a member gets the
-    same bits in a batch as alone.
+    same bits in a batch as alone.  A lone member at t0 = 0 has the
+    weights (1, 0), so its drive and its tables are those of the forcing
+    column alone, bit for bit.
     """
     n_steps = steps_in(duration, dt)
     try:
@@ -389,7 +405,6 @@ def integrate(
     x_init, starts = x_init.reshape(-1, 2), starts.reshape(-1)
 
     p = model.params
-    forcing = p.forcing
     switching, threshold = model.switching, model.threshold
     x_eq = p.equilibrium
     A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
@@ -401,21 +416,34 @@ def integrate(
     stages = np.stack([run.stages for run in runs])
     # The velocity row of each chart, for the scalar path.
     stiffness, damping, gain = float(A_off[1, 0]), float(A_on[1, 1]), float(B[1, 0])
+    n_members = len(x_init)
+    members = np.arange(n_members)
+    # Each member's weights of the two forcing columns.  When every member
+    # starts at t0 = 0, every pair is exactly (1, 0), and the cosine column,
+    # which is `forcing` itself, is the whole forcing.
+    cos_w, sin_w = p.forcing_weights(starts)
+    rotated = bool(np.any(sin_w != 0.0))
 
-    def inputs(times):
-        # Drive g = F + u and input u at an (S, n) array of times; u sees
-        # the times of a lone trajectory as a 1-D array.
-        shape = times.shape if batch else times.shape[1:]
-        if u is None:
-            values = np.zeros(shape)
-        else:
-            values = np.asarray(u(times.reshape(shape)), dtype=float)
-            if values.shape != shape:
-                raise InvalidInputError(
-                    f"u returned shape {values.shape} for times of shape {shape}"
-                )
-        values = values.reshape(times.shape)
-        return forcing(times) + values, values
+    def input_at(tau):
+        # u at the 1-D elapsed times tau: one row for all members, shape
+        # tau.shape, or one per member, shape (S,) + tau.shape.
+        values = np.asarray(u(tau), dtype=float)
+        if values.shape not in (tau.shape, (n_members,) + tau.shape):
+            raise InvalidInputError(
+                f"u returned shape {values.shape} for elapsed times of shape {tau.shape}"
+            )
+        return values
+
+    def drives_at(tau):
+        # Drive g = F + u of every member at its own elapsed times, an
+        # (S, m) array: F at the absolute times t0 + tau, and u called once
+        # on all of them, of which member s reads its own.
+        values = np.zeros(tau.shape)
+        if u is not None:
+            values = input_at(tau.ravel())
+            if values.ndim == 2:
+                values = values.reshape(n_members, n_members, -1)[members, members]
+        return p.forcing(starts[:, None] + tau) + values.reshape(tau.shape)
 
     def value(ex, v):
         # Threshold value at one state in offset coordinates.  The shape
@@ -443,12 +471,12 @@ def integrate(
             v + h / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
         )
 
-    def split_step(t, state, g0, end, ge):
-        # The step of length dt from `state` at t, split at each threshold
-        # crossing; `end` is where the unsplit step lands.  A coroutine: it
-        # yields each sub-step (t, state, h, g0) it needs, an RK4 step of
-        # length h off the tabulated grid given the drive g0 at t, and is
-        # sent the state reached and the drive at t + h.
+    def split_step(tau, state, g0, end, ge):
+        # The step of length dt from `state` at elapsed time tau, split at
+        # each threshold crossing; `end` is where the unsplit step lands.
+        # A coroutine: it yields each sub-step (tau, state, h, g0) it needs,
+        # an RK4 step of length h off the tabulated grid given the drive g0
+        # at tau, and is sent the state reached and the drive at tau + h.
         h = dt
         for _ in range(16):
             value0, value1 = value(*state), value(*end)
@@ -457,18 +485,18 @@ def integrate(
             search = _regula_falsi(h, value0, value1, (end, ge))
             s = next(search)
             while True:
-                reached, g_reached = yield t, state, s, g0
+                reached, g_reached = yield tau, state, s, g0
                 try:
                     s = search.send((value(*reached), (reached, g_reached)))
                 except StopIteration as found:
                     h_ev, (state, g0) = found.value
                     break
-            t += h_ev
+            tau += h_ev
             h -= h_ev
             if h <= 0.0:
                 return state
-            end, ge = yield t, state, h, g0
-        raise EventLocalizationError(f"more than 16 threshold crossings inside one step at t={t}")
+            end, ge = yield tau, state, h, g0
+        raise EventLocalizationError("more than 16 threshold crossings inside one step")
 
     def resume(k, reply):
         # Send `reply` to member k's split step in the loop below, then keep
@@ -481,15 +509,30 @@ def integrate(
             y[k] = landed.value
             if not np.isfinite(y[k]).all():
                 raise DivergenceError(
-                    f"non-finite state in member {k} at t={t[k, 2 * (n[k] - c0 + 1)]}"
+                    f"non-finite state in member {k} at t={at(k, 2 * (n[k] - c0 + 1))}"
                 ) from None
         except EventLocalizationError as exc:
             raise EventLocalizationError(
-                f"member {k}, step from t={t[k, 2 * (n[k] - c0)]}: {exc}"
+                f"member {k}, step from t={at(k, 2 * (n[k] - c0))}: {exc}"
             ) from None
 
-    n_members = len(x_init)
-    members = np.arange(n_members)
+    def at(k, j):
+        # Absolute time of point j of the chunk's half-step grid for member k.
+        return starts[k] + tau[j]
+
+    def superpose(out, scratch, rows, u_part):
+        # Member by member along the first axis, in place: out = cos(w*t0) *
+        # rows[0] - sin(w*t0) * rows[1] + u_part, with u_part None for no
+        # input; unrotated weights (1, 0) give rows[0] exactly.
+        if rotated:
+            weight = (slice(None),) + (None,) * (out.ndim - 1)
+            np.multiply(cos_w[weight], rows[0], out=out)
+            out -= np.multiply(sin_w[weight], rows[1], out=scratch[..., : out.shape[-1]])
+        else:
+            out[...] = rows[0]
+        if u_part is not None:
+            out += u_part
+
     n_keep = n_steps + 1 - skip
     # (offset, xdot) of every sample.  A trip stores all the states it
     # computes, sample i at column max(i - skip + pad, 0): the warm-up goes
@@ -500,14 +543,17 @@ def integrate(
     pad = span
     samples = np.empty((n_members, 2, pad + n_keep + pad))
     trip_samples = sliding_window_view(samples, span, axis=2, writeable=True)
-    us = np.empty((n_members, n_keep))
-    # The chunk's particular solutions on both charts for the whole batch,
-    # member s on chart c at row c*S + s, and the drives of the stages
-    # (e, g0, gh) of each step, with room for one trip past the chunk end;
-    # the states of that room are never kept.
+    us = np.zeros((n_members, n_keep))
+    # The chunk's drive of every member, and its particular solutions on
+    # both charts, member s on chart c at row c*S + s, with scratch of each
+    # shape for the sine terms.  The drives of the stages (e, g0, gh) of
+    # each step have room for one trip past the chunk end; the states of
+    # that room are never kept.
     n_table = min(_CHUNK_STEPS, n_steps)
+    drive, drive_sin = np.empty((2, n_members, 2 * n_table + 1))
     particular = np.zeros((2 * n_members, 2, n_table + 1 + span))
     particular_trips = sliding_window_view(particular, span + 1, axis=2)
+    particular_sin = np.empty((n_members, 2, n_table + 1))
     stage_g = np.zeros((n_members, 2, n_table + span))
     stage_g_trips = sliding_window_view(stage_g, span, axis=2)
     # A trip's states, the stage inputs (e, g0, gh) of its steps, their
@@ -524,19 +570,35 @@ def integrate(
     n = np.zeros(n_members, dtype=np.intp)  # each member's step pointer
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, n_steps + 1)
-        t = starts[:, None] + np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
-        drive, uu = inputs(t)
+        tau = np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
+        uu = None if u is None else input_at(tau)
         first = max(c0, skip)
-        if first < c1:
-            us[:, first - skip : c1 - skip] = uu[:, 2 * (first - c0) : 2 * (c1 - c0) : 2]
+        if first < c1 and uu is not None:
+            us[:, first - skip : c1 - skip] = uu[..., 2 * (first - c0) : 2 * (c1 - c0) : 2]
         end = min(c1, n_steps)
         n_chunk = end - c0
         if not n_chunk:
             continue
-        drive = drive[:, : 2 * n_chunk + 1]
+        # The drives every member shares, the forcing columns and u if it
+        # is one row, are scanned once per chart, and each member's drive
+        # and tables are their weighted sums.
+        g = drive[:, : 2 * n_chunk + 1]
+        shared_u = uu is not None and uu.ndim == 1
+        shared = list(p.forcing_columns(tau)) if rotated else [p.forcing(tau)]
+        if shared_u:
+            shared.append(uu)
+        shared = np.stack(shared)[:, : g.shape[1]]
+        superpose(g, drive_sin, shared, None if uu is None else uu[..., : g.shape[1]])
         for c, run in enumerate(runs):
-            particular[c * n_members : (c + 1) * n_members, :, : n_chunk + 1] = run.tabulate(drive)
-        stage_g[:, 0, :n_chunk], stage_g[:, 1, :n_chunk] = drive[:, :-1:2], drive[:, 1::2]
+            table = run.tabulate(shared)
+            u_table = None
+            if shared_u:
+                u_table = table[-1]
+            elif uu is not None:
+                u_table = run.tabulate(uu[:, : g.shape[1]])
+            part = particular[c * n_members : (c + 1) * n_members, :, : n_chunk + 1]
+            superpose(part, particular_sin, table, u_table)
+        stage_g[:, 0, :n_chunk], stage_g[:, 1, :n_chunk] = g[:, :-1:2], g[:, 1::2]
         due = np.zeros(n_members, dtype=bool)
         while True:
             # A member's chart changes only at a due step.
@@ -577,7 +639,7 @@ def integrate(
                     k = int(np.argmin(np.isfinite(y).all(axis=1)))
                     bad = int(np.argmin(np.isfinite(states[k, :, 1:]).all(axis=0)))
                     raise DivergenceError(
-                        f"non-finite state in member {k} at t={t[k, 2 * (j[k] + bad + 1)]}"
+                        f"non-finite state in member {k} at t={at(k, 2 * (j[k] + bad + 1))}"
                     )
                 n += kept
                 due |= stop < m
@@ -592,21 +654,21 @@ def integrate(
             for k in np.flatnonzero(due).tolist():
                 j = 2 * (int(n[k]) - c0)
                 state = tuple(y[k].tolist())
-                g0, gh, ge = drive[k, j : j + 3].tolist()
+                g0, gh, ge = g[k, j : j + 3].tolist()
                 y[k] = end_state = rk4(*state, dt, g0, gh, ge)
                 if not all(map(math.isfinite, end_state)):
-                    raise DivergenceError(f"non-finite state in member {k} at t={t[k, j + 2]}")
+                    raise DivergenceError(f"non-finite state in member {k} at t={at(k, j + 2)}")
                 if (value(*end_state) > 0.0) != on[k]:
-                    split[k] = split_step(float(t[k, j]), state, g0, end_state, ge)
+                    split[k] = split_step(float(tau[j]), state, g0, end_state, ge)
                     resume(k, None)
             # Members not in a round read the drive at their chunk's start.
-            times = t[:, :2].copy()
+            times = np.tile(tau[:2], (n_members, 1))
             while pending:
-                for k, (t_k, _, h_k, _) in pending.items():
-                    times[k] = t_k + 0.5 * h_k, t_k + h_k
-                g = inputs(times)[0].tolist()
+                for k, (tau_k, _, h_k, _) in pending.items():
+                    times[k] = tau_k + 0.5 * h_k, tau_k + h_k
+                g_round = drives_at(times).tolist()
                 for k, (_, state, h_k, g0) in list(pending.items()):
-                    resume(k, (rk4(*state, h_k, g0, *g[k]), g[k][1]))
+                    resume(k, (rk4(*state, h_k, g0, *g_round[k]), g_round[k][1]))
             n += due
             # Every other member rewrites its sample n with the same value.
             samples[members, :, np.maximum(n - skip + pad, 0)] = y

@@ -509,6 +509,23 @@ def test_identify_zero_amplitude_is_numerical_failure(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_identify_leaves_out_numpy_ma(tmp_path):
+    # np.median and np.quantile import numpy.ma, some 19 ms of every run.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from htfid import cli\n"
+        f"assert cli.main(['identify', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_console_script_installed(tmp_path):
     exe = shutil.which("htfid")
     assert exe, "console script should be on PATH after pip install -e ."

@@ -24,7 +24,13 @@ from htfid import (
     second_difference,
     spectra,
 )
-from htfid.estimate import _candidate_bins, _curvature_gram, _regressor_tensor, _solve_coupled
+from htfid.estimate import (
+    _candidate_bins,
+    _curvature_gram,
+    _regressor_tensor,
+    _solve_coupled,
+    median,
+)
 
 from helpers import relerr
 
@@ -206,6 +212,19 @@ def test_candidate_bins_are_the_regressors_in_band_bins(lab_spectra, band_hz):
     q = np.arange(1, 400)
     _, _, mask = _regressor_tensor(problem, q)
     assert np.array_equal(_candidate_bins(problem), q[mask[:, 3]])
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), -1), ((8,), -1), ((9, 5), 0), ((4, 6), 1)])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_median_is_numpys_median(shape, axis, with_nan):
+    values = np.random.default_rng(3).standard_normal(shape)
+    values.flat[1] = values.flat[0]  # a tie
+    if with_nan:
+        values.flat[-2] = np.nan
+    want = np.median(values, axis=axis)
+    got = median(values, axis=axis)
+    assert got.shape == want.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_per_bin_solve_recovers_lti_plant():
@@ -424,31 +443,51 @@ def test_unit_bin_stays_out_of_the_condition_estimate(scale):
     assert_matches_dense_oracle(scale * blocks, rhs, 0.3 * scale)
 
 
-def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
-    # Oracle: refine the estimate against the normal equations, with the
-    # residual in long double and the corrections from a dense solve.
-    orders = range(-lab_problem.n_harmonics, lab_problem.n_harmonics + 1)
-    G = np.column_stack([lab_estimate.harmonics[n] for n in orders])
-    n_bins, width = G.shape
-    systems = [build_regressor(lab_problem, w) for w in lab_estimate.omega_grid]
-    Phi, y = (np.stack(part) for part in zip(*systems))
-    Phi_H = Phi.conj().transpose(0, 2, 1)
-    blocks = Phi_H @ Phi
-    d2 = second_difference(n_bins)
-    curv = lab_problem.alpha * (d2.T @ d2)
+def refined_reference(blocks, curv, rhs, start):
+    """Refine `start` against the normal equations of the bin blocks and the
+    bin-coupling penalty `curv`: three steps, each with the residual in long
+    double and the correction from a dense solve."""
+    n_bins, width, _ = blocks.shape
     dense = np.kron(curv, np.eye(width)).astype(complex)
     for b in range(n_bins):
         dense[b * width : (b + 1) * width, b * width : (b + 1) * width] += blocks[b]
     wide_blocks = blocks.astype(np.clongdouble)
     wide_curv = curv.astype(np.longdouble)
-    wide_rhs = (Phi_H @ y[:, :, None])[:, :, 0].astype(np.clongdouble)
-    ref = G.astype(np.clongdouble)
+    wide_rhs = rhs.reshape(n_bins, width).astype(np.clongdouble)
+    ref = start.reshape(n_bins, width).astype(np.clongdouble)
     for _ in range(3):
         applied = (wide_blocks @ ref[:, :, None])[:, :, 0] + wide_curv @ ref
         residual = (wide_rhs - applied).astype(complex)
         ref = ref + np.linalg.solve(dense, residual.ravel()).reshape(n_bins, width)
-    ref = ref.astype(complex)
+    return ref.astype(complex).reshape(start.shape)
+
+
+def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
+    orders = range(-lab_problem.n_harmonics, lab_problem.n_harmonics + 1)
+    G = np.column_stack([lab_estimate.harmonics[n] for n in orders])
+    systems = [build_regressor(lab_problem, w) for w in lab_estimate.omega_grid]
+    Phi, y = (np.stack(part) for part in zip(*systems))
+    Phi_H = Phi.conj().transpose(0, 2, 1)
+    d2 = second_difference(G.shape[0])
+    curv = lab_problem.alpha * (d2.T @ d2)
+    ref = refined_reference(Phi_H @ Phi, curv, Phi_H @ y[:, :, None], G)
     assert np.max(np.abs(G - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_penalty_dominated_few_bins_match_refined_reference(seed):
+    # 7 bins of 7 orders from 9 records, Gram diagonals about 1.5e-6 and
+    # alpha = 1 (condition about 6e7): the penalty dominates, and the
+    # explicit Schur-complement inverses alone are off by some 1e-6 of
+    # max|g|.  The refinement step brings them within 1e-10.
+    rng = np.random.default_rng(seed)
+    X = 3e-4 * (rng.standard_normal((7, 9, 7)) + 1j * rng.standard_normal((7, 9, 7)))
+    blocks = X.conj().transpose(0, 2, 1) @ X
+    rhs = 1e-3 * (rng.standard_normal(49) + 1j * rng.standard_normal(49))
+    g, cond = _solve_coupled(SimpleNamespace(alpha=1.0), blocks, rhs)
+    assert 1e7 < cond < 1e9
+    ref = refined_reference(blocks, _curvature_gram(7), rhs, g)
+    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_zero_amplitude_is_no_data(lab_model, lab_cycle):

@@ -507,3 +507,18 @@ def test_htf_csv_roundtrip(tmp_path, lab_hss10, convention):
     for n, vals in hts.harmonics.items():
         # bit for bit, signed zeros included
         assert back.harmonics[n].tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize(
+    "table, fmt",
+    [
+        ([[1.0, -0.0, np.nan], [0.0, np.inf, -1e-300], [1 / 3, -np.inf, 2.0**60]], "%.17g"),
+        ([[0.5, 3.0, -0.0, 1.0], [np.nan, -2.0, 1e16, 0.0]], ["%.17g", "%d", "%.17g", "%d"]),
+        ([[6.283185307179586, -1.0, 0.1, -0.2]], ["%.17g", "%d", "%.17g", "%.17g"]),
+    ],
+)
+def test_write_table_writes_the_bytes_of_savetxt(tmp_path, table, fmt):
+    header = "a,b,c,d\n# a second header line"
+    hss_module.write_table(tmp_path / "ours.csv", header, np.array(table), fmt=fmt)
+    np.savetxt(tmp_path / "numpy.csv", table, fmt=fmt, delimiter=",", header=header, comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()

@@ -262,13 +262,15 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
     """Reference RK4 with event splitting, one step at a time, in `real` arithmetic.
 
     A transcription of the scheme `integrate` implements: the same stage
-    times in float64 (grid step i at ``t0 + j*(dt/2)`` for j = 2i, 2i+1,
-    2i+2; a split sub-step of length h from t at ``t``, ``t + h/2``,
-    ``t + h``), each stage on the chart of its own state, and a step whose
-    endpoint changes the sign of the threshold split at the crossings
-    `locate_crossing` finds, at most 16 times.  F + u is evaluated in float64 at those times through the same
-    numpy functions and then converted, so with ``real=np.longdouble`` this
-    is an oracle for the integrator's rounding alone.  Also counts the steps
+    times in float64, as elapsed times tau since t0 (grid step i at
+    ``j*(dt/2)`` for j = 2i, 2i+1, 2i+2; a split sub-step of length h from
+    tau at ``tau``, ``tau + h/2``, ``tau + h``), each stage on the chart of
+    its own state, and a step whose endpoint changes the sign of the
+    threshold split at the crossings `locate_crossing` finds, at most 16
+    times.  F at ``t0 + tau`` and u at tau are evaluated in float64 through
+    the same numpy functions and then converted, so with
+    ``real=np.longdouble`` this is an oracle for the integrator's rounding
+    alone.  Also counts the steps
     whose stages leave the chart while the endpoint does not ("mixed") and
     the crossings split ("splits").
     """
@@ -286,11 +288,11 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
             a -= c * v
         return a / m
 
-    def sub_times(t, h):
-        return np.array([t, t + 0.5 * h, t + h])
+    def sub_times(tau, h):
+        return np.array([tau, tau + 0.5 * h, tau + h])
 
     def rk4(times, x, v, h):
-        f0, fh, fe = (real(value) for value in p.forcing(times) + u_fn(times))
+        f0, fh, fe = (real(value) for value in p.forcing(t0 + times) + u_fn(times))
         h = real(h)
         k1x = v
         k1v = accel(x, v, f0)
@@ -311,22 +313,22 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
 
     def advance(times, x, v, h):
         end = rk4(times, x, v, h)
-        t = times[0]
+        tau = times[0]
         for _ in range(16):
             if on(*end) == on(x, v) or h <= EVENT_TOL:
                 return end
             stats["splits"] += 1
 
             def probe(s):
-                reached = rk4(sub_times(t, s), x, v, s)
+                reached = rk4(sub_times(tau, s), x, v, s)
                 return thr(*reached), reached
 
             h_ev, (x, v) = locate_crossing(probe, h, thr(x, v), thr(*end), end)
-            t += h_ev
+            tau += h_ev
             h -= h_ev
             if h <= 0.0:
                 return x, v
-            end = rk4(sub_times(t, h), x, v, h)
+            end = rk4(sub_times(tau, h), x, v, h)
         raise AssertionError("more than 16 crossings in one step")
 
     n_steps = int(round(duration / dt))
@@ -337,8 +339,8 @@ def scalar_integrate(model, x_init, u, duration, dt, t0=0.0, real=float):
         vs.append(v)
         charts.append(1 if on(x, v) else 0)
         if i < n_steps:
-            x, v = advance(t0 + np.arange(2 * i, 2 * i + 3) * (0.5 * dt), x, v, dt)
-    u_grid = u_fn(t0 + np.arange(n_steps + 1) * dt)
+            x, v = advance(np.arange(2 * i, 2 * i + 3) * (0.5 * dt), x, v, dt)
+    u_grid = u_fn(np.arange(n_steps + 1) * dt)
     return np.array(xs), np.array(vs), u_grid, np.array(charts), stats
 
 
@@ -367,7 +369,7 @@ def test_integrate_matches_scalar_reference_chirp(lab_model, lab_cycle):
     # 3 s of the experiment's chirp from on the orbit: three periods of
     # event-split steps, and more than one table chunk at dt/2.
     plan = ChirpPlan()
-    u = lambda t: chirp_value(plan, np.remainder(t - 0.3, plan.segment_duration))
+    u = lambda tau: chirp_value(plan, np.remainder(tau, plan.segment_duration))
     stats = assert_matches_long_double_oracle(
         lab_model, lab_cycle.state_at(0.3), u, 3.0, lab_cycle.dt / 2.0, t0=0.3
     )
@@ -459,10 +461,10 @@ def test_integrate_signature_has_duration_and_dt():
 
 
 def chirp_batch(cycle, plan):
-    """Start states, start times and input of a plan's records' runs."""
+    """Start states, start times and shared input of a plan's records' runs."""
     phases = clock_phases(plan, cycle.T)
     x_init = np.stack(cycle.state_at(phases), axis=1)
-    u = lambda t: chirp_value(plan, np.remainder(t - phases[:, None], plan.segment_duration))
+    u = lambda tau: chirp_value(plan, np.remainder(tau, plan.segment_duration))
     return x_init, phases, u
 
 
@@ -475,8 +477,7 @@ def test_batch_equals_its_members_one_at_a_time(lab_model, lab_cycle):
     batch = integrate(lab_model, x_init, u, duration, lab_cycle.dt, t0=phases)
     assert batch.x.shape == (9, 60_001) and np.array_equal(batch.t0, phases)
     for k, phase in enumerate(phases):
-        u_k = lambda t, t0=phase: chirp_value(plan, np.remainder(t - t0, plan.segment_duration))
-        alone = integrate(lab_model, x_init[k], u_k, duration, lab_cycle.dt, t0=phase)
+        alone = integrate(lab_model, x_init[k], u, duration, lab_cycle.dt, t0=phase)
         for field in ("x", "xdot", "u", "chart"):
             assert np.array_equal(getattr(batch, field)[k], getattr(alone, field)), (k, field)
 
@@ -500,7 +501,9 @@ def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, onset):
     phases = np.arange(4) / 4.0
     x_init = np.stack(lab_cycle.state_at(phases), axis=1)
 
-    def u(t):
+    def u(tau):
+        # one row per member, at the absolute times t0 + tau
+        t = phases[:, None] + tau
         values = 0.004 * np.sin(3.0 * t)
         values[2] = np.where(t[2] > onset, np.nan, values[2])
         return values
@@ -513,7 +516,7 @@ def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, onset):
     reported = float(re.search(r"t=(\S+)", str(caught.value)).group(1))
     assert reported == half_grid[2 * math.ceil(first_bad / 2)]
     # without the bad input the same batch runs through
-    finite = lambda t: 0.004 * np.sin(3.0 * t)
+    finite = lambda tau: 0.004 * np.sin(3.0 * (phases[:, None] + tau))
     assert np.isfinite(integrate(lab_model, x_init, finite, 3.0, dt, t0=phases).x).all()
 
 
@@ -570,3 +573,76 @@ def test_batch_names_the_member_whose_crossing_is_not_localized(monkeypatch):
         integrate(model, x_init, None, 1.0, 1e-3)
     reported = float(re.search(r"t=(\S+):", str(caught.value)).group(1))
     assert reported == pytest.approx(reversal * 1e-3, abs=1e-12)
+
+
+def test_batch_calls_u_once_per_chunk_on_one_elapsed_grid(lab_cycle):
+    # The always-engaged damper never leaves its chart, so no split step
+    # calls u off the grid: one call per chunk, on the chunk's elapsed
+    # times j*dt/2, whatever the members' starts.
+    model = HybridModel(threshold=lambda x, v: 1.0)
+    phases = np.arange(3) / 3.0
+    x_init = np.stack(lab_cycle.state_at(phases), axis=1)
+    calls = []
+
+    def u(tau):
+        calls.append(tau.copy())
+        return 0.004 * np.sin(3.0 * tau)
+
+    dt, n_steps = lab_cycle.dt, 10_000
+    integrate(model, x_init, u, n_steps * lab_cycle.dt, dt, t0=phases)
+    assert len(calls) == math.ceil((n_steps + 1) / _CHUNK_STEPS)
+    for c, tau in enumerate(calls):
+        c0, c1 = c * _CHUNK_STEPS, min((c + 1) * _CHUNK_STEPS, n_steps + 1)
+        assert np.array_equal(tau, np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt))
+
+
+def test_batch_of_input_rows_equals_its_members_one_at_a_time(lab_model, lab_cycle):
+    # An (S, n) input gives each member its own row; member k alone plays
+    # its row as a 1-D input.
+    phases = np.arange(3) / 3.0
+    x_init = np.stack(lab_cycle.state_at(phases), axis=1)
+    rates = np.array([2.0, 3.0, 5.0])
+    rows = lambda tau: 0.004 * np.sin(rates[:, None] * tau)
+    batch = integrate(lab_model, x_init, rows, 3.0, lab_cycle.dt, t0=phases)
+    for k, phase in enumerate(phases):
+        alone = integrate(
+            lab_model, x_init[k], lambda tau: rows(tau)[k], 3.0, lab_cycle.dt, t0=phase
+        )
+        for field in ("x", "xdot", "u", "chart"):
+            assert np.array_equal(getattr(batch, field)[k], getattr(alone, field)), (k, field)
+
+
+def test_forcing_column_at_t0_zero_is_the_forcing(lab_cycle):
+    # At t0 = 0 the weights are exactly (1, 0), so a lone member without
+    # input is driven by `ModelParams.forcing` itself: the same run with
+    # the forcing moved into u, and none left in the model, takes the
+    # same bits.
+    p = ModelParams()
+    tau = np.arange(2 * _CHUNK_STEPS + 1) * 5e-4
+    (cos_w, sin_w), (f_cos, f_sin) = p.forcing_weights(0.0), p.forcing_columns(tau)
+    assert (cos_w, sin_w) == (1.0, 0.0)
+    assert np.array_equal(cos_w * f_cos - sin_w * f_sin, p.forcing(tau))
+    x_init = lab_cycle.state_at(0.0)
+    forced = integrate(HybridModel(p), x_init, None, 3.0, lab_cycle.dt)
+    unforced = HybridModel(ModelParams(forcing_amplitude=0.0))
+    moved = integrate(unforced, x_init, p.forcing, 3.0, lab_cycle.dt)
+    for field in ("x", "xdot", "chart"):
+        assert np.array_equal(getattr(forced, field), getattr(moved, field)), field
+
+
+def test_angle_addition_forcing_is_as_accurate_as_direct_cosine():
+    # At t = t0 + tau up to 60 s, against cos(w*t) in long double at the
+    # exact times, with the model's own float64 w: the weighted columns are
+    # no further off than the cosine of the rounded sum t0 + tau.
+    p, ld = ModelParams(), np.longdouble
+    t0 = clock_phases(ChirpPlan(), p.period)
+    tau = 60.0 - np.arange(2001) * 5e-4
+    cos_w, sin_w = p.forcing_weights(t0)
+    f_cos, f_sin = p.forcing_columns(tau)
+    added = cos_w[:, None] * f_cos - sin_w[:, None] * f_sin
+    direct = p.forcing(t0[:, None] + tau)
+    exact_t = t0.astype(ld)[:, None] + tau.astype(ld)
+    exact = ld(p.forcing_amplitude) * np.cos(ld(2.0 * math.pi * p.forcing_freq) * exact_t)
+    added_err = float(np.max(np.abs(added - exact)))
+    direct_err = float(np.max(np.abs(direct - exact)))
+    assert added_err <= direct_err, (added_err, direct_err)
