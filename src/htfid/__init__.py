@@ -6,109 +6,82 @@ that orbit the deviation dynamics are linear time-periodic; this package
 computes their harmonic transfer functions from harmonic balance,
 estimates the same functions from chirp experiments via regularized
 least squares, and fits stiffness and damping to the result.
+
+The public names load lazily (PEP 562): ``import htfid`` imports no
+submodule and so not numpy, which lets ``htfid.cli`` choose numpy's BLAS
+thread count before numpy loads.  A name's module is imported the first
+time the name is read.
 """
 
-from .errors import (
-    AliasingError,
-    AmbiguousSwitchingError,
-    ConfigError,
-    DivergenceError,
-    EventLocalizationError,
-    HtfidError,
-    IllConditionedError,
-    InvalidInputError,
-    NoDataError,
-    NotSettledError,
-    ResamplingRequiredError,
-    SingularFrequencyError,
-)
-from .model import HybridModel, ModelParams, SwitchedLinearization, linearize
-from .sim import (
-    LimitCycle,
-    Trajectory,
-    error_trajectory,
-    integrate,
-    settle_limit_cycle,
-)
-from .hss import (
-    FourierMatrixSeries,
-    HarmonicTransferSet,
-    TruncatedHSS,
-    build_hss,
-    default_grid,
-    eval_htf,
-    fourier_series,
-    read_htf_csv,
-    square_wave_coeffs,
-    write_htf_csv,
-)
-from .excite import (
-    ChirpPlan,
-    ExperimentRecord,
-    chirp_value,
-    clock_phases,
-    gen_chirp,
-    run_experiments,
-)
-from .estimate import (
-    EstimationProblem,
-    SpectrumRecord,
-    build_regressor,
-    cost,
-    estimate_htf,
-    second_difference,
-    spectra,
-)
-from .fit import FitResult, fit_objective, fit_parameters
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasingError",
-    "AmbiguousSwitchingError",
-    "ChirpPlan",
-    "ConfigError",
-    "DivergenceError",
-    "EstimationProblem",
-    "EventLocalizationError",
-    "ExperimentRecord",
-    "FitResult",
-    "FourierMatrixSeries",
-    "HarmonicTransferSet",
-    "HtfidError",
-    "HybridModel",
-    "IllConditionedError",
-    "InvalidInputError",
-    "LimitCycle",
-    "ModelParams",
-    "NoDataError",
-    "NotSettledError",
-    "ResamplingRequiredError",
-    "SingularFrequencyError",
-    "SpectrumRecord",
-    "SwitchedLinearization",
-    "Trajectory",
-    "TruncatedHSS",
-    "build_hss",
-    "build_regressor",
-    "chirp_value",
-    "clock_phases",
-    "cost",
-    "default_grid",
-    "error_trajectory",
-    "estimate_htf",
-    "eval_htf",
-    "fit_objective",
-    "fit_parameters",
-    "fourier_series",
-    "gen_chirp",
-    "integrate",
-    "linearize",
-    "read_htf_csv",
-    "run_experiments",
-    "second_difference",
-    "settle_limit_cycle",
-    "spectra",
-    "square_wave_coeffs",
-    "write_htf_csv",
-]
+# The public names, by the module that defines them.
+_MODULES = {
+    "errors": (
+        "AliasingError",
+        "AmbiguousSwitchingError",
+        "ConfigError",
+        "DivergenceError",
+        "EventLocalizationError",
+        "HtfidError",
+        "IllConditionedError",
+        "InvalidInputError",
+        "NoDataError",
+        "NotSettledError",
+        "ResamplingRequiredError",
+        "SingularFrequencyError",
+    ),
+    "model": ("HybridModel", "ModelParams", "SwitchedLinearization", "linearize"),
+    "sim": ("LimitCycle", "Trajectory", "error_trajectory", "integrate", "settle_limit_cycle"),
+    "hss": (
+        "FourierMatrixSeries",
+        "HarmonicTransferSet",
+        "TruncatedHSS",
+        "build_hss",
+        "default_grid",
+        "eval_htf",
+        "fourier_series",
+        "read_htf_csv",
+        "square_wave_coeffs",
+        "write_htf_csv",
+    ),
+    "excite": (
+        "ChirpPlan",
+        "ExperimentRecord",
+        "chirp_value",
+        "clock_phases",
+        "gen_chirp",
+        "run_experiments",
+    ),
+    "estimate": (
+        "EstimationProblem",
+        "SpectrumRecord",
+        "build_regressor",
+        "cost",
+        "estimate_htf",
+        "second_difference",
+        "spectra",
+    ),
+    "fit": ("FitResult", "fit_objective", "fit_parameters"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # A public name, or one of the modules above, on its first read.
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

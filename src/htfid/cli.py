@@ -15,8 +15,15 @@ the file is read.  `_check_config` then gives every setting the type of
 its default and checks it once; the commands pass the typed values on
 as they are, and each run echoes them to ``resolved_config.json`` in the
 output directory.  Nothing written depends on wall-clock time or ambient
-RNG state, so rerunning a command with the same inputs reproduces every
-output byte for byte.
+RNG state, so rerunning a command with the same inputs under the same
+BLAS thread setting reproduces every output byte for byte.
+
+numpy's OpenBLAS runs on one thread in a CLI process: importing this
+module sets ``OPENBLAS_NUM_THREADS=1`` unless numpy is already loaded or
+one of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` is set.  The solves are too small to gain from a
+worker pool, which costs CPU time to start and spin.  The library
+modules leave BLAS alone.
 
 Exit codes: 0 success, 2 configuration or usage error (an unreadable
 input file and a setting the library refuses included), 3 numerical
@@ -33,6 +40,14 @@ import json
 import math
 import os
 import sys
+
+#: The variables by which OpenBLAS takes its thread count.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# OpenBLAS reads its thread count once, as numpy loads it, so this takes
+# effect only before numpy is imported; a count the user chose is kept.
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -65,7 +65,9 @@ class Trajectory:
 
     `chart[i]` is 1 when the damper is engaged at sample i, 0 otherwise.
     A batch of S trajectories on one grid holds rows: `x`, `xdot`, `u`
-    and `chart` of shape (S, n) and one start time per row in `t0`.
+    and `chart` of shape (S, n) and one start time per row in `t0`.  An
+    input that every member shares is stored once, and `u` is then a
+    read-only broadcast of that one row.
     """
 
     dt: float
@@ -344,7 +346,9 @@ def integrate(
     -------
     Trajectory with ``round(duration/dt) + 1 - skip`` samples (rows of
     them for a batch), chart flags set from the sign of the switching
-    threshold at each sample.
+    threshold at each sample.  A batch whose members share their input
+    (no `u`, or a `u` that returns one row) gets it as a read-only
+    broadcast of one row.
 
     Raises
     ------
@@ -382,10 +386,11 @@ def integrate(
     The loop runs trips until every member is due for such a step or done
     with the chunk, then takes the due steps one member at a time in
     Python floats.  The split steps run as coroutines, whose sub-steps
-    are taken in rounds: one evaluation of the forcing and `u` per round
-    serves all of them.  Every operation on a member's numbers is
-    elementwise or a small matrix product of its own, so a member gets the
-    same bits in a batch as alone.  A lone member at t0 = 0 has the
+    are taken in rounds: one evaluation of the forcing and `u` per round,
+    at the times of that round's sub-steps only, serves all of them.
+    Every operation on a member's numbers is elementwise or a small
+    matrix product of its own, so a member gets the same bits in a batch
+    as alone.  A lone member at t0 = 0 has the
     weights (1, 0), so its drive and its tables are those of the forcing
     column alone, bit for bit.
     """
@@ -434,16 +439,17 @@ def integrate(
             )
         return values
 
-    def drives_at(tau):
-        # Drive g = F + u of every member at its own elapsed times, an
-        # (S, m) array: F at the absolute times t0 + tau, and u called once
-        # on all of them, of which member s reads its own.
+    def drives_at(ks, tau):
+        # Drive g = F + u of members ks at their own elapsed times, row i of
+        # the (len(ks), m) array tau for member ks[i]: F at the absolute
+        # times t0 + tau, and u called once on all of them, of which each
+        # member reads its own.
         values = np.zeros(tau.shape)
         if u is not None:
             values = input_at(tau.ravel())
             if values.ndim == 2:
-                values = values.reshape(n_members, n_members, -1)[members, members]
-        return p.forcing(starts[:, None] + tau) + values.reshape(tau.shape)
+                values = values.reshape(n_members, len(ks), -1)[ks, np.arange(len(ks))]
+        return p.forcing(starts[ks, None] + tau) + values.reshape(tau.shape)
 
     def value(ex, v):
         # Threshold value at one state in offset coordinates.  The shape
@@ -543,7 +549,8 @@ def integrate(
     pad = span
     samples = np.empty((n_members, 2, pad + n_keep + pad))
     trip_samples = sliding_window_view(samples, span, axis=2, writeable=True)
-    us = np.zeros((n_members, n_keep))
+    # The stored input: one row while every member plays the same one.
+    us = np.zeros(n_keep)
     # The chunk's drive of every member, and its particular solutions on
     # both charts, member s on chart c at row c*S + s, with scratch of each
     # shape for the sine terms.  The drives of the stages (e, g0, gh) of
@@ -574,7 +581,9 @@ def integrate(
         uu = None if u is None else input_at(tau)
         first = max(c0, skip)
         if first < c1 and uu is not None:
-            us[:, first - skip : c1 - skip] = uu[..., 2 * (first - c0) : 2 * (c1 - c0) : 2]
+            if uu.ndim > us.ndim:
+                us = np.repeat(us[None], n_members, axis=0)
+            us[..., first - skip : c1 - skip] = uu[..., 2 * (first - c0) : 2 * (c1 - c0) : 2]
         end = min(c1, n_steps)
         n_chunk = end - c0
         if not n_chunk:
@@ -661,14 +670,12 @@ def integrate(
                 if (value(*end_state) > 0.0) != on[k]:
                     split[k] = split_step(float(tau[j]), state, g0, end_state, ge)
                     resume(k, None)
-            # Members not in a round read the drive at their chunk's start.
-            times = np.tile(tau[:2], (n_members, 1))
             while pending:
-                for k, (tau_k, _, h_k, _) in pending.items():
-                    times[k] = tau_k + 0.5 * h_k, tau_k + h_k
-                g_round = drives_at(times).tolist()
-                for k, (_, state, h_k, g0) in list(pending.items()):
-                    resume(k, (rk4(*state, h_k, g0, *g_round[k]), g_round[k][1]))
+                ks, steps = list(pending), list(pending.values())
+                times = np.array([(tau_k + 0.5 * h_k, tau_k + h_k) for tau_k, _, h_k, _ in steps])
+                g_round = drives_at(ks, times).tolist()
+                for k, (_, state, h_k, g0), g_k in zip(ks, steps, g_round):
+                    resume(k, (rk4(*state, h_k, g0, *g_k), g_k[1]))
             n += due
             # Every other member rewrites its sample n with the same value.
             samples[members, :, np.maximum(n - skip + pad, 0)] = y
@@ -679,7 +686,9 @@ def integrate(
     charts = model.engaged(xs, vs).astype(np.uint8)
     t_first = starts + skip * dt
     if not batch:
-        xs, vs, us, charts, t_first = xs[0], vs[0], us[0], charts[0], float(t_first[0])
+        xs, vs, us, charts, t_first = xs[0], vs[0], us.reshape(-1), charts[0], float(t_first[0])
+    elif us.ndim == 1:
+        us = np.broadcast_to(us, (n_members, n_keep))  # one read-only row for all
     return Trajectory(dt=dt, t0=t_first, x=xs, xdot=vs, u=us, chart=charts)
 
 

@@ -5,9 +5,19 @@ this module also when one run collects `tests/` and `bench/tests/`,
 each of which has a `conftest.py` of its own.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import htfid
 from htfid import HtfidError
+from htfid.cli import BLAS_THREAD_VARIABLES
+
+#: The directory that holds the package under test.
+SRC = str(Path(htfid.__file__).resolve().parents[1])
 
 
 def relerr(a, b):
@@ -24,3 +34,18 @@ def refuses(call) -> bool:
     except HtfidError:
         return True
     return False
+
+
+def fresh_python(code, env=None):
+    """Stdout of `code` run in a new interpreter that imports this checkout.
+
+    The child gets this environment with `SRC` first on PYTHONPATH and
+    none of the BLAS thread variables, and then the entries of `env`.
+    The test fails with the child's stderr unless the child exits 0.
+    """
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, child.get("PYTHONPATH")]))
+    child.update(env or {})
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()

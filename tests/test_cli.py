@@ -5,10 +5,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +15,7 @@ import pytest
 from htfid import EstimationProblem, SpectrumRecord, cli, cost, fit_parameters, read_htf_csv
 from htfid.hss import same_grid
 
-from helpers import refuses
+from helpers import fresh_python, refuses
 
 
 def write_config(path, payload):
@@ -393,12 +391,9 @@ def test_compare_refuses_tolerance_not_finite_and_non_negative(tmp_path, capsys,
 def test_bench_trace_targets_resolve():
     # `bench/run.py --trace 1` rebinds these names in the htfid modules;
     # a renamed or deleted one would break the traced benchmark run.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), str(root / "bench"), env.get("PYTHONPATH")])
-    )
+    bench = Path(__file__).resolve().parents[1] / "bench"
     code = (
+        f"import sys; sys.path.insert(0, {str(bench)!r})\n"
         "import htfid.fit, spans, trace_launcher\n"
         "for module, attr, _, _ in trace_launcher.TRACED:\n"
         "    assert callable(getattr(module, attr, None)), (module.__name__, attr)\n"
@@ -406,9 +401,7 @@ def test_bench_trace_targets_resolve():
         "trace_launcher.install(spans.Tracer())\n"
         "print(len(trace_launcher.TRACED))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 0
+    assert int(fresh_python(code)) > 0
 
 
 @pytest.fixture(scope="module")
@@ -511,19 +504,77 @@ def test_identify_zero_amplitude_is_numerical_failure(tmp_path, capsys):
 
 def test_identify_leaves_out_numpy_ma(tmp_path):
     # np.median and np.quantile import numpy.ma, some 19 ms of every run.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
         "from htfid import cli\n"
         f"assert cli.main(['identify', '--out', {str(tmp_path)!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert fresh_python(code).splitlines()[-1] == "False"
+
+
+ENVIRON_AFTER_CLI_IMPORT = (
+    "import os\n"
+    "before = dict(os.environ)\n"
+    "import htfid.cli\n"
+    "print(dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+def test_cli_runs_blas_on_one_thread_by_default():
+    assert fresh_python(ENVIRON_AFTER_CLI_IMPORT) == "False 1"
+
+
+@pytest.mark.parametrize(
+    "variable, expected",
+    [
+        ("OPENBLAS_NUM_THREADS", "True 2"),
+        ("GOTO_NUM_THREADS", "True None"),
+        ("OMP_NUM_THREADS", "True None"),
+    ],
+)
+def test_cli_keeps_a_chosen_blas_thread_count(variable, expected):
+    assert fresh_python(ENVIRON_AFTER_CLI_IMPORT, env={variable: "2"}) == expected
+
+
+def test_cli_imported_after_numpy_leaves_the_environment_alone():
+    assert fresh_python("import numpy\n" + ENVIRON_AFTER_CLI_IMPORT) == "True None"
+
+
+def test_theory_run_spends_no_cpu_on_other_threads(tmp_path):
+    # `python -m htfid.cli htf-theory --nh 40`: the CPU time of the whole
+    # process minus that of the main thread is what BLAS worker threads
+    # took (0.08-0.62 s with OpenBLAS's default pool on two CPUs).
+    code = (
+        "import resource, runpy, sys, time\n"
+        f"sys.argv = ['htfid', 'htf-theory', '--nh', '40', '--out', {str(tmp_path)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('htfid.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0\n"
+        "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "print(usage.ru_utime + usage.ru_stime - time.thread_time())\n"
     )
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert float(fresh_python(code).splitlines()[-1]) < 0.02
+    assert (tmp_path / "htf_theory.csv").is_file()
+
+
+def test_theory_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # The default run (one thread) and one on two threads agree to rounding.
+    runs = []
+    for name, env in (("default", None), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / name
+        code = (
+            "from htfid import cli\n"
+            f"assert cli.main(['htf-theory', '--nh', '40', '--out', {str(out)!r}]) == 0\n"
+        )
+        fresh_python(code, env=env)
+        runs.append(read_htf_csv(out / "htf_theory.csv"))
+    one, two = runs
+    assert np.array_equal(one.omega_grid, two.omega_grid)
+    assert one.harmonics.keys() == two.harmonics.keys()
+    for n, g in one.harmonics.items():
+        assert np.max(np.abs(g - two.harmonics[n])) <= 1e-12 * np.max(np.abs(g)), n
 
 
 def test_console_script_installed(tmp_path):

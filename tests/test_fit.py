@@ -3,14 +3,10 @@
 import argparse
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import htfid
 import htfid.fit
 from htfid import (
     InvalidInputError,
@@ -23,7 +19,7 @@ from htfid import (
 )
 from htfid.model import SwitchedLinearization
 
-from helpers import refuses
+from helpers import fresh_python, refuses
 
 
 def oscillator(k, c, duty, t_hat):
@@ -244,27 +240,12 @@ def test_inverse_crime_fit_evaluation_budget(crime_target, lab_cycle, count_eval
     assert len(count_evals) <= 25
 
 
-def _fresh_python(code):
-    """Stdout of `code` run in a new interpreter that imports this checkout."""
-    src = os.path.dirname(os.path.dirname(htfid.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return proc.stdout.strip()
-
-
 SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
 def test_cli_import_leaves_out_scipy_optimize():
     # No scipy at all: the package runs on numpy alone.
-    assert _fresh_python("import sys, htfid.cli\n" + SCIPY_LOADED) == "[]"
+    assert fresh_python("import sys, htfid.cli\n" + SCIPY_LOADED) == "[]"
 
 
 def test_htf_theory_run_loads_no_scipy(tmp_path):
@@ -274,7 +255,7 @@ def test_htf_theory_run_loads_no_scipy(tmp_path):
         f"assert cli.main(['htf-theory', '--nh', '3', '--out', {str(tmp_path)!r}]) == 0\n"
         + SCIPY_LOADED
     )
-    assert _fresh_python(code).splitlines()[-1] == "[]"
+    assert fresh_python(code).splitlines()[-1] == "[]"
 
 
 def test_estimate_loads_no_scipy():
@@ -291,7 +272,7 @@ def test_estimate_loads_no_scipy():
         + SCIPY_LOADED
     )
     # The coupled solve ran (a condition figure) and loaded no scipy module.
-    assert _fresh_python(code).splitlines() == ["True", "[]"]
+    assert fresh_python(code).splitlines() == ["True", "[]"]
 
 
 def test_identify_runs_without_scipy(tmp_path):
@@ -302,5 +283,5 @@ def test_identify_runs_without_scipy(tmp_path):
         f"sys.argv = ['htfid', 'identify', '--out', {str(tmp_path)!r}]\n"
         "runpy.run_module('htfid.cli', run_name='__main__', alter_sys=True)\n"
     )
-    _fresh_python(code)  # raises unless the run exits 0
+    fresh_python(code)  # raises unless the run exits 0
     assert (tmp_path / "fit.json").is_file()

@@ -2,15 +2,11 @@
 
 import inspect
 import math
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import htfid
 from htfid import (
     AmbiguousSwitchingError,
     ChirpPlan,
@@ -33,7 +29,7 @@ from htfid import (
 from htfid.model import chart_matrices, steps_in
 from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence, locate_crossing
 
-from helpers import refuses
+from helpers import fresh_python, refuses
 
 
 def total_energy(p, x, v):
@@ -232,9 +228,6 @@ def test_orbit_spline_matches_scipy_periodic_spline(lab_cycle):
 
 
 def test_chirp_records_leave_out_scipy_interpolate_and_optimize():
-    src = os.path.dirname(os.path.dirname(htfid.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
         "from htfid import ChirpPlan, HybridModel, run_experiments, settle_limit_cycle\n"
@@ -243,10 +236,7 @@ def test_chirp_records_leave_out_scipy_interpolate_and_optimize():
         "run_experiments(model, cycle, ChirpPlan(segment_duration=2.0, n_segments=2))\n"
         "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
 
 
 def test_chart_flags_alternate(lab_model, lab_cycle):
@@ -646,3 +636,64 @@ def test_angle_addition_forcing_is_as_accurate_as_direct_cosine():
     added_err = float(np.max(np.abs(added - exact)))
     direct_err = float(np.max(np.abs(direct - exact)))
     assert added_err <= direct_err, (added_err, direct_err)
+
+
+def test_split_rounds_evaluate_u_for_the_pending_members_only():
+    # Members 0 and 2 rest at the equilibrium and never cross the
+    # threshold (the velocity); member 1 is kicked and splits a step at
+    # each reversal.  Off the chunk grid, u is called only at the two
+    # stage times of member 1's sub-step in each round.
+    model = HybridModel(ModelParams(forcing_amplitude=0.0))
+    x_eq = model.params.equilibrium
+    x_init = np.array([[x_eq, 0.0], [x_eq, 0.1], [x_eq, 0.0]])
+    sizes = []
+
+    def u(tau):
+        sizes.append(tau.size)
+        return np.zeros_like(tau)
+
+    batch = integrate(model, x_init, u, 1.0, 1e-3)
+    off_grid = sizes[1:]  # the first call is the one chunk's grid
+    assert off_grid and set(off_grid) == {2}
+    alone = integrate(model, x_init[1], u, 1.0, 1e-3)
+    assert np.array_equal(batch.x[1], alone.x) and np.array_equal(batch.xdot[1], alone.xdot)
+
+
+@pytest.mark.parametrize("shared", [None, "chirp"])
+def test_batch_stores_a_shared_input_once(lab_model, lab_cycle, shared):
+    # No input, or one every member plays, is kept as one row and handed
+    # out as a read-only broadcast of it.
+    plan = ChirpPlan(n_segments=3)
+    x_init, phases, u = chirp_batch(lab_cycle, plan)
+    u = u if shared else None
+    batch = integrate(lab_model, x_init, u, 3.0, lab_cycle.dt, t0=phases)
+    assert batch.u.shape == batch.x.shape and batch.u.strides[0] == 0
+    assert not batch.u.flags.writeable
+    alone = integrate(lab_model, x_init[1], u, 3.0, lab_cycle.dt, t0=phases[1])
+    assert np.array_equal(batch.u[2], alone.u) and alone.u.flags.writeable
+
+
+def test_records_share_one_input_row(lab_records):
+    # The nine records play one chirp, held once.
+    first = lab_records[0].u
+    assert all(np.shares_memory(rec.u, first) for rec in lab_records)
+    assert not any(rec.u.flags.writeable for rec in lab_records)
+
+
+def test_input_turning_into_rows_mid_run_keeps_each_members_row(lab_model, lab_cycle):
+    # u returns one row on the first chunk's grid and one row per member
+    # afterwards: the stored input takes the rows from then on.
+    phases = np.arange(3) / 3.0
+    x_init = np.stack(lab_cycle.state_at(phases), axis=1)
+    rates = np.array([2.0, 3.0, 5.0])
+
+    def u(tau):
+        rows = 0.004 * np.sin(rates[:, None] * tau)
+        return rows[0] if tau[0] == 0.0 else rows
+
+    dt, n_steps = lab_cycle.dt, 2 * _CHUNK_STEPS
+    batch = integrate(lab_model, x_init, u, n_steps * dt, dt, t0=phases)
+    t = np.arange(n_steps + 1) * dt
+    want = 0.004 * np.sin(rates[:, None] * t)
+    want[:, :_CHUNK_STEPS] = want[0, :_CHUNK_STEPS]
+    assert np.array_equal(batch.u, want)
