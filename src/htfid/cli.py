@@ -361,10 +361,12 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
     plan = dict(cfg["chirp"])
     warmup_periods = plan.pop("warmup_periods")
     records = run_experiments(model, cycle, ChirpPlan(**plan), warmup_periods=warmup_periods)
+    specs = spectra(records)
+    del records  # nothing below reads the samples: free them before the estimate
 
     est_cfg = cfg["estimate"]
     problem = EstimationProblem(
-        records=[spectra(rec) for rec in records],
+        records=specs,
         n_harmonics=est_cfg["n_harmonics"],
         pump=2.0 * math.pi / cycle.T,
         alpha=est_cfg["alpha"],

@@ -52,7 +52,9 @@ class SpectrumRecord:
     `U` and `Y` are the input and deviation-output DFTs normalized by
     the sample count, on the signed FFT bin grid `freq_grid` (rad/s).
     No windowing is applied; records are transient-free by construction
-    because they start exactly on the orbit.
+    because they start exactly on the orbit.  `spectra` shares one
+    read-only `freq_grid` and `U` among the records of a batch that play
+    the same input.
     """
 
     freq_grid: np.ndarray
@@ -73,27 +75,46 @@ class SpectrumRecord:
         return 2.0 * math.pi / self.bin_spacing
 
 
-def spectra(record: ExperimentRecord) -> SpectrumRecord:
-    """DFT of one record's input and deviation output.
+def spectra(records: list[ExperimentRecord]) -> list[SpectrumRecord]:
+    """DFTs of the inputs and deviation outputs of a batch of records.
 
-    The transform runs over the full record with no window and is
+    Each transform runs over the full record with no window and is
     normalized by the sample count, so a pure cosine of amplitude a
-    shows up as a/2 in its (+/-) bins.
+    shows up as a/2 in its (+/-) bins.  Returns one `SpectrumRecord` per
+    record, in order; a single record is a batch of one.
+
+    Records that play the same input (equal samples, same step) share
+    one `U` array and one `freq_grid`, so a batch that replays one chirp
+    transforms it once; the shared arrays are read-only.  Each record
+    gets its own `Y`.  The spectra keep no reference to the records.
     """
-    u = np.asarray(record.u, dtype=float)
-    y = np.asarray(record.xi1, dtype=float)
-    if u.shape != y.shape or u.ndim != 1 or u.size < 2:
-        raise InvalidInputError("record input/output must be 1-D arrays of equal length")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("record contains non-finite samples")
-    n = u.shape[0]
-    freq = 2.0 * math.pi * np.fft.fftfreq(n, d=record.dt)
-    return SpectrumRecord(
-        freq_grid=freq,
-        U=np.fft.fft(u) / n,
-        Y=np.fft.fft(y) / n,
-        clock_phase=record.clock_phase,
-    )
+    inputs = []  # (u, dt, freq_grid, U) of each distinct input so far
+    batch = []
+    for record in records:
+        u = np.asarray(record.u, dtype=float)
+        y = np.asarray(record.xi1, dtype=float)
+        dt = record.dt
+        if u.shape != y.shape or u.ndim != 1 or u.size < 2:
+            raise InvalidInputError("record input/output must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+            raise InvalidInputError("record contains non-finite samples")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise InvalidInputError(f"record step dt must be finite and positive, not {dt!r}")
+        n = u.shape[0]
+        for seen, seen_dt, grid, U in inputs:
+            if seen_dt == dt and np.array_equal(seen, u):
+                break
+        else:
+            grid = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
+            U = np.fft.fft(u) / n
+            grid.flags.writeable = U.flags.writeable = False
+            inputs.append((u, dt, grid, U))
+        batch.append(
+            SpectrumRecord(
+                freq_grid=grid, U=U, Y=np.fft.fft(y) / n, clock_phase=record.clock_phase
+            )
+        )
+    return batch
 
 
 def check_design(n_records: int, n_harmonics: int, periods: float) -> None:

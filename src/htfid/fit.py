@@ -8,13 +8,14 @@ transfer functions and the target for orders n in {-1, 0, 1} over the
 target grid; the objective is their RMS.  It is minimized by
 Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 1963) in variables
 scaled by the initial guess.  The harmonic state-space operator is
-affine in (k, c), so the same `eval_htf` call that gives the residuals
-also gives their exact Jacobian, dG_n/dtheta = C_n M^-1 (dA/dtheta) M^-1 B.
+affine in (k, c), so a fit assembles it once, with its two directions,
+and the same `eval_htf` call that gives the residuals also gives their
+exact Jacobian, dG_n/dtheta = C_n M^-1 (dA/dtheta) M^-1 B.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -49,40 +50,55 @@ class FitResult:
             handle.write("\n")
 
 
-def _parameter_directions(m, duty, t_hat, T, n_h):
-    """dA/dk and dA/dc of the stacked harmonic state operator.
+def _affine_hss(m, duty, t_hat, T, n_h):
+    """The model's HSS at k = c = 0 and the directions dA/dk, dA/dc.
 
-    The operator is affine in (k, c), so each derivative is the operator
-    at a unit parameter minus the operator at k = c = 0.
+    The stacked state operator is affine in (k, c), so each direction is
+    the operator at a unit parameter minus the one at k = c = 0, and
+    every candidate's operator follows without another `build_hss`
+    (`_hss_at`).
     """
 
-    def operator(k, c):
+    def hss(k, c):
         lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, T)
-        return build_hss(fourier_series(lin, n_h)).A
+        return build_hss(fourier_series(lin, n_h))
 
-    zero = operator(0.0, 0.0)
-    return [operator(1.0, 0.0) - zero, operator(0.0, 1.0) - zero]
+    zero = hss(0.0, 0.0)
+    return zero, [hss(1.0, 0.0).A - zero.A, hss(0.0, 1.0).A - zero.A]
 
 
-def _residuals(k, c, target, duty, t_hat, T, m, n_h, dA=()):
-    """Stacked residuals G_n(k, c) - target_n over `ORDERS`, and their
-    derivatives along each of `dA` as the columns of a Jacobian."""
+def _hss_at(k, c, zero, dA):
+    """The HSS of the candidate (k, c): ``A = A_0 + k dA/dk + c dA/dc``."""
+    return replace(zero, A=zero.A + k * dA[0] + c * dA[1])
+
+
+def _residuals(k, c, target, zero, dA, jacobian=False):
+    """Stacked residuals G_n(k, c) - target_n over `ORDERS` and, if asked
+    for, their derivatives along each of `dA` as the columns of a
+    Jacobian."""
     for n in ORDERS:
         if n not in target.harmonics:
             raise InvalidInputError(f"target is missing harmonic {n}")
-    lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, T)
     theory = eval_htf(
-        build_hss(fourier_series(lin, n_h)),
+        _hss_at(k, c, zero, dA),
         target.omega_grid,
         n_keep=max(ORDERS),
         convention=target.convention,
-        dA=dA,
+        dA=dA if jacobian else (),
     )
     residual = np.concatenate(
         [theory.harmonics[n] - target.harmonics[n] for n in ORDERS]
     )
     jac = [np.concatenate([s[n] for n in ORDERS]) for s in theory.sensitivities]
     return residual, np.transpose(jac)
+
+
+def _check_positive(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse a nan, infinite or negative parameter, and zero unless
+    `zero_ok`."""
+    if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
+        relation = "non-negative" if zero_ok else "positive"
+        raise InvalidInputError(f"{name} must be finite and {relation}, not {value!r}")
 
 
 def _rms(residual: np.ndarray) -> float:
@@ -108,9 +124,10 @@ def fit_objective(
 
     the RMS of the residuals `fit_parameters` minimizes.
     """
-    if k <= 0.0 or c < 0.0:
-        raise InvalidInputError("need k > 0 and c >= 0")
-    return _rms(_residuals(k, c, target, duty, t_hat, T, m, n_h)[0])
+    _check_positive("k", k)
+    _check_positive("c", c, zero_ok=True)
+    zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
+    return _rms(_residuals(k, c, target, zero, dA)[0])
 
 
 def fit_parameters(
@@ -138,16 +155,18 @@ def fit_parameters(
     steps.
     """
     k0, c0 = float(init[0]), float(init[1])
-    if k0 <= 0.0 or c0 <= 0.0:
-        raise InvalidInputError("initial k and c must be positive")
+    _check_positive("initial k", k0)
+    _check_positive("initial c", c0)
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be at least 1, not {max_iter!r}")
     if duty == 0.0:
         # the damper never engages, so no data can determine c
         raise InvalidInputError("duty must be positive to fit c")
     scale = np.array([k0, c0])
-    dA = _parameter_directions(m, duty, t_hat, T, n_h)
+    zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
 
     def linearize_at(theta):
-        residual, jac = _residuals(*theta, target, duty, t_hat, T, m, n_h, dA)
+        residual, jac = _residuals(*theta, target, zero, dA, jacobian=True)
         # J^T J and J^T r of the stacked real and imaginary parts
         J = jac * scale
         return _rms(residual), (J.conj().T @ J).real, (J.conj().T @ residual).real

@@ -351,7 +351,8 @@ def eval_htf(
         Harmonic orders to keep, |n| <= n_keep (default: all of them).
     convention : "input" or "output"
     dA : sequence of (n_states, n_states) arrays
-        State-operator directions to differentiate along (default none).
+        Finite state-operator directions to differentiate along (default
+        none).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
@@ -365,6 +366,8 @@ def eval_htf(
     dA = [np.asarray(d) for d in dA]
     if any(d.shape != hss.A.shape for d in dA):
         raise InvalidInputError("each dA must have the shape of the state operator")
+    if not all(np.all(np.isfinite(d)) for d in dA):
+        raise InvalidInputError("each dA must be finite")
 
     n_h = hss.n_h
     gen = hss.A - hss.N

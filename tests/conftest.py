@@ -51,7 +51,7 @@ def lab_records(lab_model, lab_cycle):
 
 @pytest.fixture(scope="session")
 def lab_spectra(lab_records):
-    return [spectra(rec) for rec in lab_records]
+    return spectra(lab_records)
 
 
 @pytest.fixture(scope="session")

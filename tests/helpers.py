@@ -27,6 +27,13 @@ def relerr(a, b):
     return np.abs(a - b) / np.abs(b)
 
 
+def sample_buffer(a):
+    """The array that owns the memory `a` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def refuses(call) -> bool:
     """Whether `call()` raises one of the package's errors."""
     try:

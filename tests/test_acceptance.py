@@ -104,16 +104,16 @@ def test_criterion_2_undamped_oracle():
     t = np.arange(u.size) * dt
     dev = traj.x[: u.size] - (x_eq + dev_gain * np.cos(2.0 * math.pi * t))
     zeros = np.zeros_like(u)
-    records = [
-        spectra(
+    records = spectra(
+        [
             ExperimentRecord(
                 index=r,
                 clock_phase=r / 9.0,
                 traj=Trajectory(dt=dt, t0=0.0, x=dev, xdot=zeros, u=u, chart=zeros),
             )
-        )
-        for r in range(9)
-    ]
+            for r in range(9)
+        ]
+    )
     # the undamped resonance is razor thin; the default curvature weight
     # would flatten it, so the null test runs nearly unregularized
     problem = EstimationProblem(
@@ -180,7 +180,7 @@ def test_criterion_4_end_to_end_estimation():
     cycle = settle_limit_cycle(model)
     recs = run_experiments(model, cycle, ChirpPlan(), warmup_periods=1)
     problem = EstimationProblem(
-        records=[spectra(r) for r in recs],
+        records=spectra(recs),
         n_harmonics=3,
         pump=2.0 * math.pi / cycle.T,
     )

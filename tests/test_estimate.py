@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +34,7 @@ from htfid.estimate import (
     median,
 )
 
-from helpers import relerr
+from helpers import relerr, sample_buffer
 
 
 def lti_frf(w):
@@ -57,10 +59,7 @@ def lti_chirp_spectra(n_records=9):
     u = gen_chirp(ChirpPlan(), 0, dt)
     freq = 2.0 * math.pi * np.fft.fftfreq(u.size, dt)
     x = np.fft.ifft(lti_frf(freq) * np.fft.fft(u)).real
-    return [
-        spectra(make_record(u, x, k / n_records, dt, index=k))
-        for k in range(n_records)
-    ]
+    return spectra([make_record(u, x, k / n_records, dt, index=k) for k in range(n_records)])
 
 
 def flat_spectrum_spectra():
@@ -73,7 +72,7 @@ def flat_spectrum_spectra():
     u = (np.fft.ifft(U) * n).real
     freq = 2.0 * math.pi * np.fft.fftfreq(n, dt)
     x = (np.fft.ifft(lti_frf(freq) * U) * n).real
-    return [spectra(make_record(u, x, k / 3.0, dt, index=k)) for k in range(3)]
+    return spectra([make_record(u, x, k / 3.0, dt, index=k) for k in range(3)])
 
 
 # ---------------------------------------------------------------- spectra
@@ -83,7 +82,7 @@ def test_spectra_sinusoid_lands_in_one_bin():
     n, dt = 3000, 1e-3
     t = np.arange(n) * dt
     u = np.sin(2.0 * math.pi * 2.0 * t)  # bin 6 of a 3 s record
-    rec = spectra(make_record(u, np.zeros(n), 0.0, dt))
+    (rec,) = spectra([make_record(u, np.zeros(n), 0.0, dt)])
     assert abs(rec.U[6] - (-0.5j)) < 1e-12
     off = np.abs(np.delete(rec.U, [6, n - 6]))
     assert np.max(off) < 1e-12
@@ -110,7 +109,71 @@ def test_spectra_rejects_nonfinite():
     x = np.ones(100)
     x[3] = np.nan
     with pytest.raises(InvalidInputError):
-        spectra(make_record(u, x, 0.0))
+        spectra([make_record(u, x, 0.0)])
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_spectra_rejects_a_bad_step(dt):
+    # dt = 0 used to escape as ZeroDivisionError, and dt < 0 or nan gave
+    # a negative or nan bin grid
+    u = np.sin(np.arange(100.0))
+    with pytest.raises(InvalidInputError, match="step dt"):
+        spectra([make_record(u, u, 0.0, dt)])
+
+
+def test_spectra_batch_equals_each_record_alone(lab_records, lab_spectra):
+    for rec, spec in zip(lab_records, lab_spectra, strict=True):
+        n = rec.u.size
+        assert np.array_equal(spec.U, np.fft.fft(rec.u) / n)
+        assert np.array_equal(spec.Y, np.fft.fft(rec.xi1) / n)
+        assert np.array_equal(spec.freq_grid, 2.0 * math.pi * np.fft.fftfreq(n, d=rec.dt))
+        assert spec.clock_phase == rec.clock_phase
+
+
+def test_lab_spectra_share_one_input_and_grid(lab_spectra):
+    first = lab_spectra[0]
+    for spec in lab_spectra[1:]:
+        assert np.shares_memory(spec.U, first.U)
+        assert np.shares_memory(spec.freq_grid, first.freq_grid)
+    for i, spec in enumerate(lab_spectra):
+        for other in lab_spectra[i + 1 :]:
+            assert not np.shares_memory(spec.Y, other.Y)
+    # a shared array is read-only, so no record can change another's
+    assert not first.U.flags.writeable and not first.freq_grid.flags.writeable
+
+
+def test_spectra_different_inputs_get_their_own_transform():
+    n, dt = 200, 1e-3
+    t = np.arange(n) * dt
+    u_a, u_b = np.sin(2.0 * math.pi * 5.0 * t), np.cos(2.0 * math.pi * 5.0 * t)
+    x = np.zeros(n)
+    a, b, a_again, a_slow, a_short = spectra(
+        [
+            make_record(u_a, x, 0.0, dt),
+            make_record(u_b, x, 0.1, dt),
+            make_record(u_a.copy(), x, 0.2, dt),  # equal samples, other buffer
+            make_record(u_a, x, 0.3, 2.0 * dt),
+            make_record(u_a[:-1], x[:-1], 0.4, dt),
+        ]
+    )
+    assert a_again.U is a.U and a_again.freq_grid is a.freq_grid
+    for other in (b, a_slow, a_short):
+        assert not np.shares_memory(other.U, a.U)
+        assert not np.shares_memory(other.freq_grid, a.freq_grid)
+    assert np.array_equal(b.U, np.fft.fft(u_b) / n)
+    assert np.array_equal(b.freq_grid, a.freq_grid)
+    assert np.array_equal(a_slow.freq_grid, a.freq_grid / 2.0)
+    assert np.array_equal(a_short.U, np.fft.fft(u_a[:-1]) / (n - 1))
+
+
+def test_spectra_keep_no_reference_to_the_records(lab_model, lab_cycle):
+    records = run_experiments(lab_model, lab_cycle, ChirpPlan(segment_duration=2.0, n_segments=3))
+    samples = [weakref.ref(sample_buffer(a)) for a in (records[0].xi1, records[0].u)]
+    specs = spectra(records)
+    del records
+    gc.collect()
+    assert all(ref() is None for ref in samples)
+    assert len(specs) == 3
 
 
 # ------------------------------------------------------------- regressor
@@ -498,7 +561,7 @@ def test_zero_amplitude_is_no_data(lab_model, lab_cycle):
         warmup_periods=0,
     )
     problem = EstimationProblem(
-        records=[spectra(r) for r in recs], n_harmonics=1, pump=2.0 * math.pi
+        records=spectra(recs), n_harmonics=1, pump=2.0 * math.pi
     )
     with pytest.raises(NoDataError):
         estimate_htf(problem)

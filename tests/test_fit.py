@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,57 @@ def test_fit_validation(crime_target, lab_cycle):
         fit_objective(200.0, 2.0, partial, lab_cycle.duty, lab_cycle.t_hat, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda t, a: fit_parameters(t, (math.nan, 1.0), *a), "initial k"),
+        (lambda t, a: fit_parameters(t, (150.0, math.inf), *a), "initial c"),
+        (lambda t, a: fit_parameters(t, (150.0, 1.0), *a, max_iter=0), "max_iter"),
+        (lambda t, a: fit_parameters(t, (150.0, 1.0), *a, max_iter=-1), "max_iter"),
+        (lambda t, a: fit_objective(math.nan, 2.0, t, *a), "k"),
+        (lambda t, a: fit_objective(200.0, -math.inf, t, *a), "c"),
+    ],
+)
+def test_fit_refuses_nonfinite_inputs_by_name(crime_target, lab_cycle, call, name):
+    # nan passed the sign checks and failed deep in the series with a
+    # RuntimeWarning; max_iter < 1 returned an unconverged result
+    args = (lab_cycle.duty, lab_cycle.t_hat, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            call(crime_target, args)
+
+
+def test_fit_assembles_the_hss_once(crime_target, lab_cycle, count_evals, monkeypatch):
+    builds = []
+    original = htfid.fit.build_hss
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(htfid.fit, "build_hss", counting)
+    fit_parameters(crime_target, (150.0, 1.0), lab_cycle.duty, lab_cycle.t_hat, 1.0)
+    # k = c = 0 and the two unit directions, however many evaluations
+    assert len(builds) == 3
+    assert len(count_evals) > 3
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5])
+def test_affine_operator_is_the_built_one(lab_cycle, m):
+    duty, t_hat = lab_cycle.duty, lab_cycle.t_hat
+    zero, dA = htfid.fit._affine_hss(m, duty, t_hat, 1.0, 10)
+    for k, c in [(200.0, 2.0), (173.3, 0.37)]:
+        lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, 1.0)
+        built = build_hss(fourier_series(lin, 10)).A
+        affine = htfid.fit._hss_at(k, c, zero, dA).A
+        if m == 1.0:
+            # every entry is one product, rounded alike
+            assert np.array_equal(affine, built)
+        else:
+            assert np.max(np.abs(affine - built)) <= 1e-15 * np.max(np.abs(built))
+
+
 @pytest.mark.parametrize("n_h", [0, 1])
 def test_cli_checks_the_fits_orders(crime_target, lab_cycle, n_h):
     # truncation and target must reach the orders the fit reads; the
@@ -178,7 +230,7 @@ def test_sensitivities_match_central_differences(lab_cycle, convention, k, c):
         hss = build_hss(fourier_series(oscillator(k, c, duty, t_hat), 10))
         return eval_htf(hss, grid, n_keep=1, convention=convention, dA=dA)
 
-    directions = htfid.fit._parameter_directions(1.0, duty, t_hat, 1.0, 10)
+    directions = htfid.fit._affine_hss(1.0, duty, t_hat, 1.0, 10)[1]
     exact = gains(k, c, directions)
     assert len(exact.sensitivities) == 2
     # central differences are O(h^2) accurate: about 6e-8 relative at
@@ -266,7 +318,7 @@ def test_estimate_loads_no_scipy():
         "model = HybridModel()\n"
         "cycle = settle_limit_cycle(model)\n"
         "plan = ChirpPlan(segment_duration=2.0, n_segments=3)\n"
-        "records = [spectra(r) for r in run_experiments(model, cycle, plan)]\n"
+        "records = spectra(run_experiments(model, cycle, plan))\n"
         "problem = EstimationProblem(records, n_harmonics=1, pump=2.0 * math.pi / cycle.T)\n"
         "print(estimate_htf(problem).diagnostics['cond_estimate'] > 0.0)\n"
         + SCIPY_LOADED

@@ -242,6 +242,17 @@ def test_eval_htf_validation(lab_hss10):
         eval_htf(lab_hss10, np.array([1.0]), dA=[np.eye(2)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_htf_refuses_a_nonfinite_direction(lab_hss10, bad):
+    # an all-nan direction used to give nan sensitivities without a word
+    n = lab_hss10.n_states
+    partial = np.zeros((n, n))
+    partial[3, 4] = bad
+    for dA in ([np.full((n, n), bad)], [np.eye(n), partial]):
+        with pytest.raises(InvalidInputError, match="dA must be finite"):
+            eval_htf(lab_hss10, np.array([1.0]), dA=dA)
+
+
 def test_eval_htf_singular_frequency_is_nudged(lab_cycle):
     # the undamped system pole sits exactly on one grid point, in the
     # middle of the second of three batches
@@ -317,7 +328,7 @@ def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention):
     precision elimination of the same harmonic balance system."""
     n_h = 3
     hss = build_hss(fourier_series(lab_lin, n_h))
-    dA = htfid.fit._parameter_directions(1.0, lab_cycle.duty, lab_cycle.t_hat, 1.0, n_h)
+    dA = htfid.fit._affine_hss(1.0, lab_cycle.duty, lab_cycle.t_hat, 1.0, n_h)[1]
     grid = np.linspace(0.7, 43.0, 10)
     hts = eval_htf(hss, grid, convention=convention, dA=dA)
     keep = np.arange(-n_h, n_h + 1)

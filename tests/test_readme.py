@@ -12,10 +12,16 @@ from htfid import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_use_example_runs():
+def library_use_examples():
+    """The python blocks under "## Library use", in order."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library use") :]
-    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    section = section[: section.index("\n## ", 1)]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_library_use_example_runs():
+    code = library_use_examples()[0]
     scope = {}
     exec(compile(code, str(README), "exec"), scope)
     htf = scope["htf"]
@@ -23,6 +29,16 @@ def test_library_use_example_runs():
     assert htf.omega_grid.size == 600
     for values in htf.harmonics.values():
         assert np.all(np.isfinite(values))
+
+
+def test_library_estimation_example_runs():
+    # the estimation block continues in the scope of the theory block
+    scope = {}
+    for code in library_use_examples():
+        exec(compile(code, str(README), "exec"), scope)
+    assert "records" not in scope
+    assert abs(scope["fit"].k_hat - 200.0) / 200.0 < 1e-3
+    assert abs(scope["fit"].c_hat - 2.0) / 2.0 < 0.05
 
 
 def test_command_line_examples_run(tmp_path, monkeypatch):
