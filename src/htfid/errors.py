@@ -18,7 +18,7 @@ class DivergenceError(HtfidError):
 
 
 class EventLocalizationError(HtfidError):
-    """`sim.locate_crossing` (regula falsi) failed to localize a crossing."""
+    """The integrator's regula falsi (`sim._regula_falsi`) failed to localize a crossing."""
 
 
 class AmbiguousSwitchingError(HtfidError):

@@ -154,6 +154,8 @@ class EstimationProblem:
             raise InvalidInputError("pump frequency must be positive")
         if self.alpha < 0.0:
             raise InvalidInputError("alpha must be non-negative")
+        if not self.records:
+            raise InvalidInputError("no records were given")
         ref = self.records[0]
         for rec in self.records[1:]:
             if rec.n_bins != ref.n_bins or abs(rec.bin_spacing - ref.bin_spacing) > 1e-12:

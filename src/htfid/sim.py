@@ -3,28 +3,17 @@
 The integrator is a classical fourth-order Runge-Kutta scheme on a
 uniform grid in which each stage takes the chart of its own state.  On
 one chart the model is linear and time-invariant, so between switches
-`integrate` advances chart runs: a window of steps at a time, as the
-exact affine recurrence RK4 is on that chart (`_ChartRecurrence`, whose
-particular solution is a log-depth prefix scan over a chunk of steps),
-keeping every step up to the first one whose stage states or endpoint
-leave the chart.  That step takes the scalar path: stage by stage, and,
-when the threshold changes sign, split at the crossing, which
-`locate_crossing` localizes to `EVENT_TOL` by safeguarded regula falsi,
-so every partial step stays on a single chart and the scheme keeps its
-order between events.  The test suite checks the result against the same
-scheme run step by step in long double arithmetic.  Everything is
-deterministic: same inputs, bit-identical outputs.
-
-`integrate` takes a batch of S trajectories on one grid (one dt, one
-duration): ``x_init`` of shape (S, 2), one ``t0`` per member, and an input
-``u(tau)`` of the time since each member's start, called with the 1-D
-grid of such times that all members share.  The members run in
-lockstep, each with its own step pointer and chart: the chunk tables of
-both charts are scanned once for the drives the members share (the two
-forcing columns and a shared input) and superposed per member, each trip
-of the loop advances every member by its own windows, and the members'
-due scalar steps are taken together.  A single (x, xdot) pair is the
-batch of one.
+`integrate` advances chart runs by the exact affine recurrence RK4 is
+on that chart (`_ChartRecurrence`, `_Lockstep.trips`).  A step whose
+stage states or endpoint leave the chart takes the scalar path
+(`_scalar_path`): stage by stage, and split at a threshold crossing,
+which `_regula_falsi` localizes to `EVENT_TOL`, so every partial step
+stays on a single chart and the scheme keeps its order between events.
+The test suite checks the result against the same scheme run step by
+step in long double arithmetic.  Everything is deterministic: same
+inputs, bit-identical outputs.  A batch of S trajectories on one grid
+with one input runs in lockstep (`_Lockstep`); a single (x, xdot) pair
+is the batch of one.
 """
 
 import math
@@ -65,9 +54,9 @@ class Trajectory:
 
     `chart[i]` is 1 when the damper is engaged at sample i, 0 otherwise.
     A batch of S trajectories on one grid holds rows: `x`, `xdot`, `u`
-    and `chart` of shape (S, n) and one start time per row in `t0`.  An
-    input that every member shares is stored once, and `u` is then a
-    read-only broadcast of that one row.
+    and `chart` of shape (S, n) and one start time per row in `t0`.  Its
+    members play one input, stored once: `u` is a read-only broadcast of
+    that one row.
     """
 
     dt: float
@@ -189,12 +178,12 @@ class _ChartRecurrence:
     Steele): after the pass of span s, each p[i] holds the drives of its
     last 2s steps, so ceil(log2 n) vectorised passes cover n steps.  p is
     linear in g, so the table of a weighted sum of drives is the same sum
-    of their tables, up to rounding.  `powers` holds ``P^l`` for l up to `n_powers`, enough for both the
-    windows of `integrate` and the scan's spans.  P, the q and the powers
-    are formed in long double and rounded once.  `stages` gives the three
-    inner RK4 stage states of a step as the same kind of affine map of its
-    start state and first two stage drives; they only serve to check that
-    a run stays on its chart.
+    of their tables, up to rounding.  `powers` holds ``P^l`` for l up to
+    `n_powers`, enough for both the windows of `_Lockstep.trips` and the
+    scan's spans.  P, the q and the powers are formed in long double and
+    rounded once.  `stages` gives the three inner RK4 stage states of a
+    step as the same kind of affine map of its start state and first two
+    stage drives; they only serve to check that a run stays on its chart.
     """
 
     def __init__(self, A, b, h, n_powers):
@@ -236,8 +225,8 @@ class _ChartRecurrence:
         """Particular states p of a chunk, shape (2, n + 1), for the drive g.
 
         g lies on the half-step grid, 2n + 1 points; step i reads its
-        stage drives at points 2i, 2i + 1 and 2i + 2.  A batch of drives,
-        g of shape (S, 2n + 1), gives p of shape (S, 2, n + 1), each row
+        stage drives at points 2i, 2i + 1 and 2i + 2.  A stack of drives,
+        g of shape (k, 2n + 1), gives p of shape (k, 2, n + 1), each row
         the table of its own drive.
         """
         stage_g = np.stack([g[..., :-1:2], g[..., 1::2], g[..., 2::2]], axis=-2)
@@ -252,8 +241,18 @@ class _ChartRecurrence:
 
 
 def _regula_falsi(h, value_lo, value_hi, landing):
-    """`locate_crossing` as a coroutine: yields each probe length s and is
-    sent that probe's ``(value, payload)``; returns ``(s, payload)``."""
+    """A sign change of the threshold along one step of length h.
+
+    A coroutine: yields each probe length s and is sent ``(value, payload)``,
+    the threshold where an RK4 sub-step of length s lands and whatever the
+    caller needs of it.  `value_lo`, `value_hi` are the values at 0 and h,
+    on opposite sides, and `landing` the payload at h.  Safeguarded Illinois
+    regula falsi: probes keep EVENT_TOL/4 from the bracket ends, and a
+    bisection follows whenever two probes have not halved the bracket.
+    Returns ``(s, payload)`` at the bracket end past the crossing once the
+    bracket is below `EVENT_TOL`; raises `EventLocalizationError` after
+    `EVENT_MAX_ITER` probes.
+    """
     side_lo = value_lo > 0.0
     lo, hi = 0.0, h
     width_2, width_1 = math.inf, math.inf  # bracket widths before the last two probes
@@ -278,193 +277,36 @@ def _regula_falsi(h, value_lo, value_hi, landing):
             if moved == "hi":
                 value_lo *= 0.5
             moved = "hi"
-    raise EventLocalizationError(
-        f"threshold crossing not localized in {EVENT_MAX_ITER} iterations"
-    )
+    raise EventLocalizationError(f"threshold crossing not localized in {EVENT_MAX_ITER} iterations")
 
 
-def locate_crossing(probe, h, value_lo, value_hi, landing):
-    """A sign change of the threshold along one step of length h.
+def _scalar_path(model: HybridModel, dt: float):
+    """``(value, rk4, split_step)``: the scalar path of `integrate`, in Python floats.
 
-    ``probe(s)`` returns ``(value, payload)``: the threshold value at the
-    state an RK4 sub-step of length s reaches, and whatever the caller
-    needs of that sub-step.  `value_lo` and `value_hi` are the values at 0
-    and h, on opposite sides of the threshold, and `landing` is the
-    payload at h.  The crossing is bracketed by safeguarded Illinois
-    regula falsi: a probe keeps a quarter of `EVENT_TOL` from the bracket
-    ends, and a bisection follows whenever two probes have not halved the
-    bracket.  Returns ``(s, payload)`` for the bracket end just past the
-    crossing, once the bracket is narrower than `EVENT_TOL`.
-    `integrate` runs the same search as a coroutine, so that the searches
-    of a batch's members probe together.
+    States are offsets ``(x - x_eq, xdot)``.  ``value(ex, v)`` is the
+    threshold; ``rk4(ex, v, h, g0, gh, ge)`` an RK4 step, each stage on the
+    chart of its own state.  The coroutine ``split_step(tau, state, g0, end,
+    ge)``, the step of length dt from elapsed time tau that lands on `end`
+    unsplit, splits it at each crossing (`_regula_falsi`): it yields each
+    sub-step ``(tau, state, h, g0)``, is sent the state reached and the
+    drive at tau + h, and returns where the step lands.
     """
-    search = _regula_falsi(h, value_lo, value_hi, landing)
-    s = next(search)
-    while True:
-        try:
-            s = search.send(probe(s))
-        except StopIteration as found:
-            return found.value
-
-
-def integrate(
-    model: HybridModel,
-    x_init,
-    u: Optional[Callable[[np.ndarray], np.ndarray]],
-    duration: float,
-    dt: float,
-    t0=0.0,
-    skip: int = 0,
-) -> Trajectory:
-    """Integrate the hybrid model over [t0, t0 + duration], one run or a batch.
-
-    Parameters
-    ----------
-    model : HybridModel
-    x_init : (x, xdot) initial state, or an (S, 2) array of them
-        An (S, 2) array integrates a batch of S members in lockstep.  The
-        members share the grid (dt and duration); each has its own start
-        time, input and chart.
-    u : callable or None
-        Extra input force as a function of the time since the start,
-        ``tau = t - t0``.  It is called with a 1-D array of such times,
-        the same for every member, and returns either an array of that
-        shape, one waveform that every member plays, or one of shape
-        (S, n), row s for member s; anything else raises
-        `InvalidInputError`.  None means no input.
-    duration, dt : float
-        Total span and step; dt must divide duration.
-    t0 : float or array of S floats
-        Start time, one per member or one for all.  The forcing phase is
-        referenced to absolute time, so trajectories started at
-        different t0 see different clock phases.
-    skip : int
-        Samples integrated but not stored, such as a warm-up: the result
-        starts at sample `skip`, time ``t0 + skip*dt``.
-
-    Returns
-    -------
-    Trajectory with ``round(duration/dt) + 1 - skip`` samples (rows of
-    them for a batch), chart flags set from the sign of the switching
-    threshold at each sample.  A batch whose members share their input
-    (no `u`, or a `u` that returns one row) gets it as a read-only
-    broadcast of one row.
-
-    Raises
-    ------
-    DivergenceError, EventLocalizationError
-        With the index of the member that failed and its time.
-
-    Notes
-    -----
-    The drive ``g = F + u`` is tabulated a chunk of grid steps at a time
-    on the half-step grid of elapsed times ``tau_j = j*(0.5*dt)``, which
-    every member shares: step i takes its three RK4 stage times at j = 2i,
-    2i + 1 and 2i + 2, so the end of one step and the start of the next
-    share one evaluation.  `u` is called once per chunk on that grid, and
-    the forcing comes from its two columns ``A cos(w*tau)`` and
-    ``A sin(w*tau)`` (`ModelParams.forcing_columns`), which each member
-    weighs by ``cos(w*t0)`` and ``sin(w*t0)`` of its own start.
-    Between switches the steps are advanced as chart runs (see
-    `_ChartRecurrence`).  RK4 on one chart is linear in its drive, so the
-    chunk's particular solutions are scanned once per chart for the
-    shared drives only (the two forcing columns and a shared `u`, at most
-    three), and each member's table is their superposition
-    ``cos(w*t0)*p_cos - sin(w*t0)*p_sin + p_u``, formed in place.  From it
-    follow a window of up to `_WINDOW_STEPS` states at once from a
-    member's current state.  A trip of `_TRIP_WINDOWS` windows, each from
-    the state the one before reached, keeps every step up to the first
-    one whose four stage states or endpoint leave the member's chart.
-    The state is carried as the offset from the static equilibrium, which
-    keeps the rounding of the recurrence at the scale of the motion.  That
-    step alone goes through the scalar path, where each RK4 stage takes
-    the chart of its own state and a step that changes the sign of the
-    threshold is split at the crossing (`locate_crossing`); the split
-    steps evaluate the forcing at their own times ``t0 + tau`` and the
-    input at their own elapsed times ``tau``.
-
-    The loop runs trips until every member is due for such a step or done
-    with the chunk, then takes the due steps one member at a time in
-    Python floats.  The split steps run as coroutines, whose sub-steps
-    are taken in rounds: one evaluation of the forcing and `u` per round,
-    at the times of that round's sub-steps only, serves all of them.
-    Every operation on a member's numbers is elementwise or a small
-    matrix product of its own, so a member gets the same bits in a batch
-    as alone.  A lone member at t0 = 0 has the
-    weights (1, 0), so its drive and its tables are those of the forcing
-    column alone, bit for bit.
-    """
-    n_steps = steps_in(duration, dt)
-    try:
-        x_init = np.asarray(x_init, dtype=float)
-        starts = np.broadcast_to(np.asarray(t0, dtype=float), x_init.shape[:-1])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"initial states and start times do not match: {exc}") from None
-    batch = x_init.ndim == 2
-    if x_init.ndim not in (1, 2) or x_init.shape[-1] != 2 or not x_init.size:
-        raise InvalidInputError("initial state must be an (x, xdot) pair or an (S, 2) array")
-    if not (np.isfinite(x_init).all() and np.isfinite(starts).all()):
-        raise InvalidInputError("initial states and start times must be finite")
-    if not 0 <= skip <= n_steps:
-        raise InvalidInputError(f"skip={skip} outside 0..{n_steps}")
-    x_init, starts = x_init.reshape(-1, 2), starts.reshape(-1)
-
     p = model.params
-    switching, threshold = model.switching, model.threshold
-    x_eq = p.equilibrium
+    threshold, x_eq = model.threshold, p.equilibrium
     A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
-    # Powers up to the longest window and the longest scan span.
-    n_powers = max(_WINDOW_STEPS, _CHUNK_STEPS // 2)
-    runs = [_ChartRecurrence(A, B[:, 0], dt, n_powers) for A in (A_off, A_on)]
-    # Per chart, gathered by each member's chart index.
-    powers = np.stack([run.powers[:, : _WINDOW_STEPS + 1] for run in runs])
-    stages = np.stack([run.stages for run in runs])
-    # The velocity row of each chart, for the scalar path.
     stiffness, damping, gain = float(A_off[1, 0]), float(A_on[1, 1]), float(B[1, 0])
-    n_members = len(x_init)
-    members = np.arange(n_members)
-    # Each member's weights of the two forcing columns.  When every member
-    # starts at t0 = 0, every pair is exactly (1, 0), and the cosine column,
-    # which is `forcing` itself, is the whole forcing.
-    cos_w, sin_w = p.forcing_weights(starts)
-    rotated = bool(np.any(sin_w != 0.0))
-
-    def input_at(tau):
-        # u at the 1-D elapsed times tau: one row for all members, shape
-        # tau.shape, or one per member, shape (S,) + tau.shape.
-        values = np.asarray(u(tau), dtype=float)
-        if values.shape not in (tau.shape, (n_members,) + tau.shape):
-            raise InvalidInputError(
-                f"u returned shape {values.shape} for elapsed times of shape {tau.shape}"
-            )
-        return values
-
-    def drives_at(ks, tau):
-        # Drive g = F + u of members ks at their own elapsed times, row i of
-        # the (len(ks), m) array tau for member ks[i]: F at the absolute
-        # times t0 + tau, and u called once on all of them, of which each
-        # member reads its own.
-        values = np.zeros(tau.shape)
-        if u is not None:
-            values = input_at(tau.ravel())
-            if values.ndim == 2:
-                values = values.reshape(n_members, len(ks), -1)[ks, np.arange(len(ks))]
-        return p.forcing(starts[ks, None] + tau) + values.reshape(tau.shape)
 
     def value(ex, v):
-        # Threshold value at one state in offset coordinates.  The shape
-        # contract of `switching` has been checked on the batch's arrays.
+        # The shape contract of `switching` has been checked on the batch's arrays.
         return float(threshold(ex + x_eq, v))
 
     def accel(ex, v, g):
-        # Acceleration at one state in offset coordinates, on its own chart.
         a = stiffness * ex + gain * g
         if value(ex, v) > 0.0:
             a += damping * v
         return a
 
     def rk4(ex, v, h, g0, gh, ge):
-        # One RK4 step in offset coordinates, each stage on its own chart.
         k1v = accel(ex, v, g0)
         k2x = v + 0.5 * h * k1v
         k2v = accel(ex + 0.5 * h * v, k2x, gh)
@@ -478,11 +320,6 @@ def integrate(
         )
 
     def split_step(tau, state, g0, end, ge):
-        # The step of length dt from `state` at elapsed time tau, split at
-        # each threshold crossing; `end` is where the unsplit step lands.
-        # A coroutine: it yields each sub-step (tau, state, h, g0) it needs,
-        # an RK4 step of length h off the tabulated grid given the drive g0
-        # at tau, and is sent the state reached and the drive at tau + h.
         h = dt
         for _ in range(16):
             value0, value1 = value(*state), value(*end)
@@ -504,192 +341,296 @@ def integrate(
             end, ge = yield tau, state, h, g0
         raise EventLocalizationError("more than 16 threshold crossings inside one step")
 
-    def resume(k, reply):
-        # Send `reply` to member k's split step in the loop below, then keep
-        # the sub-step it asks for next in `pending`, or take the state it
-        # lands on.
+    return value, rk4, split_step
+
+
+def _superpose(out, cos_w, sin_w, rows):
+    """``out = cos_w*rows[0] - sin_w*rows[1] (+ rows[2])`` in place, a weight per first index."""
+    weight = (slice(None),) + (None,) * (out.ndim - 1)
+    np.multiply(cos_w[weight], rows[0], out=out)
+    out -= sin_w[weight] * rows[1]
+    if len(rows) > 2:
+        out += rows[2]
+
+
+class _Lockstep:
+    """The S members of one `integrate` call, advanced in lockstep.
+
+    Each member has its own state `y` (offset from the static equilibrium,
+    and xdot), step pointer `n` and chart.  Per chunk of grid steps,
+    `tables` runs once, then `trips` and `due_steps` take turns until no
+    member is due.  Each member's arithmetic is elementwise or a small
+    matrix product of its own: it gets the same bits in a batch as alone.
+    """
+
+    def __init__(self, model, x_init, starts, u, dt, n_steps, skip):
+        p = self.params = model.params
+        self.switching, self.x_eq, self.u, self.starts = model.switching, p.equilibrium, u, starts
+        self.dt, self.n_steps, self.skip = dt, n_steps, skip
+        self.value, self.rk4, self.split_step = _scalar_path(model, dt)
+        A_off, A_on, B = chart_matrices(p.m, p.k, p.c)
+        # Powers up to the longest window and the longest scan span.
+        n_powers = max(_WINDOW_STEPS, _CHUNK_STEPS // 2)
+        self.runs = [_ChartRecurrence(A, B[:, 0], dt, n_powers) for A in (A_off, A_on)]
+        # Per chart, gathered by each member's chart index.
+        self.powers = np.stack([run.powers[:, : _WINDOW_STEPS + 1] for run in self.runs])
+        self.stages = np.stack([run.stages for run in self.runs])
+        S = len(x_init)
+        self.members = np.arange(S)
+        self.cos_w, self.sin_w = p.forcing_weights(starts)
+        # (offset, xdot) of every sample.  A trip stores all its states, sample
+        # i at column max(i - skip + span, 0): the warm-up goes to the first
+        # `span` columns, which are dropped, and the states past a member's
+        # first leaving step are overwritten as it moves on (into `span`
+        # columns of room at the end).
+        span = self.span = _TRIP_WINDOWS * _WINDOW_STEPS
+        self.us = np.zeros(n_steps + 1 - skip)  # the input, one row for all members
+        self.samples = np.empty((S, 2, span + len(self.us) + span))
+        self.trip_samples = sliding_window_view(self.samples, span, axis=2, writeable=True)
+        # The chunk's drive of every member, and its particular solutions on
+        # both charts, member s on chart c at row c*S + s.  The drives of the
+        # stages (e, g0, gh) of each step have room for one trip past the
+        # chunk end; the states of that room are never kept.
+        n_table = min(_CHUNK_STEPS, n_steps)
+        self.drive = np.empty((S, 2 * n_table + 1))
+        self.particular = np.zeros((2 * S, 2, n_table + 1 + span))
+        self.particular_trips = sliding_window_view(self.particular, span + 1, axis=2)
+        self.stage_g = np.zeros((S, 2, n_table + span))
+        self.stage_g_trips = sliding_window_view(self.stage_g, span, axis=2)
+        # A trip's states, its steps' stage inputs (e, g0, gh), end and inner
+        # stage states, and which steps leave the chart (the last column never).
+        self.states = np.empty((S, 2, span + 1))
+        self.stage_in = np.empty((S, 4, span))
+        self.points = np.empty((S, 4, 2, span))
+        self.inner = self.points[:, 1:].reshape(S, 6, span)
+        self.leaves = np.ones((S, span + 1), dtype=bool)
+        self.y = np.stack([x_init[:, 0] - self.x_eq, x_init[:, 1]], axis=1)
+        self.samples[:, :, max(span - skip, 0)] = self.y
+        self.n = np.zeros(S, dtype=np.intp)
+        self.due = np.zeros(S, dtype=bool)
+
+    def _input_at(self, tau):
+        # u at the 1-D elapsed times tau, one waveform for all members.
+        values = np.asarray(self.u(tau), dtype=float)
+        if values.shape != tau.shape:
+            raise InvalidInputError(
+                f"u returned shape {values.shape} for elapsed times of shape {tau.shape}"
+            )
+        return values
+
+    def _time(self, k, j):
+        # Absolute time of point j of the chunk's half-step grid for member k.
+        return self.starts[k] + self.tau[j]
+
+    def tables(self, c0, c1):
+        """Tabulate grid samples c0 .. c1 - 1 and store their input; returns the step count.
+
+        The drive ``g = F + u`` lives on the half-step grid of elapsed times
+        ``tau_j = j*dt/2``, which all members share (step i at j = 2i, 2i + 1,
+        2i + 2); `u` is called once on it and F taken from ``A cos(w*tau)``
+        and ``A sin(w*tau)`` (`ModelParams.forcing_columns`).  RK4 on a chart
+        is linear in its drive, so each member's drive and tables are these
+        drives' and their tables' sum weighted by ``cos(w*t0)``, ``sin(w*t0)``.
+        """
+        self.c0, self.end = c0, min(c1, self.n_steps)
+        self.tau = tau = np.arange(2 * c0, 2 * c1 + 1) * (0.5 * self.dt)
+        shared = list(self.params.forcing_columns(tau))
+        if self.u is not None:
+            shared.append(self._input_at(tau))
+            first = max(c0, self.skip)
+            if first < c1:
+                kept = shared[2][2 * (first - c0) : 2 * (c1 - c0) : 2]
+                self.us[first - self.skip : c1 - self.skip] = kept
+        n_chunk = self.end - c0
+        if n_chunk:
+            g = self.drive[:, : 2 * n_chunk + 1]
+            shared = np.stack(shared)[:, : g.shape[1]]
+            _superpose(g, self.cos_w, self.sin_w, shared)
+            for c, run in enumerate(self.runs):
+                part = self.particular[c * len(g) : (c + 1) * len(g), :, : n_chunk + 1]
+                _superpose(part, self.cos_w, self.sin_w, run.tabulate(shared))
+            self.stage_g[:, 0, :n_chunk], self.stage_g[:, 1, :n_chunk] = g[:, :-1:2], g[:, 1::2]
+        return n_chunk
+
+    def trips(self):
+        """Advance the members that are not due along their chart runs; returns whether any is due.
+
+        A trip takes a member `_TRIP_WINDOWS` windows of `_WINDOW_STEPS` steps
+        on, each window at once from the state the one before reached, as
+        ``e[i+l] = P^l (e[i] - p[i]) + p[i+l]`` (`_ChartRecurrence`).  The
+        member keeps every step up to the first whose four stage states or
+        endpoint leave its chart, which is then due for the scalar path.
+        Trips run until every member is due or done with the chunk.
+        """
+        members, x_eq, span, due = self.members, self.x_eq, self.span, self.due
+        states, points, stage_in = self.states, self.points, self.stage_in
+        # A member's chart changes only at a due step.
+        on = self.on = self.switching(self.y[:, 0] + x_eq, self.y[:, 1]) > 0.0
+        chart = on.astype(np.intp)
+        rows = chart * len(members) + members
+        chart_powers, chart_stages = self.powers[chart], self.stages[chart]
+        while True:
+            m = np.minimum(span, self.end - self.n)
+            m[due] = 0
+            if not np.count_nonzero(m):
+                return bool(due.any())
+            j = self.n - self.c0
+            part = self.particular_trips[rows, :, j]
+            states[:, :, 0] = self.y
+            for w in range(0, span, _WINDOW_STEPS):
+                offset = states[:, :, w] - part[:, :, w]
+                window = (chart_powers @ offset[:, None, :, None])[..., 0]
+                window += part[:, :, w : w + _WINDOW_STEPS + 1]
+                states[:, :, w + 1 : w + _WINDOW_STEPS + 1] = window[:, :, 1:]
+            points[:, 0] = states[:, :, 1:]
+            stage_in[:, :2] = states[:, :, :-1]
+            stage_in[:, 2:] = self.stage_g_trips[members, :, j]
+            np.matmul(chart_stages, stage_in, out=self.inner)
+            above = self.switching(points[:, :, 0] + x_eq, points[:, :, 1]) > 0.0
+            np.logical_or.reduce(above != on[:, None, None], axis=1, out=self.leaves[:, :-1])
+            stop = np.argmax(self.leaves, axis=1)
+            kept = np.minimum(stop, m)
+            at = np.maximum(self.n + (1 - self.skip + span), 0)
+            self.trip_samples[members, :, at] = states[:, :, 1:]
+            self.y = states[members, :, kept]
+            if not np.isfinite(states).all():
+                # Any non-finite kept state, not only the last: a window's
+                # recurrence steps over an overflow from the window's start.
+                finite = np.isfinite(states[:, :, 1:]).all(axis=1)
+                bad = np.argmin(finite, axis=1)  # each member's first non-finite state
+                diverged = np.flatnonzero(~finite[members, bad] & (bad < kept))
+                if diverged.size:
+                    k = int(diverged[0])
+                    t = self._time(k, 2 * (j[k] + bad[k] + 1))
+                    raise DivergenceError(f"non-finite state in member {k} at t={t}")
+            self.n += kept
+            due |= stop < m
+
+    def due_steps(self):
+        """Take the due members' steps on the scalar path, one member at a time.
+
+        A step that changes the sign of the threshold is split at the
+        crossing.  The split steps run as coroutines whose sub-steps are
+        taken in rounds: one evaluation of F at ``t0 + tau`` and of `u` at
+        tau, at the times of that round's sub-steps only, serves them all.
+        """
+        pending = {}
+        for k in np.flatnonzero(self.due).tolist():
+            j = 2 * (int(self.n[k]) - self.c0)
+            state = tuple(self.y[k].tolist())
+            g0, gh, ge = self.drive[k, j : j + 3].tolist()
+            self.y[k] = end = self.rk4(*state, self.dt, g0, gh, ge)
+            if not all(map(math.isfinite, end)):
+                raise DivergenceError(f"non-finite state in member {k} at t={self._time(k, j + 2)}")
+            if (self.value(*end) > 0.0) != self.on[k]:
+                step = self.split_step(float(self.tau[j]), state, g0, end, ge)
+                self._resume(pending, k, step, None)
+        while pending:
+            ks, steps = list(pending), [request for _, request in pending.values()]
+            tau = np.array([(tau_k + 0.5 * h_k, tau_k + h_k) for tau_k, _, h_k, _ in steps])
+            u = np.zeros(tau.shape) if self.u is None else self._input_at(tau.ravel())
+            g_round = self.params.forcing(self.starts[ks, None] + tau) + u.reshape(tau.shape)
+            for k, (_, state, h_k, g0), g_k in zip(ks, steps, g_round.tolist()):
+                self._resume(pending, k, pending[k][0], (self.rk4(*state, h_k, g0, *g_k), g_k[1]))
+        self.n += self.due
+        # Every other member rewrites its sample n with the same value.
+        self.samples[self.members, :, np.maximum(self.n - self.skip + self.span, 0)] = self.y
+        self.due[:] = False
+
+    def _resume(self, pending, k, step, reply):
+        # Send `reply` to member k's split step, then keep the sub-step it
+        # asks for next in `pending`, or take the state it lands on.
         try:
-            pending[k] = split[k].send(reply)
+            pending[k] = step, step.send(reply)
         except StopIteration as landed:
             pending.pop(k, None)
-            y[k] = landed.value
-            if not np.isfinite(y[k]).all():
-                raise DivergenceError(
-                    f"non-finite state in member {k} at t={at(k, 2 * (n[k] - c0 + 1))}"
-                ) from None
+            self.y[k] = landed.value
+            if not np.isfinite(self.y[k]).all():
+                t = self._time(k, 2 * (self.n[k] - self.c0 + 1))
+                raise DivergenceError(f"non-finite state in member {k} at t={t}") from None
         except EventLocalizationError as exc:
-            raise EventLocalizationError(
-                f"member {k}, step from t={at(k, 2 * (n[k] - c0))}: {exc}"
-            ) from None
+            t = self._time(k, 2 * (self.n[k] - self.c0))
+            raise EventLocalizationError(f"member {k}, step from t={t}: {exc}") from None
 
-    def at(k, j):
-        # Absolute time of point j of the chunk's half-step grid for member k.
-        return starts[k] + tau[j]
-
-    def superpose(out, scratch, rows, u_part):
-        # Member by member along the first axis, in place: out = cos(w*t0) *
-        # rows[0] - sin(w*t0) * rows[1] + u_part, with u_part None for no
-        # input; unrotated weights (1, 0) give rows[0] exactly.
-        if rotated:
-            weight = (slice(None),) + (None,) * (out.ndim - 1)
-            np.multiply(cos_w[weight], rows[0], out=out)
-            out -= np.multiply(sin_w[weight], rows[1], out=scratch[..., : out.shape[-1]])
+    def trajectory(self, model, batch):
+        """The stored samples as a `Trajectory`, rows of them for a batch."""
+        xs, vs = self.samples[:, :, self.span : self.span + len(self.us)].transpose(1, 0, 2)
+        xs += self.x_eq
+        charts = model.engaged(xs, vs).astype(np.uint8)
+        us, t_first = self.us, self.starts + self.skip * self.dt
+        if not batch:
+            xs, vs, charts, t_first = xs[0], vs[0], charts[0], float(t_first[0])
         else:
-            out[...] = rows[0]
-        if u_part is not None:
-            out += u_part
+            us = np.broadcast_to(us, xs.shape)  # one read-only row for all
+        return Trajectory(dt=self.dt, t0=t_first, x=xs, xdot=vs, u=us, chart=charts)
 
-    n_keep = n_steps + 1 - skip
-    # (offset, xdot) of every sample.  A trip stores all the states it
-    # computes, sample i at column max(i - skip + pad, 0): the warm-up goes
-    # to the first `pad` columns, which are dropped, and the states past a
-    # member's first leaving step are overwritten as the member moves on,
-    # the last ones into `pad` columns of room past the final sample.
-    span = _TRIP_WINDOWS * _WINDOW_STEPS  # steps a member advances by in one trip
-    pad = span
-    samples = np.empty((n_members, 2, pad + n_keep + pad))
-    trip_samples = sliding_window_view(samples, span, axis=2, writeable=True)
-    # The stored input: one row while every member plays the same one.
-    us = np.zeros(n_keep)
-    # The chunk's drive of every member, and its particular solutions on
-    # both charts, member s on chart c at row c*S + s, with scratch of each
-    # shape for the sine terms.  The drives of the stages (e, g0, gh) of
-    # each step have room for one trip past the chunk end; the states of
-    # that room are never kept.
-    n_table = min(_CHUNK_STEPS, n_steps)
-    drive, drive_sin = np.empty((2, n_members, 2 * n_table + 1))
-    particular = np.zeros((2 * n_members, 2, n_table + 1 + span))
-    particular_trips = sliding_window_view(particular, span + 1, axis=2)
-    particular_sin = np.empty((n_members, 2, n_table + 1))
-    stage_g = np.zeros((n_members, 2, n_table + span))
-    stage_g_trips = sliding_window_view(stage_g, span, axis=2)
-    # A trip's states, the stage inputs (e, g0, gh) of its steps, their
-    # endpoints and inner stage states, and which of them leave the chart,
-    # the last column never.
-    states = np.empty((n_members, 2, span + 1))
-    stage_in = np.empty((n_members, 4, span))
-    points = np.empty((n_members, 4, 2, span))
-    inner = points[:, 1:].reshape(n_members, 6, span)
-    leaves = np.ones((n_members, span + 1), dtype=bool)
 
-    y = np.stack([x_init[:, 0] - x_eq, x_init[:, 1]], axis=1)  # offset from x_eq, and xdot
-    samples[:, :, max(pad - skip, 0)] = y
-    n = np.zeros(n_members, dtype=np.intp)  # each member's step pointer
+def integrate(
+    model: HybridModel,
+    x_init,
+    u: Optional[Callable[[np.ndarray], np.ndarray]],
+    duration: float,
+    dt: float,
+    t0=0.0,
+    skip: int = 0,
+) -> Trajectory:
+    """Integrate the hybrid model over [t0, t0 + duration], one run or a batch.
+
+    Parameters
+    ----------
+    model : HybridModel
+    x_init : (x, xdot) initial state, or an (S, 2) array of them
+        A batch of S members runs in lockstep on one grid (dt and
+        duration) with one input; each has its own start time and chart.
+    u : callable or None
+        Extra input force of the time since the start, ``tau = t - t0``:
+        called with a 1-D array of such times, it returns an array of that
+        shape, which every member plays; any other shape raises
+        `InvalidInputError`.  None means no input.
+    duration, dt : float
+        Total span and step; dt must divide duration.
+    t0 : float or array of S floats
+        Start time, one per member or one for all.  The forcing phase is
+        referenced to absolute time.
+    skip : int
+        Samples integrated but not stored, such as a warm-up: the result
+        starts at sample `skip`, time ``t0 + skip*dt``.
+
+    Returns
+    -------
+    Trajectory with ``round(duration/dt) + 1 - skip`` samples (rows of
+    them for a batch, whose `u` is a read-only broadcast of one row) and
+    chart flags from the sign of the switching threshold.
+
+    Raises
+    ------
+    DivergenceError, EventLocalizationError
+        With the index of the member that failed and its time.
+
+    Notes
+    -----
+    Chart runs (`_Lockstep.trips`) advance from drive tables of
+    `_CHUNK_STEPS` grid steps at a time (`_Lockstep.tables`); a step that
+    leaves its chart takes the scalar path (`_Lockstep.due_steps`).
+    """
+    n_steps = steps_in(duration, dt)
+    try:
+        x_init = np.asarray(x_init, dtype=float)
+        starts = np.broadcast_to(np.asarray(t0, dtype=float), x_init.shape[:-1])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"initial states and start times do not match: {exc}") from None
+    if x_init.ndim not in (1, 2) or x_init.shape[-1] != 2 or not x_init.size:
+        raise InvalidInputError("initial state must be an (x, xdot) pair or an (S, 2) array")
+    if not (np.isfinite(x_init).all() and np.isfinite(starts).all()):
+        raise InvalidInputError("initial states and start times must be finite")
+    if not 0 <= skip <= n_steps:
+        raise InvalidInputError(f"skip={skip} outside 0..{n_steps}")
+    lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
-        c1 = min(c0 + _CHUNK_STEPS, n_steps + 1)
-        tau = np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt)
-        uu = None if u is None else input_at(tau)
-        first = max(c0, skip)
-        if first < c1 and uu is not None:
-            if uu.ndim > us.ndim:
-                us = np.repeat(us[None], n_members, axis=0)
-            us[..., first - skip : c1 - skip] = uu[..., 2 * (first - c0) : 2 * (c1 - c0) : 2]
-        end = min(c1, n_steps)
-        n_chunk = end - c0
-        if not n_chunk:
-            continue
-        # The drives every member shares, the forcing columns and u if it
-        # is one row, are scanned once per chart, and each member's drive
-        # and tables are their weighted sums.
-        g = drive[:, : 2 * n_chunk + 1]
-        shared_u = uu is not None and uu.ndim == 1
-        shared = list(p.forcing_columns(tau)) if rotated else [p.forcing(tau)]
-        if shared_u:
-            shared.append(uu)
-        shared = np.stack(shared)[:, : g.shape[1]]
-        superpose(g, drive_sin, shared, None if uu is None else uu[..., : g.shape[1]])
-        for c, run in enumerate(runs):
-            table = run.tabulate(shared)
-            u_table = None
-            if shared_u:
-                u_table = table[-1]
-            elif uu is not None:
-                u_table = run.tabulate(uu[:, : g.shape[1]])
-            part = particular[c * n_members : (c + 1) * n_members, :, : n_chunk + 1]
-            superpose(part, particular_sin, table, u_table)
-        stage_g[:, 0, :n_chunk], stage_g[:, 1, :n_chunk] = g[:, :-1:2], g[:, 1::2]
-        due = np.zeros(n_members, dtype=bool)
-        while True:
-            # A member's chart changes only at a due step.
-            on = switching(y[:, 0] + x_eq, y[:, 1]) > 0.0
-            chart = on.astype(np.intp)
-            rows = chart * n_members + members
-            chart_powers, chart_stages = powers[chart], stages[chart]
-            while True:
-                # One trip of every member that is neither due nor done
-                # with the chunk: states n .. n+m of its run, each window
-                # of them from the state the one before reached, then the
-                # inner stage states of its m steps, and the first of them
-                # that leaves the member's chart.  The other members
-                # (m = 0) are carried along and change nothing.
-                m = np.minimum(span, end - n)
-                m[due] = 0
-                if not np.count_nonzero(m):
-                    break
-                j = n - c0
-                part = particular_trips[rows, :, j]
-                states[:, :, 0] = y
-                for w in range(0, span, _WINDOW_STEPS):
-                    offset = states[:, :, w] - part[:, :, w]
-                    window = (chart_powers @ offset[:, None, :, None])[..., 0]
-                    window += part[:, :, w : w + _WINDOW_STEPS + 1]
-                    states[:, :, w + 1 : w + _WINDOW_STEPS + 1] = window[:, :, 1:]
-                points[:, 0] = states[:, :, 1:]
-                stage_in[:, :2] = states[:, :, :-1]
-                stage_in[:, 2:] = stage_g_trips[members, :, j]
-                np.matmul(chart_stages, stage_in, out=inner)
-                above = switching(points[:, :, 0] + x_eq, points[:, :, 1]) > 0.0
-                np.logical_or.reduce(above != on[:, None, None], axis=1, out=leaves[:, :-1])
-                stop = np.argmax(leaves, axis=1)
-                kept = np.minimum(stop, m)
-                trip_samples[members, :, np.maximum(n + (1 - skip + pad), 0)] = states[:, :, 1:]
-                y = states[members, :, kept]
-                if not np.isfinite(y).all():
-                    k = int(np.argmin(np.isfinite(y).all(axis=1)))
-                    bad = int(np.argmin(np.isfinite(states[k, :, 1:]).all(axis=0)))
-                    raise DivergenceError(
-                        f"non-finite state in member {k} at t={at(k, 2 * (j[k] + bad + 1))}"
-                    )
-                n += kept
-                due |= stop < m
-            if not due.any():
-                break
-            # Every member is due or done with the chunk.  The steps leaving
-            # their charts take the scalar path, one member at a time, stage
-            # by stage, and split at a crossing of the threshold; the
-            # sub-steps of the split steps are taken in rounds, one
-            # evaluation of the forcing and the input per round.
-            split, pending = {}, {}
-            for k in np.flatnonzero(due).tolist():
-                j = 2 * (int(n[k]) - c0)
-                state = tuple(y[k].tolist())
-                g0, gh, ge = g[k, j : j + 3].tolist()
-                y[k] = end_state = rk4(*state, dt, g0, gh, ge)
-                if not all(map(math.isfinite, end_state)):
-                    raise DivergenceError(f"non-finite state in member {k} at t={at(k, j + 2)}")
-                if (value(*end_state) > 0.0) != on[k]:
-                    split[k] = split_step(float(tau[j]), state, g0, end_state, ge)
-                    resume(k, None)
-            while pending:
-                ks, steps = list(pending), list(pending.values())
-                times = np.array([(tau_k + 0.5 * h_k, tau_k + h_k) for tau_k, _, h_k, _ in steps])
-                g_round = drives_at(ks, times).tolist()
-                for k, (_, state, h_k, g0), g_k in zip(ks, steps, g_round):
-                    resume(k, (rk4(*state, h_k, g0, *g_k), g_k[1]))
-            n += due
-            # Every other member rewrites its sample n with the same value.
-            samples[members, :, np.maximum(n - skip + pad, 0)] = y
-            due[:] = False
-
-    xs, vs = samples[:, 0, pad : pad + n_keep], samples[:, 1, pad : pad + n_keep]
-    xs += x_eq
-    charts = model.engaged(xs, vs).astype(np.uint8)
-    t_first = starts + skip * dt
-    if not batch:
-        xs, vs, us, charts, t_first = xs[0], vs[0], us.reshape(-1), charts[0], float(t_first[0])
-    elif us.ndim == 1:
-        us = np.broadcast_to(us, (n_members, n_keep))  # one read-only row for all
-    return Trajectory(dt=dt, t0=t_first, x=xs, xdot=vs, u=us, chart=charts)
+        if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
+            while lab.trips():
+                lab.due_steps()
+    return lab.trajectory(model, x_init.ndim == 2)
 
 
 def _cyclic_crossings(value: np.ndarray, dt: float, T: float):
@@ -730,16 +671,13 @@ def settle_limit_cycle(
     """
     if n_cycles < 2:
         raise InvalidInputError("need at least 2 cycles to measure periodicity")
-    p = model.params
-    T = p.period
+    p, T = model.params, model.params.period
     samples_per_period = steps_in(T, dt)
     if x_init is None:
         x_init = (p.equilibrium, 0.0)
-
     # Only the last two periods are stored: the orbit and the one before.
     skip = steps_in(n_cycles * T, dt) - 2 * samples_per_period
     traj = integrate(model, x_init, None, n_cycles * T, dt, skip=skip)
-
     last = slice(traj.n_samples - samples_per_period - 1, traj.n_samples)
     prev = slice(traj.n_samples - 2 * samples_per_period - 1, traj.n_samples - samples_per_period)
     res_x = float(np.max(np.abs(traj.x[last] - traj.x[prev])))
@@ -749,30 +687,19 @@ def settle_limit_cycle(
             f"periodicity residual ({res_x:.3e}, {res_v:.3e}) exceeds tol={tol:.3e} "
             f"after {n_cycles} cycles"
         )
-
+    # The orbit starts at an integer multiple of T, so sample j sits at clock phase j*dt.
     start = traj.n_samples - 1 - samples_per_period
     x_per = traj.x[start : start + samples_per_period].copy()
     v_per = traj.xdot[start : start + samples_per_period].copy()
-    # The slice starts at an integer multiple of T, so sample j sits at
-    # clock phase j*dt.
-
     ups, downs = _cyclic_crossings(model.switching(x_per, v_per), dt, T)
     n_crossings = len(ups) + len(downs)
     if n_crossings != 2:
         raise AmbiguousSwitchingError(
             f"settled period has {n_crossings} threshold crossings, expected 2"
         )
-    t_hat = ups[0]
     duty = ((downs[0] - ups[0]) % T) / T
-
     return LimitCycle(
-        T=T,
-        dt=dt,
-        x=x_per,
-        xdot=v_per,
-        t_hat=t_hat,
-        duty=duty,
-        residual=(res_x, res_v),
+        T=T, dt=dt, x=x_per, xdot=v_per, t_hat=ups[0], duty=duty, residual=(res_x, res_v),
         n_crossings=n_crossings,
     )
 
@@ -789,11 +716,5 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ResamplingRequiredError(f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}")
     x_bar, v_bar = cycle.on_grid(traj.t0, 0, traj.n_samples)
-    return Trajectory(
-        dt=traj.dt,
-        t0=traj.t0,
-        x=traj.x - x_bar,
-        xdot=traj.xdot - v_bar,
-        u=traj.u.copy(),
-        chart=traj.chart.copy(),
-    )
+    x, xdot, u, chart = traj.x - x_bar, traj.xdot - v_bar, traj.u.copy(), traj.chart.copy()
+    return Trajectory(dt=traj.dt, t0=traj.t0, x=x, xdot=xdot, u=u, chart=chart)

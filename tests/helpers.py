@@ -15,6 +15,7 @@ import numpy as np
 import htfid
 from htfid import HtfidError
 from htfid.cli import BLAS_THREAD_VARIABLES
+from htfid.sim import _regula_falsi
 
 #: The directory that holds the package under test.
 SRC = str(Path(htfid.__file__).resolve().parents[1])
@@ -56,3 +57,19 @@ def fresh_python(code, env=None):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def locate_crossing(probe, h, value_lo, value_hi, landing):
+    """`htfid.sim._regula_falsi` driven by a plain function.
+
+    ``probe(s)`` returns ``(value, payload)`` for an RK4 sub-step of length
+    s; the other arguments and the result ``(s, payload)`` are those of
+    the search, which `integrate` drives as a coroutine instead.
+    """
+    search = _regula_falsi(h, value_lo, value_hi, landing)
+    s = next(search)
+    while True:
+        try:
+            s = search.send(probe(s))
+        except StopIteration as found:
+            return found.value

@@ -180,6 +180,8 @@ def test_spectra_keep_no_reference_to_the_records(lab_model, lab_cycle):
 
 
 def test_problem_validation(lab_spectra):
+    with pytest.raises(InvalidInputError, match="no records"):
+        EstimationProblem(records=[], n_harmonics=1, pump=1.0)
     with pytest.raises(InvalidInputError):
         EstimationProblem(records=lab_spectra[:6], n_harmonics=3, pump=2 * math.pi)
     with pytest.raises(InvalidInputError):

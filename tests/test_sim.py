@@ -27,9 +27,9 @@ from htfid import (
     settle_limit_cycle,
 )
 from htfid.model import chart_matrices, steps_in
-from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence, locate_crossing
+from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence
 
-from helpers import fresh_python, refuses
+from helpers import fresh_python, locate_crossing, refuses
 
 
 def total_energy(p, x, v):
@@ -92,6 +92,11 @@ def test_integrate_reports_divergence():
     # numpy warns of the overflow on the way to the typed error.
     with pytest.raises(DivergenceError):
         integrate(HybridModel(), (0.17, 0.0), None, 500.0, 0.5)
+    # From 1.3e307 the velocity overflows from about 0.097 s to 0.126 s,
+    # inside one chart run whose last state, at 0.15 s, is finite again:
+    # the window's recurrence steps over the overflow from its start state.
+    with pytest.raises(DivergenceError, match="member 0 "):
+        integrate(HybridModel(), (1.3e307, -1.0), None, 0.15, 1e-3)
 
 
 def test_integrate_validation():
@@ -481,39 +486,39 @@ def test_batch_keeps_the_samples_after_skip(lab_model, lab_cycle):
     assert np.array_equal(tail.t0, phases + 1234 * lab_cycle.dt)
 
 
-@pytest.mark.parametrize("onset", [1.2345, 1.6101, 2.0504])
-@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
-def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, onset):
-    # Only member 2's input turns non-finite: at 1.2345 s and 2.0504 s
-    # inside a chart run, at 1.6101 s in a step that leaves its chart.  The
-    # error names member 2 and its first non-finite sample, the end of the
-    # step whose stages first read the bad input.
+@pytest.mark.parametrize(
+    "start, part",
+    [((1.5e307, -1.0), "trips"), ((0.15, 1e307), "due_steps")],
+    ids=["chart-run", "scalar-step"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, start, part):
+    # Only member 2 starts far enough out to overflow.  Displaced by
+    # 1.5e307, its velocity overflows a sixth of a period later, inside a
+    # chart run; kicked to 1e307, its spring force overflows in the scalar
+    # step that reverses it.  The error names member 2 and the time that
+    # member 2 reports alone.
     phases = np.arange(4) / 4.0
     x_init = np.stack(lab_cycle.state_at(phases), axis=1)
-
-    def u(tau):
-        # one row per member, at the absolute times t0 + tau
-        t = phases[:, None] + tau
-        values = 0.004 * np.sin(3.0 * t)
-        values[2] = np.where(t[2] > onset, np.nan, values[2])
-        return values
-
+    u = lambda tau: 0.004 * np.sin(3.0 * tau)
     dt = lab_cycle.dt
+    # from the orbit the same batch runs through
+    assert np.isfinite(integrate(lab_model, x_init, u, 3.0, dt, t0=phases).x).all()
+    x_init[2] = start
     with pytest.raises(DivergenceError, match="member 2 ") as caught:
         integrate(lab_model, x_init, u, 3.0, dt, t0=phases)
-    half_grid = phases[2] + np.arange(6001) * (0.5 * dt)
-    first_bad = int(np.argmax(half_grid > onset))
-    reported = float(re.search(r"t=(\S+)", str(caught.value)).group(1))
-    assert reported == half_grid[2 * math.ceil(first_bad / 2)]
-    # without the bad input the same batch runs through
-    finite = lambda tau: 0.004 * np.sin(3.0 * (phases[:, None] + tau))
-    assert np.isfinite(integrate(lab_model, x_init, finite, 3.0, dt, t0=phases).x).all()
+    assert caught.traceback[-1].name == part
+    with pytest.raises(DivergenceError, match="member 0 ") as alone:
+        integrate(lab_model, x_init[2], u, 3.0, dt, t0=phases[2])
+    batch_t, alone_t = (float(re.search(r"t=(\S+)", str(e.value)).group(1)) for e in (caught, alone))
+    assert batch_t == alone_t and phases[2] < batch_t < phases[2] + 0.25
 
 
 def test_batch_refuses_input_of_the_wrong_shape(lab_model, lab_cycle):
     x_init = np.stack(lab_cycle.state_at(np.arange(3) / 3.0), axis=1)
-    with pytest.raises(InvalidInputError, match="u returned shape"):
-        integrate(lab_model, x_init, lambda t: np.sin(t[0]), 1.0, 1e-3, t0=np.arange(3) / 3.0)
+    for u in (lambda t: np.sin(t[0]), lambda t: np.sin(np.arange(3)[:, None] * t)):
+        with pytest.raises(InvalidInputError, match="u returned shape"):
+            integrate(lab_model, x_init, u, 1.0, 1e-3, t0=np.arange(3) / 3.0)
     with pytest.raises(InvalidInputError):
         integrate(lab_model, x_init, None, 1.0, 1e-3, t0=np.arange(2) / 3.0)
     with pytest.raises(InvalidInputError):
@@ -584,22 +589,6 @@ def test_batch_calls_u_once_per_chunk_on_one_elapsed_grid(lab_cycle):
     for c, tau in enumerate(calls):
         c0, c1 = c * _CHUNK_STEPS, min((c + 1) * _CHUNK_STEPS, n_steps + 1)
         assert np.array_equal(tau, np.arange(2 * c0, 2 * c1 + 1) * (0.5 * dt))
-
-
-def test_batch_of_input_rows_equals_its_members_one_at_a_time(lab_model, lab_cycle):
-    # An (S, n) input gives each member its own row; member k alone plays
-    # its row as a 1-D input.
-    phases = np.arange(3) / 3.0
-    x_init = np.stack(lab_cycle.state_at(phases), axis=1)
-    rates = np.array([2.0, 3.0, 5.0])
-    rows = lambda tau: 0.004 * np.sin(rates[:, None] * tau)
-    batch = integrate(lab_model, x_init, rows, 3.0, lab_cycle.dt, t0=phases)
-    for k, phase in enumerate(phases):
-        alone = integrate(
-            lab_model, x_init[k], lambda tau: rows(tau)[k], 3.0, lab_cycle.dt, t0=phase
-        )
-        for field in ("x", "xdot", "u", "chart"):
-            assert np.array_equal(getattr(batch, field)[k], getattr(alone, field)), (k, field)
 
 
 def test_forcing_column_at_t0_zero_is_the_forcing(lab_cycle):
@@ -678,22 +667,3 @@ def test_records_share_one_input_row(lab_records):
     first = lab_records[0].u
     assert all(np.shares_memory(rec.u, first) for rec in lab_records)
     assert not any(rec.u.flags.writeable for rec in lab_records)
-
-
-def test_input_turning_into_rows_mid_run_keeps_each_members_row(lab_model, lab_cycle):
-    # u returns one row on the first chunk's grid and one row per member
-    # afterwards: the stored input takes the rows from then on.
-    phases = np.arange(3) / 3.0
-    x_init = np.stack(lab_cycle.state_at(phases), axis=1)
-    rates = np.array([2.0, 3.0, 5.0])
-
-    def u(tau):
-        rows = 0.004 * np.sin(rates[:, None] * tau)
-        return rows[0] if tau[0] == 0.0 else rows
-
-    dt, n_steps = lab_cycle.dt, 2 * _CHUNK_STEPS
-    batch = integrate(lab_model, x_init, u, n_steps * dt, dt, t0=phases)
-    t = np.arange(n_steps + 1) * dt
-    want = 0.004 * np.sin(rates[:, None] * t)
-    want[:, :_CHUNK_STEPS] = want[0, :_CHUNK_STEPS]
-    assert np.array_equal(batch.u, want)
