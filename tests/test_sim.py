@@ -488,16 +488,17 @@ def test_batch_keeps_the_samples_after_skip(lab_model, lab_cycle):
 
 @pytest.mark.parametrize(
     "start, part",
-    [((1.5e307, -1.0), "trips"), ((0.15, 1e307), "due_steps")],
-    ids=["chart-run", "scalar-step"],
+    [((1.5e307, -1.0), "trips"), ((-1.5e307, 1.0), "trips"), ((0.15, 1e307), "due_steps")],
+    ids=["chart-run", "damped-run", "scalar-step"],
 )
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, start, part):
     # Only member 2 starts far enough out to overflow.  Displaced by
     # 1.5e307, its velocity overflows a sixth of a period later, inside a
-    # chart run; kicked to 1e307, its spring force overflows in the scalar
-    # step that reverses it.  The error names member 2 and the time that
-    # member 2 reports alone.
+    # run of the lossless chart; displaced the other way and moving up,
+    # inside a run of the damped chart; kicked to 1e307, its spring force
+    # overflows in the scalar step that reverses it.  The error names
+    # member 2 and the time that member 2 reports alone.
     phases = np.arange(4) / 4.0
     x_init = np.stack(lab_cycle.state_at(phases), axis=1)
     u = lambda tau: 0.004 * np.sin(3.0 * tau)
