@@ -47,24 +47,31 @@ COND_LIMIT = 1e14
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    """Full-record DFT of one experiment record.
+    """One-sided full-record DFT of one experiment record.
 
-    `U` and `Y` are the input and deviation-output DFTs normalized by
-    the sample count, on the signed FFT bin grid `freq_grid` (rad/s).
-    No windowing is applied; records are transient-free by construction
-    because they start exactly on the orbit.  `spectra` shares one
-    read-only `freq_grid` and `U` among the records of a batch that play
-    the same input.
+    `U` and `Y` are the input and deviation-output DFTs normalized by the
+    sample count `n_bins`, the DFT length.  The records are real, so their
+    DFTs are Hermitian: only bins 0 .. n_bins // 2 are stored, at the
+    frequencies `freq_grid` (rad/s), and a negative bin -q holds the
+    conjugate of bin q.  No windowing is applied; records are
+    transient-free by construction because they start exactly on the
+    orbit.  `spectra` shares one read-only `freq_grid` and `U` among the
+    records of a batch that play the same input.
     """
 
     freq_grid: np.ndarray
     U: np.ndarray
     Y: np.ndarray
     clock_phase: float
+    n_bins: int
 
-    @property
-    def n_bins(self) -> int:
-        return self.freq_grid.shape[0]
+    def __post_init__(self):
+        stored = (self.n_bins // 2 + 1,)
+        if self.n_bins < 2 or not self.freq_grid.shape == self.U.shape == self.Y.shape == stored:
+            raise InvalidInputError(
+                f"a spectrum of {self.n_bins} bins stores bins 0..{self.n_bins // 2}, not "
+                f"arrays of shapes {self.freq_grid.shape}, {self.U.shape}, {self.Y.shape}"
+            )
 
     @property
     def bin_spacing(self) -> float:
@@ -75,13 +82,35 @@ class SpectrumRecord:
         return 2.0 * math.pi / self.bin_spacing
 
 
+def _at_bins(spectrum: np.ndarray, q, n_bins: int) -> np.ndarray:
+    """Values of an `n_bins`-point DFT at the signed bins q, from its bins 0 .. n_bins // 2.
+
+    Bins wrap modulo n_bins; a bin that wraps past n_bins // 2 is a
+    negative one and takes the conjugate of its mirror bin, as the DFT of
+    a real record is Hermitian.
+    """
+    k = np.asarray(q) % n_bins
+    negative = k > n_bins // 2
+    values = spectrum[np.where(negative, n_bins - k, k)]
+    np.conjugate(values, out=values, where=negative)
+    return values
+
+
+def _one_sided(samples: np.ndarray) -> np.ndarray:
+    # Bins 0 .. n // 2 of the DFT of n real samples, normalized by n.
+    spectrum = np.fft.rfft(samples)
+    spectrum /= samples.shape[0]
+    return spectrum
+
+
 def spectra(records: list[ExperimentRecord]) -> list[SpectrumRecord]:
-    """DFTs of the inputs and deviation outputs of a batch of records.
+    """One-sided DFTs of the inputs and deviation outputs of a batch of records.
 
     Each transform runs over the full record with no window and is
     normalized by the sample count, so a pure cosine of amplitude a
-    shows up as a/2 in its (+/-) bins.  Returns one `SpectrumRecord` per
-    record, in order; a single record is a batch of one.
+    shows up as a/2 in its bin (and, conjugated, in the negative one that
+    is not stored).  Returns one `SpectrumRecord` per record, in order; a
+    single record is a batch of one.
 
     Records that play the same input (equal samples, same step) share
     one `U` array and one `freq_grid`, so a batch that replays one chirp
@@ -105,13 +134,13 @@ def spectra(records: list[ExperimentRecord]) -> list[SpectrumRecord]:
             if seen_dt == dt and np.array_equal(seen, u):
                 break
         else:
-            grid = 2.0 * math.pi * np.fft.fftfreq(n, d=dt)
-            U = np.fft.fft(u) / n
+            grid = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
+            U = _one_sided(u)
             grid.flags.writeable = U.flags.writeable = False
             inputs.append((u, dt, grid, U))
         batch.append(
             SpectrumRecord(
-                freq_grid=grid, U=U, Y=np.fft.fft(y) / n, clock_phase=record.clock_phase
+                freq_grid=grid, U=U, Y=_one_sided(y), clock_phase=record.clock_phase, n_bins=n
             )
         )
     return batch
@@ -202,14 +231,14 @@ def _regressor_tensor(problem: EstimationProblem, q):
             for rec in problem.records
         ]
     )
-    U = np.stack([rec.U[q_shift % n_fft] for rec in problem.records], axis=1)
+    U = np.stack([_at_bins(rec.U, q_shift, n_fft) for rec in problem.records], axis=1)
     # Real and imaginary parts are formed as in scalar complex arithmetic;
     # the array product may fuse multiply-adds and round differently.
     Phi = np.zeros(U.shape, dtype=complex)
     live = mask[:, None, :]
     Phi.real = np.where(live, mod.real * U.real - mod.imag * U.imag, 0.0)
     Phi.imag = np.where(live, mod.real * U.imag + mod.imag * U.real, 0.0)
-    y = np.stack([rec.Y[q % n_fft] for rec in problem.records], axis=1)
+    y = np.stack([_at_bins(rec.Y, q, n_fft) for rec in problem.records], axis=1)
     return Phi, y, mask
 
 
@@ -286,7 +315,9 @@ def _candidate_bins(problem: EstimationProblem):
     bins = bins[_in_band(problem, bins)]
     if bins.size == 0:
         raise NoDataError("excited band contains no FFT bins")
-    mag = median(np.abs(np.stack([rec.U[bins] for rec in problem.records])), axis=0)
+    n_fft = problem.records[0].n_bins
+    U = np.stack([_at_bins(rec.U, bins, n_fft) for rec in problem.records])
+    mag = median(np.abs(U), axis=0)
     # Strict comparison so an all-zero spectrum (null experiment) is
     # reported as having no data rather than passing a zero floor.
     floor = problem.min_excitation * float(median(mag))

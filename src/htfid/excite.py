@@ -15,6 +15,7 @@ regressor mutually orthogonal, like a small DFT across records.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -42,14 +43,20 @@ class ChirpPlan:
     def __post_init__(self):
         # amplitude 0 is a legal null experiment: the records come out
         # empty and the estimator reports no usable data downstream.
-        if self.amplitude < 0.0:
-            raise InvalidInputError("amplitude must be non-negative")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise InvalidInputError(
+                f"amplitude must be finite and non-negative, not {self.amplitude!r}"
+            )
         if not 0.0 <= self.f_lo < self.f_hi:
             raise InvalidInputError("need 0 <= f_lo < f_hi")
-        if self.segment_duration <= 0.0:
-            raise InvalidInputError("segment_duration must be positive")
-        if self.n_segments < 1:
-            raise InvalidInputError("n_segments must be at least 1")
+        if not 0.0 < self.segment_duration < math.inf:
+            raise InvalidInputError(
+                f"segment_duration must be finite and positive, not {self.segment_duration!r}"
+            )
+        if not (isinstance(self.n_segments, numbers.Integral) and self.n_segments >= 1):
+            raise InvalidInputError(
+                f"n_segments must be an integer of at least 1, not {self.n_segments!r}"
+            )
 
 
 def chirp_value(plan: ChirpPlan, t):
@@ -147,13 +154,15 @@ def run_experiments(
     it once per point of the batch's shared grid, scans its particular
     solutions once per chart, and superposes them with those of the two
     shared forcing columns, weighted by each record's start phase.  The
-    orbit is subtracted at the clock phases of the run's own grid,
-    evaluated for one period per record and repeated over the capture
-    (`LimitCycle.on_grid`).
+    orbit is evaluated at the clock phases of one period of the run's own
+    grid per record (`LimitCycle.on_grid`) and subtracted from the stored
+    samples in place, period by period.
     """
     dt = cycle.dt
-    if warmup_periods < 0:
-        raise InvalidInputError("warmup_periods must be non-negative")
+    if not (isinstance(warmup_periods, numbers.Integral) and warmup_periods >= 0):
+        raise InvalidInputError(
+            f"warmup_periods must be a non-negative integer, not {warmup_periods!r}"
+        )
     check_nyquist(plan, dt)
     duration = plan.segment_duration
     n_per = steps_in(duration, dt)
@@ -163,11 +172,14 @@ def run_experiments(
     u_fn = lambda tau: chirp_value(plan, np.remainder(tau, duration))
     traj = integrate(model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phases, skip=skip)
     # The capture is the first n_per stored samples; the boundary sample
-    # after it is dropped so records match the DFT analysis window.
-    x_bar, v_bar = cycle.on_grid(phases, skip, n_per)
+    # after it is dropped so records match the DFT analysis window.  The
+    # orbit is subtracted in place, one period of samples at a time.
+    x_bar, v_bar = cycle.on_grid(phases, skip, cycle.n_samples)
     xi, xi_dot = traj.x[:, :n_per], traj.xdot[:, :n_per]
-    xi -= x_bar
-    xi_dot -= v_bar
+    for start in range(0, n_per, cycle.n_samples):
+        stop = min(start + cycle.n_samples, n_per)
+        xi[:, start:stop] -= x_bar[:, : stop - start]
+        xi_dot[:, start:stop] -= v_bar[:, : stop - start]
     records = []
     for k in range(plan.n_segments):
         phase = float(phases[k])

@@ -116,8 +116,8 @@ class ModelParams:
 def steps_in(span: float, dt: float) -> int:
     """Steps of `dt` in `span`: both positive, and the steps cover the span
     to 1e-9 of it.  The one rule for the period, a record and a run."""
-    if dt <= 0.0 or span <= 0.0:
-        raise InvalidInputError(f"dt={dt} and the span {span} must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < span < math.inf):
+        raise InvalidInputError(f"dt={dt} and the span {span} must be finite and positive")
     n = int(round(span / dt))
     if abs(n * dt - span) > 1e-9 * span:
         raise InvalidInputError(f"dt={dt} does not divide the span {span}")

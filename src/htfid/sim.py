@@ -17,6 +17,7 @@ is the batch of one.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -225,17 +226,15 @@ class _ChartRecurrence:
         """Particular states p of a chunk, shape (2, n + 1), for the drive g.
 
         g lies on the half-step grid, 2n + 1 points; step i reads its
-        stage drives at points 2i, 2i + 1 and 2i + 2.  A stack of drives,
-        g of shape (k, 2n + 1), gives p of shape (k, 2, n + 1), each row
-        the table of its own drive.
+        stage drives at points 2i, 2i + 1 and 2i + 2.
         """
-        stage_g = np.stack([g[..., :-1:2], g[..., 1::2], g[..., 2::2]], axis=-2)
+        stage_g = np.stack([g[:-1:2], g[1::2], g[2::2]])
         n_steps = stage_g.shape[-1]
-        particular = np.zeros(g.shape[:-1] + (2, n_steps + 1))
-        particular[..., 1:] = self.q @ stage_g
+        particular = np.zeros((2, n_steps + 1))
+        particular[:, 1:] = self.q @ stage_g
         span = 1
         while span < n_steps:
-            particular[..., span:] += self.powers[:, span] @ particular[..., :-span]
+            particular[:, span:] += self.powers[:, span] @ particular[:, :-span]
             span *= 2
         return particular
 
@@ -344,13 +343,17 @@ def _scalar_path(model: HybridModel, dt: float):
     return value, rk4, split_step
 
 
-def _superpose(out, cos_w, sin_w, rows):
-    """``out = cos_w*rows[0] - sin_w*rows[1] (+ rows[2])`` in place, a weight per first index."""
-    weight = (slice(None),) + (None,) * (out.ndim - 1)
-    np.multiply(cos_w[weight], rows[0], out=out)
-    out -= sin_w[weight] * rows[1]
-    if len(rows) > 2:
-        out += rows[2]
+def _superpose(out, weights, drive, first):
+    """``out[s] (+)= weights[s] * drive`` in place, member by member.
+
+    The first drive sets `out`; each later one adds to it.  Taking one
+    member's row at a time forms no temporary of out's shape.
+    """
+    for row, weight in zip(out, weights.tolist()):
+        if first:
+            np.multiply(drive, weight, out=row)
+        else:
+            row += weight * drive
 
 
 class _Lockstep:
@@ -377,7 +380,9 @@ class _Lockstep:
         self.stages = np.stack([run.stages for run in self.runs])
         S = len(x_init)
         self.members = np.arange(S)
-        self.cos_w, self.sin_w = p.forcing_weights(starts)
+        cos_w, sin_w = p.forcing_weights(starts)
+        # Each member's weights of the shared drives (cos, sin, u).
+        self.weights = (cos_w, -sin_w, np.ones(S))
         # (offset, xdot) of every sample.  A trip stores all its states, sample
         # i at column max(i - skip + span, 0): the warm-up goes to the first
         # `span` columns, which are dropped, and the states past a member's
@@ -430,7 +435,10 @@ class _Lockstep:
         2i + 2); `u` is called once on it and F taken from ``A cos(w*tau)``
         and ``A sin(w*tau)`` (`ModelParams.forcing_columns`).  RK4 on a chart
         is linear in its drive, so each member's drive and tables are these
-        drives' and their tables' sum weighted by ``cos(w*t0)``, ``sin(w*t0)``.
+        drives' and their tables' sum weighted by ``cos(w*t0)``, ``-sin(w*t0)``
+        and 1.  The shared drives are tabulated and added one at a time, and
+        a drive whose weights are all zero (the sine of runs that start at
+        t0 = 0) is skipped.
         """
         self.c0, self.end = c0, min(c1, self.n_steps)
         self.tau = tau = np.arange(2 * c0, 2 * c1 + 1) * (0.5 * self.dt)
@@ -443,12 +451,14 @@ class _Lockstep:
                 self.us[first - self.skip : c1 - self.skip] = kept
         n_chunk = self.end - c0
         if n_chunk:
+            S = len(self.members)
             g = self.drive[:, : 2 * n_chunk + 1]
-            shared = np.stack(shared)[:, : g.shape[1]]
-            _superpose(g, self.cos_w, self.sin_w, shared)
-            for c, run in enumerate(self.runs):
-                part = self.particular[c * len(g) : (c + 1) * len(g), :, : n_chunk + 1]
-                _superpose(part, self.cos_w, self.sin_w, run.tabulate(shared))
+            live = [(w, d[: g.shape[1]]) for w, d in zip(self.weights, shared) if w.any()]
+            for i, (weights, drive) in enumerate(live):
+                _superpose(g, weights, drive, i == 0)
+                for c, run in enumerate(self.runs):
+                    part = self.particular[c * S : (c + 1) * S, :, : n_chunk + 1]
+                    _superpose(part, weights, run.tabulate(drive), i == 0)
             self.stage_g[:, 0, :n_chunk], self.stage_g[:, 1, :n_chunk] = g[:, :-1:2], g[:, 1::2]
         return n_chunk
 
@@ -623,8 +633,8 @@ def integrate(
         raise InvalidInputError("initial state must be an (x, xdot) pair or an (S, 2) array")
     if not (np.isfinite(x_init).all() and np.isfinite(starts).all()):
         raise InvalidInputError("initial states and start times must be finite")
-    if not 0 <= skip <= n_steps:
-        raise InvalidInputError(f"skip={skip} outside 0..{n_steps}")
+    if not (isinstance(skip, numbers.Integral) and 0 <= skip <= n_steps):
+        raise InvalidInputError(f"skip={skip!r} is not an integer in 0..{n_steps}")
     lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):

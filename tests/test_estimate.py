@@ -83,8 +83,10 @@ def test_spectra_sinusoid_lands_in_one_bin():
     t = np.arange(n) * dt
     u = np.sin(2.0 * math.pi * 2.0 * t)  # bin 6 of a 3 s record
     (rec,) = spectra([make_record(u, np.zeros(n), 0.0, dt)])
+    # one-sided: bins 0 .. n/2 are stored, bin -6 is the conjugate of bin 6
+    assert rec.n_bins == n and rec.U.shape == (n // 2 + 1,)
     assert abs(rec.U[6] - (-0.5j)) < 1e-12
-    off = np.abs(np.delete(rec.U, [6, n - 6]))
+    off = np.abs(np.delete(rec.U, 6))
     assert np.max(off) < 1e-12
 
 
@@ -92,8 +94,14 @@ def test_spectra_parseval(lab_records, lab_spectra):
     # with the 1/n normalization the identity picks up the duration
     u = lab_records[0].traj.u
     rec = lab_spectra[0]
+    # one-sided: each interior bin stands for itself and its negative twin;
+    # bin 0 and (n even) the Nyquist bin have none
+    twice = np.full(rec.U.size, 2.0)
+    twice[0] = 1.0
+    if rec.n_bins % 2 == 0:
+        twice[-1] = 1.0
     lhs = float(np.sum(u**2) * 1e-3)
-    rhs = rec.duration * float(np.sum(np.abs(rec.U) ** 2))
+    rhs = rec.duration * float(np.sum(twice * np.abs(rec.U) ** 2))
     assert abs(lhs - rhs) / lhs < 1e-9
 
 
@@ -124,9 +132,10 @@ def test_spectra_rejects_a_bad_step(dt):
 def test_spectra_batch_equals_each_record_alone(lab_records, lab_spectra):
     for rec, spec in zip(lab_records, lab_spectra, strict=True):
         n = rec.u.size
-        assert np.array_equal(spec.U, np.fft.fft(rec.u) / n)
-        assert np.array_equal(spec.Y, np.fft.fft(rec.xi1) / n)
-        assert np.array_equal(spec.freq_grid, 2.0 * math.pi * np.fft.fftfreq(n, d=rec.dt))
+        assert spec.n_bins == n
+        assert np.array_equal(spec.U, np.fft.rfft(rec.u) / n)
+        assert np.array_equal(spec.Y, np.fft.rfft(rec.xi1) / n)
+        assert np.array_equal(spec.freq_grid, 2.0 * math.pi * np.fft.rfftfreq(n, d=rec.dt))
         assert spec.clock_phase == rec.clock_phase
 
 
@@ -160,10 +169,21 @@ def test_spectra_different_inputs_get_their_own_transform():
     for other in (b, a_slow, a_short):
         assert not np.shares_memory(other.U, a.U)
         assert not np.shares_memory(other.freq_grid, a.freq_grid)
-    assert np.array_equal(b.U, np.fft.fft(u_b) / n)
+    assert np.array_equal(b.U, np.fft.rfft(u_b) / n)
     assert np.array_equal(b.freq_grid, a.freq_grid)
     assert np.array_equal(a_slow.freq_grid, a.freq_grid / 2.0)
-    assert np.array_equal(a_short.U, np.fft.fft(u_a[:-1]) / (n - 1))
+    assert np.array_equal(a_short.U, np.fft.rfft(u_a[:-1]) / (n - 1))
+    assert (a.n_bins, a_short.n_bins) == (n, n - 1)
+
+
+def test_spectrum_record_refuses_arrays_not_one_sided(lab_spectra):
+    # two-sided arrays of the old layout would index the wrong bins
+    rec = lab_spectra[0]
+    two_sided = np.zeros(rec.n_bins, dtype=complex)
+    with pytest.raises(InvalidInputError, match="stores bins 0..15000"):
+        dataclasses.replace(rec, U=two_sided, Y=two_sided)
+    with pytest.raises(InvalidInputError, match="stores bins"):
+        dataclasses.replace(rec, n_bins=rec.n_bins + 2)
 
 
 def test_spectra_keep_no_reference_to_the_records(lab_model, lab_cycle):
@@ -242,10 +262,13 @@ def test_regressor_refuses_frequency_off_the_records_bins(lab_problem, omega):
 
 
 def test_regressor_takes_the_last_bin(lab_problem):
+    # bin +-15 000 of 30 000 samples is the stored Nyquist bin, the last one
     spacing = lab_problem.records[0].bin_spacing
-    for q in (15_000, -15_000, 15_000.4):
+    nyquist = np.array([rec.Y[-1] for rec in lab_problem.records])
+    for q, want in ((15_000, nyquist), (-15_000, nyquist.conj()), (15_000.4, nyquist)):
         Phi, y = build_regressor(lab_problem, q * spacing)
         assert Phi.shape == (9, 2 * lab_problem.n_harmonics + 1) and y.shape == (9,)
+        assert np.array_equal(y, want)
 
 
 def test_regressor_matches_scalar_reference(lab_problem):
@@ -253,16 +276,48 @@ def test_regressor_matches_scalar_reference(lab_problem):
     # from the row equation and the band test; the tensor must agree exactly.
     rec0 = lab_problem.records[0]
     spacing, n_fft = rec0.bin_spacing, rec0.n_bins
+
+    def signed(stored, q):
+        # the one-sided spectrum at signed bin q: a negative bin conjugates
+        k = q % n_fft
+        return complex(stored[k]) if k <= n_fft // 2 else complex(stored[n_fft - k]).conjugate()
+
     lo, hi = 2.0 * math.pi * 0.0, 2.0 * math.pi * 7.0
-    for q in (-177, 1, 40, 100, 205):
+    for q in (-177, -40, 1, 40, 100, 205):
         Phi, y = build_regressor(lab_problem, q * spacing)
         for r, rec in enumerate(lab_problem.records):
-            assert y[r] == rec.Y[q % n_fft]
+            assert y[r] == signed(rec.Y, q)
             for col, n in enumerate(range(-3, 4)):
                 shift = q - n * lab_problem.pump_bins
                 excited = shift != 0 and lo < abs(shift) * spacing <= hi + 0.5 * spacing
                 mod = cmath.exp(1j * n * lab_problem.pump * rec.clock_phase)
-                assert Phi[r, col] == (mod * rec.U[shift % n_fft] if excited else 0.0)
+                assert Phi[r, col] == (mod * signed(rec.U, shift) if excited else 0.0)
+
+
+def test_one_sided_regressor_matches_two_sided_dft(lab_records, lab_problem):
+    # The same tensor built from the records' two-sided np.fft.fft spectra;
+    # bins -400 .. 399 shift to negative bins on every harmonic column.
+    n_fft, pump_bins = lab_problem.records[0].n_bins, lab_problem.pump_bins
+    U = [np.fft.fft(rec.u) / n_fft for rec in lab_records]
+    Y = [np.fft.fft(rec.xi1) / n_fft for rec in lab_records]
+    orders = np.arange(-3, 4)
+    mod = np.exp(1j * np.outer([rec.clock_phase for rec in lab_records], orders) * lab_problem.pump)
+    q = np.arange(-400, 400)
+    shift = q[:, None] - orders * pump_bins
+    assert (shift < 0).any(axis=0).all()
+    Phi, y, mask = _regressor_tensor(lab_problem, q)
+    Phi_ref = np.stack([U_r[shift % n_fft] for U_r in U], axis=1) * mod * mask[:, None, :]
+    y_ref = np.stack([Y_r[q % n_fft] for Y_r in Y], axis=1)
+
+    def off(a, ref):
+        # rfft and fft round differently: compare against the largest entry
+        return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+    assert off(Phi, Phi_ref) <= 1e-13 and off(y, y_ref) <= 1e-13
+    spacing = lab_problem.records[0].bin_spacing
+    for b in (223, 300, 395):  # signed bins -177, -100, -5
+        Phi_b, y_b = build_regressor(lab_problem, q[b] * spacing)
+        assert off(Phi_b, Phi_ref[b]) <= 1e-13 and off(y_b, y_ref[b]) <= 1e-13
 
 
 @pytest.mark.parametrize(

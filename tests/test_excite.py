@@ -67,6 +67,14 @@ def test_plan_validation():
         ChirpPlan(segment_duration=0.0)
     with pytest.raises(InvalidInputError):
         ChirpPlan(n_segments=0)
+    # a fractional segment count used to construct and fail later in range()
+    with pytest.raises(InvalidInputError, match="n_segments"):
+        ChirpPlan(n_segments=2.5)
+    # nan passed every comparison; the duration escaped as ValueError from steps_in
+    with pytest.raises(InvalidInputError, match="amplitude"):
+        ChirpPlan(amplitude=float("nan"))
+    with pytest.raises(InvalidInputError, match="segment_duration"):
+        ChirpPlan(segment_duration=float("nan"))
     # amplitude 0 is a legal null experiment
     assert ChirpPlan(amplitude=0.0).amplitude == 0.0
 
@@ -139,6 +147,9 @@ def test_large_amplitude_warns(lab_model, lab_cycle):
 def test_run_experiments_validation(lab_model, lab_cycle):
     with pytest.raises(InvalidInputError):
         run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=-1)
+    # a fractional warm-up used to escape as numpy's TypeError
+    with pytest.raises(InvalidInputError, match="warmup_periods"):
+        run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=1.5)
 
 
 def test_run_experiments_checks_grid_before_integrating(lab_model, lab_cycle, monkeypatch):

@@ -105,6 +105,9 @@ def test_integrate_validation():
         integrate(model, (0.2, float("nan")), None, 1.0, 1e-3)
     with pytest.raises(InvalidInputError):
         integrate(model, (0.2, 0.0), None, 1.0, -1e-3)
+    # a fractional skip used to escape as numpy's TypeError
+    with pytest.raises(InvalidInputError, match="skip"):
+        integrate(model, (0.2, 0.0), None, 1.0, 1e-3, skip=1.5)
 
 
 def test_settle_study_cycle(lab_cycle):
