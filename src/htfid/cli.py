@@ -56,6 +56,7 @@ from .estimate import (
     DEFAULT_ALPHA,
     MIN_EXCITATION,
     EstimationProblem,
+    check_band,
     check_design,
     estimate_htf,
     median,
@@ -105,6 +106,7 @@ LOWER_BOUNDS = {
     "chirp.warmup_periods": (0, False),
     "estimate.n_harmonics": (0, False),
     "estimate.alpha": (0.0, False),
+    "estimate.min_excitation": (0.0, False),
     "theory.n_h": (0, False),
     "theory.n_keep": (0, False),
     "theory.f_hi": (0.0, True),
@@ -201,7 +203,7 @@ def _check_config(cfg: dict, args) -> dict:
     records.  Raises `ConfigError` for a value of the wrong type, below
     its lower bound, or inconsistent with another setting, and
     `InvalidInputError` for settings that `ModelParams`, `ChirpPlan`,
-    `steps_in` or (for `identify`) `check_design` refuse.
+    `steps_in`, `check_band` or (for `identify`) `check_design` refuse.
     """
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
@@ -219,9 +221,7 @@ def _check_config(cfg: dict, args) -> dict:
         raise ConfigError("theory.n_keep cannot exceed theory.n_h")
     if th["convention"] not in ("input", "output"):
         raise ConfigError("theory.convention must be 'input' or 'output'")
-    lo, hi = cfg["estimate"]["band"]
-    if not 0.0 <= lo < hi:
-        raise ConfigError("estimate.band must be [lo_hz, hi_hz] with 0 <= lo < hi")
+    check_band(cfg["estimate"]["band"])
     # the dt check of settling, made before any output is written
     steps_in(ModelParams(**cfg["model"]).period, cfg["sim"]["dt"])
     ChirpPlan(**{k: v for k, v in cfg["chirp"].items() if k != "warmup_periods"})

@@ -24,6 +24,7 @@ harmonics.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ class SpectrumRecord:
     n_bins: int
 
     def __post_init__(self):
+        if not math.isfinite(self.clock_phase):
+            raise InvalidInputError(f"clock_phase must be finite, not {self.clock_phase!r}")
         stored = (self.n_bins // 2 + 1,)
         if self.n_bins < 2 or not self.freq_grid.shape == self.U.shape == self.Y.shape == stored:
             raise InvalidInputError(
@@ -160,13 +163,27 @@ def check_design(n_records: int, n_harmonics: int, periods: float) -> None:
         raise InvalidInputError(f"a record spans {periods:.9g} pump periods, not a whole number")
 
 
+def check_band(band_hz) -> None:
+    """Refuse an excited band (lo, hi] in Hz unless it is finite with 0 <= lo < hi."""
+    try:
+        lo, hi = (float(edge) for edge in band_hz)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"estimation band must be two numbers, not {band_hz!r}") from None
+    if not 0.0 <= lo < hi < math.inf:
+        raise InvalidInputError(
+            f"estimation band (lo, hi] in Hz must be finite with 0 <= lo < hi, not {band_hz!r}"
+        )
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Spectra plus estimation settings.
 
     `band_hz` is the excited band (lo, hi]; shifted regressor bins whose
     absolute frequency falls outside it carry no input energy and are
-    zeroed.  The records must pass `check_design`.
+    zeroed; it must pass `check_band`, and the records `check_design`.
+    `n_harmonics` is a non-negative integer, `pump` finite and positive,
+    `alpha` and `min_excitation` finite and non-negative.
     """
 
     records: list
@@ -177,12 +194,16 @@ class EstimationProblem:
     min_excitation: float = MIN_EXCITATION
 
     def __post_init__(self):
-        if self.n_harmonics < 0:
-            raise InvalidInputError("n_harmonics must be non-negative")
-        if self.pump <= 0.0:
-            raise InvalidInputError("pump frequency must be positive")
-        if self.alpha < 0.0:
-            raise InvalidInputError("alpha must be non-negative")
+        n_h = self.n_harmonics
+        if isinstance(n_h, bool) or not (isinstance(n_h, numbers.Integral) and n_h >= 0):
+            raise InvalidInputError(f"n_harmonics must be a non-negative integer, not {n_h!r}")
+        if not 0.0 < self.pump < math.inf:
+            raise InvalidInputError(f"pump must be finite and positive, not {self.pump!r}")
+        for name in ("alpha", "min_excitation"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidInputError(f"{name} must be finite and non-negative, not {value!r}")
+        check_band(self.band_hz)
         if not self.records:
             raise InvalidInputError("no records were given")
         ref = self.records[0]

@@ -24,6 +24,7 @@ engagement phase measured from the periodic orbit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +54,10 @@ class ModelParams:
     forcing_freq: float = 1.0
 
     def __post_init__(self):
+        for key in PARAM_KEYS:
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidInputError(f"{key} must be a finite number, not {value!r}")
         if self.m <= 0.0 or self.k <= 0.0:
             raise InvalidInputError("mass and stiffness must be positive")
         if self.c < 0.0:

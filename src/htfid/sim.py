@@ -364,6 +364,13 @@ class _Lockstep:
     `tables` runs once, then `trips` and `due_steps` take turns until no
     member is due.  Each member's arithmetic is elementwise or a small
     matrix product of its own: it gets the same bits in a batch as alone.
+
+    Buffers: `samples` holds every stored state and `us` the input, which
+    the result keeps.  Per chunk, `stage_g` holds each member's stage
+    drives, one table per member, and `particular` its particular
+    solutions on both charts; `states`, `stage_in` and `points` are a
+    trip's scratch.  `trajectory` frees the chunk buffers and the trip
+    scratch, with their window views, before it assembles the result.
     """
 
     def __init__(self, model, x_init, starts, u, dt, n_steps, skip):
@@ -392,12 +399,12 @@ class _Lockstep:
         self.us = np.zeros(n_steps + 1 - skip)  # the input, one row for all members
         self.samples = np.empty((S, 2, span + len(self.us) + span))
         self.trip_samples = sliding_window_view(self.samples, span, axis=2, writeable=True)
-        # The chunk's drive of every member, and its particular solutions on
-        # both charts, member s on chart c at row c*S + s.  The drives of the
-        # stages (e, g0, gh) of each step have room for one trip past the
-        # chunk end; the states of that room are never kept.
+        # The chunk's particular solutions on both charts, member s on chart c
+        # at row c*S + s, and each member's stage drives: g0 at step i's start
+        # (row 0, column i; the step ends at column i + 1) and gh at its
+        # midpoint (row 1).  Both have room for one trip past the chunk end;
+        # the states of that room are never kept.
         n_table = min(_CHUNK_STEPS, n_steps)
-        self.drive = np.empty((S, 2 * n_table + 1))
         self.particular = np.zeros((2 * S, 2, n_table + 1 + span))
         self.particular_trips = sliding_window_view(self.particular, span + 1, axis=2)
         self.stage_g = np.zeros((S, 2, n_table + span))
@@ -436,9 +443,11 @@ class _Lockstep:
         and ``A sin(w*tau)`` (`ModelParams.forcing_columns`).  RK4 on a chart
         is linear in its drive, so each member's drive and tables are these
         drives' and their tables' sum weighted by ``cos(w*t0)``, ``-sin(w*t0)``
-        and 1.  The shared drives are tabulated and added one at a time, and
-        a drive whose weights are all zero (the sine of runs that start at
-        t0 = 0) is skipped.
+        and 1.  The shared drives are tabulated and added one at a time, each
+        straight into the rows of `stage_g` (the points 2i into row 0, up to
+        the chunk's end point 2·n_chunk, and the points 2i + 1 into row 1),
+        and a drive whose weights are all zero (the sine of runs that start
+        at t0 = 0) is skipped.
         """
         self.c0, self.end = c0, min(c1, self.n_steps)
         self.tau = tau = np.arange(2 * c0, 2 * c1 + 1) * (0.5 * self.dt)
@@ -452,14 +461,14 @@ class _Lockstep:
         n_chunk = self.end - c0
         if n_chunk:
             S = len(self.members)
-            g = self.drive[:, : 2 * n_chunk + 1]
-            live = [(w, d[: g.shape[1]]) for w, d in zip(self.weights, shared) if w.any()]
+            rows = self.stage_g[:, 0, : n_chunk + 1], self.stage_g[:, 1, :n_chunk]
+            live = [(w, d[: 2 * n_chunk + 1]) for w, d in zip(self.weights, shared) if w.any()]
             for i, (weights, drive) in enumerate(live):
-                _superpose(g, weights, drive, i == 0)
+                for row, points in zip(rows, (drive[::2], drive[1::2])):
+                    _superpose(row, weights, points, i == 0)
                 for c, run in enumerate(self.runs):
                     part = self.particular[c * S : (c + 1) * S, :, : n_chunk + 1]
                     _superpose(part, weights, run.tabulate(drive), i == 0)
-            self.stage_g[:, 0, :n_chunk], self.stage_g[:, 1, :n_chunk] = g[:, :-1:2], g[:, 1::2]
         return n_chunk
 
     def trips(self):
@@ -519,16 +528,20 @@ class _Lockstep:
     def due_steps(self):
         """Take the due members' steps on the scalar path, one member at a time.
 
-        A step that changes the sign of the threshold is split at the
-        crossing.  The split steps run as coroutines whose sub-steps are
+        Step i of the chunk reads its drives from the member's `stage_g`:
+        g0 and gh at column i, and ge at row 0, column i + 1, where the next
+        step starts.  A step that changes the sign of the threshold is split
+        at the crossing.  The split steps run as coroutines whose sub-steps are
         taken in rounds: one evaluation of F at ``t0 + tau`` and of `u` at
         tau, at the times of that round's sub-steps only, serves them all.
         """
         pending = {}
         for k in np.flatnonzero(self.due).tolist():
-            j = 2 * (int(self.n[k]) - self.c0)
+            i = int(self.n[k]) - self.c0
+            j = 2 * i
             state = tuple(self.y[k].tolist())
-            g0, gh, ge = self.drive[k, j : j + 3].tolist()
+            g0, gh = self.stage_g[k, :, i].tolist()
+            ge = float(self.stage_g[k, 0, i + 1])
             self.y[k] = end = self.rk4(*state, self.dt, g0, gh, ge)
             if not all(map(math.isfinite, end)):
                 raise DivergenceError(f"non-finite state in member {k} at t={self._time(k, j + 2)}")
@@ -563,10 +576,16 @@ class _Lockstep:
             raise EventLocalizationError(f"member {k}, step from t={t}: {exc}") from None
 
     def trajectory(self, model, batch):
-        """The stored samples as a `Trajectory`, rows of them for a batch."""
+        """The stored samples as a `Trajectory`, rows of them for a batch.
+
+        Frees the chunk buffers and the trip scratch first: the chunks are
+        done, and the result should not sit beside them.
+        """
+        del self.particular, self.particular_trips, self.stage_g, self.stage_g_trips
+        del self.states, self.stage_in, self.points, self.inner, self.tau
         xs, vs = self.samples[:, :, self.span : self.span + len(self.us)].transpose(1, 0, 2)
         xs += self.x_eq
-        charts = model.engaged(xs, vs).astype(np.uint8)
+        charts = model.engaged(xs, vs).view(np.uint8)  # the same 0/1 bytes, no copy
         us, t_first = self.us, self.starts + self.skip * self.dt
         if not batch:
             xs, vs, charts, t_first = xs[0], vs[0], charts[0], float(t_first[0])

@@ -46,14 +46,16 @@ def read_json(path):
 def test_identify_traced_peak(tmp_path):
     # Each phase holds each sample once: one-sided spectra with one input
     # spectrum for all nine records, the records dropped once transformed,
-    # the orbit subtracted in place and the integrator's tables built one
-    # shared drive at a time.  identify then peaks at 7.0 MiB of traced
-    # memory on 20 s records and 8.6 MiB on the default 30 s ones, against
-    # 7.6 and 10.4 MiB with two-sided spectra, the orbit built over the
-    # whole capture and all drives tabulated at once (a fresh process; one
-    # that has run identify before reads up to 0.3 MiB less).  The count
+    # the orbit subtracted in place, the integrator's tables built one
+    # shared drive at a time into one stage-drive table per member, its
+    # chunk buffers freed before the result and the chart flags taken
+    # without a copy.  identify then peaks at 6.47 MiB of traced memory on
+    # 20 s records and 7.92 MiB on the default 30 s ones, against 7.03 and
+    # 8.57 MiB with a second drive table per member, the chunk buffers kept
+    # to the end and the flags copied (a fresh process; in this test the
+    # two runs read 6.31 and 7.64 MiB, against 6.87 and 8.29).  The count
     # is deterministic: it sums the allocations, not the pages they touch.
-    for duration, bound_mib in ((20.0, 7.4), (30.0, 9.0)):
+    for duration, bound_mib in ((20.0, 6.8), (30.0, 8.2)):
         config = write_config(tmp_path / "cfg.json", {"chirp": {"segment_duration": duration}})
         tracemalloc.start()
         try:
@@ -143,6 +145,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"theory": {"grid_points": 20.9}},
         {"chirp": {"n_segments": 9.5}},
         {"model": {"k": 10**400}},
+        {"estimate": {"min_excitation": -1.0}},
+        {"estimate": {"band": [3.0, 1.0]}},
     ]
     paths = [str(tmp_path / "nope.json"), str(bad_json)] + [
         write_config(tmp_path / f"c{i}.json", payload) for i, payload in enumerate(configs)

@@ -221,6 +221,26 @@ def test_problem_validation(lab_spectra):
             pump=2 * math.pi,
             band_hz=(0.0, 499.0),
         )
+    # settings that escaped untyped, ran silently or failed later as a
+    # numerical error
+    settings = dict(records=lab_spectra, n_harmonics=3, pump=2 * math.pi)
+    for bad in (
+        {"pump": math.nan},
+        {"pump": math.inf},
+        {"n_harmonics": 1.5},
+        {"n_harmonics": True},
+        {"alpha": math.nan},
+        {"alpha": math.inf},
+        {"band_hz": (1.5, 0.5)},
+        {"band_hz": (0.0, math.nan)},
+        {"band_hz": (-1.0, 1.0)},
+        {"min_excitation": math.nan},
+        {"min_excitation": -1e-3},
+    ):
+        with pytest.raises(InvalidInputError):
+            EstimationProblem(**{**settings, **bad})
+    with pytest.raises(InvalidInputError, match="clock_phase"):
+        dataclasses.replace(lab_spectra[0], clock_phase=math.nan)
 
 
 def test_regressor_shapes_and_zero_record(lab_spectra):

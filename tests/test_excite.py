@@ -98,6 +98,7 @@ def test_records_shape_and_alignment(lab_records, lab_cycle):
         assert np.allclose(
             rec.traj.u, gen_chirp(plan, k, lab_cycle.dt), rtol=0, atol=1e-12
         )
+        assert rec.traj.chart.dtype == np.uint8
         assert set(np.unique(rec.traj.chart)) <= {0.0, 1.0}
 
 

@@ -1,5 +1,7 @@
 """Chart matrices, parameter validation, and the switched linearization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,19 @@ def test_params_validation():
         ModelParams(c=-1.0)
     with pytest.raises(InvalidInputError):
         ModelParams(forcing_freq=0.0)
+    # non-finite fields that failed only once integrated
+    for key, value in (
+        ("c", math.nan),
+        ("forcing_amplitude", math.nan),
+        ("m", math.nan),
+        ("k", math.nan),
+        ("g", math.nan),
+        ("m", math.inf),
+        ("x0", math.inf),
+        ("forcing_freq", math.inf),
+    ):
+        with pytest.raises(InvalidInputError, match=key):
+            ModelParams(**{key: value})
 
 
 def test_params_dict_roundtrip():
