@@ -18,6 +18,13 @@ output directory.  Nothing written depends on wall-clock time or ambient
 RNG state, so rerunning a command with the same inputs under the same
 BLAS thread setting reproduces every output byte for byte.
 
+Importing this module loads the standard library and `htfid.errors`
+only, not numpy: ``--help`` and a usage error cost no numeric import.
+Each command imports the modules it runs when it runs, and
+`DEFAULT_CONFIG` and `LOWER_BOUNDS`, whose values come from those
+modules, are built on their first read.  `compare` loads `htfid.hss` and
+numpy, and not the simulator, the estimator or the fit.
+
 numpy's OpenBLAS runs on one thread in a CLI process: importing this
 module sets ``OPENBLAS_NUM_THREADS=1`` unless numpy is already loaded or
 one of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
@@ -26,7 +33,8 @@ worker pool, which costs CPU time to start and spin.  The library
 modules leave BLAS alone.
 
 Exit codes: 0 success, 2 configuration or usage error (an unreadable
-input file and a setting the library refuses included), 3 numerical
+input file, an output directory that cannot be created and a setting
+the library refuses included), 3 numerical
 failure (no settling, singular solve, unusable data) or a malformed HTF
 file.
 """
@@ -35,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -49,78 +56,77 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from .errors import ConfigError, HtfidError, InvalidInputError
-from .estimate import (
-    DEFAULT_ALPHA,
-    MIN_EXCITATION,
-    EstimationProblem,
-    check_band,
-    check_design,
-    estimate_htf,
-    median,
-    spectra,
-)
-from .excite import ChirpPlan, run_experiments
-from .fit import FIT_N_H, ORDERS, fit_parameters
-from .hss import (
-    build_hss,
-    default_grid,
-    eval_htf,
-    fourier_series,
-    read_htf_csv,
-    same_grid,
-    write_htf_csv,
-    write_table,
-)
-from .model import HybridModel, ModelParams, linearize, steps_in
-from .sim import SETTLE_TOL, settle_limit_cycle
-
-DEFAULT_CONFIG = {
-    "model": ModelParams().to_dict(),
-    "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": SETTLE_TOL, "x_init": None},
-    "chirp": {**dataclasses.asdict(ChirpPlan()), "warmup_periods": 1},
-    "estimate": {
-        "n_harmonics": 3,
-        "alpha": DEFAULT_ALPHA,
-        "band": [0.0, 7.0],
-        "min_excitation": MIN_EXCITATION,
-    },
-    "theory": {
-        "n_h": 10,
-        "n_keep": 3,
-        "f_hi": 7.0,
-        "grid_points": 600,
-        "convention": "input",
-    },
-    "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": FIT_N_H},
-}
-
-#: Lower bound of a numeric setting, as (bound, strict): a strict bound
-#: must be exceeded, any other only reached.  The model and chirp
-#: settings are checked by `ModelParams` and `ChirpPlan` themselves.
-LOWER_BOUNDS = {
-    "sim.n_cycles": (2, False),  # the last two periods are compared
-    "sim.settle_tol": (0.0, True),
-    "chirp.warmup_periods": (0, False),
-    "estimate.n_harmonics": (0, False),
-    "estimate.alpha": (0.0, False),
-    "estimate.min_excitation": (0.0, False),
-    "theory.n_h": (0, False),
-    "theory.n_keep": (0, False),
-    "theory.f_hi": (0.0, True),
-    "theory.grid_points": (1, False),
-    "fit.init_k": (0.0, True),
-    "fit.init_c": (0.0, True),
-    "fit.max_iter": (1, False),
-    "fit.n_h": (max(ORDERS), False),  # the orders the fit reads
-}
 
 #: `compare`'s default tolerances, which `identify` also counts its
 #: theory-versus-estimate bins against.
 TOL_MAG_REL = 0.05
 TOL_PHASE_DEG = 5.0
+
+
+def _defaults() -> tuple[dict, dict]:
+    """`DEFAULT_CONFIG` and `LOWER_BOUNDS`, built on the first call.
+
+    Their values come from the numeric modules, which this module loads
+    only once a command runs (or one of the two names is read).
+    """
+    global DEFAULT_CONFIG, LOWER_BOUNDS
+    if "DEFAULT_CONFIG" not in globals():
+        import dataclasses
+
+        from .estimate import DEFAULT_ALPHA, MIN_EXCITATION
+        from .excite import ChirpPlan
+        from .fit import FIT_N_H, ORDERS
+        from .model import ModelParams
+        from .sim import SETTLE_TOL
+
+        DEFAULT_CONFIG = {
+            "model": ModelParams().to_dict(),
+            "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": SETTLE_TOL, "x_init": None},
+            "chirp": {**dataclasses.asdict(ChirpPlan()), "warmup_periods": 1},
+            "estimate": {
+                "n_harmonics": 3,
+                "alpha": DEFAULT_ALPHA,
+                "band": [0.0, 7.0],
+                "min_excitation": MIN_EXCITATION,
+            },
+            "theory": {
+                "n_h": 10,
+                "n_keep": 3,
+                "f_hi": 7.0,
+                "grid_points": 600,
+                "convention": "input",
+            },
+            "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": FIT_N_H},
+        }
+        # Lower bound of a numeric setting, as (bound, strict): a strict
+        # bound must be exceeded, any other only reached.  The model and
+        # chirp settings are checked by `ModelParams` and `ChirpPlan`.
+        LOWER_BOUNDS = {
+            "sim.n_cycles": (2, False),  # the last two periods are compared
+            "sim.settle_tol": (0.0, True),
+            "chirp.warmup_periods": (0, False),
+            "estimate.n_harmonics": (0, False),
+            "estimate.alpha": (0.0, False),
+            "estimate.min_excitation": (0.0, False),
+            "theory.n_h": (0, False),
+            "theory.n_keep": (0, False),
+            "theory.f_hi": (0.0, True),
+            "theory.grid_points": (1, False),
+            "fit.init_k": (0.0, True),
+            "fit.init_c": (0.0, True),
+            "fit.max_iter": (1, False),
+            "fit.n_h": (max(ORDERS), False),  # the orders the fit reads
+        }
+    return DEFAULT_CONFIG, LOWER_BOUNDS
+
+
+def __getattr__(name):
+    # PEP 562: DEFAULT_CONFIG and LOWER_BOUNDS on their first read
+    if name in ("DEFAULT_CONFIG", "LOWER_BOUNDS"):
+        _defaults()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _merge_section(name: str, defaults: dict, override: dict) -> dict:
@@ -137,7 +143,7 @@ def _merge_section(name: str, defaults: dict, override: dict) -> dict:
 
 def load_config(path=None) -> dict:
     """Built-in defaults, optionally overlaid with a JSON config file."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = copy.deepcopy(_defaults()[0])
     if path is None:
         return cfg
     try:
@@ -188,7 +194,7 @@ def _resolve(name: str, value, default):
         value = int(value)
     else:
         value = float(value)
-    bound, strict = LOWER_BOUNDS.get(name, (-math.inf, False))
+    bound, strict = _defaults()[1].get(name, (-math.inf, False))
     if value < bound or (strict and value == bound):
         relation = "greater than" if strict else "at least"
         raise ConfigError(f"{name} must be {relation} {bound}, not {value!r}")
@@ -205,6 +211,12 @@ def _check_config(cfg: dict, args) -> dict:
     `InvalidInputError` for settings that `ModelParams`, `ChirpPlan`,
     `steps_in`, `check_band` or (for `identify`) `check_design` refuse.
     """
+    from .estimate import check_band, check_design
+    from .excite import ChirpPlan
+    from .fit import ORDERS
+    from .model import ModelParams, steps_in
+
+    defaults = _defaults()[0]
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
     if args.nh is not None:
@@ -213,7 +225,7 @@ def _check_config(cfg: dict, args) -> dict:
         cfg["sim"]["dt"] = args.dt
     for name, section in cfg.items():
         for key, value in section.items():
-            section[key] = _resolve(f"{name}.{key}", value, DEFAULT_CONFIG[name][key])
+            section[key] = _resolve(f"{name}.{key}", value, defaults[name][key])
     th = cfg["theory"]
     if args.nh is not None:
         th["n_keep"] = min(th["n_keep"], th["n_h"])
@@ -242,7 +254,17 @@ def _write_json(path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _settle(cfg: dict):
+    from .model import HybridModel, ModelParams
+    from .sim import settle_limit_cycle
+
     model = HybridModel(ModelParams(**cfg["model"]))
     sim = cfg["sim"]
     cycle = settle_limit_cycle(
@@ -252,6 +274,10 @@ def _settle(cfg: dict):
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
+    import numpy as np
+
+    from .hss import write_table
+
     model, cycle = _settle(cfg)
     orbit_path = os.path.join(out_dir, "orbit.csv")
     t = np.arange(cycle.n_samples) * cycle.dt
@@ -278,6 +304,11 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
+    import numpy as np
+
+    from .hss import build_hss, default_grid, eval_htf, fourier_series, write_htf_csv, write_table
+    from .model import linearize
+
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
     th = cfg["theory"]
@@ -316,6 +347,10 @@ def htf_diff(ref: dict, test: dict, used: dict, tol_mag: float, tol_phase: float
     both errors over them, and how many of them exceed `tol_mag` or
     `tol_phase`.
     """
+    import numpy as np
+
+    from .hss import median
+
     errors, stats = {}, {}
     for n in sorted(used):
         g_ref, g_test = ref[n], test[n]
@@ -355,6 +390,14 @@ def _print_diff(stats: dict) -> None:
 
 
 def cmd_identify(cfg: dict, out_dir: str) -> int:
+    import numpy as np
+
+    from .estimate import EstimationProblem, estimate_htf, spectra
+    from .excite import ChirpPlan, run_experiments
+    from .fit import fit_parameters
+    from .hss import build_hss, eval_htf, fourier_series, write_htf_csv, write_table
+    from .model import linearize
+
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
 
@@ -434,6 +477,10 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_compare(args) -> int:
+    import numpy as np
+
+    from .hss import read_htf_csv, same_grid
+
     for flag, tol in (("--tol-mag", args.tol_mag), ("--tol-phase", args.tol_phase)):
         if not 0.0 <= tol < math.inf:
             raise ConfigError(f"{flag} must be finite and non-negative, not {tol!r}")
@@ -463,6 +510,9 @@ def cmd_compare(args) -> int:
     used = {n: np.abs(ref.harmonics[n]) > 0.0 for n in common}
     _, stats = htf_diff(ref.harmonics, test.harmonics, used, args.tol_mag, args.tol_phase)
     all_within = not any(s["violations"] for s in stats.values())
+    if args.out is not None:
+        _make_out_dir(args.out)
+        _write_json(os.path.join(args.out, "resolved_config.json"), {"command": "compare", **settings})
     print(
         "comparing %s against %s (tolerance %.3g relative magnitude, %.3g deg phase)"
         % (args.candidate, args.reference, args.tol_mag, args.tol_phase)
@@ -473,8 +523,6 @@ def cmd_compare(args) -> int:
         print(f"  n={n:+d}: only in {only}, skipped")
     print("within tolerance: %s" % ("yes" if all_within else "no"))
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "resolved_config.json"), {"command": "compare", **settings})
         report = {"harmonics": {str(n): s for n, s in stats.items()}, "within_tolerance": all_within}
         _write_json(os.path.join(args.out, "compare.json"), {**settings, **report})
         print(f"wrote {os.path.join(args.out, 'compare.json')}")
@@ -545,7 +593,7 @@ def main(argv=None) -> int:
             return cmd_compare(args)
         try:
             cfg = _check_config(load_config(args.config), args)
-            os.makedirs(args.out, exist_ok=True)
+            _make_out_dir(args.out)
             _write_json(os.path.join(args.out, "resolved_config.json"), cfg)
             run = {"simulate": cmd_simulate, "htf-theory": cmd_htf_theory, "identify": cmd_identify}
             return run[args.command](cfg, args.out)

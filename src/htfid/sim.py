@@ -654,11 +654,15 @@ def integrate(
         raise InvalidInputError("initial states and start times must be finite")
     if not (isinstance(skip, numbers.Integral) and 0 <= skip <= n_steps):
         raise InvalidInputError(f"skip={skip!r} is not an integer in 0..{n_steps}")
-    lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
-    for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
-        if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
-            while lab.trips():
-                lab.due_steps()
+    # A diverging member, or a step too long for the chart's transition
+    # powers, overflows on its way to the DivergenceError that the
+    # finiteness checks raise; numpy need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
+        for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
+            if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
+                while lab.trips():
+                    lab.due_steps()
     return lab.trajectory(model, x_init.ndim == 2)
 
 

@@ -80,8 +80,8 @@ def test_identify_frees_the_records_before_the_estimate(tmp_path, monkeypatch):
         assert all(ref() is None for ref in samples)
         return estimate_htf(problem)
 
-    monkeypatch.setattr(cli, "run_experiments", experiments)
-    monkeypatch.setattr(cli, "estimate_htf", estimate)
+    monkeypatch.setattr("htfid.excite.run_experiments", experiments)
+    monkeypatch.setattr("htfid.estimate.estimate_htf", estimate)
     config = write_config(tmp_path / "cfg.json", {"chirp": {"segment_duration": 4.0}})
     assert cli.main(["identify", "--config", config, "--out", str(tmp_path / "run")]) == 0
     assert len(samples) == 2
@@ -182,11 +182,15 @@ def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, c
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, config):
+def forbid_settling(monkeypatch):
     def settle(*args, **kwargs):
         raise AssertionError("settle_limit_cycle called")
 
-    monkeypatch.setattr(cli, "settle_limit_cycle", settle)
+    monkeypatch.setattr("htfid.sim.settle_limit_cycle", settle)
+
+
+def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, config):
+    forbid_settling(monkeypatch)
     if config is not None:
         flags = flags + ["--config", write_config(tmp_path / "c.json", config)]
     out = tmp_path / "o"
@@ -247,6 +251,13 @@ def test_dt_off_the_period_refused_before_settling(
     tmp_path, capsys, monkeypatch, command, flags, config
 ):
     refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, config)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+def test_diverging_run_reports_one_error_line(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", {"sim": {"x_init": [1e308, 1e308]}})
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: non-finite state in member 0 at t=0.005\n"
 
 
 def test_htf_theory_takes_nh_0(tmp_path):
@@ -369,6 +380,25 @@ def test_compare_rejects_mismatched_conventions(tmp_path, capsys):
 
 
 HEAD = "omega_rad_s,n,re,im\n# convention=input\n"
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["simulate", "htf-theory", "identify", "compare"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, below):
+    forbid_settling(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [command]
+    if command == "compare":
+        ref = tmp_path / "ref.csv"
+        ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
+        argv += [str(ref), str(ref)]
+    out = taken / "run" if below else taken
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot create output directory {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize("offset, refused", [(5e-10, False), (2e-9, True)])
@@ -568,6 +598,41 @@ def test_identify_leaves_out_numpy_ma(tmp_path):
         "print('numpy.ma' in sys.modules)\n"
     )
     assert fresh_python(code).splitlines()[-1] == "False"
+
+
+def test_cli_import_loads_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "import htfid.cli\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'htfid'))\n"
+    )
+    assert fresh_python(code) == "False ['htfid', 'htfid.cli', 'htfid.errors']"
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)], ids=["help", "usage-error"])
+def test_usage_loads_no_numpy(argv, code):
+    source = (
+        "import sys\n"
+        "from htfid import cli\n"
+        "try:\n"
+        f"    cli.main({argv!r})\n"
+        "except SystemExit as done:\n"
+        "    print(done.code, 'numpy' in sys.modules)\n"
+    )
+    assert fresh_python(source).splitlines()[-1] == f"{code} False"
+
+
+def test_compare_loads_no_simulator_estimator_or_fit(tmp_path):
+    ref = tmp_path / "ref.csv"
+    ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
+    code = (
+        "import sys\n"
+        "from htfid import cli\n"
+        f"assert cli.main(['compare', {str(ref)!r}, {str(ref)!r}]) == 0\n"
+        "print([m for m in ('htfid.sim', 'htfid.excite', 'htfid.estimate', 'htfid.fit') "
+        "if m in sys.modules])\n"
+    )
+    assert fresh_python(code).splitlines()[-1] == "[]"
 
 
 ENVIRON_AFTER_CLI_IMPORT = (

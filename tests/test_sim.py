@@ -86,10 +86,10 @@ def test_integrate_is_deterministic():
     assert np.array_equal(a.chart, b.chart)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_integrate_reports_divergence():
     # dt = 0.5 s is far outside RK4's stability region at omega = sqrt(200);
-    # numpy warns of the overflow on the way to the typed error.
+    # the overflow on the way to the typed error raises no numpy warning.
     with pytest.raises(DivergenceError):
         integrate(HybridModel(), (0.17, 0.0), None, 500.0, 0.5)
     # From 1.3e307 the velocity overflows from about 0.097 s to 0.126 s,
@@ -494,7 +494,7 @@ def test_batch_keeps_the_samples_after_skip(lab_model, lab_cycle):
     [((1.5e307, -1.0), "trips"), ((-1.5e307, 1.0), "trips"), ((0.15, 1e307), "due_steps")],
     ids=["chart-run", "damped-run", "scalar-step"],
 )
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_batch_names_the_member_that_diverges(lab_model, lab_cycle, start, part):
     # Only member 2 starts far enough out to overflow.  Displaced by
     # 1.5e307, its velocity overflows a sixth of a period later, inside a
