@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -64,68 +65,66 @@ TOL_MAG_REL = 0.05
 TOL_PHASE_DEG = 5.0
 
 
+@functools.cache
 def _defaults() -> tuple[dict, dict]:
     """`DEFAULT_CONFIG` and `LOWER_BOUNDS`, built on the first call.
 
     Their values come from the numeric modules, which this module loads
     only once a command runs (or one of the two names is read).
     """
-    global DEFAULT_CONFIG, LOWER_BOUNDS
-    if "DEFAULT_CONFIG" not in globals():
-        import dataclasses
+    import dataclasses
 
-        from .estimate import DEFAULT_ALPHA, MIN_EXCITATION
-        from .excite import ChirpPlan
-        from .fit import FIT_N_H, ORDERS
-        from .model import ModelParams
-        from .sim import SETTLE_TOL
+    from .estimate import DEFAULT_ALPHA, MIN_EXCITATION
+    from .excite import ChirpPlan
+    from .fit import FIT_N_H, ORDERS
+    from .model import ModelParams
+    from .sim import SETTLE_TOL
 
-        DEFAULT_CONFIG = {
-            "model": ModelParams().to_dict(),
-            "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": SETTLE_TOL, "x_init": None},
-            "chirp": {**dataclasses.asdict(ChirpPlan()), "warmup_periods": 1},
-            "estimate": {
-                "n_harmonics": 3,
-                "alpha": DEFAULT_ALPHA,
-                "band": [0.0, 7.0],
-                "min_excitation": MIN_EXCITATION,
-            },
-            "theory": {
-                "n_h": 10,
-                "n_keep": 3,
-                "f_hi": 7.0,
-                "grid_points": 600,
-                "convention": "input",
-            },
-            "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": FIT_N_H},
-        }
-        # Lower bound of a numeric setting, as (bound, strict): a strict
-        # bound must be exceeded, any other only reached.  The model and
-        # chirp settings are checked by `ModelParams` and `ChirpPlan`.
-        LOWER_BOUNDS = {
-            "sim.n_cycles": (2, False),  # the last two periods are compared
-            "sim.settle_tol": (0.0, True),
-            "chirp.warmup_periods": (0, False),
-            "estimate.n_harmonics": (0, False),
-            "estimate.alpha": (0.0, False),
-            "estimate.min_excitation": (0.0, False),
-            "theory.n_h": (0, False),
-            "theory.n_keep": (0, False),
-            "theory.f_hi": (0.0, True),
-            "theory.grid_points": (1, False),
-            "fit.init_k": (0.0, True),
-            "fit.init_c": (0.0, True),
-            "fit.max_iter": (1, False),
-            "fit.n_h": (max(ORDERS), False),  # the orders the fit reads
-        }
-    return DEFAULT_CONFIG, LOWER_BOUNDS
+    config = {
+        "model": ModelParams().to_dict(),
+        "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": SETTLE_TOL, "x_init": None},
+        "chirp": {**dataclasses.asdict(ChirpPlan()), "warmup_periods": 1},
+        "estimate": {
+            "n_harmonics": 3,
+            "alpha": DEFAULT_ALPHA,
+            "band": [0.0, 7.0],
+            "min_excitation": MIN_EXCITATION,
+        },
+        "theory": {
+            "n_h": 10,
+            "n_keep": 3,
+            "f_hi": 7.0,
+            "grid_points": 600,
+            "convention": "input",
+        },
+        "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": FIT_N_H},
+    }
+    # Lower bound of a numeric setting, as (bound, strict): a strict
+    # bound must be exceeded, any other only reached.  The model and
+    # chirp settings are checked by `ModelParams` and `ChirpPlan`.
+    bounds = {
+        "sim.n_cycles": (2, False),  # the last two periods are compared
+        "sim.settle_tol": (0.0, True),
+        "chirp.warmup_periods": (0, False),
+        "estimate.n_harmonics": (0, False),
+        "estimate.alpha": (0.0, False),
+        "estimate.min_excitation": (0.0, False),
+        "theory.n_h": (0, False),
+        "theory.n_keep": (0, False),
+        "theory.f_hi": (0.0, True),
+        "theory.grid_points": (1, False),
+        "fit.init_k": (0.0, True),
+        "fit.init_c": (0.0, True),
+        "fit.max_iter": (1, False),
+        "fit.n_h": (max(ORDERS), False),  # the orders the fit reads
+    }
+    return config, bounds
 
 
 def __getattr__(name):
-    # PEP 562: DEFAULT_CONFIG and LOWER_BOUNDS on their first read
+    # PEP 562: DEFAULT_CONFIG and LOWER_BOUNDS, read as module attributes
     if name in ("DEFAULT_CONFIG", "LOWER_BOUNDS"):
-        _defaults()
-        return globals()[name]
+        return _defaults()[name == "LOWER_BOUNDS"]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

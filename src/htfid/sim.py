@@ -356,6 +356,16 @@ def _superpose(out, weights, drive, first):
             row += weight * drive
 
 
+def _under_errstate(u, errors):
+    """`u`, called under numpy's float error state `errors`."""
+
+    def call(tau):
+        with np.errstate(**errors):
+            return u(tau)
+
+    return call
+
+
 class _Lockstep:
     """The S members of one `integrate` call, advanced in lockstep.
 
@@ -656,7 +666,10 @@ def integrate(
         raise InvalidInputError(f"skip={skip!r} is not an integer in 0..{n_steps}")
     # A diverging member, or a step too long for the chart's transition
     # powers, overflows on its way to the DivergenceError that the
-    # finiteness checks raise; numpy need not warn of it first.
+    # finiteness checks raise; numpy need not warn of it first.  The
+    # input keeps the caller's error state, so its own warnings still show.
+    if u is not None:
+        u = _under_errstate(u, np.geterr())
     with np.errstate(over="ignore", invalid="ignore"):
         lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
         for c0 in range(0, n_steps + 1, _CHUNK_STEPS):

@@ -99,6 +99,18 @@ def test_integrate_reports_divergence():
         integrate(HybridModel(), (1.3e307, -1.0), None, 0.15, 1e-3)
 
 
+def test_integrate_passes_on_the_input_s_warnings():
+    # the integrator quiets only its own overflow: one inside u still warns
+    def u(tau):
+        np.multiply(np.full(tau.shape, 1e308), 10.0)
+        return np.zeros(tau.shape)
+
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        integrate(HybridModel(), (0.17, 0.0), u, 0.1, 1e-3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        integrate(HybridModel(), (0.17, 0.0), u, 0.1, 1e-3)
+
+
 def test_integrate_validation():
     model = HybridModel()
     with pytest.raises(InvalidInputError):
