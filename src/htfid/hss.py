@@ -41,6 +41,7 @@ condition figure attached to a grid point is the upper bound
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -85,8 +86,10 @@ def square_wave_coeffs(duty: float, t_hat: float, T: float, n_h: int) -> np.ndar
     """
     if not 0.0 <= duty <= 1.0:
         raise InvalidInputError("duty must lie in [0, 1]")
-    if T <= 0.0 or n_h < 0:
-        raise InvalidInputError("T must be positive and n_h non-negative")
+    if not (isinstance(n_h, numbers.Integral) and n_h >= 0):
+        raise InvalidInputError(f"n_h={n_h!r} is not a non-negative integer")
+    if T <= 0.0:
+        raise InvalidInputError("T must be positive")
     coeffs = np.zeros(2 * n_h + 1, dtype=complex)
     coeffs[n_h] = duty
     if duty in (0.0, 1.0):
@@ -361,7 +364,7 @@ def eval_htf(
     ----------
     hss : TruncatedHSS
     omega_grid : array of rad/s frequencies
-    n_keep : int or None
+    n_keep : int in 0..n_h, or None
         Harmonic orders to keep, |n| <= n_keep (default: all of them).
     convention : "input" or "output"
     dA : sequence of (n_states, n_states) arrays
@@ -375,8 +378,8 @@ def eval_htf(
         raise InvalidInputError("omega_grid must be finite")
     if n_keep is None:
         n_keep = hss.n_h
-    if n_keep > hss.n_h:
-        raise InvalidInputError(f"n_keep={n_keep} exceeds truncation order n_h={hss.n_h}")
+    if not (isinstance(n_keep, numbers.Integral) and 0 <= n_keep <= hss.n_h):
+        raise InvalidInputError(f"n_keep={n_keep!r} is not an integer in 0..n_h={hss.n_h}")
     dA = [np.asarray(d) for d in dA]
     if any(d.shape != hss.A.shape for d in dA):
         raise InvalidInputError("each dA must have the shape of the state operator")

@@ -356,16 +356,6 @@ def _superpose(out, weights, drive, first):
             row += weight * drive
 
 
-def _under_errstate(u, errors):
-    """`u`, called under numpy's float error state `errors`."""
-
-    def call(tau):
-        with np.errstate(**errors):
-            return u(tau)
-
-    return call
-
-
 class _Lockstep:
     """The S members of one `integrate` call, advanced in lockstep.
 
@@ -383,6 +373,10 @@ class _Lockstep:
     scratch, with their window views, before it assembles the result.
     """
 
+    # Here, in `tables` and in `trips`, a diverging member or a step too long
+    # for the chart's transition powers overflows on its way to the
+    # DivergenceError: numpy need not warn first.  `u` is not quieted.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, model, x_init, starts, u, dt, n_steps, skip):
         p = self.params = model.params
         self.switching, self.x_eq, self.u, self.starts = model.switching, p.equilibrium, u, starts
@@ -473,14 +467,16 @@ class _Lockstep:
             S = len(self.members)
             rows = self.stage_g[:, 0, : n_chunk + 1], self.stage_g[:, 1, :n_chunk]
             live = [(w, d[: 2 * n_chunk + 1]) for w, d in zip(self.weights, shared) if w.any()]
-            for i, (weights, drive) in enumerate(live):
-                for row, points in zip(rows, (drive[::2], drive[1::2])):
-                    _superpose(row, weights, points, i == 0)
-                for c, run in enumerate(self.runs):
-                    part = self.particular[c * S : (c + 1) * S, :, : n_chunk + 1]
-                    _superpose(part, weights, run.tabulate(drive), i == 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, (weights, drive) in enumerate(live):
+                    for row, points in zip(rows, (drive[::2], drive[1::2])):
+                        _superpose(row, weights, points, i == 0)
+                    for c, run in enumerate(self.runs):
+                        part = self.particular[c * S : (c + 1) * S, :, : n_chunk + 1]
+                        _superpose(part, weights, run.tabulate(drive), i == 0)
         return n_chunk
 
+    @np.errstate(over="ignore", invalid="ignore")
     def trips(self):
         """Advance the members that are not due along their chart runs; returns whether any is due.
 
@@ -664,18 +660,11 @@ def integrate(
         raise InvalidInputError("initial states and start times must be finite")
     if not (isinstance(skip, numbers.Integral) and 0 <= skip <= n_steps):
         raise InvalidInputError(f"skip={skip!r} is not an integer in 0..{n_steps}")
-    # A diverging member, or a step too long for the chart's transition
-    # powers, overflows on its way to the DivergenceError that the
-    # finiteness checks raise; numpy need not warn of it first.  The
-    # input keeps the caller's error state, so its own warnings still show.
-    if u is not None:
-        u = _under_errstate(u, np.geterr())
-    with np.errstate(over="ignore", invalid="ignore"):
-        lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
-        for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
-            if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
-                while lab.trips():
-                    lab.due_steps()
+    lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
+    for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
+        if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
+            while lab.trips():
+                lab.due_steps()
     return lab.trajectory(model, x_init.ndim == 2)
 
 
@@ -710,13 +699,17 @@ def settle_limit_cycle(
 
     Raises
     ------
+    InvalidInputError
+        Unless `n_cycles` is an integer >= 2 and `tol` finite and positive.
     NotSettledError
         If the last two periods differ by more than `tol`.
     AmbiguousSwitchingError
         If the settled period does not show exactly two crossings.
     """
-    if n_cycles < 2:
-        raise InvalidInputError("need at least 2 cycles to measure periodicity")
+    if isinstance(n_cycles, bool) or not (isinstance(n_cycles, numbers.Integral) and n_cycles >= 2):
+        raise InvalidInputError(f"n_cycles={n_cycles!r} is not an integer >= 2")
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise InvalidInputError(f"tol={tol!r} is not a finite positive number")
     p, T = model.params, model.params.period
     samples_per_period = steps_in(T, dt)
     if x_init is None:

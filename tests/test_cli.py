@@ -18,6 +18,7 @@ from htfid import (
     EstimationProblem,
     SpectrumRecord,
     cli,
+    commands,
     cost,
     estimate_htf,
     fit_parameters,
@@ -80,8 +81,8 @@ def test_identify_frees_the_records_before_the_estimate(tmp_path, monkeypatch):
         assert all(ref() is None for ref in samples)
         return estimate_htf(problem)
 
-    monkeypatch.setattr("htfid.excite.run_experiments", experiments)
-    monkeypatch.setattr("htfid.estimate.estimate_htf", estimate)
+    monkeypatch.setattr("htfid.commands.run_experiments", experiments)
+    monkeypatch.setattr("htfid.commands.estimate_htf", estimate)
     config = write_config(tmp_path / "cfg.json", {"chirp": {"segment_duration": 4.0}})
     assert cli.main(["identify", "--config", config, "--out", str(tmp_path / "run")]) == 0
     assert len(samples) == 2
@@ -99,7 +100,7 @@ def test_simulate_summary(tmp_path, capsys):
     orbit = (out / "orbit.csv").read_text().splitlines()
     assert orbit[0] == "t,x,xdot"
     assert len(orbit) == 1001  # header + one forcing period at 1 kHz
-    assert read_json(out / "resolved_config.json") == cli.DEFAULT_CONFIG
+    assert read_json(out / "resolved_config.json") == commands.DEFAULT_CONFIG
     assert "wrote" in capsys.readouterr().out
 
 
@@ -186,7 +187,7 @@ def forbid_settling(monkeypatch):
     def settle(*args, **kwargs):
         raise AssertionError("settle_limit_cycle called")
 
-    monkeypatch.setattr("htfid.sim.settle_limit_cycle", settle)
+    monkeypatch.setattr("htfid.commands.settle_limit_cycle", settle)
 
 
 def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, config):
@@ -225,14 +226,14 @@ IDENTIFY = argparse.Namespace(command="identify", alpha=None, nh=None, dt=None)
 )
 def test_identify_checks_the_estimators_design_rule(n_segments, periods, refused):
     # the pre-flight and `EstimationProblem` accept or refuse a design alike
-    cfg = cli.load_config()
+    cfg = commands.load_config()
     cfg["chirp"].update(n_segments=n_segments, segment_duration=periods)
     n = 3000  # samples per record of `periods` one-second forcing periods
     blank = np.zeros(n // 2 + 1, dtype=complex)
     freq = 2.0 * math.pi * np.fft.rfftfreq(n, d=periods / n)
     records = [SpectrumRecord(freq, blank, blank, 0.0, n)] * n_segments
     sites = [
-        lambda: cli._check_config(cfg, IDENTIFY),
+        lambda: commands._check_config(cfg, IDENTIFY),
         lambda: EstimationProblem(records=records, n_harmonics=3, pump=2.0 * math.pi),
     ]
     assert [refuses(site) for site in sites] == [refused, refused]
@@ -528,7 +529,7 @@ def test_identify_artifacts(identify_dir, lab_estimate):
     rows = {n: data[data[:, 1] == n] for n in est.harmonics}
     theory = {n: r[:, 4] + 1j * r[:, 5] for n, r in rows.items()}
     used = {n: r[:, 8] > 0.5 for n, r in rows.items()}
-    errors, _ = cli.htf_diff(theory, est.harmonics, used, cli.TOL_MAG_REL, cli.TOL_PHASE_DEG)
+    errors, _ = commands.htf_diff(theory, est.harmonics, used, cli.TOL_MAG_REL, cli.TOL_PHASE_DEG)
     for n, r in rows.items():
         assert np.array_equal(r[:, 6], errors[n][0], equal_nan=True)
         assert np.array_equal(r[:, 7], errors[n][1])
@@ -541,7 +542,7 @@ def test_identify_artifacts(identify_dir, lab_estimate):
 
 def test_fit_on_read_back_estimate_matches_fit_json(identify_dir, lab_lin, lab_cycle):
     fit = read_json(identify_dir / "fit.json")
-    cfg = cli.DEFAULT_CONFIG["fit"]
+    cfg = commands.DEFAULT_CONFIG["fit"]
     result = fit_parameters(
         read_htf_csv(identify_dir / "htf_estimate.csv"),
         (cfg["init_k"], cfg["init_c"]),
@@ -617,22 +618,9 @@ def test_usage_loads_no_numpy(argv, code):
         "try:\n"
         f"    cli.main({argv!r})\n"
         "except SystemExit as done:\n"
-        "    print(done.code, 'numpy' in sys.modules)\n"
+        "    print(done.code, 'numpy' in sys.modules, 'htfid.commands' in sys.modules)\n"
     )
-    assert fresh_python(source).splitlines()[-1] == f"{code} False"
-
-
-def test_compare_loads_no_simulator_estimator_or_fit(tmp_path):
-    ref = tmp_path / "ref.csv"
-    ref.write_text(HEAD + "1,0,1,0\n2,0,1,0\n")
-    code = (
-        "import sys\n"
-        "from htfid import cli\n"
-        f"assert cli.main(['compare', {str(ref)!r}, {str(ref)!r}]) == 0\n"
-        "print([m for m in ('htfid.sim', 'htfid.excite', 'htfid.estimate', 'htfid.fit') "
-        "if m in sys.modules])\n"
-    )
-    assert fresh_python(code).splitlines()[-1] == "[]"
+    assert fresh_python(source).splitlines()[-1] == f"{code} False False"
 
 
 ENVIRON_AFTER_CLI_IMPORT = (

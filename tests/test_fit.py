@@ -11,7 +11,7 @@ import pytest
 import htfid.fit
 from htfid import (
     InvalidInputError,
-    cli,
+    commands,
     build_hss,
     eval_htf,
     fit_objective,
@@ -176,7 +176,7 @@ def test_cli_checks_the_fits_orders(crime_target, lab_cycle, n_h):
     # truncation and target must reach the orders the fit reads; the
     # pre-flight refuses both settings just where the fit would
     refused = n_h < max(htfid.fit.ORDERS)
-    cfg = cli.load_config()
+    cfg = commands.load_config()
     cfg["fit"]["n_h"] = n_h
     simulate = argparse.Namespace(command="simulate", alpha=None, nh=None, dt=None)
     identify = argparse.Namespace(command="identify", alpha=None, nh=n_h, dt=None)
@@ -185,8 +185,8 @@ def test_cli_checks_the_fits_orders(crime_target, lab_cycle, n_h):
     )
     args = (lab_cycle.duty, lab_cycle.t_hat, 1.0)
     sites = [
-        lambda: cli._check_config(cfg, simulate),  # fit.n_h
-        lambda: cli._check_config(cli.load_config(), identify),  # estimate.n_harmonics
+        lambda: commands._check_config(cfg, simulate),  # fit.n_h
+        lambda: commands._check_config(commands.load_config(), identify),  # estimate.n_harmonics
         lambda: fit_objective(200.0, 2.0, crime_target, *args, n_h=n_h),
         lambda: fit_objective(200.0, 2.0, target, *args),
     ]

@@ -242,6 +242,22 @@ def test_eval_htf_validation(lab_hss10):
         eval_htf(lab_hss10, np.array([1.0]), dA=[np.eye(2)])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lin, hss: eval_htf(hss, [1.0], n_keep=-1),  # would return no harmonics
+        lambda lin, hss: eval_htf(hss, [1.0], n_keep=1.5),  # would escape as IndexError
+        lambda lin, hss: fourier_series(lin, 1.5),  # would escape as TypeError
+        lambda lin, hss: fourier_series(lin, -1),
+        lambda lin, hss: square_wave_coeffs(0.5, 0.0, 1.0, 2.0),
+    ],
+    ids=["n-keep-negative", "n-keep-fraction", "n-h-fraction", "n-h-negative", "n-h-float"],
+)
+def test_truncation_orders_must_be_integers_in_range(lab_lin, lab_hss10, call):
+    with pytest.raises(InvalidInputError, match="n_keep|n_h"):
+        call(lab_lin, lab_hss10)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eval_htf_refuses_a_nonfinite_direction(lab_hss10, bad):
     # an all-nan direction used to give nan sensitivities without a word

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from htfid import cli
+from htfid.commands import DEFAULT_CONFIG
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,4 +64,4 @@ def test_configuration_block_is_the_default_config():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("### Configuration") :]
     block = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
-    assert json.loads(block) == cli.DEFAULT_CONFIG
+    assert json.loads(block) == DEFAULT_CONFIG

@@ -149,7 +149,7 @@ def test_every_span_takes_one_divisibility_rule(excess, refused):
     sites = [
         lambda: steps_in(span, dt),
         lambda: integrate(model, (0.17, 0.0), None, span, dt),
-        lambda: settle_limit_cycle(model, n_cycles=2, dt=dt, tol=math.inf),
+        lambda: settle_limit_cycle(model, n_cycles=2, dt=dt, tol=1.0),  # passes any residual here
         lambda: gen_chirp(plan, 0, dt),
         lambda: run_experiments(model, cycle, plan),
     ]
@@ -159,6 +159,23 @@ def test_every_span_takes_one_divisibility_rule(excess, refused):
 def test_settle_requires_two_cycles(lab_model):
     with pytest.raises(InvalidInputError):
         settle_limit_cycle(lab_model, n_cycles=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": math.nan},  # `res > nan` is False: nothing would be checked
+        {"tol": -1.0},  # a bad argument, not an orbit that failed to settle
+        {"tol": 0.0},
+        {"tol": math.inf},
+        {"n_cycles": 2.5},  # would integrate 2.5 cycles
+        {"n_cycles": True},
+    ],
+    ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "n-cycles-fraction", "n-cycles-bool"],
+)
+def test_settle_refuses_bad_arguments(lab_model, kwargs):
+    with pytest.raises(InvalidInputError, match="tol|n_cycles"):
+        settle_limit_cycle(lab_model, **{"n_cycles": 2, **kwargs})
 
 
 def test_settle_requires_dt_dividing_period(lab_model):
