@@ -59,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Harmonic transfer function identification for the "
         "one-way-damper oscillator.",
     )
+    # `identify` counts its bins against the tolerances too
+    parser.set_defaults(tol_mag=TOL_MAG_REL, tol_phase=TOL_PHASE_DEG)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

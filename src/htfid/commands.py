@@ -1,17 +1,18 @@
 """The four `htfid` commands and the configuration they read.
 
-`htfid.cli` parses the command line and imports this module once the
-arguments are read; `run` then runs the parsed command.  This module
-loads numpy and the whole library as it is imported.
+`htfid.cli` parses the command line and imports this module, which
+loads numpy and the whole library but not `htfid.cli` back, once the
+arguments are read; `run` then runs the parsed command.
 
 Configuration is a JSON object with sections ``model``, ``sim``,
 ``chirp``, ``estimate``, ``theory`` and ``fit``; every key is optional
 and falls back to `DEFAULT_CONFIG` (the study configuration).
 ``--alpha``, ``--nh`` and ``--dt`` override the matching entries after
 the file is read.  `_check_config` then gives every setting the type of
-its default and checks it once; the commands pass the typed values on
-as they are, and each run echoes them to ``resolved_config.json`` in the
-output directory.  Nothing written depends on wall-clock time or ambient
+its default and checks it once, by the library's own checks (among them
+`check_integer` and `check_real` against `LOWER_BOUNDS`); the commands
+pass the typed values on as they are, and each run echoes them to
+``resolved_config.json`` in the output directory.  Nothing written depends on wall-clock time or ambient
 RNG state, so rerunning a command with the same inputs under the same
 BLAS thread setting reproduces every output byte for byte.
 """
@@ -23,12 +24,10 @@ import dataclasses
 import json
 import math
 import os
-import sys
 
 import numpy as np
 
-from .cli import TOL_MAG_REL, TOL_PHASE_DEG
-from .errors import ConfigError, HtfidError, InvalidInputError
+from .errors import ConfigError, HtfidError, InvalidInputError, check_integer, check_real
 from .estimate import (
     DEFAULT_ALPHA,
     MIN_EXCITATION,
@@ -138,7 +137,8 @@ def _resolve(name: str, value, default):
     """`value` in the type of its default, checked against `LOWER_BOUNDS`.
 
     An integer default takes only an integral number, a float default any
-    finite one.  A pair default takes two numbers, stored as floats:
+    finite one (`check_integer` and `check_real`, which refuse a JSON
+    true or false).  A pair default takes two numbers, stored as floats:
     `estimate.band`, and `sim.x_init`, which may also stay null.  A string
     passes unchanged; `_check_config` checks it.
     """
@@ -151,20 +151,13 @@ def _resolve(name: str, value, default):
             allowed = "null or " if default is None else ""
             raise ConfigError(f"{name} must be {allowed}a pair of numbers, not {value!r}")
         return [_resolve(f"{name}[{i}]", v, 0.0) for i, v in enumerate(value)]
-    # Not bool: JSON true/false parse to a subclass of int.  The bound
-    # also rejects nan, the infinities and integers beyond float range.
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be a finite number, not {value!r}")
-    if type(default) is int:
-        if value != int(value):
-            raise ConfigError(f"{name} must be an integer, not {value!r}")
-        value = int(value)
-    else:
-        value = float(value)
     bound, strict = LOWER_BOUNDS.get(name, (-math.inf, False))
-    if value < bound or (strict and value == bound):
-        relation = "greater than" if strict else "at least"
-        raise ConfigError(f"{name} must be {relation} {bound}, not {value!r}")
+    check_real(name, value, bound, strict)  # for a count too: none beyond the float range
+    if type(default) is not int:
+        return float(value)
+    if type(value) is float and value.is_integer():
+        value = int(value)  # a count written as 30.0
+    check_integer(name, value, bound)
     return value
 
 
@@ -173,10 +166,11 @@ def _check_config(cfg: dict, args) -> dict:
 
     Returns `cfg` with each value in the type of its `DEFAULT_CONFIG`
     default, the form the commands pass on and `resolved_config.json`
-    records.  Raises `ConfigError` for a value of the wrong type, below
-    its lower bound, or inconsistent with another setting, and
-    `InvalidInputError` for settings that `ModelParams`, `ChirpPlan`,
-    `steps_in`, `check_band` or (for `identify`) `check_design` refuse.
+    records.  Raises `ConfigError` for a value that is not a pair where
+    one is due or that is inconsistent with another setting, and
+    `InvalidInputError` for a value of the wrong type or below its lower
+    bound and for settings that `ModelParams`, `ChirpPlan`, `steps_in`,
+    `check_band` or (for `identify`) `check_design` refuse.
     """
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
@@ -231,9 +225,9 @@ def _settle(cfg: dict):
     return model, cycle
 
 
-def cmd_simulate(cfg: dict, out_dir: str) -> int:
+def cmd_simulate(cfg: dict, args) -> int:
     model, cycle = _settle(cfg)
-    orbit_path = os.path.join(out_dir, "orbit.csv")
+    orbit_path = os.path.join(args.out, "orbit.csv")
     t = np.arange(cycle.n_samples) * cycle.dt
     write_table(orbit_path, "t,x,xdot", np.column_stack([t, cycle.x, cycle.xdot]))
     summary = {
@@ -247,17 +241,17 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         "residual_xdot": cycle.residual[1],
         "n_crossings": cycle.n_crossings,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     print(
         "settled orbit: T = %g s, damper engages at %.6f s, duty %.6f, "
         "residual (%.3e, %.3e)"
         % (cycle.T, cycle.t_hat, cycle.duty, cycle.residual[0], cycle.residual[1])
     )
-    print(f"wrote {orbit_path} and {os.path.join(out_dir, 'summary.json')}")
+    print(f"wrote {orbit_path} and {os.path.join(args.out, 'summary.json')}")
     return 0
 
 
-def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
+def cmd_htf_theory(cfg: dict, args) -> int:
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
     th = cfg["theory"]
@@ -265,14 +259,14 @@ def cmd_htf_theory(cfg: dict, out_dir: str) -> int:
     grid = default_grid(th["f_hi"], th["grid_points"])
     hts = eval_htf(hss, grid, n_keep=th["n_keep"], convention=th["convention"])
 
-    csv_path = os.path.join(out_dir, "htf_theory.csv")
+    csv_path = os.path.join(args.out, "htf_theory.csv")
     write_htf_csv(hts, csv_path)
     for n, g in sorted(hts.harmonics.items()):
         mag = np.hypot(g.real, g.imag)
         # scalar log10: numpy's differs from libm's in the last bit
         db = [20.0 * math.log10(m) if m > 0.0 else -math.inf for m in mag]
         write_table(
-            os.path.join(out_dir, f"plot_h{n}.csv"),
+            os.path.join(args.out, f"plot_h{n}.csv"),
             "omega_rad_s,f_hz,magnitude,magnitude_db,phase_deg",
             np.column_stack([grid, grid / (2.0 * math.pi), mag, db, np.degrees(np.angle(g))]),
         )
@@ -334,7 +328,7 @@ def _print_diff(stats: dict) -> None:
         )
 
 
-def cmd_identify(cfg: dict, out_dir: str) -> int:
+def cmd_identify(cfg: dict, args) -> int:
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
 
@@ -354,9 +348,9 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
         min_excitation=est_cfg["min_excitation"],
     )
     est = estimate_htf(problem)
-    est_path = os.path.join(out_dir, "htf_estimate.csv")
+    est_path = os.path.join(args.out, "htf_estimate.csv")
     write_htf_csv(est, est_path)
-    _write_json(os.path.join(out_dir, "diagnostics.json"), est.diagnostics)
+    _write_json(os.path.join(args.out, "diagnostics.json"), est.diagnostics)
 
     th = cfg["theory"]
     n_h = max(th["n_h"], est.n_h_kept)
@@ -367,8 +361,8 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
         convention="output",
     )
     used = {n: est.excitation_mask[n] & (np.abs(g) > 0.0) for n, g in theory.harmonics.items()}
-    errors, stats = htf_diff(theory.harmonics, est.harmonics, used, TOL_MAG_REL, TOL_PHASE_DEG)
-    diff_path = os.path.join(out_dir, "theory_vs_estimate.csv")
+    errors, stats = htf_diff(theory.harmonics, est.harmonics, used, args.tol_mag, args.tol_phase)
+    diff_path = os.path.join(args.out, "theory_vs_estimate.csv")
     blocks = []
     for n, (mag_err, phase_err) in errors.items():
         g_est, g_th = est.harmonics[n], theory.harmonics[n]
@@ -398,7 +392,7 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
         max_iter=fit_cfg["max_iter"],
         n_h=fit_cfg["n_h"],
     )
-    result.to_json(os.path.join(out_dir, "fit.json"))
+    result.to_json(os.path.join(args.out, "fit.json"))
     print(
         "fit: k = %.6g, c = %.6g (objective %.6e, %d iterations, converged=%s)"
         % (
@@ -414,9 +408,6 @@ def cmd_identify(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_compare(args) -> int:
-    for flag, tol in (("--tol-mag", args.tol_mag), ("--tol-phase", args.tol_phase)):
-        if not 0.0 <= tol < math.inf:
-            raise ConfigError(f"{flag} must be finite and non-negative, not {tol!r}")
     settings = {
         "reference": args.reference,
         "candidate": args.candidate,
@@ -465,18 +456,20 @@ def cmd_compare(args) -> int:
 def run(args) -> int:
     """Run the command that `htfid.cli.build_parser` parsed into `args`.
 
-    Returns the command's exit status; raises `ConfigError` or another
-    `HtfidError`, which `htfid.cli.main` maps to exit codes 2 and 3.
+    Returns the command's exit status; raises `ConfigError` (a tolerance
+    or a setting the library refuses included) or another `HtfidError`,
+    which `htfid.cli.main` maps to exit codes 2 and 3.
     """
-    if args.command == "compare":
-        return cmd_compare(args)
     try:
-        cfg = _check_config(load_config(args.config), args)
-        _make_out_dir(args.out)
-        _write_json(os.path.join(args.out, "resolved_config.json"), cfg)
-        command = {"simulate": cmd_simulate, "htf-theory": cmd_htf_theory, "identify": cmd_identify}
-        return command[args.command](cfg, args.out)
+        for flag, tol in (("--tol-mag", args.tol_mag), ("--tol-phase", args.tol_phase)):
+            check_real(flag, tol, 0.0)
+        if args.command != "compare":
+            cfg = _check_config(load_config(args.config), args)
+            _make_out_dir(args.out)
+            _write_json(os.path.join(args.out, "resolved_config.json"), cfg)
+            cmd = {"simulate": cmd_simulate, "htf-theory": cmd_htf_theory, "identify": cmd_identify}
+            return cmd[args.command](cfg, args)
     except InvalidInputError as exc:
-        # a setting the library refuses, such as a dt that does not
-        # divide the forcing period, is a configuration error too
+        # such as a dt that does not divide the forcing period
         raise ConfigError(str(exc)) from exc
+    return cmd_compare(args)

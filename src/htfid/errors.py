@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the two
+rules of a scalar input: `check_integer` for a count, `check_real` for a
+number.  Both refuse a bool, which Python counts as an int."""
+
+import math
+import operator
 
 
 class HtfidError(Exception):
@@ -7,6 +12,31 @@ class HtfidError(Exception):
 
 class InvalidInputError(HtfidError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse `value` unless it is an integer (a Python or numpy int, not a
+    bool) of at least `low` and, unless `high` is None, at most `high`."""
+    try:
+        ok = not isinstance(value, bool) and low <= operator.index(value)
+    except TypeError:
+        ok = False
+    if not (ok and (high is None or value <= high)):
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInputError(f"{name} must be an integer {span}, not {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf, strict: bool = False) -> None:
+    """Refuse `value` unless it is a finite real number (not a bool or a
+    complex) of at least `low`, or above `low` if `strict`.  An integer
+    beyond the float range is refused too."""
+    try:
+        ok = not isinstance(value, (bool, complex)) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not (ok and (value > low if strict else value >= low)):
+        bound = "" if low == -math.inf else f" {'greater than' if strict else 'at least'} {low}"
+        raise InvalidInputError(f"{name} must be a finite number{bound}, not {value!r}")
 
 
 class ConfigError(HtfidError):

@@ -24,7 +24,6 @@ harmonics.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ from .errors import (
     IllConditionedError,
     InvalidInputError,
     NoDataError,
+    check_integer,
+    check_real,
 )
 from .excite import ExperimentRecord
 from .hss import HarmonicTransferSet, median, same_grid
@@ -67,8 +68,7 @@ class SpectrumRecord:
     n_bins: int
 
     def __post_init__(self):
-        if not math.isfinite(self.clock_phase):
-            raise InvalidInputError(f"clock_phase must be finite, not {self.clock_phase!r}")
+        check_real("clock_phase", self.clock_phase)
         stored = (self.n_bins // 2 + 1,)
         if self.n_bins < 2 or not self.freq_grid.shape == self.U.shape == self.Y.shape == stored:
             raise InvalidInputError(
@@ -130,8 +130,7 @@ def spectra(records: list[ExperimentRecord]) -> list[SpectrumRecord]:
             raise InvalidInputError("record input/output must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise InvalidInputError("record contains non-finite samples")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise InvalidInputError(f"record step dt must be finite and positive, not {dt!r}")
+        check_real("record step dt", dt, 0.0, strict=True)
         n = u.shape[0]
         for seen, seen_dt, grid, U in inputs:
             if seen_dt == dt and np.array_equal(seen, u):
@@ -166,13 +165,13 @@ def check_design(n_records: int, n_harmonics: int, periods: float) -> None:
 def check_band(band_hz) -> None:
     """Refuse an excited band (lo, hi] in Hz unless it is finite with 0 <= lo < hi."""
     try:
-        lo, hi = (float(edge) for edge in band_hz)
+        lo, hi = band_hz
     except (TypeError, ValueError):
         raise InvalidInputError(f"estimation band must be two numbers, not {band_hz!r}") from None
-    if not 0.0 <= lo < hi < math.inf:
-        raise InvalidInputError(
-            f"estimation band (lo, hi] in Hz must be finite with 0 <= lo < hi, not {band_hz!r}"
-        )
+    check_real("band lo", lo, 0.0)
+    check_real("band hi", hi)
+    if not lo < hi:
+        raise InvalidInputError(f"estimation band (lo, hi] in Hz needs lo < hi, not {band_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -194,15 +193,10 @@ class EstimationProblem:
     min_excitation: float = MIN_EXCITATION
 
     def __post_init__(self):
-        n_h = self.n_harmonics
-        if isinstance(n_h, bool) or not (isinstance(n_h, numbers.Integral) and n_h >= 0):
-            raise InvalidInputError(f"n_harmonics must be a non-negative integer, not {n_h!r}")
-        if not 0.0 < self.pump < math.inf:
-            raise InvalidInputError(f"pump must be finite and positive, not {self.pump!r}")
-        for name in ("alpha", "min_excitation"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise InvalidInputError(f"{name} must be finite and non-negative, not {value!r}")
+        check_integer("n_harmonics", self.n_harmonics, 0)
+        check_real("pump", self.pump, 0.0, strict=True)
+        check_real("alpha", self.alpha, 0.0)
+        check_real("min_excitation", self.min_excitation, 0.0)
         check_band(self.band_hz)
         if not self.records:
             raise InvalidInputError("no records were given")
@@ -295,8 +289,7 @@ def second_difference(n_points: int) -> np.ndarray:
     Maps a length-n vector to its n-2 interior curvatures; exact zero on
     constant and linear sequences.
     """
-    if n_points < 3:
-        raise InvalidInputError("second difference needs at least 3 points")
+    check_integer("n_points", n_points, 3)
     return np.diff(np.eye(n_points), n=2, axis=0)
 
 

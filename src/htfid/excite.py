@@ -15,13 +15,18 @@ regressor mutually orthogonal, like a small DFT across records.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, InvalidInputError, PerturbationSizeWarning
+from .errors import (
+    AliasingError,
+    InvalidInputError,
+    PerturbationSizeWarning,
+    check_integer,
+    check_real,
+)
 from .model import HybridModel, steps_in
 from .sim import LimitCycle, Trajectory, integrate
 
@@ -43,20 +48,13 @@ class ChirpPlan:
     def __post_init__(self):
         # amplitude 0 is a legal null experiment: the records come out
         # empty and the estimator reports no usable data downstream.
-        if not 0.0 <= self.amplitude < math.inf:
-            raise InvalidInputError(
-                f"amplitude must be finite and non-negative, not {self.amplitude!r}"
-            )
-        if not 0.0 <= self.f_lo < self.f_hi:
-            raise InvalidInputError("need 0 <= f_lo < f_hi")
-        if not 0.0 < self.segment_duration < math.inf:
-            raise InvalidInputError(
-                f"segment_duration must be finite and positive, not {self.segment_duration!r}"
-            )
-        if not (isinstance(self.n_segments, numbers.Integral) and self.n_segments >= 1):
-            raise InvalidInputError(
-                f"n_segments must be an integer of at least 1, not {self.n_segments!r}"
-            )
+        check_real("amplitude", self.amplitude, 0.0)
+        check_real("f_lo", self.f_lo, 0.0)
+        check_real("f_hi", self.f_hi)
+        if not self.f_lo < self.f_hi:
+            raise InvalidInputError(f"need f_lo < f_hi, not {self.f_lo!r} and {self.f_hi!r}")
+        check_real("segment_duration", self.segment_duration, 0.0, strict=True)
+        check_integer("n_segments", self.n_segments, 1)
 
 
 def chirp_value(plan: ChirpPlan, t):
@@ -85,8 +83,7 @@ def gen_chirp(plan: ChirpPlan, k: int, dt: float) -> np.ndarray:
     All records share the same waveform; what distinguishes record k is
     the clock phase at which it starts (see `run_experiments`).
     """
-    if not 0 <= k < plan.n_segments:
-        raise InvalidInputError(f"record index {k} outside 0..{plan.n_segments - 1}")
+    check_integer("record index k", k, 0, plan.n_segments - 1)
     n = steps_in(plan.segment_duration, dt)
     check_nyquist(plan, dt)
     return chirp_value(plan, dt * np.arange(n))
@@ -159,10 +156,7 @@ def run_experiments(
     samples in place, period by period.
     """
     dt = cycle.dt
-    if not (isinstance(warmup_periods, numbers.Integral) and warmup_periods >= 0):
-        raise InvalidInputError(
-            f"warmup_periods must be a non-negative integer, not {warmup_periods!r}"
-        )
+    check_integer("warmup_periods", warmup_periods, 0)
     check_nyquist(plan, dt)
     duration = plan.segment_duration
     n_per = steps_in(duration, dt)

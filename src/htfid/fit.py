@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer, check_real
 from .hss import HarmonicTransferSet, build_hss, eval_htf, fourier_series
 from .model import SwitchedLinearization
 
@@ -93,14 +93,6 @@ def _residuals(k, c, target, zero, dA, jacobian=False):
     return residual, np.transpose(jac)
 
 
-def _check_positive(name: str, value: float, zero_ok: bool = False) -> None:
-    """Refuse a nan, infinite or negative parameter, and zero unless
-    `zero_ok`."""
-    if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
-        relation = "non-negative" if zero_ok else "positive"
-        raise InvalidInputError(f"{name} must be finite and {relation}, not {value!r}")
-
-
 def _rms(residual: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(residual, residual).real) / residual.size)
 
@@ -124,8 +116,8 @@ def fit_objective(
 
     the RMS of the residuals `fit_parameters` minimizes.
     """
-    _check_positive("k", k)
-    _check_positive("c", c, zero_ok=True)
+    check_real("k", k, 0.0, strict=True)
+    check_real("c", c, 0.0)
     zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
     return _rms(_residuals(k, c, target, zero, dA)[0])
 
@@ -154,11 +146,10 @@ def fit_parameters(
     when |dp| falls below `STEP_TOL`; `max_iter` caps the number of trial
     steps.
     """
+    check_real("initial k", init[0], 0.0, strict=True)
+    check_real("initial c", init[1], 0.0, strict=True)
+    check_integer("max_iter", max_iter, 1)
     k0, c0 = float(init[0]), float(init[1])
-    _check_positive("initial k", k0)
-    _check_positive("initial c", c0)
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be at least 1, not {max_iter!r}")
     if duty == 0.0:
         # the damper never engages, so no data can determine c
         raise InvalidInputError("duty must be positive to fit c")

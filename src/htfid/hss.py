@@ -41,13 +41,18 @@ condition figure attached to a grid point is the upper bound
 
 import cmath
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSwitchingWarning, InvalidInputError, SingularFrequencyError
+from .errors import (
+    DegenerateSwitchingWarning,
+    InvalidInputError,
+    SingularFrequencyError,
+    check_integer,
+    check_real,
+)
 from .model import SwitchedLinearization
 
 #: Condition number beyond which a grid point gets a warning attached.
@@ -86,10 +91,8 @@ def square_wave_coeffs(duty: float, t_hat: float, T: float, n_h: int) -> np.ndar
     """
     if not 0.0 <= duty <= 1.0:
         raise InvalidInputError("duty must lie in [0, 1]")
-    if not (isinstance(n_h, numbers.Integral) and n_h >= 0):
-        raise InvalidInputError(f"n_h={n_h!r} is not a non-negative integer")
-    if T <= 0.0:
-        raise InvalidInputError("T must be positive")
+    check_integer("n_h", n_h, 0)
+    check_real("T", T, 0.0, strict=True)
     coeffs = np.zeros(2 * n_h + 1, dtype=complex)
     coeffs[n_h] = duty
     if duty in (0.0, 1.0):
@@ -125,8 +128,7 @@ class FourierMatrixSeries:
     D: np.ndarray  # (2*n_h+1, 1, 1)
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise InvalidInputError("T must be positive")
+        check_real("T", self.T, 0.0, strict=True)
         for name in ("A", "B", "C", "D"):
             coeff = getattr(self, name)
             if coeff.shape[0] != 2 * self.n_h + 1 or not np.all(np.isfinite(coeff)):
@@ -322,7 +324,10 @@ def median(values, axis=-1):
 
 
 def default_grid(f_hi: float = 7.0, n_points: int = 600) -> np.ndarray:
-    """Uniform grid over (0, f_hi] Hz, returned in rad/s."""
+    """Uniform grid of `n_points` (at least 1) over (0, f_hi] Hz, f_hi
+    finite and positive, returned in rad/s."""
+    check_real("f_hi", f_hi, 0.0, strict=True)
+    check_integer("n_points", n_points, 1)
     return 2.0 * math.pi * f_hi * np.arange(1, n_points + 1) / n_points
 
 
@@ -378,8 +383,7 @@ def eval_htf(
         raise InvalidInputError("omega_grid must be finite")
     if n_keep is None:
         n_keep = hss.n_h
-    if not (isinstance(n_keep, numbers.Integral) and 0 <= n_keep <= hss.n_h):
-        raise InvalidInputError(f"n_keep={n_keep!r} is not an integer in 0..n_h={hss.n_h}")
+    check_integer("n_keep", n_keep, 0, hss.n_h)
     dA = [np.asarray(d) for d in dA]
     if any(d.shape != hss.A.shape for d in dA):
         raise InvalidInputError("each dA must have the shape of the state operator")

@@ -24,13 +24,12 @@ engagement phase measured from the periodic orbit.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import AmbiguousSwitchingError, InvalidInputError
+from .errors import AmbiguousSwitchingError, InvalidInputError, check_real
 
 #: JSON keys accepted (and required) for model parameters.
 PARAM_KEYS = ("m", "k", "c", "g", "x0", "forcing_amplitude", "forcing_freq")
@@ -54,16 +53,11 @@ class ModelParams:
     forcing_freq: float = 1.0
 
     def __post_init__(self):
-        for key in PARAM_KEYS:
-            value = getattr(self, key)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise InvalidInputError(f"{key} must be a finite number, not {value!r}")
-        if self.m <= 0.0 or self.k <= 0.0:
-            raise InvalidInputError("mass and stiffness must be positive")
-        if self.c < 0.0:
-            raise InvalidInputError("damping must be non-negative")
-        if self.forcing_freq <= 0.0:
-            raise InvalidInputError("forcing frequency must be positive")
+        for key in ("m", "k", "forcing_freq"):
+            check_real(key, getattr(self, key), 0.0, strict=True)
+        check_real("c", self.c, 0.0)
+        for key in ("g", "x0", "forcing_amplitude"):
+            check_real(key, getattr(self, key))
 
     @property
     def period(self) -> float:
@@ -115,14 +109,14 @@ class ModelParams:
         unknown = set(data) - set(PARAM_KEYS)
         if unknown:
             raise InvalidInputError(f"unknown model parameter(s): {sorted(unknown)}")
-        return cls(**{key: float(value) for key, value in data.items()})
+        return cls(**data)
 
 
 def steps_in(span: float, dt: float) -> int:
     """Steps of `dt` in `span`: both positive, and the steps cover the span
     to 1e-9 of it.  The one rule for the period, a record and a run."""
-    if not (0.0 < dt < math.inf and 0.0 < span < math.inf):
-        raise InvalidInputError(f"dt={dt} and the span {span} must be finite and positive")
+    check_real("dt", dt, 0.0, strict=True)
+    check_real("span", span, 0.0, strict=True)
     n = int(round(span / dt))
     if abs(n * dt - span) > 1e-9 * span:
         raise InvalidInputError(f"dt={dt} does not divide the span {span}")

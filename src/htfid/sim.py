@@ -17,7 +17,6 @@ is the batch of one.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -32,6 +31,8 @@ from .errors import (
     InvalidInputError,
     NotSettledError,
     ResamplingRequiredError,
+    check_integer,
+    check_real,
 )
 from .model import HybridModel, chart_matrices, steps_in
 
@@ -658,8 +659,7 @@ def integrate(
         raise InvalidInputError("initial state must be an (x, xdot) pair or an (S, 2) array")
     if not (np.isfinite(x_init).all() and np.isfinite(starts).all()):
         raise InvalidInputError("initial states and start times must be finite")
-    if not (isinstance(skip, numbers.Integral) and 0 <= skip <= n_steps):
-        raise InvalidInputError(f"skip={skip!r} is not an integer in 0..{n_steps}")
+    check_integer("skip", skip, 0, n_steps)
     lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
@@ -706,10 +706,8 @@ def settle_limit_cycle(
     AmbiguousSwitchingError
         If the settled period does not show exactly two crossings.
     """
-    if isinstance(n_cycles, bool) or not (isinstance(n_cycles, numbers.Integral) and n_cycles >= 2):
-        raise InvalidInputError(f"n_cycles={n_cycles!r} is not an integer >= 2")
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
-        raise InvalidInputError(f"tol={tol!r} is not a finite positive number")
+    check_integer("n_cycles", n_cycles, 2)
+    check_real("tol", tol, 0.0, strict=True)
     p, T = model.params, model.params.period
     samples_per_period = steps_in(T, dt)
     if x_init is None:

@@ -44,8 +44,9 @@ def refuses(call) -> bool:
     return False
 
 
-def fresh_python(code, env=None):
-    """Stdout of `code` run in a new interpreter that imports this checkout.
+def fresh_process(args, env=None):
+    """The finished ``python *args`` run by a new interpreter that imports
+    this checkout.
 
     The child gets this environment with `SRC` first on PYTHONPATH and
     none of the BLAS thread variables, and then the entries of `env`.
@@ -54,9 +55,14 @@ def fresh_python(code, env=None):
     child = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     child["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, child.get("PYTHONPATH")]))
     child.update(env or {})
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc
+
+
+def fresh_python(code, env=None):
+    """Stdout of `code` run by `fresh_process`."""
+    return fresh_process(["-c", code], env).stdout.strip()
 
 
 def locate_crossing(probe, h, value_lo, value_hi, landing):

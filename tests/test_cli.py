@@ -15,19 +15,24 @@ import numpy as np
 import pytest
 
 from htfid import (
+    ChirpPlan,
     EstimationProblem,
     SpectrumRecord,
     cli,
     commands,
     cost,
+    default_grid,
     estimate_htf,
+    eval_htf,
     fit_parameters,
+    fourier_series,
     read_htf_csv,
     run_experiments,
+    settle_limit_cycle,
 )
 from htfid.hss import same_grid
 
-from helpers import fresh_python, refuses, sample_buffer
+from helpers import fresh_process, fresh_python, refuses, sample_buffer
 
 
 def write_config(path, payload):
@@ -220,6 +225,14 @@ def test_identify_refuses_unidentifiable_plan_before_settling(
 IDENTIFY = argparse.Namespace(command="identify", alpha=None, nh=None, dt=None)
 
 
+def blank_records(n_records=9, periods=30.0):
+    """Empty spectra of records of `periods` one-second forcing periods."""
+    n = 3000  # samples per record
+    blank = np.zeros(n // 2 + 1, dtype=complex)
+    freq = 2.0 * math.pi * np.fft.rfftfreq(n, d=periods / n)
+    return [SpectrumRecord(freq, blank, blank, 0.0, n)] * n_records
+
+
 @pytest.mark.parametrize(
     "n_segments, periods, refused",
     [(7, 30.0, False), (6, 30.0, True), (7, 30.0 + 5e-7, False), (7, 30.0 + 2e-6, True)],
@@ -228,15 +241,69 @@ def test_identify_checks_the_estimators_design_rule(n_segments, periods, refused
     # the pre-flight and `EstimationProblem` accept or refuse a design alike
     cfg = commands.load_config()
     cfg["chirp"].update(n_segments=n_segments, segment_duration=periods)
-    n = 3000  # samples per record of `periods` one-second forcing periods
-    blank = np.zeros(n // 2 + 1, dtype=complex)
-    freq = 2.0 * math.pi * np.fft.rfftfreq(n, d=periods / n)
-    records = [SpectrumRecord(freq, blank, blank, 0.0, n)] * n_segments
+    records = blank_records(n_segments, periods)
     sites = [
         lambda: commands._check_config(cfg, IDENTIFY),
         lambda: EstimationProblem(records=records, n_harmonics=3, pump=2.0 * math.pi),
     ]
     assert [refuses(site) for site in sites] == [refused, refused]
+
+
+def fit_with(lab, init=(150.0, 1.0), **kwargs):
+    target = eval_htf(lab.hss, [5.0, 10.0], n_keep=1)
+    return fit_parameters(target, init, lab.lin.duty, lab.lin.t_hat, lab.lin.T, **kwargs)
+
+
+def problem_with(**kwargs):
+    settings = {"records": blank_records(), "n_harmonics": 3, "pump": 2.0 * math.pi}
+    return EstimationProblem(**{**settings, **kwargs})
+
+
+# The library function that owns each `LOWER_BOUNDS` setting, given the value.
+OWNERS = {
+    "sim.n_cycles": lambda lab, v: settle_limit_cycle(lab.model, n_cycles=v),
+    "sim.settle_tol": lambda lab, v: settle_limit_cycle(lab.model, tol=v),
+    "chirp.warmup_periods": lambda lab, v: run_experiments(
+        lab.model, lab.cycle, ChirpPlan(), warmup_periods=v
+    ),
+    "estimate.n_harmonics": lambda lab, v: problem_with(n_harmonics=v),
+    "estimate.alpha": lambda lab, v: problem_with(alpha=v),
+    "estimate.min_excitation": lambda lab, v: problem_with(min_excitation=v),
+    "theory.n_h": lambda lab, v: fourier_series(lab.lin, v),
+    "theory.n_keep": lambda lab, v: eval_htf(lab.hss, [5.0], n_keep=v),
+    "theory.f_hi": lambda lab, v: default_grid(v, 600),
+    "theory.grid_points": lambda lab, v: default_grid(7.0, v),
+    "fit.init_k": lambda lab, v: fit_with(lab, init=(v, 1.0)),
+    "fit.init_c": lambda lab, v: fit_with(lab, init=(150.0, v)),
+    "fit.max_iter": lambda lab, v: fit_with(lab, max_iter=v),
+    "fit.n_h": lambda lab, v: fit_with(lab, n_h=v),
+}
+
+
+def test_every_lower_bound_has_an_owner():
+    assert OWNERS.keys() == commands.LOWER_BOUNDS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(commands.LOWER_BOUNDS))
+def test_preflight_and_library_refuse_a_value_past_the_bound(
+    name, lab_model, lab_cycle, lab_lin, lab_hss10
+):
+    # the value just past the bound: one below an integer's, the bound
+    # itself if strict, else the next float below
+    bound, strict = commands.LOWER_BOUNDS[name]
+    section, key = name.split(".")
+    if type(commands.DEFAULT_CONFIG[section][key]) is int:
+        value = bound - 1
+    else:
+        value = float(bound) if strict else math.nextafter(bound, -math.inf)
+    cfg = commands.load_config()
+    cfg[section][key] = value
+    lab = argparse.Namespace(model=lab_model, cycle=lab_cycle, lin=lab_lin, hss=lab_hss10)
+    sites = [
+        lambda: commands._check_config(cfg, IDENTIFY),
+        lambda: OWNERS[name](lab, value),
+    ]
+    assert [refuses(site) for site in sites] == [True, True]
 
 
 @pytest.mark.parametrize("command", ["simulate", "htf-theory", "identify"])
@@ -608,6 +675,15 @@ def test_cli_import_loads_only_the_standard_library():
         "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'htfid'))\n"
     )
     assert fresh_python(code) == "False ['htfid', 'htfid.cli', 'htfid.errors']"
+
+
+def test_python_m_runs_the_cli_module_once(tmp_path):
+    # `python -m htfid.cli` runs cli.py as __main__; an import of
+    # htfid.cli from htfid.commands would run it a second time
+    argv = ["-X", "importtime", "-m", "htfid.cli", "htf-theory", "--nh", "0", "--out", str(tmp_path)]
+    lines = fresh_process(argv).stderr.splitlines()
+    imported = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")]
+    assert "htfid.commands" in imported and "htfid.cli" not in imported
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)], ids=["help", "usage-error"])
