@@ -10,6 +10,7 @@ import subprocess
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_preflight_and_library_refuse_a_value_past_the_bound(
         value = float(bound) if strict else math.nextafter(bound, -math.inf)
     cfg = commands.load_config()
     cfg[section][key] = value
-    lab = argparse.Namespace(model=lab_model, cycle=lab_cycle, lin=lab_lin, hss=lab_hss10)
+    lab = SimpleNamespace(model=lab_model, cycle=lab_cycle, lin=lab_lin, hss=lab_hss10)
     sites = [
         lambda: commands._check_config(cfg, IDENTIFY),
         lambda: OWNERS[name](lab, value),
