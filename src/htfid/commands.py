@@ -472,4 +472,6 @@ def run(args) -> int:
     except InvalidInputError as exc:
         # such as a dt that does not divide the forcing period
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # such as n_h or grid_points 1e15
+        raise ConfigError(f"out of memory: {exc}") from exc
     return cmd_compare(args)

@@ -1,6 +1,6 @@
 """Exception and warning types shared across the package, and the two
 rules of a scalar input: `check_integer` for a count, `check_real` for a
-number.  Both refuse a bool, which Python counts as an int."""
+number.  Both refuse a bool (Python counts it as an int) and a numpy bool."""
 
 import math
 import operator
@@ -27,11 +27,13 @@ def check_integer(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def check_real(name: str, value, low: float = -math.inf, strict: bool = False) -> None:
-    """Refuse `value` unless it is a finite real number (not a bool or a
-    complex) of at least `low`, or above `low` if `strict`.  An integer
-    beyond the float range is refused too."""
+    """Refuse `value` unless it is a finite real number (not a bool, numpy
+    bool or complex) of at least `low`, or above `low` if `strict`.  An
+    integer beyond the float range is refused too."""
+    # A numpy bool is known by its dtype, so that this module need not import numpy.
+    kind = getattr(getattr(value, "dtype", None), "kind", "")
     try:
-        ok = not isinstance(value, (bool, complex)) and math.isfinite(value)
+        ok = not isinstance(value, (bool, complex)) and kind != "b" and math.isfinite(value)
     except (TypeError, OverflowError):
         ok = False
     if not (ok and (value > low if strict else value >= low)):

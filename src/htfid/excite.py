@@ -151,9 +151,8 @@ def run_experiments(
     it once per point of the batch's shared grid, scans its particular
     solutions once per chart, and superposes them with those of the two
     shared forcing columns, weighted by each record's start phase.  The
-    orbit is evaluated at the clock phases of one period of the run's own
-    grid per record (`LimitCycle.on_grid`) and subtracted from the stored
-    samples in place, period by period.
+    orbit is subtracted from the stored samples in place, at the clock
+    phases of the run's own grid (`LimitCycle.subtract`).
     """
     dt = cycle.dt
     check_integer("warmup_periods", warmup_periods, 0)
@@ -166,26 +165,19 @@ def run_experiments(
     u_fn = lambda tau: chirp_value(plan, np.remainder(tau, duration))
     traj = integrate(model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phases, skip=skip)
     # The capture is the first n_per stored samples; the boundary sample
-    # after it is dropped so records match the DFT analysis window.  The
-    # orbit is subtracted in place, one period of samples at a time.
-    x_bar, v_bar = cycle.on_grid(phases, skip, cycle.n_samples)
+    # after it is dropped so records match the DFT analysis window.
     xi, xi_dot = traj.x[:, :n_per], traj.xdot[:, :n_per]
-    for start in range(0, n_per, cycle.n_samples):
-        stop = min(start + cycle.n_samples, n_per)
-        xi[:, start:stop] -= x_bar[:, : stop - start]
-        xi_dot[:, start:stop] -= v_bar[:, : stop - start]
+    cycle.subtract(xi, xi_dot, phases, skip)
     records = []
-    for k in range(plan.n_segments):
-        phase = float(phases[k])
+    for k, start in enumerate((phases + warmup_periods * duration).tolist()):
         dev = Trajectory(
             dt=dt,
-            t0=phase + warmup_periods * duration,
+            t0=start,
             x=xi[k],
             xdot=xi_dot[k],
             u=traj.u[k, :n_per],
             chart=traj.chart[k, :n_per],
         )
-        phase = (phase + warmup_periods * duration) % cycle.T
         peak = float(np.max(np.abs(dev.x)))
         if peak > PERTURBATION_LIMIT * cycle.amplitude:
             warnings.warn(
@@ -194,5 +186,5 @@ def run_experiments(
                 PerturbationSizeWarning,
                 stacklevel=2,
             )
-        records.append(ExperimentRecord(index=k, clock_phase=phase, traj=dev))
+        records.append(ExperimentRecord(index=k, clock_phase=start % cycle.T, traj=dev))
     return records

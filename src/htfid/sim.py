@@ -148,15 +148,17 @@ class LimitCycle:
         period = np.mod(start + self.dt * np.arange(self.n_samples), self.T)
         return period[..., (first + np.arange(n)) % self.n_samples]
 
-    def on_grid(self, t0, first: int, n: int):
-        """Orbit states (x_bar, xdot_bar) at the samples of `grid_phases`.
+    def subtract(self, x, xdot, t0, first: int = 0) -> None:
+        """Subtract the orbit in place from samples first, first + 1, ... of the grid t0 + i*dt.
 
-        The spline is evaluated at one period of phases per start and
-        the period repeated over the n samples.
+        One row of `x` and `xdot` per start in `t0`.  The spline is evaluated
+        at one period of `grid_phases`, which is subtracted a period at a time.
         """
-        x, xdot = self.state_at(self.grid_phases(t0, 0, self.n_samples))
-        index = (first + np.arange(n)) % self.n_samples
-        return x[..., index], xdot[..., index]
+        x_bar, v_bar = self.state_at(self.grid_phases(t0, first, self.n_samples))
+        n, m = x.shape[-1], self.n_samples
+        for start in range(0, n, m):
+            x[..., start : start + m] -= x_bar[..., : n - start]
+            xdot[..., start : start + m] -= v_bar[..., : n - start]
 
     @property
     def amplitude(self) -> float:
@@ -745,13 +747,13 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
     """Deviation of a trajectory from the periodic orbit.
 
     Subtracts the orbit at matching clock phase, ``xi(t) = state(t) -
-    x_bar(t mod T)`` (`LimitCycle.on_grid`), keeping the input and chart
-    columns; a batch is taken row by row.  The trajectory must be
-    sampled at the cycle's own dt; anything else would need resampling,
-    which is refused.
+    x_bar(t mod T)`` (`LimitCycle.subtract`, on copies of the state
+    columns), keeping the input and chart columns; a batch is taken row
+    by row.  The trajectory must be sampled at the cycle's own dt;
+    anything else would need resampling, which is refused.
     """
     if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ResamplingRequiredError(f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}")
-    x_bar, v_bar = cycle.on_grid(traj.t0, 0, traj.n_samples)
-    x, xdot, u, chart = traj.x - x_bar, traj.xdot - v_bar, traj.u.copy(), traj.chart.copy()
+    x, xdot, u, chart = traj.x.copy(), traj.xdot.copy(), traj.u.copy(), traj.chart.copy()
+    cycle.subtract(x, xdot, traj.t0)
     return Trajectory(dt=traj.dt, t0=traj.t0, x=x, xdot=xdot, u=u, chart=chart)

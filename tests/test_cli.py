@@ -189,6 +189,18 @@ def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, c
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [{"theory": {"grid_points": 1e15}}, {"theory": {"n_h": 10**15}}],  # 7.11 and 28.4 PiB
+    ids=["grid-points", "n-h"],
+)
+def test_count_too_large_to_allocate_exits_2(tmp_path, capsys, config):
+    flags = ["--config", write_config(tmp_path / "c.json", config)]
+    assert cli.main(["htf-theory", *flags, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory:") and err.count("\n") == 1
+
+
 def forbid_settling(monkeypatch):
     def settle(*args, **kwargs):
         raise AssertionError("settle_limit_cycle called")

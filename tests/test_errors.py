@@ -16,6 +16,7 @@ from htfid import (
     fourier_series,
     square_wave_coeffs,
 )
+from htfid.errors import check_real
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,8 @@ CASES = {
     "bool-n_h": (lambda s: square_wave_coeffs(0.4, 0.1, 1.0, n_h=True), True),
     "bool-n_keep": (lambda s: eval_htf(s[1], [5.0], n_keep=True), True),
     "bool-c": (lambda s: ModelParams(c=True), True),
+    "numpy-bool-c": (lambda s: ModelParams(c=np.True_), True),
+    "numpy-bool-alpha": (lambda s: check_real("alpha", np.False_, 0.0), True),
     "nan-T": (lambda s: square_wave_coeffs(0.4, 0.1, math.nan, 3), True),
     "inf-f_hi": (lambda s: ChirpPlan(f_hi=math.inf), True),
     "float-max_iter": (lambda s: fit(s, max_iter=2.5), True),

@@ -578,11 +578,30 @@ def test_tiled_subtraction_moves_records_by_rounding(lab_cycle, lab_records):
     dt, skip, n = lab_cycle.dt, 30_000, 30_000
     for rec in lab_records:
         start = rec.clock_phase  # the capture starts a whole number of periods after t0
-        tiled = lab_cycle.on_grid(start, skip, n)
+        tiled = np.zeros(n), np.zeros(n)
+        lab_cycle.subtract(*tiled, start, skip)  # leaves minus the orbit
         direct = lab_cycle.state_at(np.mod(start + dt * np.arange(skip, skip + n), lab_cycle.T))
         for got, want, xi in zip(tiled, direct, (rec.traj.x, rec.traj.xdot)):
             rms = float(np.sqrt(np.mean(xi**2)))
-            assert float(np.max(np.abs(got - want))) <= 1e-11 * rms
+            assert float(np.max(np.abs(got + want))) <= 1e-11 * rms
+
+
+def test_subtract_is_the_orbit_at_grid_phases_in_place(lab_cycle):
+    # One start per row, a nonzero first sample and two and a half
+    # periods of columns: bit for bit the orbit at `grid_phases`,
+    # subtracted from the given view only.
+    rng = np.random.default_rng(7)
+    t0 = np.array([0.0, 0.3, 0.71])
+    first, n = 1234, 5 * lab_cycle.n_samples // 2
+    x, xdot = rng.standard_normal((2, 3, n + 1))
+    before = x.copy(), xdot.copy(), t0.copy(), lab_cycle.x.copy(), lab_cycle.xdot.copy()
+    x_bar, v_bar = lab_cycle.state_at(lab_cycle.grid_phases(t0, first, n))
+    lab_cycle.subtract(x[:, :n], xdot[:, :n], t0, first)
+    assert np.array_equal(x[:, :n], before[0][:, :n] - x_bar)
+    assert np.array_equal(xdot[:, :n], before[1][:, :n] - v_bar)
+    assert np.array_equal(x[:, n], before[0][:, n]) and np.array_equal(xdot[:, n], before[1][:, n])
+    for got, want in zip((t0, lab_cycle.x, lab_cycle.xdot), before[2:]):
+        assert np.array_equal(got, want)
 
 
 def test_batch_names_the_member_whose_crossing_is_not_localized(monkeypatch):
