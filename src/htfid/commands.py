@@ -35,6 +35,7 @@ from .estimate import (
     check_band,
     check_design,
     estimate_htf,
+    median,
     spectra,
 )
 from .excite import ChirpPlan, run_experiments
@@ -44,7 +45,6 @@ from .hss import (
     default_grid,
     eval_htf,
     fourier_series,
-    median,
     read_htf_csv,
     same_grid,
     write_htf_csv,
@@ -57,7 +57,7 @@ from .sim import SETTLE_TOL, settle_limit_cycle
 DEFAULT_CONFIG = {
     "model": ModelParams().to_dict(),
     "sim": {"dt": 1e-3, "n_cycles": 30, "settle_tol": SETTLE_TOL, "x_init": None},
-    "chirp": {**dataclasses.asdict(ChirpPlan()), "warmup_periods": 1},
+    "chirp": dataclasses.asdict(ChirpPlan()),
     "estimate": {
         "n_harmonics": 3,
         "alpha": DEFAULT_ALPHA,
@@ -80,7 +80,6 @@ DEFAULT_CONFIG = {
 LOWER_BOUNDS = {
     "sim.n_cycles": (2, False),  # the last two periods are compared
     "sim.settle_tol": (0.0, True),
-    "chirp.warmup_periods": (0, False),
     "estimate.n_harmonics": (0, False),
     "estimate.alpha": (0.0, False),
     "estimate.min_excitation": (0.0, False),
@@ -95,42 +94,36 @@ LOWER_BOUNDS = {
 }
 
 
-def _merge_section(name: str, defaults: dict, override: dict) -> dict:
-    unknown = sorted(set(override) - set(defaults))
+def _overlay(where: str, base: dict, user) -> dict:
+    """`base` with the JSON object `user` laid over it, a section at a time.
+
+    Refuses a `user` that is not an object or that names a key `base`
+    lacks; a key whose default is a section takes the same rule.
+    """
+    if not isinstance(user, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(user) - set(base))
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) {unknown} in config section '{name}'; "
-            f"known keys: {sorted(defaults)}"
-        )
-    merged = dict(defaults)
-    merged.update(override)
-    return merged
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; known keys: {sorted(base)}")
+    for key, value in user.items():
+        if isinstance(base[key], dict):
+            value = _overlay(f"config section '{key}'", base[key], value)
+        base[key] = value
+    return base
 
 
 def load_config(path=None) -> dict:
     """Built-in defaults, optionally overlaid with a JSON config file."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is None:
-        return cfg
-    try:
-        with open(path, encoding="utf-8") as handle:
-            user = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(user) - set(cfg))
-    if unknown:
-        raise ConfigError(
-            f"unknown config section(s) {unknown}; known sections: {sorted(cfg)}"
-        )
-    for name, section in user.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section '{name}' must be a JSON object")
-        cfg[name] = _merge_section(name, cfg[name], section)
-    return cfg
+    user = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                user = json.load(handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    return _overlay("config root", copy.deepcopy(DEFAULT_CONFIG), user)
 
 
 def _resolve(name: str, value, default):
@@ -191,7 +184,7 @@ def _check_config(cfg: dict, args) -> dict:
     check_band(cfg["estimate"]["band"])
     # the dt check of settling, made before any output is written
     steps_in(ModelParams(**cfg["model"]).period, cfg["sim"]["dt"])
-    ChirpPlan(**{k: v for k, v in cfg["chirp"].items() if k != "warmup_periods"})
+    ChirpPlan(**cfg["chirp"])
     if args.command == "identify":
         # what the estimator and the fit would refuse only after every
         # record is integrated
@@ -332,9 +325,7 @@ def cmd_identify(cfg: dict, args) -> int:
     model, cycle = _settle(cfg)
     lin = linearize(model, cycle)
 
-    plan = dict(cfg["chirp"])
-    warmup_periods = plan.pop("warmup_periods")
-    records = run_experiments(model, cycle, ChirpPlan(**plan), warmup_periods=warmup_periods)
+    records = run_experiments(model, cycle, ChirpPlan(**cfg["chirp"]))
     specs = spectra(records)
     del records  # nothing below reads the samples: free them before the estimate
 
@@ -473,5 +464,5 @@ def run(args) -> int:
         # such as a dt that does not divide the forcing period
         raise ConfigError(str(exc)) from exc
     except MemoryError as exc:  # such as n_h or grid_points 1e15
-        raise ConfigError(f"out of memory: {exc}") from exc
+        raise HtfidError(f"out of memory: {exc}") from exc
     return cmd_compare(args)

@@ -36,7 +36,7 @@ from .errors import (
     check_real,
 )
 from .excite import ExperimentRecord
-from .hss import HarmonicTransferSet, median, same_grid
+from .hss import HarmonicTransferSet, same_grid
 
 #: Fraction of the band-median excitation below which an output bin is
 #: dropped from the estimation grid.
@@ -307,6 +307,20 @@ def _curvature_gram(n_points: int) -> np.ndarray:
         for b, s_b in enumerate(stencil):
             gram[rows + a, rows + b] += s_a * s_b
     return gram
+
+
+def median(values, axis=-1):
+    """`np.median` along `axis`, bit for bit, without its import of numpy.ma.
+
+    The middle of the sorted values, or the mean of the two middle ones
+    for an even count; nan where any value is nan (sorting puts nans last).
+    """
+    ordered = np.moveaxis(np.sort(values, axis=axis), axis, -1)
+    half = ordered.shape[-1] // 2
+    middle = ordered[..., half]
+    if ordered.shape[-1] % 2 == 0:
+        middle = (ordered[..., half - 1] + middle) / 2.0
+    return np.where(np.isnan(ordered[..., -1]), np.nan, middle)
 
 
 def _candidate_bins(problem: EstimationProblem):

@@ -37,13 +37,14 @@ PERTURBATION_LIMIT = 0.1
 
 @dataclass(frozen=True)
 class ChirpPlan:
-    """Sweep band, amplitude and segmentation of the experiment."""
+    """Sweep band, amplitude, segments and warm-up plays of the experiment."""
 
     amplitude: float = 0.004
     f_lo: float = 0.0
     f_hi: float = 7.0
     segment_duration: float = 30.0
     n_segments: int = 9
+    warmup_periods: int = 1
 
     def __post_init__(self):
         # amplitude 0 is a legal null experiment: the records come out
@@ -55,6 +56,7 @@ class ChirpPlan:
             raise InvalidInputError(f"need f_lo < f_hi, not {self.f_lo!r} and {self.f_hi!r}")
         check_real("segment_duration", self.segment_duration, 0.0, strict=True)
         check_integer("n_segments", self.n_segments, 1)
+        check_integer("warmup_periods", self.warmup_periods, 0)
 
 
 def chirp_value(plan: ChirpPlan, t):
@@ -115,26 +117,21 @@ class ExperimentRecord:
         return self.traj.dt
 
 
-def run_experiments(
-    model: HybridModel,
-    cycle: LimitCycle,
-    plan: ChirpPlan,
-    warmup_periods: int = 1,
-) -> list:
+def run_experiments(model: HybridModel, cycle: LimitCycle, plan: ChirpPlan) -> list:
     """Simulate all chirp records and return deviation responses.
 
     Record k starts on the orbit at clock phase ``k*T/n_segments`` and
     plays the chirp as a periodic waveform of period `segment_duration`;
-    after `warmup_periods` full plays, the next play is captured as the
-    record, and the orbit is subtracted at matching clock phase.  During
-    the warm-up the start-up deviation transient decays at the orbit's
-    Floquet rate, so the captured record is (to that decay) a segment of
-    the steady periodic response and satisfies the periodicity the DFT
-    assumes.  With `warmup_periods=0` the capture starts immediately at
-    the on-orbit initial condition, which is transient-free at the start
-    but wraps a residual transient at the record end.  Records are
-    half-open (the final boundary sample is dropped) so their length
-    matches the DFT analysis window.
+    after ``plan.warmup_periods`` full plays, the next play is captured as
+    the record, and the orbit is subtracted at matching clock phase.
+    During the warm-up the start-up deviation transient decays at the
+    orbit's Floquet rate, so the captured record is (to that decay) a
+    segment of the steady periodic response and satisfies the periodicity
+    the DFT assumes.  With ``warmup_periods=0`` the capture starts
+    immediately at the on-orbit initial condition, which is
+    transient-free at the start but wraps a residual transient at the
+    record end.  Records are half-open (the final boundary sample is
+    dropped) so their length matches the DFT analysis window.
 
     A warning is issued when the peak deviation exceeds 10% of the orbit
     amplitude, since the small-signal model is then questionable.
@@ -155,9 +152,8 @@ def run_experiments(
     phases of the run's own grid (`LimitCycle.subtract`).
     """
     dt = cycle.dt
-    check_integer("warmup_periods", warmup_periods, 0)
     check_nyquist(plan, dt)
-    duration = plan.segment_duration
+    duration, warmup_periods = plan.segment_duration, plan.warmup_periods
     n_per = steps_in(duration, dt)
     skip = warmup_periods * n_per
     phases = clock_phases(plan, cycle.T)

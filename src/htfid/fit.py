@@ -72,13 +72,16 @@ def _hss_at(k, c, zero, dA):
     return replace(zero, A=zero.A + k * dA[0] + c * dA[1])
 
 
-def _residuals(k, c, target, zero, dA, jacobian=False):
-    """Stacked residuals G_n(k, c) - target_n over `ORDERS` and, if asked
-    for, their derivatives along each of `dA` as the columns of a
-    Jacobian."""
+def _check_orders(target: HarmonicTransferSet) -> None:
     for n in ORDERS:
         if n not in target.harmonics:
             raise InvalidInputError(f"target is missing harmonic {n}")
+
+
+def _residuals(k, c, target, zero, dA, jacobian=False):
+    """Stacked residuals G_n(k, c) - target_n over `ORDERS` (which
+    `target` holds) and, if asked for, their derivatives along each of
+    `dA` as the columns of a Jacobian."""
     theory = eval_htf(
         _hss_at(k, c, zero, dA),
         target.omega_grid,
@@ -118,6 +121,7 @@ def fit_objective(
     """
     check_real("k", k, 0.0, strict=True)
     check_real("c", c, 0.0)
+    _check_orders(target)
     zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
     return _rms(_residuals(k, c, target, zero, dA)[0])
 
@@ -154,6 +158,7 @@ def fit_parameters(
         # the damper never engages, so no data can determine c
         raise InvalidInputError("duty must be positive to fit c")
     scale = np.array([k0, c0])
+    _check_orders(target)
     zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
 
     def linearize_at(theta):

@@ -309,20 +309,6 @@ def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and not np.max(np.abs(a - b), initial=0.0) > 1e-9
 
 
-def median(values, axis=-1):
-    """`np.median` along `axis`, bit for bit, without its import of numpy.ma.
-
-    The middle of the sorted values, or the mean of the two middle ones
-    for an even count; nan where any value is nan (sorting puts nans last).
-    """
-    ordered = np.moveaxis(np.sort(values, axis=axis), axis, -1)
-    half = ordered.shape[-1] // 2
-    middle = ordered[..., half]
-    if ordered.shape[-1] % 2 == 0:
-        middle = (ordered[..., half - 1] + middle) / 2.0
-    return np.where(np.isnan(ordered[..., -1]), np.nan, middle)
-
-
 def default_grid(f_hi: float = 7.0, n_points: int = 600) -> np.ndarray:
     """Uniform grid of `n_points` (at least 1) over (0, f_hi] Hz, f_hi
     finite and positive, returned in rad/s."""

@@ -46,7 +46,7 @@ def lab_hss10(lab_lin):
 @pytest.fixture(scope="session")
 def lab_records(lab_model, lab_cycle):
     # Nine 30 s chirp segments, amplitude 0.004, one warm-up play each.
-    return run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=1)
+    return run_experiments(lab_model, lab_cycle, ChirpPlan(warmup_periods=1))
 
 
 @pytest.fixture(scope="session")

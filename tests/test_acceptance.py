@@ -178,7 +178,7 @@ def test_criterion_4_end_to_end_estimation():
     t0 = time.perf_counter()
     model = HybridModel()
     cycle = settle_limit_cycle(model)
-    recs = run_experiments(model, cycle, ChirpPlan(), warmup_periods=1)
+    recs = run_experiments(model, cycle, ChirpPlan(warmup_periods=1))
     problem = EstimationProblem(
         records=spectra(recs),
         n_harmonics=3,

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from htfid import (
-    ChirpPlan,
     EstimationProblem,
     SpectrumRecord,
     cli,
@@ -154,6 +153,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         {"model": {"k": 10**400}},
         {"estimate": {"min_excitation": -1.0}},
         {"estimate": {"band": [3.0, 1.0]}},
+        [1, 2],  # a root that is not an object
+        {"bogus": {}},  # an unknown section
+        {"sim": 5},  # a section that is not an object
     ]
     paths = [str(tmp_path / "nope.json"), str(bad_json)] + [
         write_config(tmp_path / f"c{i}.json", payload) for i, payload in enumerate(configs)
@@ -194,11 +196,12 @@ def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, c
     [{"theory": {"grid_points": 1e15}}, {"theory": {"n_h": 10**15}}],  # 7.11 and 28.4 PiB
     ids=["grid-points", "n-h"],
 )
-def test_count_too_large_to_allocate_exits_2(tmp_path, capsys, config):
+def test_count_too_large_to_allocate_exits_3(tmp_path, capsys, config):
+    # the settings pass every rule; the step that allocates then fails
     flags = ["--config", write_config(tmp_path / "c.json", config)]
-    assert cli.main(["htf-theory", *flags, "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["htf-theory", *flags, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("config error: out of memory:") and err.count("\n") == 1
+    assert err.startswith("error: out of memory:") and err.count("\n") == 1
 
 
 def forbid_settling(monkeypatch):
@@ -276,9 +279,6 @@ def problem_with(**kwargs):
 OWNERS = {
     "sim.n_cycles": lambda lab, v: settle_limit_cycle(lab.model, n_cycles=v),
     "sim.settle_tol": lambda lab, v: settle_limit_cycle(lab.model, tol=v),
-    "chirp.warmup_periods": lambda lab, v: run_experiments(
-        lab.model, lab.cycle, ChirpPlan(), warmup_periods=v
-    ),
     "estimate.n_harmonics": lambda lab, v: problem_with(n_harmonics=v),
     "estimate.alpha": lambda lab, v: problem_with(alpha=v),
     "estimate.min_excitation": lambda lab, v: problem_with(min_excitation=v),
@@ -671,7 +671,7 @@ def test_identify_zero_amplitude_is_numerical_failure(tmp_path, capsys):
 
 
 def test_identify_leaves_out_numpy_ma(tmp_path):
-    # np.median and np.quantile import numpy.ma, some 19 ms of every run.
+    # np.median and np.quantile import numpy.ma, some 8 ms of every run.
     code = (
         "import sys\n"
         "from htfid import cli\n"

@@ -634,8 +634,7 @@ def test_zero_amplitude_is_no_data(lab_model, lab_cycle):
     recs = run_experiments(
         lab_model,
         lab_cycle,
-        ChirpPlan(amplitude=0.0, n_segments=3),
-        warmup_periods=0,
+        ChirpPlan(amplitude=0.0, n_segments=3, warmup_periods=0),
     )
     problem = EstimationProblem(
         records=spectra(recs), n_harmonics=1, pump=2.0 * math.pi

@@ -75,6 +75,10 @@ def test_plan_validation():
         ChirpPlan(amplitude=float("nan"))
     with pytest.raises(InvalidInputError, match="segment_duration"):
         ChirpPlan(segment_duration=float("nan"))
+    # a fractional warm-up used to escape as numpy's TypeError
+    for warmup in (-1, 1.5, True):
+        with pytest.raises(InvalidInputError, match="warmup_periods"):
+            ChirpPlan(warmup_periods=warmup)
     # amplitude 0 is a legal null experiment
     assert ChirpPlan(amplitude=0.0).amplitude == 0.0
 
@@ -123,10 +127,10 @@ def test_small_signal_linearity(lab_model, lab_cycle):
 
 
 def test_warmup_removes_wraparound_transient(lab_model, lab_cycle):
-    plan = ChirpPlan(n_segments=1)
-    cold = run_experiments(lab_model, lab_cycle, plan, warmup_periods=0)[0]
-    warm = run_experiments(lab_model, lab_cycle, plan, warmup_periods=1)[0]
-    warmer = run_experiments(lab_model, lab_cycle, plan, warmup_periods=2)[0]
+    cold, warm, warmer = (
+        run_experiments(lab_model, lab_cycle, ChirpPlan(n_segments=1, warmup_periods=w))[0]
+        for w in (0, 1, 2)
+    )
     d01 = np.max(np.abs(cold.traj.x - warm.traj.x))
     d12 = np.max(np.abs(warm.traj.x - warmer.traj.x))
     # the cold record still carries the start-up transient; one full play
@@ -137,20 +141,8 @@ def test_warmup_removes_wraparound_transient(lab_model, lab_cycle):
 
 def test_large_amplitude_warns(lab_model, lab_cycle):
     with pytest.warns(PerturbationSizeWarning):
-        run_experiments(
-            lab_model,
-            lab_cycle,
-            ChirpPlan(amplitude=0.5, n_segments=1),
-            warmup_periods=0,
-        )
-
-
-def test_run_experiments_validation(lab_model, lab_cycle):
-    with pytest.raises(InvalidInputError):
-        run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=-1)
-    # a fractional warm-up used to escape as numpy's TypeError
-    with pytest.raises(InvalidInputError, match="warmup_periods"):
-        run_experiments(lab_model, lab_cycle, ChirpPlan(), warmup_periods=1.5)
+        plan = ChirpPlan(amplitude=0.5, n_segments=1, warmup_periods=0)
+        run_experiments(lab_model, lab_cycle, plan)
 
 
 def test_run_experiments_checks_grid_before_integrating(lab_model, lab_cycle, monkeypatch):

@@ -102,7 +102,7 @@ def test_iteration_cap(crime_target, lab_cycle):
     assert np.isfinite(res.objective)
 
 
-def test_fit_validation(crime_target, lab_cycle):
+def test_fit_validation(crime_target, lab_cycle, monkeypatch):
     with pytest.raises(InvalidInputError):
         fit_parameters(
             crime_target, (0.0, 1.0), lab_cycle.duty, lab_cycle.t_hat, 1.0
@@ -114,6 +114,11 @@ def test_fit_validation(crime_target, lab_cycle):
     with pytest.raises(InvalidInputError):
         fit_parameters(crime_target, (150.0, 1.0), 0.0, lab_cycle.t_hat, 1.0)
     partial = dataclasses.replace(crime_target, harmonics={0: crime_target.harmonics[0]})
+
+    def no_hss(*args):
+        raise AssertionError("an HSS was built for a partial target")
+
+    monkeypatch.setattr(htfid.fit, "build_hss", no_hss)
     with pytest.raises(InvalidInputError, match="missing harmonic"):
         fit_parameters(partial, (150.0, 1.0), lab_cycle.duty, lab_cycle.t_hat, 1.0)
     with pytest.raises(InvalidInputError, match="missing harmonic"):
