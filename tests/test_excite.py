@@ -145,6 +145,21 @@ def test_large_amplitude_warns(lab_model, lab_cycle):
         run_experiments(lab_model, lab_cycle, plan)
 
 
+def test_run_experiments_validation(lab_model, lab_cycle, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a record was integrated")
+
+    monkeypatch.setattr("htfid.excite.integrate", no_integration)
+    # the warm-up reaches run_experiments through the plan, which refuses
+    # it; a fractional one used to escape as numpy's TypeError
+    for warmup in (-1, 1.5):
+        with pytest.raises(InvalidInputError, match="warmup_periods"):
+            run_experiments(lab_model, lab_cycle, ChirpPlan(warmup_periods=warmup))
+    # a segment that is not a whole number of the cycle's 1 ms steps
+    with pytest.raises(InvalidInputError, match="does not divide"):
+        run_experiments(lab_model, lab_cycle, ChirpPlan(segment_duration=30.0005))
+
+
 def test_run_experiments_checks_grid_before_integrating(lab_model, lab_cycle, monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("a record was integrated")
