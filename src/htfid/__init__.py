@@ -52,7 +52,6 @@ _MODULES = {
         "ExperimentRecord",
         "chirp_value",
         "clock_phases",
-        "gen_chirp",
         "run_experiments",
     ),
     "estimate": (
@@ -64,7 +63,7 @@ _MODULES = {
         "second_difference",
         "spectra",
     ),
-    "fit": ("FitResult", "fit_objective", "fit_parameters"),
+    "fit": ("FitResult", "fit_parameters"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
 

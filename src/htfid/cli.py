@@ -26,9 +26,9 @@ modules leave BLAS alone.
 
 Exit codes: 0 success, 2 configuration or usage error (an unreadable
 input file, an output directory that cannot be created and a setting
-the library refuses included), 3 numerical
-failure (no settling, singular solve, unusable data) or a malformed HTF
-file.
+the library refuses included), 3 numerical failure (no settling,
+singular solve, unusable data), a malformed HTF file or an allocation
+failure (``error: out of memory: ...``).
 """
 
 from __future__ import annotations

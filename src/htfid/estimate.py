@@ -512,8 +512,10 @@ def cost(problem: EstimationProblem, hts: HarmonicTransferSet) -> float:
     """Value of the regularized objective for a given harmonic set.
 
     The set must live on the problem's own retained bin grid (same bins
-    as `estimate_htf` returns) and provide all orders |n| <= N.  Useful
-    for optimality checks: no admissible set can beat the estimate.
+    as `estimate_htf` returns) and provide all orders |n| <= N.  No
+    command calls it; it stays public as the estimator's optimality
+    oracle, which the tests compare against: no admissible set can beat
+    the estimate.
     """
     bins = _candidate_bins(problem)
     omegas = bins * problem.records[0].bin_spacing

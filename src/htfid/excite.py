@@ -79,18 +79,6 @@ def check_nyquist(plan: ChirpPlan, dt: float) -> None:
         )
 
 
-def gen_chirp(plan: ChirpPlan, k: int, dt: float) -> np.ndarray:
-    """Sampled input for record k on the half-open grid [0, duration).
-
-    All records share the same waveform; what distinguishes record k is
-    the clock phase at which it starts (see `run_experiments`).
-    """
-    check_integer("record index k", k, 0, plan.n_segments - 1)
-    n = steps_in(plan.segment_duration, dt)
-    check_nyquist(plan, dt)
-    return chirp_value(plan, dt * np.arange(n))
-
-
 @dataclass(frozen=True)
 class ExperimentRecord:
     """Deviation response to one chirp record.
@@ -166,14 +154,7 @@ def run_experiments(model: HybridModel, cycle: LimitCycle, plan: ChirpPlan) -> l
     cycle.subtract(xi, xi_dot, phases, skip)
     records = []
     for k, start in enumerate((phases + warmup_periods * duration).tolist()):
-        dev = Trajectory(
-            dt=dt,
-            t0=start,
-            x=xi[k],
-            xdot=xi_dot[k],
-            u=traj.u[k, :n_per],
-            chart=traj.chart[k, :n_per],
-        )
+        dev = Trajectory(dt=dt, t0=start, x=xi[k], xdot=xi_dot[k], u=traj.u[k, :n_per])
         peak = float(np.max(np.abs(dev.x)))
         if peak > PERTURBATION_LIMIT * cycle.amplitude:
             warnings.warn(

@@ -72,12 +72,6 @@ def _hss_at(k, c, zero, dA):
     return replace(zero, A=zero.A + k * dA[0] + c * dA[1])
 
 
-def _check_orders(target: HarmonicTransferSet) -> None:
-    for n in ORDERS:
-        if n not in target.harmonics:
-            raise InvalidInputError(f"target is missing harmonic {n}")
-
-
 def _residuals(k, c, target, zero, dA, jacobian=False):
     """Stacked residuals G_n(k, c) - target_n over `ORDERS` (which
     `target` holds) and, if asked for, their derivatives along each of
@@ -98,32 +92,6 @@ def _residuals(k, c, target, zero, dA, jacobian=False):
 
 def _rms(residual: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(residual, residual).real) / residual.size)
-
-
-def fit_objective(
-    k: float,
-    c: float,
-    target: HarmonicTransferSet,
-    duty: float,
-    t_hat: float,
-    T: float,
-    m: float = 1.0,
-    n_h: int = FIT_N_H,
-) -> float:
-    """RMS harmonic transfer mismatch of a (k, c) candidate.
-
-    Evaluates the switched model with the given stiffness and damping on
-    the target's grid and convention, then returns
-
-        sqrt(mean over n in {-1,0,1} and grid points of |dG|^2),
-
-    the RMS of the residuals `fit_parameters` minimizes.
-    """
-    check_real("k", k, 0.0, strict=True)
-    check_real("c", c, 0.0)
-    _check_orders(target)
-    zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
-    return _rms(_residuals(k, c, target, zero, dA)[0])
 
 
 def fit_parameters(
@@ -158,7 +126,9 @@ def fit_parameters(
         # the damper never engages, so no data can determine c
         raise InvalidInputError("duty must be positive to fit c")
     scale = np.array([k0, c0])
-    _check_orders(target)
+    for n in ORDERS:
+        if n not in target.harmonics:
+            raise InvalidInputError(f"target is missing harmonic {n}")
     zero, dA = _affine_hss(m, duty, t_hat, T, n_h)
 
     def linearize_at(theta):

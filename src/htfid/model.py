@@ -15,7 +15,7 @@ Around a periodic orbit x_bar(t) the deviation xi = x - x_bar obeys, to
 first order, a linear time-periodic system whose only time dependence is
 the on/off square wave of the damper:
 
-    A_on  = [[0, 1], [-k/m, -c/m]]     while the damper is engaged
+    A_on  = [[0, 1], [-k/m, -c/m]]     while the damper acts
     A_off = [[0, 1], [-k/m,  0  ]]     while it is not
     B = [0, 1/m],  C = [1, 0],  D = 0
 
@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import AmbiguousSwitchingError, InvalidInputError, check_real
 
-#: JSON keys accepted (and required) for model parameters.
+#: JSON keys accepted for model parameters; `ModelParams.from_dict`
+#: gives a missing one its default.
 PARAM_KEYS = ("m", "k", "c", "g", "x0", "forcing_amplitude", "forcing_freq")
 
 
@@ -137,7 +138,7 @@ class HybridModel:
     (or two floats) and returns values of that shape, or a single scalar
     that then applies to every state.  `sim.integrate` calls it on
     whole blocks of stage states.  Passing a custom threshold gives
-    variants such as a permanently engaged damper (``lambda x, v: 1.0``),
+    variants such as a damper that never releases (``lambda x, v: 1.0``),
     which is handy for closed-form checks.
     """
 
@@ -159,10 +160,6 @@ class HybridModel:
                 )
             value = np.broadcast_to(value, shape)
         return value
-
-    def engaged(self, x, xdot) -> np.ndarray:
-        """Whether the damper is engaged at the states (x, xdot)."""
-        return self.switching(x, xdot) > 0.0
 
 
 def chart_matrices(m: float, k: float, c: float):

@@ -54,11 +54,10 @@ _CHUNK_STEPS = 4096
 class Trajectory:
     """Sampled solution on a uniform time grid.
 
-    `chart[i]` is 1 when the damper is engaged at sample i, 0 otherwise.
-    A batch of S trajectories on one grid holds rows: `x`, `xdot`, `u`
-    and `chart` of shape (S, n) and one start time per row in `t0`.  Its
-    members play one input, stored once: `u` is a read-only broadcast of
-    that one row.
+    A batch of S trajectories on one grid holds rows: `x`, `xdot` and
+    `u` of shape (S, n) and one start time per row in `t0`.  Its members
+    play one input, stored once: `u` is a read-only broadcast of that one
+    row.
     """
 
     dt: float
@@ -66,7 +65,6 @@ class Trajectory:
     x: np.ndarray
     xdot: np.ndarray
     u: np.ndarray
-    chart: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -83,7 +81,7 @@ class LimitCycle:
     Samples cover clock phases ``j*dt`` for ``j = 0 .. T/dt - 1``; the
     clock origin is the forcing cosine maximum.  `t_hat` is the phase at
     which the damper engages (the switching threshold turns positive),
-    `duty` the fraction of the period it stays engaged, and `residual` the
+    `duty` the fraction of the period it stays on, and `residual` the
     per-component peak difference between the last two integrated
     periods.
     """
@@ -584,7 +582,7 @@ class _Lockstep:
             t = self._time(k, 2 * (self.n[k] - self.c0))
             raise EventLocalizationError(f"member {k}, step from t={t}: {exc}") from None
 
-    def trajectory(self, model, batch):
+    def trajectory(self, batch):
         """The stored samples as a `Trajectory`, rows of them for a batch.
 
         Frees the chunk buffers and the trip scratch first: the chunks are
@@ -594,13 +592,12 @@ class _Lockstep:
         del self.states, self.stage_in, self.points, self.inner, self.tau
         xs, vs = self.samples[:, :, self.span : self.span + len(self.us)].transpose(1, 0, 2)
         xs += self.x_eq
-        charts = model.engaged(xs, vs).view(np.uint8)  # the same 0/1 bytes, no copy
         us, t_first = self.us, self.starts + self.skip * self.dt
         if not batch:
-            xs, vs, charts, t_first = xs[0], vs[0], charts[0], float(t_first[0])
+            xs, vs, t_first = xs[0], vs[0], float(t_first[0])
         else:
             us = np.broadcast_to(us, xs.shape)  # one read-only row for all
-        return Trajectory(dt=self.dt, t0=t_first, x=xs, xdot=vs, u=us, chart=charts)
+        return Trajectory(dt=self.dt, t0=t_first, x=xs, xdot=vs, u=us)
 
 
 def integrate(
@@ -637,8 +634,7 @@ def integrate(
     Returns
     -------
     Trajectory with ``round(duration/dt) + 1 - skip`` samples (rows of
-    them for a batch, whose `u` is a read-only broadcast of one row) and
-    chart flags from the sign of the switching threshold.
+    them for a batch, whose `u` is a read-only broadcast of one row).
 
     Raises
     ------
@@ -667,7 +663,7 @@ def integrate(
         if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
             while lab.trips():
                 lab.due_steps()
-    return lab.trajectory(model, x_init.ndim == 2)
+    return lab.trajectory(x_init.ndim == 2)
 
 
 def _cyclic_crossings(value: np.ndarray, dt: float, T: float):
@@ -748,12 +744,12 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
 
     Subtracts the orbit at matching clock phase, ``xi(t) = state(t) -
     x_bar(t mod T)`` (`LimitCycle.subtract`, on copies of the state
-    columns), keeping the input and chart columns; a batch is taken row
-    by row.  The trajectory must be sampled at the cycle's own dt;
-    anything else would need resampling, which is refused.
+    columns), keeping the input column; a batch is taken row by row.
+    The trajectory must be sampled at the cycle's own dt; anything else
+    would need resampling, which is refused.
     """
     if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ResamplingRequiredError(f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}")
-    x, xdot, u, chart = traj.x.copy(), traj.xdot.copy(), traj.u.copy(), traj.chart.copy()
+    x, xdot, u = traj.x.copy(), traj.xdot.copy(), traj.u.copy()
     cycle.subtract(x, xdot, traj.t0)
-    return Trajectory(dt=traj.dt, t0=traj.t0, x=x, xdot=xdot, u=u, chart=chart)
+    return Trajectory(dt=traj.dt, t0=traj.t0, x=x, xdot=xdot, u=u)

@@ -20,8 +20,8 @@ from htfid import (
     Trajectory,
     build_regressor,
     cost,
+    chirp_value,
     estimate_htf,
-    gen_chirp,
     run_experiments,
     second_difference,
     spectra,
@@ -44,7 +44,7 @@ def lti_frf(w):
 
 def make_record(u, x, clock_phase, dt=1e-3, index=0):
     zeros = np.zeros_like(u)
-    traj = Trajectory(dt=dt, t0=0.0, x=x, xdot=zeros, u=u, chart=zeros)
+    traj = Trajectory(dt=dt, t0=0.0, x=x, xdot=zeros, u=u)
     return ExperimentRecord(index=index, clock_phase=clock_phase, traj=traj)
 
 
@@ -56,7 +56,7 @@ def lti_chirp_spectra(n_records=9):
     run_experiments produces after its warm-up play.
     """
     dt = 1e-3
-    u = gen_chirp(ChirpPlan(), 0, dt)
+    u = chirp_value(ChirpPlan(), dt * np.arange(30_000))
     freq = 2.0 * math.pi * np.fft.fftfreq(u.size, dt)
     x = np.fft.ifft(lti_frf(freq) * np.fft.fft(u)).real
     return spectra([make_record(u, x, k / n_records, dt, index=k) for k in range(n_records)])

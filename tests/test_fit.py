@@ -14,7 +14,6 @@ from htfid import (
     commands,
     build_hss,
     eval_htf,
-    fit_objective,
     fit_parameters,
     fourier_series,
 )
@@ -45,6 +44,13 @@ def make_target(k, c, duty, t_hat, grid):
     )
 
 
+def objective(target, duty, t_hat, T):
+    """The RMS mismatch `fit_parameters` minimizes, as a function of (k, c),
+    on one affine HSS assembled for `target`."""
+    zero, dA = htfid.fit._affine_hss(1.0, duty, t_hat, T, htfid.fit.FIT_N_H)
+    return lambda k, c: htfid.fit._rms(htfid.fit._residuals(k, c, target, zero, dA)[0])
+
+
 @pytest.fixture
 def count_evals(monkeypatch):
     """Count the model evaluations the fit makes through its binding."""
@@ -66,17 +72,11 @@ def crime_target(lab_cycle):
 
 
 def test_objective_zero_at_truth(crime_target, lab_cycle):
-    val = fit_objective(
-        200.0, 2.0, crime_target, lab_cycle.duty, lab_cycle.t_hat, 1.0
-    )
-    assert val == 0.0
+    assert objective(crime_target, lab_cycle.duty, lab_cycle.t_hat, 1.0)(200.0, 2.0) == 0.0
 
 
 def test_objective_positive_away_from_truth(crime_target, lab_cycle):
-    val = fit_objective(
-        180.0, 2.0, crime_target, lab_cycle.duty, lab_cycle.t_hat, 1.0
-    )
-    assert val > 1e-6
+    assert objective(crime_target, lab_cycle.duty, lab_cycle.t_hat, 1.0)(180.0, 2.0) > 1e-6
 
 
 def test_inverse_crime_recovery(crime_target, lab_cycle):
@@ -121,8 +121,6 @@ def test_fit_validation(crime_target, lab_cycle, monkeypatch):
     monkeypatch.setattr(htfid.fit, "build_hss", no_hss)
     with pytest.raises(InvalidInputError, match="missing harmonic"):
         fit_parameters(partial, (150.0, 1.0), lab_cycle.duty, lab_cycle.t_hat, 1.0)
-    with pytest.raises(InvalidInputError, match="missing harmonic"):
-        fit_objective(200.0, 2.0, partial, lab_cycle.duty, lab_cycle.t_hat, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -132,8 +130,6 @@ def test_fit_validation(crime_target, lab_cycle, monkeypatch):
         (lambda t, a: fit_parameters(t, (150.0, math.inf), *a), "initial c"),
         (lambda t, a: fit_parameters(t, (150.0, 1.0), *a, max_iter=0), "max_iter"),
         (lambda t, a: fit_parameters(t, (150.0, 1.0), *a, max_iter=-1), "max_iter"),
-        (lambda t, a: fit_objective(math.nan, 2.0, t, *a), "k"),
-        (lambda t, a: fit_objective(200.0, -math.inf, t, *a), "c"),
     ],
 )
 def test_fit_refuses_nonfinite_inputs_by_name(crime_target, lab_cycle, call, name):
@@ -192,8 +188,8 @@ def test_cli_checks_the_fits_orders(crime_target, lab_cycle, n_h):
     sites = [
         lambda: commands._check_config(cfg, simulate),  # fit.n_h
         lambda: commands._check_config(commands.load_config(), identify),  # estimate.n_harmonics
-        lambda: fit_objective(200.0, 2.0, crime_target, *args, n_h=n_h),
-        lambda: fit_objective(200.0, 2.0, target, *args),
+        lambda: fit_parameters(crime_target, (150.0, 1.0), *args, n_h=n_h),
+        lambda: fit_parameters(target, (150.0, 1.0), *args),
     ]
     assert [refuses(site) for site in sites] == [refused] * len(sites)
 
@@ -202,17 +198,8 @@ def test_grid_has_single_basin(crime_target, lab_cycle):
     """Coarse objective landscape: one interior local minimum, at truth."""
     ks = np.linspace(150.0, 250.0, 21)
     cs = np.linspace(1.0, 3.0, 21)
-    Z = np.array(
-        [
-            [
-                fit_objective(
-                    k, c, crime_target, lab_cycle.duty, lab_cycle.t_hat, 1.0
-                )
-                for c in cs
-            ]
-            for k in ks
-        ]
-    )
+    at = objective(crime_target, lab_cycle.duty, lab_cycle.t_hat, 1.0)
+    Z = np.array([[at(k, c) for c in cs] for k in ks])
     minima = []
     for i in range(1, 20):
         for j in range(1, 20):
@@ -261,17 +248,17 @@ def lab_fit(lab_cycle, lab_estimate):
 
 
 def test_fit_objective_is_the_reported_objective(lab_fit, lab_cycle, lab_estimate):
-    args = (lab_estimate, lab_cycle.duty, lab_cycle.t_hat, lab_cycle.T)
+    at = objective(lab_estimate, lab_cycle.duty, lab_cycle.t_hat, lab_cycle.T)
     assert lab_fit.converged
-    assert fit_objective(lab_fit.k_hat, lab_fit.c_hat, *args) == lab_fit.objective
+    assert at(lab_fit.k_hat, lab_fit.c_hat) == lab_fit.objective
 
 
 def test_fit_is_a_local_minimum(lab_fit, lab_cycle, lab_estimate):
-    args = (lab_estimate, lab_cycle.duty, lab_cycle.t_hat, lab_cycle.T)
+    at = objective(lab_estimate, lab_cycle.duty, lab_cycle.t_hat, lab_cycle.T)
     k, c = lab_fit.k_hat, lab_fit.c_hat
     for scale in (1.0 - 1e-6, 1.0 + 1e-6):
-        assert fit_objective(k * scale, c, *args) >= lab_fit.objective
-        assert fit_objective(k, c * scale, *args) >= lab_fit.objective
+        assert at(k * scale, c) >= lab_fit.objective
+        assert at(k, c * scale) >= lab_fit.objective
 
 
 def test_small_damping_recovery_keeps_c_feasible(lab_cycle, count_evals):

@@ -18,7 +18,7 @@ def test_import_loads_no_submodule_and_not_numpy():
 
 
 def test_every_public_name_resolves_to_its_modules_object():
-    assert len(htfid.__all__) == len(set(htfid.__all__)) == 47
+    assert len(htfid.__all__) == len(set(htfid.__all__)) == 45
     for name in htfid.__all__:
         value = getattr(htfid, name)
         assert value.__module__.startswith("htfid."), name

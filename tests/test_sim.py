@@ -21,7 +21,6 @@ from htfid import (
     clock_phases,
     LimitCycle,
     error_trajectory,
-    gen_chirp,
     integrate,
     run_experiments,
     settle_limit_cycle,
@@ -30,6 +29,11 @@ from htfid.model import chart_matrices, steps_in
 from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence
 
 from helpers import fresh_python, locate_crossing, refuses
+
+
+def engaged(model, states):
+    """Whether the damper is engaged at each of the samples of `states`."""
+    return model.switching(states.x, states.xdot) > 0.0
 
 
 def total_energy(p, x, v):
@@ -83,7 +87,7 @@ def test_integrate_is_deterministic():
     b = integrate(model, (0.18, 0.0), lambda t: np.sin(3.0 * t), 2.0, 1e-3)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.xdot, b.xdot)
-    assert np.array_equal(a.chart, b.chart)
+    assert np.array_equal(engaged(model, a), engaged(model, b))
 
 
 @pytest.mark.filterwarnings("error")
@@ -150,7 +154,6 @@ def test_every_span_takes_one_divisibility_rule(excess, refused):
         lambda: steps_in(span, dt),
         lambda: integrate(model, (0.17, 0.0), None, span, dt),
         lambda: settle_limit_cycle(model, n_cycles=2, dt=dt, tol=1.0),  # passes any residual here
-        lambda: gen_chirp(plan, 0, dt),
         lambda: run_experiments(model, cycle, plan),
     ]
     assert [refuses(site) for site in sites] == [refused] * len(sites)
@@ -202,13 +205,13 @@ def test_settle_crossings_follow_the_threshold():
     cycle = settle_limit_cycle(model, n_cycles=30, dt=1e-3)
     phases = cycle.dt * np.arange(cycle.n_samples)
     window = np.mod(phases - cycle.t_hat, cycle.T) < cycle.duty * cycle.T
-    engaged = model.engaged(cycle.x, cycle.xdot)
+    on = engaged(model, cycle)
     far = np.ones(cycle.n_samples, dtype=bool)
     for switch in (cycle.t_hat, cycle.t_hat + cycle.duty * cycle.T):
         lag = np.mod(phases - switch, cycle.T)
         far &= np.minimum(lag, cycle.T - lag) > cycle.dt
     assert np.count_nonzero(far) >= cycle.n_samples - 4
-    assert np.array_equal(window[far], engaged[far])
+    assert np.array_equal(window[far], on[far])
 
 
 def test_settle_independent_of_initial_condition(lab_model, lab_cycle):
@@ -278,7 +281,7 @@ def test_chirp_records_leave_out_scipy_interpolate_and_optimize():
 
 def test_chart_flags_alternate(lab_model, lab_cycle):
     tr = integrate(lab_model, lab_cycle.state_at(0.0), None, 3.0, lab_cycle.dt)
-    flags = tr.chart
+    flags = engaged(lab_model, tr)
     assert set(np.unique(flags)) == {0.0, 1.0}
     # two engage/release events per forcing period
     switches = int(np.sum(np.abs(np.diff(flags)) > 0))
@@ -383,7 +386,7 @@ def assert_matches_long_double_oracle(model, x_init, u, duration, dt, t0=0.0):
         model, x_init, u, duration, dt, t0=t0, real=np.longdouble
     )
     x_r, v_r, _, _, _ = scalar_integrate(model, x_init, u, duration, dt, t0=t0)
-    assert np.array_equal(tr.chart, chart_o)
+    assert np.array_equal(engaged(model, tr), chart_o)
     assert np.array_equal(tr.u, u_o)
     for got, ref, oracle, ceiling in ((tr.x, x_r, x_o, 2e-15), (tr.xdot, v_r, v_o, 5e-14)):
         err = float(np.max(np.abs(got - oracle)))
@@ -465,7 +468,7 @@ def test_boolean_threshold_localizes_crossings(lab_model, lab_cycle):
     x_init = lab_cycle.state_at(0.0)
     a = integrate(lab_model, x_init, None, 3.0, lab_cycle.dt)
     b = integrate(boolean, x_init, None, 3.0, lab_cycle.dt)
-    assert np.array_equal(a.chart, b.chart)
+    assert np.array_equal(engaged(lab_model, a), engaged(boolean, b))
     assert np.max(np.abs(a.x - b.x)) < 1e-12
     assert np.max(np.abs(a.xdot - b.xdot)) < 1e-12
 
@@ -505,7 +508,7 @@ def test_batch_equals_its_members_one_at_a_time(lab_model, lab_cycle):
     assert batch.x.shape == (9, 60_001) and np.array_equal(batch.t0, phases)
     for k, phase in enumerate(phases):
         alone = integrate(lab_model, x_init[k], u, duration, lab_cycle.dt, t0=phase)
-        for field in ("x", "xdot", "u", "chart"):
+        for field in ("x", "xdot", "u"):
             assert np.array_equal(getattr(batch, field)[k], getattr(alone, field)), (k, field)
 
 
@@ -513,7 +516,7 @@ def test_batch_keeps_the_samples_after_skip(lab_model, lab_cycle):
     x_init, phases, u = chirp_batch(lab_cycle, ChirpPlan(n_segments=3))
     whole = integrate(lab_model, x_init, u, 3.0, lab_cycle.dt, t0=phases)
     tail = integrate(lab_model, x_init, u, 3.0, lab_cycle.dt, t0=phases, skip=1234)
-    for field in ("x", "xdot", "u", "chart"):
+    for field in ("x", "xdot", "u"):
         assert np.array_equal(getattr(whole, field)[:, 1234:], getattr(tail, field))
     assert np.array_equal(tail.t0, phases + 1234 * lab_cycle.dt)
 
@@ -657,7 +660,7 @@ def test_forcing_column_at_t0_zero_is_the_forcing(lab_cycle):
     forced = integrate(HybridModel(p), x_init, None, 3.0, lab_cycle.dt)
     unforced = HybridModel(ModelParams(forcing_amplitude=0.0))
     moved = integrate(unforced, x_init, p.forcing, 3.0, lab_cycle.dt)
-    for field in ("x", "xdot", "chart"):
+    for field in ("x", "xdot"):
         assert np.array_equal(getattr(forced, field), getattr(moved, field)), field
 
 
