@@ -51,12 +51,15 @@ class FitResult:
 
 
 def _affine_hss(m, duty, t_hat, T, n_h):
-    """The model's HSS at k = c = 0 and the directions dA/dk, dA/dc.
+    """The model's HSS at k = c = 0 and the generator's directions
+    d/dk, d/dc.
 
-    The stacked state operator is affine in (k, c), so each direction is
-    the operator at a unit parameter minus the one at k = c = 0, and
-    every candidate's operator follows without another `build_hss`
-    (`_hss_at`).
+    The generator ``A_blk - N_blk`` is affine in (k, c), so each
+    direction is the generator at a unit parameter minus the one at
+    k = c = 0, and every candidate's generator follows without another
+    `build_hss` (`_hss_at`).  N_blk does not depend on (k, c) and sits on
+    the diagonal, so it cancels exactly in each difference: the
+    directions are those of ``A_blk`` alone, bit for bit.
     """
 
     def hss(k, c):
@@ -64,12 +67,16 @@ def _affine_hss(m, duty, t_hat, T, n_h):
         return build_hss(fourier_series(lin, n_h))
 
     zero = hss(0.0, 0.0)
-    return zero, [hss(1.0, 0.0).A - zero.A, hss(0.0, 1.0).A - zero.A]
+    return zero, [
+        hss(1.0, 0.0).generator - zero.generator,
+        hss(0.0, 1.0).generator - zero.generator,
+    ]
 
 
 def _hss_at(k, c, zero, dA):
-    """The HSS of the candidate (k, c): ``A = A_0 + k dA/dk + c dA/dc``."""
-    return replace(zero, A=zero.A + k * dA[0] + c * dA[1])
+    """The HSS of the candidate (k, c): its generator is
+    ``G_0 + k dG/dk + c dG/dc``."""
+    return replace(zero, generator=zero.generator + k * dA[0] + c * dA[1])
 
 
 def _residuals(k, c, target, zero, dA, jacobian=False):

@@ -9,12 +9,17 @@ algebraic system
     s X = (A_blk - N_blk) X + B_blk U,     Y = C_blk X + D_blk U,
 
 where A_blk is block Toeplitz in the Fourier coefficients (block (r, c)
-holds A_{r-c}), N_blk = blockdiag(j*n*w_p*I) accounts for the modulation
-of each harmonic line, and B_blk, C_blk, D_blk are built the same way
-from their own series.  Solving at s = j*w and reading off the central
-block column of the resulting input/output map gives the harmonic
-transfer functions G_n(j*w): the gain from an input line at w to the
-output line at w + n*w_p.
+holds A_{r-c}) and N_blk = blockdiag(j*n*w_p*I) accounts for the
+modulation of each harmonic line.  The plant's input and output maps B,
+C, D are constant: their only Fourier coefficient is at harmonic 0, so
+B_blk, C_blk and D_blk are block diagonal with B, C and D in every
+block.  They are never formed; `eval_htf` places B and C at the
+harmonic blocks a gain reads, and D at harmonic 0.  N_blk is diagonal
+and is folded into the one stored operator, the generator
+A_blk - N_blk.  Solving at s = j*w and reading off the central block
+column of the resulting input/output map gives the harmonic transfer
+functions G_n(j*w): the gain from an input line at w to the output line
+at w + n*w_p.
 
 Everything here is truncated to `n_h` harmonics per side.  Truncation
 converges quickly for the damper square wave because its coefficients
@@ -36,7 +41,8 @@ modal solve (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 12); it brings the result to working accuracy even where V is ill
 conditioned or, for a defective generator, not a basis at all.  The
 condition figure attached to a grid point is the upper bound
-(|w| + |A-N|_1) |V|_1 |V^-1|_1 max|1/(j*w - lam)| on |M|_1 |M^-1|_1.
+(|w| + |A_blk-N_blk|_1) |V|_1 |V^-1|_1 max|1/(j*w - lam)| on
+|M|_1 |M^-1|_1.
 """
 
 import cmath
@@ -115,25 +121,30 @@ def square_wave_coeffs(duty: float, t_hat: float, T: float, n_h: int) -> np.ndar
 class FourierMatrixSeries:
     """Matrix Fourier coefficients of an LTP state-space model.
 
-    Arrays are indexed ``[n + n_h]`` for harmonic n.  Coefficients are
-    finite and obey conjugate symmetry (the time-domain matrices are
-    real), which `_check_conjugate` validates on construction.
+    `A` is indexed ``[n + n_h]`` for harmonic n.  Its coefficients are
+    finite and obey conjugate symmetry (the time-domain matrix is real),
+    which `_check_conjugate` validates on construction.  The input and
+    output maps `B`, `C` and `D` are constant: real and finite, which
+    is checked too.
     """
 
     n_h: int
     T: float
     A: np.ndarray  # (2*n_h+1, 2, 2)
-    B: np.ndarray  # (2*n_h+1, 2, 1)
-    C: np.ndarray  # (2*n_h+1, 1, 2)
-    D: np.ndarray  # (2*n_h+1, 1, 1)
+    B: np.ndarray  # (2, 1)
+    C: np.ndarray  # (1, 2)
+    D: np.ndarray  # (1, 1)
 
     def __post_init__(self):
         check_real("T", self.T, 0.0, strict=True)
-        for name in ("A", "B", "C", "D"):
-            coeff = getattr(self, name)
-            if coeff.shape[0] != 2 * self.n_h + 1 or not np.all(np.isfinite(coeff)):
-                raise InvalidInputError(f"{name} must hold 2*n_h+1 finite coefficients")
-            _check_conjugate(coeff - coeff[::-1].conj(), coeff.reshape(-1, coeff.shape[2]), name)
+        A = self.A
+        if A.shape[0] != 2 * self.n_h + 1 or not np.all(np.isfinite(A)):
+            raise InvalidInputError("A must hold 2*n_h+1 finite coefficients")
+        _check_conjugate(A - A[::-1].conj(), A.reshape(-1, A.shape[2]), "A")
+        for name in ("B", "C", "D"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)) or np.any(np.imag(value)):
+                raise InvalidInputError(f"{name} must be real and finite")
 
     @property
     def pump(self) -> float:
@@ -145,74 +156,70 @@ def fourier_series(lin: SwitchedLinearization, n_h: int) -> FourierMatrixSeries:
     """Fourier coefficients of the switched linearization.
 
     A(t) = A_off + (A_on - A_off) * s(t) with s the damper square wave,
-    so A_0 = A_off + dA*duty and A_n = dA*s_n for n != 0.  B, C, D are
-    constant and only contribute at n = 0.
+    so A_0 = A_off + dA*duty and A_n = dA*s_n for n != 0.  B, C and D
+    (as a 1 x 1 matrix) are constant and are kept as they are.
     """
-    width = 2 * n_h + 1
     s = square_wave_coeffs(lin.duty, lin.t_hat, lin.T, n_h)
     dA = lin.A_on - lin.A_off
-    A = np.zeros((width, 2, 2), dtype=complex)
+    A = np.zeros((2 * n_h + 1, 2, 2), dtype=complex)
     A += s[:, None, None] * dA[None, :, :]
     A[n_h] += lin.A_off
-    B = np.zeros((width, 2, 1), dtype=complex)
-    B[n_h] = lin.B
-    C = np.zeros((width, 1, 2), dtype=complex)
-    C[n_h] = lin.C
-    D = np.zeros((width, 1, 1), dtype=complex)
-    D[n_h] = lin.D
-    return FourierMatrixSeries(n_h=n_h, T=lin.T, A=A, B=B, C=C, D=D)
+    return FourierMatrixSeries(
+        n_h=n_h, T=lin.T, A=A, B=lin.B, C=lin.C, D=np.reshape(lin.D, (1, 1))
+    )
 
 
 def _block_toeplitz(coeffs: np.ndarray, n_h: int) -> np.ndarray:
     """Stack Fourier coefficients into the block Toeplitz operator.
 
     Block (r, c) holds the coefficient of harmonic r - c; blocks outside
-    the stored range are zero.
+    the stored range are zero.  The blocks are written in place through
+    a transposed view, so the operator is the only array of its size.
     """
     width = 2 * n_h + 1
     rows, cols = coeffs.shape[1], coeffs.shape[2]
     lag = np.subtract.outer(np.arange(width), np.arange(width))
     inside = np.abs(lag) <= n_h
-    blocks = np.zeros((width, width, rows, cols), dtype=complex)
-    blocks[inside] = coeffs[lag[inside] + n_h]
-    return blocks.transpose(0, 2, 1, 3).reshape(width * rows, width * cols)
+    op = np.zeros((width, rows, width, cols), dtype=complex)
+    op.transpose(0, 2, 1, 3)[inside] = coeffs[lag[inside] + n_h]
+    return op.reshape(width * rows, width * cols)
 
 
 @dataclass(frozen=True)
 class TruncatedHSS:
     """Assembled harmonic state-space operators.
 
-    `A` is the block Toeplitz stack of the state matrix coefficients,
-    `N` the modulation operator blockdiag(j*n*pump*I), and `B`, `C`, `D`
-    the stacked input/output operators.  Block index b corresponds to
-    harmonic n = b - n_h.
+    `generator` is ``A_blk - N_blk``: the block Toeplitz stack of the
+    state matrix coefficients minus the modulation operator
+    blockdiag(j*n*pump*I).  Block index b corresponds to harmonic
+    n = b - n_h.  `B` (states x 1), `C` (1 x states) and `D` (1 x 1)
+    are the plant's constant input and output maps, the blocks of the
+    block-diagonal B_blk, C_blk and D_blk.
     """
 
     n_h: int
     pump: float
-    A: np.ndarray
-    N: np.ndarray
+    generator: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.A.shape[0]
+        return self.generator.shape[0]
 
 
 def build_hss(series: FourierMatrixSeries) -> TruncatedHSS:
-    """Assemble the truncated harmonic state-space operators."""
+    """Assemble the truncated harmonic state-space operators: the
+    generator ``A_blk - N_blk``, formed once (N_blk is subtracted from
+    its diagonal in place), and the series' constant B, C and D."""
     n_h = series.n_h
-    width = 2 * n_h + 1
-    n_state = series.A.shape[1]
-    A = _block_toeplitz(series.A, n_h)
-    B = _block_toeplitz(series.B, n_h)
-    C = _block_toeplitz(series.C, n_h)
-    D = _block_toeplitz(series.D, n_h)
     harmonics = np.arange(-n_h, n_h + 1)
-    N = np.diag(np.repeat(1j * harmonics * series.pump, n_state))
-    return TruncatedHSS(n_h=n_h, pump=series.pump, A=A, N=N, B=B, C=C, D=D)
+    gen = _block_toeplitz(series.A, n_h)
+    gen[np.diag_indices_from(gen)] -= np.repeat(1j * harmonics * series.pump, series.A.shape[1])
+    return TruncatedHSS(
+        n_h=n_h, pump=series.pump, generator=gen, B=series.B, C=series.C, D=series.D
+    )
 
 
 @dataclass
@@ -304,6 +311,16 @@ def _real_eig(gen: np.ndarray, n_h: int):
     return lam, V
 
 
+def _at_blocks(value: np.ndarray, blocks, width: int) -> np.ndarray:
+    """Rows over `width` state blocks that hold the constant map `value`
+    at block ``blocks[i]`` of row i and zeros elsewhere: rows of C_blk
+    or, transposed, columns of B_blk."""
+    value = np.ravel(value)
+    rows = np.zeros((len(blocks), width, value.size), dtype=complex)
+    rows[np.arange(len(blocks)), blocks] = value
+    return rows.reshape(len(blocks), -1)
+
+
 def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two frequency grids hold the same points, to 1e-9 rad/s."""
     return a.shape == b.shape and not np.max(np.abs(a - b), initial=0.0) > 1e-9
@@ -326,30 +343,37 @@ def eval_htf(
 ) -> HarmonicTransferSet:
     """Evaluate harmonic transfer functions on a frequency grid.
 
-    Diagonalizes the generator ``A - N = V diag(lam) V^-1`` once, so that
-    ``M^-1 = V diag(1/(j*w - lam)) V^-1`` for every ``M = j*w*I - (A - N)``
-    costs O(n^2) per grid point.  The eigensolver runs in real arithmetic
-    on the generator's cosine/sine form ``W (A - N) W^-1``, and V is that
-    form's eigenvectors mapped back by ``W^-1`` with unit columns.  So
-    `hss` must be the HSS of a real system, as every `build_hss` output
-    is: a generator that breaks `_check_conjugate` raises
-    `InvalidInputError`.  Each modal solve is followed by one step of
-    iterative refinement against ``M`` itself, which recovers full
-    working accuracy when the eigenvectors are ill conditioned.  Only
-    the kept harmonic gains of ``C M^-1 B + D`` are formed: the central block
-    column for the "input" convention, the central block row for the
-    "output" convention.  A grid point within rounding of an eigenvalue
-    (``min|j*w - lam| <= n*eps*max(|A-N|_1, 1)``) is nudged by one part
-    in 1e9 (with a warning); a point whose condition bound
-    ``(|w| + |A-N|_1) |V|_1 |V^-1|_1 max|1/(j*w - lam)|``, an upper bound
-    on ``|M|_1 |M^-1|_1``, exceeds 1e12 also gets a warning attached.
+    Diagonalizes the generator, ``hss.generator = V diag(lam) V^-1``, once,
+    so that ``M^-1 = V diag(1/(j*w - lam)) V^-1`` for every
+    ``M = j*w*I - generator`` costs O(n^2) per grid point; the generator
+    is read where it is stored, not copied.  The eigensolver runs in real
+    arithmetic on the generator's cosine/sine form ``W generator W^-1``,
+    and V is that form's eigenvectors mapped back by ``W^-1`` with unit
+    columns.  So `hss` must be the HSS of a real system, as every
+    `build_hss` output is: a generator that breaks `_check_conjugate`
+    raises `InvalidInputError`, and so does a generator that is not
+    2*n_h+1 square blocks or a `B`, `C` or `D` whose shape does not fit
+    them.  Each modal solve is
+    followed by one step of iterative refinement against ``M`` itself,
+    which recovers full working accuracy when the eigenvectors are ill
+    conditioned.  Only the kept harmonic gains of
+    ``C_blk M^-1 B_blk + D_blk`` are formed.  For the "input" convention
+    the right-hand side is B at harmonic block 0 and the outputs are C at
+    blocks n = -n_keep..n_keep; for the "output" convention it is C at
+    block 0 and B at blocks -n.  D adds to the gain of order 0 only.  A
+    grid point within rounding of an eigenvalue
+    (``min|j*w - lam| <= n*eps*max(|generator|_1, 1)``) is nudged by one
+    part in 1e9 (with a warning); a point whose condition bound
+    ``(|w| + |generator|_1) |V|_1 |V^-1|_1 max|1/(j*w - lam)|``, an upper
+    bound on ``|M|_1 |M^-1|_1``, exceeds 1e12 also gets a warning
+    attached.
 
     For each operator ``dA_i`` in `dA` the same factors also give the
-    sensitivities ``C M^-1 dA_i M^-1 B`` of the kept gains: their
-    derivative with respect to a parameter theta_i on which the stacked
-    state operator depends as ``dA/dtheta_i = dA_i`` (B, C, D and the
-    pump held fixed).  They go to `sensitivities`, one dict per operator
-    keyed like `harmonics`; with no operators nothing extra is computed.
+    sensitivities ``C_blk M^-1 dA_i M^-1 B_blk`` of the kept gains: their
+    derivative with respect to a parameter theta_i on which the generator
+    depends as ``d generator/dtheta_i = dA_i`` (B, C, D and the pump held
+    fixed).  They go to `sensitivities`, one dict per operator keyed like
+    `harmonics`; with no operators nothing extra is computed.
 
     Parameters
     ----------
@@ -370,14 +394,26 @@ def eval_htf(
     if n_keep is None:
         n_keep = hss.n_h
     check_integer("n_keep", n_keep, 0, hss.n_h)
+    n_h = hss.n_h
+    width = 2 * n_h + 1
+    per = hss.n_states // width
+    if hss.generator.shape != (width * per, width * per) or per == 0:
+        raise InvalidInputError(
+            f"generator must be square with 2*n_h+1 = {width} equal state blocks"
+        )
+    for name, shape in (("B", (per, 1)), ("C", (1, per)), ("D", (1, 1))):
+        if np.shape(getattr(hss, name)) != shape:
+            raise InvalidInputError(
+                f"{name} must be {shape[0]} x {shape[1]} to fit the generator's "
+                f"{per}-state blocks"
+            )
     dA = [np.asarray(d) for d in dA]
-    if any(d.shape != hss.A.shape for d in dA):
+    if any(d.shape != hss.generator.shape for d in dA):
         raise InvalidInputError("each dA must have the shape of the state operator")
     if not all(np.all(np.isfinite(d)) for d in dA):
         raise InvalidInputError("each dA must be finite")
 
-    n_h = hss.n_h
-    gen = hss.A - hss.N
+    gen = hss.generator
     gen_norm = np.linalg.norm(gen, 1)
     try:
         lam, V = _real_eig(gen, n_h)
@@ -391,17 +427,16 @@ def eval_htf(
 
     keep = np.arange(-n_keep, n_keep + 1)
     if convention == "output":
-        # gain onto output line 0 from input line -n: row n_h, column n_h - n;
-        # row problems y M = b, solved as y = ((b V) r) V^-1
+        # gain onto output line 0 from input line -n: C at block 0, B at
+        # block -n; row problems y M = b, solved as y = ((b V) r) V^-1
         into, back, right = V, Vinv, gen
-        first, out = hss.C[n_h], hss.B[:, n_h - keep]
-        feed = hss.D[n_h, n_h - keep]
+        first, out = _at_blocks(hss.C, [n_h], width)[0], _at_blocks(hss.B, n_h - keep, width).T
     else:
-        # gain from input line 0 onto output line n: row n_h + n, column n_h;
-        # column problems M x = b, the transposes of the row problems
+        # gain from input line 0 onto output line n: B at block 0, C at
+        # block n; column problems M x = b, the transposes of the row problems
         into, back, right = Vinv.T, V.T, gen.T
-        first, out = hss.B[:, n_h], hss.C[n_h + keep].T
-        feed = hss.D[n_h + keep, n_h]
+        first, out = _at_blocks(hss.B, [n_h], width)[0], _at_blocks(hss.C, n_h + keep, width).T
+    feed = np.where(keep == 0, complex(np.ravel(hss.D)[0]), 0j)
     dA_right = [np.asarray(d if convention == "output" else d.T, dtype=complex) for d in dA]
 
     def solve(rhs, jw, r):

@@ -163,8 +163,8 @@ def test_affine_operator_is_the_built_one(lab_cycle, m):
     zero, dA = htfid.fit._affine_hss(m, duty, t_hat, 1.0, 10)
     for k, c in [(200.0, 2.0), (173.3, 0.37)]:
         lin = SwitchedLinearization.oscillator(m, k, c, duty, t_hat, 1.0)
-        built = build_hss(fourier_series(lin, 10)).A
-        affine = htfid.fit._hss_at(k, c, zero, dA).A
+        built = build_hss(fourier_series(lin, 10)).generator
+        affine = htfid.fit._hss_at(k, c, zero, dA).generator
         if m == 1.0:
             # every entry is one product, rounded alike
             assert np.array_equal(affine, built)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,11 +89,10 @@ def test_fourier_series_structure(lab_lin, lab_cycle):
         expect = np.array([[0.0, 0.0], [0.0, -2.0 * s[3 + n]]])
         assert np.array_equal(fs.A[3 + n], expect)
         assert np.array_equal(fs.A[3 - n], np.conj(fs.A[3 + n]))
-        # input/output paths carry no modulation
-        assert not fs.B[3 + n].any() and not fs.C[3 + n].any()
-    assert np.array_equal(fs.B[3], [[0.0], [1.0]])
-    assert np.array_equal(fs.C[3], [[1.0, 0.0]])
-    assert not fs.D.any()
+    # input/output paths carry no modulation: the plant's constant maps
+    assert np.array_equal(fs.B, lab_lin.B)
+    assert np.array_equal(fs.C, lab_lin.C)
+    assert np.array_equal(fs.D, [[lab_lin.D]])
 
 
 def test_undamped_series_is_time_invariant(lab_cycle):
@@ -293,15 +293,13 @@ def test_eval_htf_singular_frequency_is_nudged(lab_cycle):
 
 def _real_hss(A, B, C):
     """An n_h = 0 harmonic system: the plain LTI system (A, B, C)."""
-    A, B, C = (np.asarray(x, dtype=complex) for x in (A, B, C))
     return TruncatedHSS(
         n_h=0,
         pump=2.0 * math.pi,
-        A=A,
-        N=np.zeros(A.shape, dtype=complex),
-        B=B,
-        C=C,
-        D=np.zeros((C.shape[0], B.shape[1]), dtype=complex),
+        generator=np.asarray(A, dtype=complex),
+        B=np.asarray(B, dtype=float),
+        C=np.asarray(C, dtype=float),
+        D=np.zeros((1, 1)),
     )
 
 
@@ -348,20 +346,32 @@ def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention):
     grid = np.linspace(0.7, 43.0, 10)
     hts = eval_htf(hss, grid, convention=convention, dA=dA)
     keep = np.arange(-n_h, n_h + 1)
-    gen = (hss.A - hss.N).astype(np.clongdouble)
+    gen = hss.generator.astype(np.clongdouble)
+    # B_blk and C_blk are block diagonal in the plant's B and C: the
+    # harmonic-0 column (row) and the kept-order rows (columns) hold them
+    # at one block each
+    width, per = 2 * n_h + 1, lab_lin.B.shape[0]
+
+    def at_block(value, n):
+        placed = np.zeros((width, per))
+        placed[n_h + n] = np.ravel(value)
+        return placed.ravel()
+
+    B0, C0 = at_block(lab_lin.B, 0), at_block(lab_lin.C, 0)
+    B_kept = np.column_stack([at_block(lab_lin.B, -n) for n in keep])
+    C_kept = np.array([at_block(lab_lin.C, n) for n in keep])
+    D_kept = np.where(keep == 0, lab_lin.D, 0.0)
     worst = 0.0
     for i, w in enumerate(grid):
         M = 1j * np.clongdouble(w) * np.eye(hss.n_states) - gen
         if convention == "input":
-            x = _solve_long_double(M, hss.B[:, n_h])
-            out = hss.C[n_h + keep]
-            gains = out @ x + hss.D[n_h + keep, n_h]
-            derivs = [out @ _solve_long_double(M, d @ x) for d in dA]
+            x = _solve_long_double(M, B0)
+            gains = C_kept @ x + D_kept
+            derivs = [C_kept @ _solve_long_double(M, d @ x) for d in dA]
         else:
-            y = _solve_long_double(M.T, hss.C[n_h])
-            out = hss.B[:, n_h - keep]
-            gains = y @ out + hss.D[n_h, n_h - keep]
-            derivs = [_solve_long_double(M.T, y @ d) @ out for d in dA]
+            y = _solve_long_double(M.T, C0)
+            gains = y @ B_kept + D_kept
+            derivs = [_solve_long_double(M.T, y @ d) @ B_kept for d in dA]
         for j, n in enumerate(keep):
             worst = max(worst, relerr(hts.harmonics[n][i], gains[j]))
             for got, exact in zip(hts.sensitivities, derivs):
@@ -375,7 +385,7 @@ def test_condition_note_next_to_undamped_pole(lab_cycle):
     lin = linearize(HybridModel(ModelParams(c=0.0)), lab_cycle)
     hss = build_hss(fourier_series(lin, 2))
     w = math.sqrt(200.0) + 1e-11
-    M = 1j * w * np.eye(hss.n_states) - (hss.A - hss.N)
+    M = 1j * w * np.eye(hss.n_states) - hss.generator
     exact = np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1)
     assert exact > hss_module.COND_WARN
     hts = eval_htf(hss, np.array([w]), n_keep=1)
@@ -421,10 +431,10 @@ def test_eval_htf_refuses_a_complex_system(lab_lin):
         eval_htf(hss, np.array([1.0]))
     # ... nor a real one whose harmonic n = 1 coefficient lost its mirror
     hss = build_hss(fourier_series(lab_lin, 2))
-    A = hss.A.copy()
-    A[6, 4] += 1e-6  # row block n = 1, column block n = 0
+    gen = hss.generator.copy()
+    gen[6, 4] += 1e-6  # row block n = 1, column block n = 0
     with pytest.raises(InvalidInputError, match="real system"):
-        eval_htf(dataclasses.replace(hss, A=A), np.array([1.0]))
+        eval_htf(dataclasses.replace(hss, generator=gen), np.array([1.0]))
 
 
 def test_series_off_its_mirror_is_refused_at_construction(lab_lin):
@@ -486,8 +496,7 @@ def test_eval_htf_decomposes_a_real_matrix(monkeypatch, lab_hss10):
 
 @pytest.mark.parametrize("n_h", [0, 3, 10, 40])
 def test_real_form_keeps_the_spectrum(lab_lin, n_h):
-    hss = build_hss(fourier_series(lab_lin, n_h))
-    gen = hss.A - hss.N
+    gen = build_hss(fourier_series(lab_lin, n_h)).generator
     real = hss_module._real_form(gen, n_h)
     assert not real.imag.any()
     lam = np.linalg.eigvals(gen)
@@ -503,14 +512,68 @@ def test_eval_htf_without_eigenbasis_is_a_typed_error():
     hss = TruncatedHSS(
         n_h=0,
         pump=2.0 * math.pi,
-        A=np.array([[np.nan, 1.0], [0.0, -1.0]], dtype=complex),
-        N=np.zeros((2, 2), dtype=complex),
-        B=np.ones((2, 1), dtype=complex),
-        C=np.ones((1, 2), dtype=complex),
-        D=np.zeros((1, 1), dtype=complex),
+        generator=np.array([[np.nan, 1.0], [0.0, -1.0]], dtype=complex),
+        B=np.ones((2, 1)),
+        C=np.ones((1, 2)),
+        D=np.zeros((1, 1)),
     )
     with pytest.raises(SingularFrequencyError, match="eigenbasis"):
         eval_htf(hss, np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "name, value, refused_by",
+    [
+        ("B", np.ones((3, 1)), "eval_htf"),
+        ("C", np.ones((1, 3)), "eval_htf"),
+        ("D", np.zeros((1, 2)), "eval_htf"),
+        ("generator", np.eye(31, dtype=complex), "eval_htf"),
+        ("generator", np.eye(30, 31, dtype=complex), "eval_htf"),
+        ("B", np.array([[0.0], [1j]]), "series"),
+        ("C", np.array([[np.nan, 0.0]]), "series"),
+        ("D", np.array([[np.inf]]), "series"),
+    ],
+    ids=[
+        "B-rows",
+        "C-columns",
+        "D-shape",
+        "generator-size",
+        "generator-not-square",
+        "B-complex",
+        "C-nan",
+        "D-inf",
+    ],
+)
+def test_maps_that_do_not_fit_are_typed_errors(lab_lin, name, value, refused_by):
+    series = fourier_series(lab_lin, 2)
+    if refused_by == "series":
+        with pytest.raises(InvalidInputError, match=f"^{name} must be real and finite"):
+            dataclasses.replace(series, **{name: value})
+    else:
+        hss = dataclasses.replace(build_hss(series), **{name: value})
+        with pytest.raises(InvalidInputError, match=f"^{name} must be .*state blocks"):
+            eval_htf(hss, np.array([1.0]))
+
+
+@pytest.mark.parametrize("convention", ["input", "output"])
+def test_hss_holds_one_dense_operator_and_eval_copies_none(lab_lin, convention):
+    hss = build_hss(fourier_series(lab_lin, 40))
+    n = hss.n_states
+    fields = {f.name: getattr(hss, f.name) for f in dataclasses.fields(hss)}
+    dense = [name for name, value in fields.items() if np.size(value) >= n]
+    assert dense == ["generator"] and hss.generator.shape == (n, n)
+    grid = default_grid()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        eval_htf(hss, grid, n_keep=3, convention=convention)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the eigendecomposition and its inverse peak at 4.0 n^2 complex
+    # entries; a copy of the generator would add one more
+    assert peak <= 4.5 * n * n * np.dtype(complex).itemsize
 
 
 def test_default_grid_spans_band():
