@@ -26,23 +26,27 @@ converges quickly for the damper square wave because its coefficients
 decay like 1/n.
 
 The generator A_blk - N_blk does not depend on w, so `eval_htf`
-diagonalizes it once per call, A_blk - N_blk = V diag(lam) V^-1, and
-solves each grid point in the modal basis, M(w)^-1 = V diag(1/(j*w -
-lam)) V^-1, at O(n^2) instead of O(n^3) per point.  The time-domain
-system is real, so the coefficients of harmonics n and -n are complex
-conjugates and conj(A_blk - N_blk) = P (A_blk - N_blk) P, with P
-swapping n and -n (Wereley, Analysis and Control of Linear Periodically
-Time Varying Systems, MIT PhD thesis, 1991).  In cosine and sine
-coordinates, x_n + x_-n and j*(x_n - x_-n), the generator is therefore
-a real matrix; `eval_htf` diagonalizes that real form and maps its
-eigenvectors back, which needs no complex eigensolver.  One step of
-fixed-precision iterative refinement against M(w) itself follows every
-modal solve (Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 12); it brings the result to working accuracy even where V is ill
+diagonalizes it once per call and solves each grid point in the modal
+basis at O(n^2) instead of O(n^3) per point.  The time-domain system is
+real, so the coefficients of harmonics n and -n are complex conjugates
+and conj(A_blk - N_blk) = P (A_blk - N_blk) P, with P swapping n and -n
+(Wereley, Analysis and Control of Linear Periodically Time Varying
+Systems, MIT PhD thesis, 1991).  In cosine and sine coordinates, W x =
+(x_0, x_n + x_-n, j*(x_n - x_-n)), the generator is therefore a real
+matrix R = W (A_blk - N_blk) W^-1, and the solve never leaves them: R =
+U L U^-1 with real eigenvectors U (a complex pair as its real and
+imaginary parts, L holding a 2 x 2 block for it) and one real inverse,
+so M(w)^-1 = W^-1 U (j*w - L)^-1 U^-1 W, and U and U^-1 multiply the
+real and imaginary parts of each complex vector.  One step of
+fixed-precision iterative refinement against M(w) itself, its product
+with the generator taken in harmonic coordinates, follows every modal
+solve (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12);
+it brings the result to working accuracy even where U is ill
 conditioned or, for a defective generator, not a basis at all.  The
 condition figure attached to a grid point is the upper bound
-(|w| + |A_blk-N_blk|_1) |V|_1 |V^-1|_1 max|1/(j*w - lam)| on
-|M|_1 |M^-1|_1.
+(|w| + |A_blk-N_blk|_1) 4 |U|_1 |U^-1|_1 max|1/(j*w - lam)| on
+|M|_1 |M^-1|_1: |W|_1 = 2, |W^-1|_1 = 1, and the 1-norm of a pair's
+2 x 2 block is at most twice the larger |1/(j*w - lam)| of the pair.
 """
 
 import cmath
@@ -65,8 +69,8 @@ from .model import SwitchedLinearization
 COND_WARN = 1e12
 #: Relative perturbation applied to a grid frequency that is singular.
 SINGULAR_NUDGE = 1e-9
-#: Vector entries per batch of grid points in `eval_htf`; bounds the
-#: memory held by the per-point solution and residual vectors.
+#: Grid points times states in one batch of `eval_htf`, and entries in
+#: one block of rows of `_real_form`; bounds the scratch of each.
 _BATCH_ENTRIES = 2**12
 #: Rows that `write_table` formats at a time.
 _CSV_BLOCK_ROWS = 256
@@ -254,61 +258,112 @@ class HarmonicTransferSet:
                 raise InvalidInputError(f"harmonic {n} length mismatch with grid")
 
 
-def _harmonic_pairs(n_h: int, n_states: int):
-    """State indices of harmonic 0, of harmonics 1..n_h and of -1..-n_h.
+def _to_cos_sin(v: np.ndarray, n_h: int, out=None) -> np.ndarray:
+    """``W v`` for the vectors along the first axis of `v`, written to
+    `out` (an array of the shape of `v`) or to a new array.
 
-    The k-th entries of the last two arrays index the same state of
-    harmonics n and -n, so slicing with them pairs each line with its
-    mirror.
+    W keeps harmonic 0 and maps each pair (x_n, x_-n) to the cosine
+    entry x_n + x_-n and the sine entry j*(x_n - x_-n), n = 1..n_h,
+    ordered harmonic 0, cosines, sines.  Harmonics n and -n are the
+    state blocks n_h + n and n_h - n, so both are slices of `v`, the
+    second with its blocks reversed; exact but for the sums.
     """
-    per = n_states // (2 * n_h + 1)
-    state = np.arange(per)
-    zero = n_h * per + state
-    pos = (np.arange(n_h + 1, 2 * n_h + 1)[:, None] * per + state).ravel()
-    neg = (np.arange(n_h - 1, -1, -1)[:, None] * per + state).ravel()
-    return zero, pos, neg
+    x = v.reshape((2 * n_h + 1, -1) + v.shape[1:])
+    if out is None:
+        out = np.empty(v.shape, dtype=complex)
+    o = out.reshape(x.shape)
+    pos, neg = x[n_h + 1 :], x[:n_h][::-1]
+    o[0] = x[n_h]
+    np.add(pos, neg, out=o[1 : n_h + 1])
+    sin = np.subtract(pos, neg, out=o[n_h + 1 :])
+    sin *= 1j
+    return out
+
+
+def _harmonic(v: np.ndarray, n_h: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``W^-1 v`` along the first axis, the inverse of `_to_cos_sin`:
+    x_n = c_n/2 - j*s_n/2 and x_-n = c_n/2 + j*s_n/2.  Written to `out`,
+    with `work` as scratch, both of the shape of `v`."""
+    x = v.reshape((2 * n_h + 1, -1) + v.shape[1:])
+    o = out.reshape(x.shape)
+    o[n_h] = x[0]
+    half = np.multiply(x[1 : n_h + 1], 0.5, out=work.reshape(x.shape)[:n_h])
+    neg = np.multiply(x[n_h + 1 :], 0.5j, out=o[:n_h][::-1])
+    np.subtract(half, neg, out=o[n_h + 1 :])
+    neg += half
+    return out
+
+
+def _scale_cos_sin(a: np.ndarray, factor: float, n_h: int) -> None:
+    """Multiply the cosine entries along the first axis of `a` by
+    `factor` and its sine entries by ``-factor``, in place.  With factor
+    2 this is S = diag(1, 2, -2) = W W^T, so that ``W^-T = S^-1 W``;
+    with 0.5 it is S^-1.  Powers of two, so exact."""
+    per = a.shape[0] // (2 * n_h + 1)
+    a[per : per * (n_h + 1)] *= factor
+    a[per * (n_h + 1) :] *= -factor
 
 
 def _real_form(gen: np.ndarray, n_h: int) -> np.ndarray:
-    """The generator in cosine/sine coordinates, ``W gen W^-1``.
+    """The generator in cosine/sine coordinates, ``W gen W^-1``, as one
+    float64 array, rows and columns ordered harmonic 0, cosines, sines.
 
-    W keeps harmonic 0 and maps each pair (x_n, x_-n) to the cosine row
-    x_n + x_-n and the sine row j*(x_n - x_-n); W^-1 undoes it with
-    factors of 0.5.  Both are row and column slicing with exact scalings,
-    no matrix product.  For the HSS of a real system (conj(gen) = P gen P,
-    P swapping n and -n) the result is real; its imaginary part measures
-    how far `gen` is from that.  Rows and columns are ordered harmonic 0,
-    cosines, sines.
+    It is written a few harmonics of rows at a time: the rows of
+    ``W gen`` are sums and differences of row blocks of `gen`, and each
+    of them times W^-1 is ``(S^-1 W row^T)^T`` (`_scale_cos_sin`), so no
+    temporary holds more than about `_BATCH_ENTRIES` entries.  For the
+    HSS of a real system (conj(gen) = P gen P, P swapping n and -n) the
+    result is real; the imaginary parts left out must pass
+    `_check_conjugate`, or `InvalidInputError` is raised.
     """
-    zero, pos, neg = _harmonic_pairs(n_h, gen.shape[0])
-    p, q = gen[pos], gen[neg]
-    rows = np.concatenate([gen[zero], p + q, 1j * (p - q)])
-    p, q = rows[:, pos], rows[:, neg]
-    return np.concatenate([rows[:, zero], 0.5 * (p + q), -0.5j * (p - q)], axis=1)
+    n = gen.shape[0]
+    per = n // (2 * n_h + 1)
+    m = n_h * per
+    real = np.empty((n, n))
+    dropped = 0.0
+
+    def put(at, rows):
+        nonlocal dropped
+        cols = _to_cos_sin(rows.T, n_h)
+        _scale_cos_sin(cols, 0.5, n_h)
+        real[at : at + rows.shape[0]] = cols.T.real
+        dropped = max(dropped, np.max(np.abs(cols.imag)))
+
+    put(0, gen[m : m + per])
+    hop = max(1, _BATCH_ENTRIES // (per * n))
+    for lo in range(0, n_h, hop):
+        k = min(hop, n_h - lo)
+        # harmonics lo+1..lo+k and, in the same order, their mirrors
+        p = gen[m + per * (lo + 1) : m + per * (lo + k + 1)].reshape(k, per, n)
+        q = gen[m - per * (lo + k) : m - per * lo].reshape(k, per, n)[::-1]
+        put(per * (1 + lo), (p + q).reshape(-1, n))
+        put(per * (1 + n_h + lo), (1j * (p - q)).reshape(-1, n))
+    _check_conjugate(dropped, gen[:, m : m + per], "not the HSS of a real system")
+    return real
 
 
 def _real_eig(gen: np.ndarray, n_h: int):
-    """Eigenvalues and unit eigenvectors of `gen`, from its real form.
+    """Eigenvalues of `gen` and the real eigenvectors of its real form R.
 
-    Raises `InvalidInputError` if the real form's imaginary part breaks
-    `_check_conjugate`.
+    Returns ``(lam, U, n_real)`` with ``R U = U L``: the first `n_real`
+    columns of U are the eigenvectors of the real eigenvalues, then come
+    the real parts and then the imaginary parts of one eigenvector of
+    each complex pair, taken at the eigenvalue a + j*b with b > 0 (LAPACK
+    stores them as adjacent columns; here each part is contiguous).  L
+    is diagonal on the real eigenvalues and holds [[a, b], [-b, a]] on
+    the two columns of a pair.  `lam` lists the eigenvalues in that
+    column order, a + j*b at the real part and a - j*b at the imaginary
+    part.
     """
-    real = _real_form(gen, n_h)
-    zero, pos, neg = _harmonic_pairs(n_h, gen.shape[0])
-    _check_conjugate(real.imag, gen[:, zero], "not the HSS of a real system")
-    lam, vectors = np.linalg.eig(real.real)
-    # V = W^-1 vectors
-    cos, sin = np.split(vectors[zero.size :], 2)
-    V = np.empty(vectors.shape, dtype=complex)
-    V[zero] = vectors[: zero.size]
-    V[pos] = 0.5 * (cos - 1j * sin)
-    V[neg] = 0.5 * (cos + 1j * sin)
-    # unit columns, as a complex eig returns them: W^-1 shrinks each by a
-    # factor between 1/sqrt(2) and 1, which would loosen the condition
-    # bound; einsum sums the squares without n x n temporaries
-    norm2 = np.einsum("ij,ij->j", V.real, V.real) + np.einsum("ij,ij->j", V.imag, V.imag)
-    V /= np.sqrt(norm2)
-    return lam, V
+    lam, vectors = np.linalg.eig(_real_form(gen, n_h))
+    real = np.flatnonzero(lam.imag == 0)
+    upper = np.flatnonzero(lam.imag > 0)
+    n_real, pairs = real.size, upper.size
+    U = np.empty(vectors.shape)
+    U[:, :n_real] = vectors.real[:, real]
+    U[:, n_real : n_real + pairs] = vectors.real[:, upper]
+    U[:, n_real + pairs :] = vectors.imag[:, upper]
+    return np.concatenate([lam[real], lam[upper], lam[upper].conj()]), U, n_real
 
 
 def _at_blocks(value: np.ndarray, blocks, width: int) -> np.ndarray:
@@ -343,37 +398,37 @@ def eval_htf(
 ) -> HarmonicTransferSet:
     """Evaluate harmonic transfer functions on a frequency grid.
 
-    Diagonalizes the generator, ``hss.generator = V diag(lam) V^-1``, once,
-    so that ``M^-1 = V diag(1/(j*w - lam)) V^-1`` for every
-    ``M = j*w*I - generator`` costs O(n^2) per grid point; the generator
-    is read where it is stored, not copied.  The eigensolver runs in real
-    arithmetic on the generator's cosine/sine form ``W generator W^-1``,
-    and V is that form's eigenvectors mapped back by ``W^-1`` with unit
-    columns.  So `hss` must be the HSS of a real system, as every
-    `build_hss` output is: a generator that breaks `_check_conjugate`
-    raises `InvalidInputError`, and so does a generator that is not
-    2*n_h+1 square blocks or a `B`, `C` or `D` whose shape does not fit
-    them.  Each modal solve is
-    followed by one step of iterative refinement against ``M`` itself,
-    which recovers full working accuracy when the eigenvectors are ill
-    conditioned.  Only the kept harmonic gains of
-    ``C_blk M^-1 B_blk + D_blk`` are formed.  For the "input" convention
-    the right-hand side is B at harmonic block 0 and the outputs are C at
-    blocks n = -n_keep..n_keep; for the "output" convention it is C at
-    block 0 and B at blocks -n.  D adds to the gain of order 0 only.  A
-    grid point within rounding of an eigenvalue
-    (``min|j*w - lam| <= n*eps*max(|generator|_1, 1)``) is nudged by one
-    part in 1e9 (with a warning); a point whose condition bound
-    ``(|w| + |generator|_1) |V|_1 |V^-1|_1 max|1/(j*w - lam)|``, an upper
-    bound on ``|M|_1 |M^-1|_1``, exceeds 1e12 also gets a warning
-    attached.
+    Diagonalizes the generator once, in cosine/sine coordinates (module
+    docstring): ``W generator W^-1 = U L U^-1`` with U and U^-1 real, so
+    that ``M^-1 = W^-1 U (j*w - L)^-1 U^-1 W`` for every
+    ``M = j*w*I - generator`` costs O(n^2) per grid point.  The generator
+    is read where it is stored, not copied; no complex eigenvector matrix
+    or inverse is formed.  `hss` must be the HSS of a real system, as
+    every `build_hss` output is: a generator that breaks
+    `_check_conjugate` raises `InvalidInputError`, and so does a
+    generator that is not 2*n_h+1 square blocks or a `B`, `C` or `D`
+    whose shape does not fit them.  Each modal solve is followed by one
+    step of iterative refinement against ``M`` itself, which recovers
+    full working accuracy when the eigenvectors are ill conditioned.
+    Only the kept harmonic gains of ``C_blk M^-1 B_blk + D_blk`` are
+    formed.  For the "input" convention the right-hand side is B at
+    harmonic block 0 and the outputs are C at blocks n = -n_keep..n_keep;
+    for the "output" convention it is C at block 0 and B at blocks -n.  D
+    adds to the gain of order 0 only.  A grid point within rounding of an
+    eigenvalue (``min|j*w - lam| <= n*eps*max(|generator|_1, 1)``) is
+    nudged by one part in 1e9 (with a warning); a point whose condition
+    bound ``(|w| + |generator|_1) 4 |U|_1 |U^-1|_1 max|1/(j*w - lam)|``,
+    an upper bound on ``|M|_1 |M^-1|_1``, exceeds 1e12 also gets a
+    warning attached.
 
     For each operator ``dA_i`` in `dA` the same factors also give the
     sensitivities ``C_blk M^-1 dA_i M^-1 B_blk`` of the kept gains: their
     derivative with respect to a parameter theta_i on which the generator
     depends as ``d generator/dtheta_i = dA_i`` (B, C, D and the pump held
-    fixed).  They go to `sensitivities`, one dict per operator keyed like
-    `harmonics`; with no operators nothing extra is computed.
+    fixed).  Each ``dA_i``, real or complex, multiplies the refined
+    solution in harmonic coordinates, as the generator does in the
+    refinement.  They go to `sensitivities`, one dict per operator keyed
+    like `harmonics`; with no operators nothing extra is computed.
 
     Parameters
     ----------
@@ -414,65 +469,179 @@ def eval_htf(
         raise InvalidInputError("each dA must be finite")
 
     gen = hss.generator
+    n = hss.n_states
     gen_norm = np.linalg.norm(gen, 1)
+    # Each solve is a column problem M' u = f: M' = j*w - G' with G' the
+    # generator (input convention) or its transpose (output convention).
+    # In cosine/sine coordinates u' = W u it reads (j*w - W G' W^-1) u' =
+    # f', and W G' W^-1 = E L' E^-1 for real E: E = U, L' = L for G' = G,
+    # and, as W W^T = S (`_scale_cos_sin`), E = S U^-T, E^-1 = U^T S^-1
+    # and L' = L^T for G' = G^T.  E and E^-1 are held as transposes of
+    # row-major arrays, which BLAS multiplies fastest.
     try:
-        lam, V = _real_eig(gen, n_h)
-        Vinv = np.linalg.inv(V)
+        lam, U, n_real = _real_eig(gen, n_h)
+        if convention == "input":
+            U = np.ascontiguousarray(U.T)
+        U_inv = np.linalg.inv(U)
     except np.linalg.LinAlgError as exc:
         raise SingularFrequencyError(
             f"harmonic state operator has no usable eigenbasis ({exc})"
         ) from None
-    cond_V = np.linalg.norm(V, 1) * np.linalg.norm(Vinv, 1)
-    tiny = hss.n_states * np.finfo(float).eps * max(gen_norm, 1.0)
+    # the bound of the module docstring; for the input convention U holds
+    # U^T, and |A^T|_inf = |A|_1
+    norm = 1 if convention == "output" else np.inf
+    cond_U = 4.0 * np.linalg.norm(U, norm) * np.linalg.norm(U_inv, norm)
+    tiny = n * np.finfo(float).eps * max(gen_norm, 1.0)
+    pairs = (n - n_real) // 2
+    # the column of U paired with each column: itself for a real eigenvalue
+    swap = np.r_[
+        np.arange(n_real), np.arange(n_real + pairs, n), np.arange(n_real, n_real + pairs)
+    ]
 
     keep = np.arange(-n_keep, n_keep + 1)
+    first = np.zeros(n)
     if convention == "output":
         # gain onto output line 0 from input line -n: C at block 0, B at
-        # block -n; row problems y M = b, solved as y = ((b V) r) V^-1
-        into, back, right = V, Vinv, gen
-        first, out = _at_blocks(hss.C, [n_h], width)[0], _at_blocks(hss.B, n_h - keep, width).T
+        # block -n; the powers of two in S are exact
+        first[:per] = np.ravel(hss.C)
+        out = _at_blocks(hss.B, n_h - keep, width)
+        _scale_cos_sin(U_inv.T, 2.0, n_h)
+        _scale_cos_sin(U, 0.5, n_h)
+        from_modal, to_modal, turn, right = U_inv.T, U.T, -1.0, gen
+        d_right = dA
     else:
         # gain from input line 0 onto output line n: B at block 0, C at
-        # block n; column problems M x = b, the transposes of the row problems
-        into, back, right = Vinv.T, V.T, gen.T
-        first, out = _at_blocks(hss.B, [n_h], width)[0], _at_blocks(hss.C, n_h + keep, width).T
+        # block n
+        first[:per] = np.ravel(hss.B)
+        out = _at_blocks(hss.C, n_h + keep, width)
+        from_modal, to_modal, turn, right = U.T, U_inv.T, 1.0, gen.T
+        d_right = [d.T for d in dA]
+    # W keeps harmonic 0, so `first`, B or C at block 0, is its own image
+    # at entry 0; a gain is o . u = (W^-T o) . u', and W^-T = S^-1 W
+    out = _to_cos_sin(out.T, n_h)
+    _scale_cos_sin(out, 0.5, n_h)
     feed = np.where(keep == 0, complex(np.ravel(hss.D)[0]), 0j)
-    dA_right = [np.asarray(d if convention == "output" else d.T, dtype=complex) for d in dA]
+    z_first = (to_modal @ first)[:, None, None]
+    step = max(1, _BATCH_ENTRIES // n)
+    # Vectors are the columns of (n, k, points) arrays, k vectors per grid
+    # point: the coordinate maps and the blocks act on contiguous slabs,
+    # and each point's product is one BLAS call on a strided matrix.
 
-    def solve(rhs, jw, r):
-        """Rows x with x M' = rhs (M' = M or its transpose), refined once."""
-        x = (r * (rhs @ into)) @ back
-        x += (r * ((rhs - jw * x + x @ right) @ into)) @ back
-        return x
+    def scratch(names, k):
+        """For a batch of `points` grid points, the arrays `names` of shape
+        (n, k, points): views of one flat array that every batch reuses,
+        so that the loop makes no temporary of their size."""
+        flat = np.empty(len(names) * n * k * step, dtype=complex)
+        return lambda points: dict(
+            zip(names, flat[: len(names) * n * k * points].reshape(-1, n, k, points))
+        )
 
-    # Every product below is a stack of one-row products, one per grid
-    # point, so a point's result does not depend on the batch it is in.
+    # the solve of the gains (u, x, res and z) and the blocks of each
+    # point (r and cross); the solve of the sensitivities and their
+    # right-hand sides f
+    gain_buffers = scratch(("u", "x", "res", "z", "r", "cross"), 1)
+    sens_buffers = scratch(("u", "x", "res", "z", "f"), len(dA)) if dA else None
+
+    def columns(v):
+        """Each column of v as the (n, 2) real matrix [Re v, Im v]."""
+        return v.view(float).reshape(n, -1, 2).transpose(1, 0, 2)
+
+    def rows(v):
+        """Each column of v as a (1, n) row."""
+        return v.reshape(n, -1).T[:, None, :]
+
+    def times(A, v, product):
+        """The real A times each column of v, into `product`."""
+        np.matmul(A, columns(v), out=columns(product))
+        return product
+
+    # the kept outputs of E y: (E^T out) . y
+    out_modal = np.empty(out.shape + (1,), dtype=complex)
+    out_modal = times(from_modal.T, out[:, :, None], out_modal)[:, :, 0]
+
+    def blocks(z, work):
+        """(j*w - L')^-1 times each column of z, in place: with r+- =
+        1/(j*w - lam) at a +- j*b, the block (j*w - [[a, b], [-b, a]])^-1
+        of a pair is [[p, q], [-q, p]], p = (r+ + r-)/2, q = (r+ - r-)/2j,
+        and `turn` = -1 transposes it."""
+        np.take(z, swap, axis=0, out=work, mode="clip")
+        work *= cross
+        z *= r
+        z += work
+        return z
+
+    def solve(f, buf, whole):
+        """The kept outputs of u' = E (j*w - L')^-1 E^-1 f', given its modal
+        part z = (j*w - L')^-1 E^-1 f' in `buf`, after one step of
+        refinement against the generator itself: the residual
+        f' - j*w u' + W G' W^-1 u' applies G' in harmonic coordinates.
+        Also u', refined if `whole`."""
+        u, x, res, z = buf["u"], buf["x"], buf["res"], buf["z"]
+        times(from_modal, z, u)
+        _harmonic(u, n_h, x, res)
+        g = z  # z is spent
+        np.matmul(rows(x), right, out=rows(g))
+        _to_cos_sin(g, n_h, res)
+        res += f
+        res -= np.multiply(u, jw, out=x)
+        blocks(times(to_modal, res, z), x)
+        kept = rows(u) @ out
+        kept += rows(z) @ out_modal
+        if whole:
+            u += times(from_modal, z, x)
+        return kept.reshape(u.shape[1], u.shape[2], -1), u
+
+    # Every product below is a stack of products, one per grid point, so a
+    # point's result does not depend on the batch it is in.
     solved = omega_grid.copy()
     gains = np.empty((keep.size, omega_grid.size), dtype=complex)
     sens = np.empty((len(dA), keep.size, omega_grid.size), dtype=complex)
     cond = np.empty(omega_grid.size)
-    step = max(1, _BATCH_ENTRIES // hss.n_states)
     for start in range(0, omega_grid.size, step):
         w = solved[start : start + step]
-        gap = np.abs(1j * w[:, None] - lam).min(axis=1)
+        buf = gain_buffers(w.size)
+        r, cross = buf["r"], buf["cross"]
+        jw = 1j * w
+        np.subtract(jw, lam[:, None, None], out=r)
+        gap = np.abs(r).min(axis=0)[0]
         singular = gap <= tiny
         if singular.any():
             w[singular] = np.where(
                 w[singular] != 0.0, w[singular] * (1.0 + SINGULAR_NUDGE), SINGULAR_NUDGE
             )
-            gap = np.abs(1j * w[:, None] - lam).min(axis=1)
+            jw = 1j * w
+            np.subtract(jw, lam[:, None, None], out=r)
+            gap = np.abs(r).min(axis=0)[0]
             if np.any(gap <= tiny):
                 bad = omega_grid[start : start + step][gap <= tiny]
                 raise SingularFrequencyError(
                     f"harmonic balance system singular at omega={bad[0]:.9g}"
                 )
-        cond[start : start + step] = (np.abs(w) + gen_norm) * cond_V / gap
-        jw = 1j * w[:, None, None]
-        r = 1.0 / (jw - lam)
-        x = solve(first, jw, r)
-        gains[:, start : start + step] = ((x @ out)[:, 0] + feed).T
-        for i, d in enumerate(dA_right):
-            sens[i, :, start : start + step] = (solve(x @ d, jw, r) @ out)[:, 0].T
+        cond[start : start + step] = (np.abs(w) + gen_norm) * cond_U / gap
+        np.divide(1.0, r, out=r)
+        # from r and its value at the paired column: p on both columns of a
+        # pair, q on the real-part one and -q on the imaginary-part one;
+        # r and 0 for a real eigenvalue
+        r_swap = np.take(r, swap, axis=0, out=buf["x"], mode="clip")
+        np.subtract(r_swap, r, out=cross)
+        cross *= 0.5j * turn
+        r += r_swap
+        r *= 0.5
+        buf["z"][...] = z_first
+        blocks(buf["z"], buf["x"])
+        kept, u = solve(first[:, None, None], buf, bool(dA))
+        gains[:, start : start + step] = kept[0].T + feed[:, None]
+        if dA:
+            # f' = W dA' W^-1 u', with dA' applied in harmonic coordinates
+            x = _harmonic(u, n_h, buf["x"], buf["res"])
+            buf = sens_buffers(w.size)
+            f, g = buf["f"], buf["res"]
+            for i, d in enumerate(d_right):
+                np.matmul(rows(x), d, out=rows(g[:, i : i + 1]))
+            _to_cos_sin(g, n_h, f)
+            blocks(times(to_modal, f, buf["z"]), buf["x"])
+            kept = solve(f, buf, False)[0]
+            sens[:, :, start : start + step] = kept.transpose(0, 2, 1)
 
     nudged = solved != omega_grid
     notes = []

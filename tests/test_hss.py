@@ -336,13 +336,21 @@ def _solve_long_double(M, b):
     return x
 
 
-@pytest.mark.parametrize("convention", ["input", "output"])
-def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention):
+@pytest.mark.parametrize(
+    "convention, complex_direction",
+    [("input", False), ("output", False), ("input", True), ("output", True)],
+    ids=["input", "output", "input-j-c", "output-j-c"],
+)
+def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention, complex_direction):
     """Gains and both (k, c) sensitivities at n_h=3 against an extended-
-    precision elimination of the same harmonic balance system."""
+    precision elimination of the same harmonic balance system; and, as a
+    third direction, j times the c-direction, which is not the HSS of a
+    real system (not its own mirror), so its cosine/sine form is complex."""
     n_h = 3
     hss = build_hss(fourier_series(lab_lin, n_h))
     dA = htfid.fit._affine_hss(1.0, lab_cycle.duty, lab_cycle.t_hat, 1.0, n_h)[1]
+    if complex_direction:
+        dA = [*dA, 1j * dA[1]]
     grid = np.linspace(0.7, 43.0, 10)
     hts = eval_htf(hss, grid, convention=convention, dA=dA)
     keep = np.arange(-n_h, n_h + 1)
@@ -482,25 +490,32 @@ def test_series_that_constructs_also_evaluates(lab_lin, n, row, col, direction):
 
 
 def test_eval_htf_decomposes_a_real_matrix(monkeypatch, lab_hss10):
-    seen = []
-    eig = np.linalg.eig
+    # one real eigendecomposition and one real inverse per call: no
+    # complex eigenvector matrix is inverted
+    seen = {"eig": [], "inv": []}
 
-    def spy(a):
-        seen.append(a.dtype)
-        return eig(a)
+    def spy(name, function):
+        def call(a):
+            seen[name].append(a.dtype)
+            return function(a)
 
-    monkeypatch.setattr(np.linalg, "eig", spy)
-    eval_htf(lab_hss10, default_grid(7.0, 5), n_keep=1)
-    assert seen == [np.dtype(np.float64)]
+        return call
+
+    monkeypatch.setattr(np.linalg, "eig", spy("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+    for convention in ("input", "output"):
+        eval_htf(lab_hss10, default_grid(7.0, 5), n_keep=1, convention=convention)
+    real = [np.dtype(np.float64)] * 2
+    assert seen == {"eig": real, "inv": real}
 
 
 @pytest.mark.parametrize("n_h", [0, 3, 10, 40])
 def test_real_form_keeps_the_spectrum(lab_lin, n_h):
     gen = build_hss(fourier_series(lab_lin, n_h)).generator
     real = hss_module._real_form(gen, n_h)
-    assert not real.imag.any()
+    assert real.dtype == np.float64 and real.shape == gen.shape
     lam = np.linalg.eigvals(gen)
-    lam_real = np.linalg.eigvals(real.real)
+    lam_real = np.linalg.eigvals(real)
     # nearest match: the two orderings need not agree
     gap = np.abs(lam_real[:, None] - lam[None, :]).min(axis=1)
     assert gap.max() <= 1e-12 * np.abs(lam).max()
@@ -571,8 +586,9 @@ def test_hss_holds_one_dense_operator_and_eval_copies_none(lab_lin, convention):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the eigendecomposition and its inverse peak at 4.0 n^2 complex
-    # entries; a copy of the generator would add one more
+    # the real form, its eigendecomposition and inverse and the batch
+    # scratch peak at 2.6 n^2 complex entries; a copy of the generator
+    # would add one more
     assert peak <= 4.5 * n * n * np.dtype(complex).itemsize
 
 
