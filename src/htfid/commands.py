@@ -34,6 +34,7 @@ from .estimate import (
     EstimationProblem,
     check_band,
     check_design,
+    check_nyquist,
     estimate_htf,
     median,
     spectra,
@@ -163,7 +164,8 @@ def _check_config(cfg: dict, args) -> dict:
     one is due or that is inconsistent with another setting, and
     `InvalidInputError` for a value of the wrong type or below its lower
     bound and for settings that `ModelParams`, `ChirpPlan`, `steps_in`,
-    `check_band` or (for `identify`) `check_design` refuse.
+    `check_band` or (for `identify`) `check_design` and `check_nyquist`
+    refuse.
     """
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
@@ -193,6 +195,8 @@ def _check_config(cfg: dict, args) -> dict:
             raise ConfigError(f"estimate.n_harmonics must reach the fit's orders {ORDERS}")
         periods = chirp["segment_duration"] * cfg["model"]["forcing_freq"]
         check_design(chirp["n_segments"], n_h, periods)
+        pump = 2.0 * math.pi * cfg["model"]["forcing_freq"]
+        check_nyquist(cfg["estimate"]["band"], n_h, pump, cfg["sim"]["dt"])
     return cfg
 
 

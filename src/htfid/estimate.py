@@ -174,13 +174,27 @@ def check_band(band_hz) -> None:
         raise InvalidInputError(f"estimation band (lo, hi] in Hz needs lo < hi, not {band_hz!r}")
 
 
+def check_nyquist(band_hz, n_harmonics: int, pump: float, dt: float) -> None:
+    """Refuse a band (lo, hi] in Hz whose top, shifted by `n_harmonics`
+    pump harmonics (`pump` in rad/s), reaches the Nyquist frequency of
+    records sampled every `dt` seconds."""
+    nyquist = math.pi / dt
+    top = 2.0 * math.pi * band_hz[1] + n_harmonics * pump
+    if top >= nyquist:
+        raise InvalidInputError(
+            f"band top plus harmonic shifts ({top:.1f} rad/s) reaches the "
+            f"Nyquist frequency ({nyquist:.1f} rad/s)"
+        )
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Spectra plus estimation settings.
 
     `band_hz` is the excited band (lo, hi]; shifted regressor bins whose
     absolute frequency falls outside it carry no input energy and are
-    zeroed; it must pass `check_band`, and the records `check_design`.
+    zeroed; it must pass `check_band` and, with the harmonic shifts,
+    `check_nyquist`, and the records `check_design`.
     `n_harmonics` is a non-negative integer, `pump` finite and positive,
     `alpha` and `min_excitation` finite and non-negative.
     """
@@ -205,13 +219,7 @@ class EstimationProblem:
             if rec.n_bins != ref.n_bins or abs(rec.bin_spacing - ref.bin_spacing) > 1e-12:
                 raise InvalidInputError("records disagree on the frequency grid")
         check_design(len(self.records), self.n_harmonics, self.pump / ref.bin_spacing)
-        nyquist = math.pi / (ref.duration / ref.n_bins)
-        top = 2.0 * math.pi * self.band_hz[1] + self.n_harmonics * self.pump
-        if top >= nyquist:
-            raise InvalidInputError(
-                f"band top plus harmonic shifts ({top:.1f} rad/s) reaches the "
-                f"Nyquist frequency ({nyquist:.1f} rad/s)"
-            )
+        check_nyquist(self.band_hz, self.n_harmonics, self.pump, ref.duration / ref.n_bins)
 
     @property
     def pump_bins(self) -> int:
@@ -293,20 +301,24 @@ def second_difference(n_points: int) -> np.ndarray:
     return np.diff(np.eye(n_points), n=2, axis=0)
 
 
-def _curvature_gram(n_points: int) -> np.ndarray:
-    """``D2^T D2`` for ``D2 = second_difference(n_points)``, in O(n) adds.
+def _curvature_bands(n_points: int, length: int) -> np.ndarray:
+    """The diagonals of ``D2^T D2`` for ``D2 = second_difference(n_points)``.
 
-    Each interior point adds the outer product of the [1, -2, 1] stencil
-    along nine shifted diagonals.  The entries are small integers, so the
-    result equals the dense product bit for bit.
+    The matrix is symmetric and pentadiagonal, so three diagonals hold all
+    of it.  Row `lag` of the result is diagonal `lag` from entry (0, lag)
+    on, zero-padded to `length` >= n_points: (1, 5, 6, ..., 6, 5, 1),
+    (-2, -4, ..., -4, -2) and all ones.  Each interior point adds the
+    products of the [1, -2, 1] stencil that fall on each diagonal, in O(n)
+    adds; the entries are small integers, so they equal the dense
+    product's diagonals bit for bit.
     """
     stencil = (1.0, -2.0, 1.0)
-    gram = np.zeros((n_points, n_points))
-    rows = np.arange(n_points - 2)
-    for a, s_a in enumerate(stencil):
-        for b, s_b in enumerate(stencil):
-            gram[rows + a, rows + b] += s_a * s_b
-    return gram
+    bands = np.zeros((3, length))
+    rows = n_points - 2
+    for lag in range(3):
+        for a in range(3 - lag):
+            bands[lag, a : a + rows] += stencil[a] * stencil[a + lag]
+    return bands
 
 
 def median(values, axis=-1):
@@ -367,7 +379,11 @@ def _solve_coupled(problem, blocks, rhs):
 
     The penalty reaches two bins, so over pairs of bins the matrix is
     Hermitian block tridiagonal, with real penalty-only blocks U_j above
-    and U_j^T below the diagonal.  Block elimination inverts each pair's
+    and U_j^T below the diagonal.  The penalty enters as its diagonals
+    d0, d1 and d2 (`_curvature_bands`, times alpha), so no n_bins^2 array
+    is formed: pair j adds [[d0[2j], d1[2j]], [d1[2j], d0[2j+1]]] (x) I to
+    its two Gram blocks, and U_j is [[d2[2j], 0], [d1[2j+1], d2[2j+1]]]
+    (x) I.  Block elimination inverts each pair's
     Schur complement (Golub & Van Loan, Matrix Computations, 4.5).  An
     odd bin count gets a decoupled unit bin, which solves to zero and
     which no norm or probe sees.  `cond` is ||A||_1 times a deterministic
@@ -382,11 +398,13 @@ def _solve_coupled(problem, blocks, rhs):
     """
     n_bins, width, _ = blocks.shape
     pairs, n, eye = (n_bins + 1) // 2, n_bins * width, np.eye(width)
-    penalty = problem.alpha * _curvature_gram(n_bins)
-    coupling = np.pad(penalty, (0, 2 * pairs - n_bins))
-    coupling, step = coupling.reshape(pairs, 2, pairs, 2), np.arange(pairs)
-    upper = np.kron(coupling[step[:-1], :, step[1:]], eye)
-    diag = np.kron(coupling[step, :, step], eye).astype(complex)
+    bands = problem.alpha * _curvature_bands(n_bins, 2 * pairs)
+    d0, d1, d2 = bands
+    # the penalty's 2 x 2 block on pair j's diagonal and the one above it
+    on = np.stack([d0[0::2], d1[0::2], d1[0::2], d0[1::2]], axis=1).reshape(pairs, 2, 2)
+    above = np.stack([d2[0::2], np.zeros(pairs), d1[1::2], d2[1::2]], axis=1).reshape(pairs, 2, 2)
+    upper = np.kron(above[:-1], eye)
+    diag = np.kron(on, eye).astype(complex)
     diag[:, :width, :width] += blocks[0::2]
     diag[:, width:, width:] += np.concatenate([blocks[1::2], eye[None]])[:pairs]
 
@@ -429,7 +447,7 @@ def _solve_coupled(problem, blocks, rhs):
     wide = g.reshape(n_bins, width).astype(np.clongdouble)
     applied = (blocks.astype(np.clongdouble) @ wide[:, :, None])[:, :, 0]
     for lag in range(-2, 3):
-        band = penalty.diagonal(lag).astype(np.longdouble)[:, None]
+        band = bands[abs(lag), : n_bins - abs(lag)].astype(np.longdouble)[:, None]
         if lag >= 0:
             applied[: n_bins - lag] += band * wide[lag:]
         else:

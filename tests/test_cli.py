@@ -229,8 +229,9 @@ def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, confi
         ([], {"chirp": {"n_segments": 5}}),  # 5 records, 7 orders
         ([], {"chirp": {"n_segments": 6}}),  # one record short
         ([], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
+        ([], {"estimate": {"band": [0, 499]}}),  # 2*pi*(499 + 3) rad/s reaches pi/dt
     ],
-    ids=["nh", "nh-0", "n-segments", "n-segments-6", "segment-duration"],
+    ids=["nh", "nh-0", "n-segments", "n-segments-6", "segment-duration", "band-at-nyquist"],
 )
 def test_identify_refuses_unidentifiable_plan_before_settling(
     tmp_path, capsys, monkeypatch, flags, config
@@ -261,6 +262,20 @@ def test_identify_checks_the_estimators_design_rule(n_segments, periods, refused
     sites = [
         lambda: commands._check_config(cfg, IDENTIFY),
         lambda: EstimationProblem(records=records, n_harmonics=3, pump=2.0 * math.pi),
+    ]
+    assert [refuses(site) for site in sites] == [refused, refused]
+
+
+@pytest.mark.parametrize("band_hi, refused", [(46.9, False), (47.1, True)])
+def test_identify_checks_the_estimators_nyquist_rule(band_hi, refused):
+    # 3000 samples in 30 s put Nyquist at 50 Hz, which the band's top
+    # shifted by three 1 Hz pump harmonics reaches at 47 Hz
+    cfg = commands.load_config()
+    cfg["sim"]["dt"] = 0.01
+    cfg["estimate"]["band"] = [0.0, band_hi]
+    sites = [
+        lambda: commands._check_config(cfg, IDENTIFY),
+        lambda: problem_with(band_hz=(0.0, band_hi)),
     ]
     assert [refuses(site) for site in sites] == [refused, refused]
 

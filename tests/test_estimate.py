@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from htfid import (
 )
 from htfid.estimate import (
     _candidate_bins,
-    _curvature_gram,
+    _curvature_bands,
     _regressor_tensor,
     _solve_coupled,
     median,
@@ -399,10 +400,16 @@ def test_second_difference_stencil():
 
 @pytest.mark.parametrize("n_points", range(3, 13))
 def test_curvature_gram_is_the_dense_product(n_points):
+    # the three bands are the diagonals of D2^T D2, bit for bit, and the
+    # padding (one bin, as for an odd bin count) is zero
     d2 = second_difference(n_points)
-    gram = _curvature_gram(n_points)
-    assert gram.dtype == np.float64
-    assert gram.tobytes() == (d2.T @ d2).tobytes()
+    gram = d2.T @ d2
+    bands = _curvature_bands(n_points, n_points + 1)
+    assert bands.dtype == np.float64 and bands.shape == (3, n_points + 1)
+    for lag in range(3):
+        assert bands[lag, : n_points - lag].tobytes() == gram.diagonal(lag).tobytes()
+        assert not np.any(bands[lag, n_points - lag :])
+    assert not np.any(np.triu(gram, 3))  # so the bands are all of it
 
 
 # ------------------------------------------------------------- estimator
@@ -583,6 +590,23 @@ def test_unit_bin_stays_out_of_the_condition_estimate(scale):
     assert_matches_dense_oracle(scale * blocks, rhs, 0.3 * scale)
 
 
+def test_coupled_solve_forms_no_square_of_the_bin_count():
+    # The penalty enters as its diagonals, so memory grows with the bin
+    # count: 1999 bins of width 3 peak at about 2.7 MiB of traced memory,
+    # where one dense n_bins^2 float64 array is 30.5 MiB (a dense penalty
+    # and its padded copy put the peak at 63.6 MiB).
+    n_bins = 1999
+    blocks, rhs = gram_blocks(n_bins, 3)
+    dense = 8 * n_bins**2
+    tracemalloc.start()
+    try:
+        _solve_coupled(SimpleNamespace(alpha=0.3), blocks, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4
+
+
 def refined_reference(blocks, curv, rhs, start):
     """Refine `start` against the normal equations of the bin blocks and the
     bin-coupling penalty `curv`: three steps, each with the residual in long
@@ -626,7 +650,8 @@ def test_penalty_dominated_few_bins_match_refined_reference(seed):
     rhs = 1e-3 * (rng.standard_normal(49) + 1j * rng.standard_normal(49))
     g, cond = _solve_coupled(SimpleNamespace(alpha=1.0), blocks, rhs)
     assert 1e7 < cond < 1e9
-    ref = refined_reference(blocks, _curvature_gram(7), rhs, g)
+    d2 = second_difference(7)
+    ref = refined_reference(blocks, d2.T @ d2, rhs, g)
     assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
