@@ -123,11 +123,15 @@ def fit_parameters(
     or one that does not lower the objective, is rejected and lambda is
     raised tenfold; an accepted one lowers it tenfold.  The fit converges
     when |dp| falls below `STEP_TOL`; `max_iter` caps the number of trial
-    steps.
+    steps.  The mass `m` must be positive and the truncation `n_h` must
+    reach the fitted orders; a bad setting raises `InvalidInputError`
+    before any HSS is built.
     """
     check_real("initial k", init[0], 0.0, strict=True)
     check_real("initial c", init[1], 0.0, strict=True)
     check_integer("max_iter", max_iter, 1)
+    check_real("m", m, 0.0, strict=True)
+    check_integer("n_h", n_h, max(ORDERS))
     k0, c0 = float(init[0]), float(init[1])
     if duty == 0.0:
         # the damper never engages, so no data can determine c

@@ -32,21 +32,25 @@ real, so the coefficients of harmonics n and -n are complex conjugates
 and conj(A_blk - N_blk) = P (A_blk - N_blk) P, with P swapping n and -n
 (Wereley, Analysis and Control of Linear Periodically Time Varying
 Systems, MIT PhD thesis, 1991).  In cosine and sine coordinates, W x =
-(x_0, x_n + x_-n, j*(x_n - x_-n)), the generator is therefore a real
-matrix R = W (A_blk - N_blk) W^-1, and the solve never leaves them: R =
-U L U^-1 with real eigenvectors U (a complex pair as its real and
-imaginary parts, L holding a 2 x 2 block for it) and one real inverse,
-so M(w)^-1 = W^-1 U (j*w - L)^-1 U^-1 W, and U and U^-1 multiply the
+(x_0, x_n + x_-n, j*(x_n - x_-n)), such a generator G is therefore a
+real matrix R = W G W^-1, and the solve never leaves them: R = U L U^-1
+with real eigenvectors U (a complex pair as its real and imaginary
+parts, L holding a 2 x 2 block for it) and one real inverse, so
+(j*w - G)^-1 = W^-1 U (j*w - L)^-1 U^-1 W, and U and U^-1 multiply the
 real and imaginary parts of each complex vector.  One step of
-fixed-precision iterative refinement against M(w) itself, its product
-with the generator taken in harmonic coordinates, follows every modal
-solve (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12);
-it brings the result to working accuracy even where U is ill
-conditioned or, for a defective generator, not a basis at all.  The
-condition figure attached to a grid point is the upper bound
-(|w| + |A_blk-N_blk|_1) 4 |U|_1 |U^-1|_1 max|1/(j*w - lam)| on
-|M|_1 |M^-1|_1: |W|_1 = 2, |W^-1|_1 = 1, and the 1-norm of a pair's
-2 x 2 block is at most twice the larger |1/(j*w - lam)| of the pair.
+fixed-precision iterative refinement against j*w - R, its residual a
+real product with R, follows every modal solve (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 12); it brings the result to
+working accuracy even where U is ill conditioned or, for a defective
+generator, not a basis at all.  Gains read at the output frequency are
+gains of the dual system, whose generator G^T obeys the same symmetry,
+so one solve serves both conventions.  The condition figure attached
+to a grid point is the upper bound (|w| + |G|_1) 4 |U|_1 |U^-1|_1
+max|1/(j*w - lam)| on |j*w - G|_1 |(j*w - G)^-1|_1: |W|_1 = 2,
+|W^-1|_1 = 1, and the 1-norm of a pair's 2 x 2 block is at most twice
+the larger |1/(j*w - lam)| of the pair.  For the dual system j*w - G is
+M^T, M = j*w - (A_blk - N_blk), so the figure bounds the 1-norm
+condition of M^T, |M|_inf |M^-1|_inf.
 """
 
 import cmath
@@ -258,9 +262,9 @@ class HarmonicTransferSet:
                 raise InvalidInputError(f"harmonic {n} length mismatch with grid")
 
 
-def _to_cos_sin(v: np.ndarray, n_h: int, out=None) -> np.ndarray:
-    """``W v`` for the vectors along the first axis of `v`, written to
-    `out` (an array of the shape of `v`) or to a new array.
+def _to_cos_sin(v: np.ndarray, n_h: int) -> np.ndarray:
+    """``W v`` for the vectors along the first axis of `v`, as a new
+    complex array of the shape of `v`.
 
     W keeps harmonic 0 and maps each pair (x_n, x_-n) to the cosine
     entry x_n + x_-n and the sine entry j*(x_n - x_-n), n = 1..n_h,
@@ -269,8 +273,7 @@ def _to_cos_sin(v: np.ndarray, n_h: int, out=None) -> np.ndarray:
     second with its blocks reversed; exact but for the sums.
     """
     x = v.reshape((2 * n_h + 1, -1) + v.shape[1:])
-    if out is None:
-        out = np.empty(v.shape, dtype=complex)
+    out = np.empty(v.shape, dtype=complex)
     o = out.reshape(x.shape)
     pos, neg = x[n_h + 1 :], x[:n_h][::-1]
     o[0] = x[n_h]
@@ -280,41 +283,29 @@ def _to_cos_sin(v: np.ndarray, n_h: int, out=None) -> np.ndarray:
     return out
 
 
-def _harmonic(v: np.ndarray, n_h: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``W^-1 v`` along the first axis, the inverse of `_to_cos_sin`:
-    x_n = c_n/2 - j*s_n/2 and x_-n = c_n/2 + j*s_n/2.  Written to `out`,
-    with `work` as scratch, both of the shape of `v`."""
-    x = v.reshape((2 * n_h + 1, -1) + v.shape[1:])
-    o = out.reshape(x.shape)
-    o[n_h] = x[0]
-    half = np.multiply(x[1 : n_h + 1], 0.5, out=work.reshape(x.shape)[:n_h])
-    neg = np.multiply(x[n_h + 1 :], 0.5j, out=o[:n_h][::-1])
-    np.subtract(half, neg, out=o[n_h + 1 :])
-    neg += half
-    return out
-
-
-def _scale_cos_sin(a: np.ndarray, factor: float, n_h: int) -> None:
-    """Multiply the cosine entries along the first axis of `a` by
-    `factor` and its sine entries by ``-factor``, in place.  With factor
-    2 this is S = diag(1, 2, -2) = W W^T, so that ``W^-T = S^-1 W``;
-    with 0.5 it is S^-1.  Powers of two, so exact."""
+def _by_s_inverse(a: np.ndarray, n_h: int) -> None:
+    """Multiply `a` by ``S^-1`` along its first axis, in place: halve its
+    cosine entries and its sine entries negated.  S = diag(1, 2, -2) =
+    W W^T, so ``W^-1 = W^T S^-1`` and ``W^-T = S^-1 W``.  Powers of two,
+    so exact."""
     per = a.shape[0] // (2 * n_h + 1)
-    a[per : per * (n_h + 1)] *= factor
-    a[per * (n_h + 1) :] *= -factor
+    a[per : per * (n_h + 1)] *= 0.5
+    a[per * (n_h + 1) :] *= -0.5
 
 
 def _real_form(gen: np.ndarray, n_h: int) -> np.ndarray:
-    """The generator in cosine/sine coordinates, ``W gen W^-1``, as one
-    float64 array, rows and columns ordered harmonic 0, cosines, sines.
+    """The operator `gen` in cosine/sine coordinates, ``W gen W^-1``, as
+    one float64 array, rows and columns ordered harmonic 0, cosines,
+    sines.
 
     It is written a few harmonics of rows at a time: the rows of
     ``W gen`` are sums and differences of row blocks of `gen`, and each
-    of them times W^-1 is ``(S^-1 W row^T)^T`` (`_scale_cos_sin`), so no
-    temporary holds more than about `_BATCH_ENTRIES` entries.  For the
-    HSS of a real system (conj(gen) = P gen P, P swapping n and -n) the
-    result is real; the imaginary parts left out must pass
-    `_check_conjugate`, or `InvalidInputError` is raised.
+    of them times W^-1 is ``(S^-1 W row^T)^T`` (`_by_s_inverse`), so no
+    temporary holds more than about `_BATCH_ENTRIES` entries.  `gen` may
+    be a transposed view.  For the HSS of a real system (conj(gen) =
+    P gen P, P swapping n and -n) the result is real; the imaginary
+    parts left out must pass `_check_conjugate`, or `InvalidInputError`
+    is raised.
     """
     n = gen.shape[0]
     per = n // (2 * n_h + 1)
@@ -325,7 +316,7 @@ def _real_form(gen: np.ndarray, n_h: int) -> np.ndarray:
     def put(at, rows):
         nonlocal dropped
         cols = _to_cos_sin(rows.T, n_h)
-        _scale_cos_sin(cols, 0.5, n_h)
+        _by_s_inverse(cols, n_h)
         real[at : at + rows.shape[0]] = cols.T.real
         dropped = max(dropped, np.max(np.abs(cols.imag)))
 
@@ -342,28 +333,29 @@ def _real_form(gen: np.ndarray, n_h: int) -> np.ndarray:
     return real
 
 
-def _real_eig(gen: np.ndarray, n_h: int):
-    """Eigenvalues of `gen` and the real eigenvectors of its real form R.
+def _real_eig(form: np.ndarray):
+    """Eigenvalues and real eigenvectors of the real matrix `form`.
 
-    Returns ``(lam, U, n_real)`` with ``R U = U L``: the first `n_real`
-    columns of U are the eigenvectors of the real eigenvalues, then come
-    the real parts and then the imaginary parts of one eigenvector of
-    each complex pair, taken at the eigenvalue a + j*b with b > 0 (LAPACK
-    stores them as adjacent columns; here each part is contiguous).  L
-    is diagonal on the real eigenvalues and holds [[a, b], [-b, a]] on
-    the two columns of a pair.  `lam` lists the eigenvalues in that
-    column order, a + j*b at the real part and a - j*b at the imaginary
-    part.
+    Returns ``(lam, U, n_real)`` with ``form U = U L``: the first
+    `n_real` columns of U are the eigenvectors of the real eigenvalues,
+    then come the real parts and then the imaginary parts of one
+    eigenvector of each complex pair, taken at the eigenvalue a + j*b
+    with b > 0 (LAPACK stores them as adjacent columns; here each part
+    is contiguous).  L is diagonal on the real eigenvalues and holds
+    [[a, b], [-b, a]] on the two columns of a pair.  `lam` lists the
+    eigenvalues in that column order, a + j*b at the real part and
+    a - j*b at the imaginary part.  U is the transpose of a row-major
+    array, which BLAS multiplies fastest.
     """
-    lam, vectors = np.linalg.eig(_real_form(gen, n_h))
+    lam, vectors = np.linalg.eig(form)
     real = np.flatnonzero(lam.imag == 0)
     upper = np.flatnonzero(lam.imag > 0)
     n_real, pairs = real.size, upper.size
-    U = np.empty(vectors.shape)
-    U[:, :n_real] = vectors.real[:, real]
-    U[:, n_real : n_real + pairs] = vectors.real[:, upper]
-    U[:, n_real + pairs :] = vectors.imag[:, upper]
-    return np.concatenate([lam[real], lam[upper], lam[upper].conj()]), U, n_real
+    U_t = np.empty(vectors.shape)
+    U_t[:n_real] = vectors.real[:, real].T
+    U_t[n_real : n_real + pairs] = vectors.real[:, upper].T
+    U_t[n_real + pairs :] = vectors.imag[:, upper].T
+    return np.concatenate([lam[real], lam[upper], lam[upper].conj()]), U_t.T, n_real
 
 
 def _at_blocks(value: np.ndarray, blocks, width: int) -> np.ndarray:
@@ -398,42 +390,47 @@ def eval_htf(
 ) -> HarmonicTransferSet:
     """Evaluate harmonic transfer functions on a frequency grid.
 
-    Diagonalizes the generator once, in cosine/sine coordinates (module
-    docstring): ``W generator W^-1 = U L U^-1`` with U and U^-1 real, so
-    that ``M^-1 = W^-1 U (j*w - L)^-1 U^-1 W`` for every
-    ``M = j*w*I - generator`` costs O(n^2) per grid point.  The generator
-    is read where it is stored, not copied; no complex eigenvector matrix
-    or inverse is formed.  `hss` must be the HSS of a real system, as
-    every `build_hss` output is: a generator that breaks
-    `_check_conjugate` raises `InvalidInputError`, and so does a
-    generator that is not 2*n_h+1 square blocks or a `B`, `C` or `D`
-    whose shape does not fit them.  Each modal solve is followed by one
-    step of iterative refinement against ``M`` itself, which recovers
-    full working accuracy when the eigenvectors are ill conditioned.
-    Only the kept harmonic gains of ``C_blk M^-1 B_blk + D_blk`` are
-    formed.  For the "input" convention the right-hand side is B at
-    harmonic block 0 and the outputs are C at blocks n = -n_keep..n_keep;
-    for the "output" convention it is C at block 0 and B at blocks -n.  D
-    adds to the gain of order 0 only.  A grid point within rounding of an
-    eigenvalue (``min|j*w - lam| <= n*eps*max(|generator|_1, 1)``) is
-    nudged by one part in 1e9 (with a warning); a point whose condition
-    bound ``(|w| + |generator|_1) 4 |U|_1 |U^-1|_1 max|1/(j*w - lam)|``,
-    an upper bound on ``|M|_1 |M^-1|_1``, exceeds 1e12 also gets a
-    warning attached.
+    Only the kept harmonic gains of ``C_blk M^-1 B_blk + D_blk``, ``M =
+    j*w*I - generator``, are formed, D at order 0 only.  For the "input"
+    convention they are C at blocks n = -n_keep..n_keep times the
+    solution of M u = f, f being B at harmonic block 0.  The "output"
+    convention's gains ``C_0 M^-1 B_-n`` are the "input" gains of the
+    dual system: the generator's transpose (a view, not a copy), C^T at
+    block 0 and B^T at blocks -n.  So one column solve serves both.
+
+    It diagonalizes that system's generator G once, in cosine/sine
+    coordinates (module docstring): ``R = W G W^-1 = U L U^-1`` with R,
+    U and U^-1 real, so that ``(j*w - G)^-1 = W^-1 U (j*w - L)^-1 U^-1
+    W`` costs O(n^2) per grid point.  Each modal solve u' is followed by
+    one step of iterative refinement against ``j*w - R``, its residual
+    ``f' - j*w u' + R u'`` a real product, which recovers full working
+    accuracy when the eigenvectors are ill conditioned.  `hss` must be
+    the HSS of a real system, as every `build_hss` output is: a
+    generator that breaks `_check_conjugate` raises `InvalidInputError`,
+    and so does a generator that is not 2*n_h+1 square blocks or a `B`,
+    `C` or `D` whose shape does not fit them.  A grid point within
+    rounding of an eigenvalue (``min|j*w - lam| <= n*eps*max(|G|_1,
+    1)``) is nudged by one part in 1e9 (with a warning); a point whose
+    condition bound ``(|w| + |G|_1) 4 |U|_1 |U^-1|_1 max|1/(j*w -
+    lam)|`` exceeds 1e12 also gets a warning attached.  The bound is on
+    ``|j*w - G|_1 |(j*w - G)^-1|_1``; for the "output" convention j*w - G
+    is M^T, so it bounds ``|M|_inf |M^-1|_inf``.
 
     For each operator ``dA_i`` in `dA` the same factors also give the
     sensitivities ``C_blk M^-1 dA_i M^-1 B_blk`` of the kept gains: their
     derivative with respect to a parameter theta_i on which the generator
     depends as ``d generator/dtheta_i = dA_i`` (B, C, D and the pump held
-    fixed).  Each ``dA_i``, real or complex, multiplies the refined
-    solution in harmonic coordinates, as the generator does in the
-    refinement.  They go to `sensitivities`, one dict per operator keyed
-    like `harmonics`; with no operators nothing extra is computed.
+    fixed).  The right-hand side of each is the real form of ``dA_i``
+    (of its transpose for the dual system) times the refined u', so a
+    direction that is not the HSS of a real system raises
+    `InvalidInputError`.  They go to `sensitivities`, one dict per
+    operator keyed like `harmonics`; with no operators nothing extra is
+    computed.  Every argument is checked before any solve runs.
 
     Parameters
     ----------
     hss : TruncatedHSS
-    omega_grid : array of rad/s frequencies
+    omega_grid : 1-D array of real rad/s frequencies
     n_keep : int in 0..n_h, or None
         Harmonic orders to keep, |n| <= n_keep (default: all of them).
     convention : "input" or "output"
@@ -441,7 +438,15 @@ def eval_htf(
         Finite state-operator directions to differentiate along (default
         none).
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    if convention not in ("input", "output"):
+        raise InvalidInputError(f"convention must be 'input' or 'output', not {convention!r}")
+    try:
+        omega_grid = np.asarray(omega_grid)
+    except ValueError as exc:  # a ragged sequence
+        raise InvalidInputError(f"omega_grid must be an array of real numbers ({exc})") from None
+    if omega_grid.dtype.kind not in "iuf":
+        raise InvalidInputError(f"omega_grid must hold real numbers, not {omega_grid.dtype}")
+    omega_grid = omega_grid.astype(float, copy=False)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise InvalidInputError("omega_grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(omega_grid)):
@@ -468,29 +473,27 @@ def eval_htf(
     if not all(np.all(np.isfinite(d)) for d in dA):
         raise InvalidInputError("each dA must be finite")
 
-    gen = hss.generator
+    keep = np.arange(-n_keep, n_keep + 1)
+    if convention == "input":
+        # gain from input line 0 onto output line n: B at block 0, C at
+        # block n
+        gen, into, onto, at = hss.generator, hss.B, hss.C, n_h + keep
+    else:
+        # the dual system: gain onto output line 0 from input line -n
+        gen, into, onto, at = hss.generator.T, hss.C, hss.B, n_h - keep
+        dA = [d.T for d in dA]
+    R = _real_form(gen, n_h)
+    dR = [_real_form(d, n_h) for d in dA]
     n = hss.n_states
     gen_norm = np.linalg.norm(gen, 1)
-    # Each solve is a column problem M' u = f: M' = j*w - G' with G' the
-    # generator (input convention) or its transpose (output convention).
-    # In cosine/sine coordinates u' = W u it reads (j*w - W G' W^-1) u' =
-    # f', and W G' W^-1 = E L' E^-1 for real E: E = U, L' = L for G' = G,
-    # and, as W W^T = S (`_scale_cos_sin`), E = S U^-T, E^-1 = U^T S^-1
-    # and L' = L^T for G' = G^T.  E and E^-1 are held as transposes of
-    # row-major arrays, which BLAS multiplies fastest.
     try:
-        lam, U, n_real = _real_eig(gen, n_h)
-        if convention == "input":
-            U = np.ascontiguousarray(U.T)
-        U_inv = np.linalg.inv(U)
+        lam, U, n_real = _real_eig(R)
+        U_inv = np.linalg.inv(U.T).T  # like U, the transpose of a row-major array
     except np.linalg.LinAlgError as exc:
         raise SingularFrequencyError(
             f"harmonic state operator has no usable eigenbasis ({exc})"
         ) from None
-    # the bound of the module docstring; for the input convention U holds
-    # U^T, and |A^T|_inf = |A|_1
-    norm = 1 if convention == "output" else np.inf
-    cond_U = 4.0 * np.linalg.norm(U, norm) * np.linalg.norm(U_inv, norm)
+    cond_U = 4.0 * np.linalg.norm(U, 1) * np.linalg.norm(U_inv, 1)
     tiny = n * np.finfo(float).eps * max(gen_norm, 1.0)
     pairs = (n - n_real) // 2
     # the column of U paired with each column: itself for a real eigenvalue
@@ -498,30 +501,14 @@ def eval_htf(
         np.arange(n_real), np.arange(n_real + pairs, n), np.arange(n_real, n_real + pairs)
     ]
 
-    keep = np.arange(-n_keep, n_keep + 1)
+    # W keeps harmonic 0, so `first`, the input map at block 0, is its own
+    # image f' at entry 0; a gain is o . u = (W^-T o) . u', W^-T = S^-1 W
     first = np.zeros(n)
-    if convention == "output":
-        # gain onto output line 0 from input line -n: C at block 0, B at
-        # block -n; the powers of two in S are exact
-        first[:per] = np.ravel(hss.C)
-        out = _at_blocks(hss.B, n_h - keep, width)
-        _scale_cos_sin(U_inv.T, 2.0, n_h)
-        _scale_cos_sin(U, 0.5, n_h)
-        from_modal, to_modal, turn, right = U_inv.T, U.T, -1.0, gen
-        d_right = dA
-    else:
-        # gain from input line 0 onto output line n: B at block 0, C at
-        # block n
-        first[:per] = np.ravel(hss.B)
-        out = _at_blocks(hss.C, n_h + keep, width)
-        from_modal, to_modal, turn, right = U.T, U_inv.T, 1.0, gen.T
-        d_right = [d.T for d in dA]
-    # W keeps harmonic 0, so `first`, B or C at block 0, is its own image
-    # at entry 0; a gain is o . u = (W^-T o) . u', and W^-T = S^-1 W
-    out = _to_cos_sin(out.T, n_h)
-    _scale_cos_sin(out, 0.5, n_h)
+    first[:per] = np.ravel(into)
+    out = _to_cos_sin(_at_blocks(onto, at, width).T, n_h)
+    _by_s_inverse(out, n_h)
     feed = np.where(keep == 0, complex(np.ravel(hss.D)[0]), 0j)
-    z_first = (to_modal @ first)[:, None, None]
+    z_first = (U_inv @ first)[:, None, None]
     step = max(1, _BATCH_ENTRIES // n)
     # Vectors are the columns of (n, k, points) arrays, k vectors per grid
     # point: the coordinate maps and the blocks act on contiguous slabs,
@@ -546,24 +533,19 @@ def eval_htf(
         """Each column of v as the (n, 2) real matrix [Re v, Im v]."""
         return v.view(float).reshape(n, -1, 2).transpose(1, 0, 2)
 
-    def rows(v):
-        """Each column of v as a (1, n) row."""
-        return v.reshape(n, -1).T[:, None, :]
-
     def times(A, v, product):
         """The real A times each column of v, into `product`."""
         np.matmul(A, columns(v), out=columns(product))
         return product
 
-    # the kept outputs of E y: (E^T out) . y
+    # the kept outputs of U y: (U^T out) . y
     out_modal = np.empty(out.shape + (1,), dtype=complex)
-    out_modal = times(from_modal.T, out[:, :, None], out_modal)[:, :, 0]
+    out_modal = times(U.T, out[:, :, None], out_modal)[:, :, 0]
 
     def blocks(z, work):
-        """(j*w - L')^-1 times each column of z, in place: with r+- =
+        """(j*w - L)^-1 times each column of z, in place: with r+- =
         1/(j*w - lam) at a +- j*b, the block (j*w - [[a, b], [-b, a]])^-1
-        of a pair is [[p, q], [-q, p]], p = (r+ + r-)/2, q = (r+ - r-)/2j,
-        and `turn` = -1 transposes it."""
+        of a pair is [[p, q], [-q, p]], p = (r+ + r-)/2, q = (r+ - r-)/2j."""
         np.take(z, swap, axis=0, out=work, mode="clip")
         work *= cross
         z *= r
@@ -571,24 +553,20 @@ def eval_htf(
         return z
 
     def solve(f, buf, whole):
-        """The kept outputs of u' = E (j*w - L')^-1 E^-1 f', given its modal
-        part z = (j*w - L')^-1 E^-1 f' in `buf`, after one step of
-        refinement against the generator itself: the residual
-        f' - j*w u' + W G' W^-1 u' applies G' in harmonic coordinates.
-        Also u', refined if `whole`."""
+        """The kept outputs of u' = U (j*w - L)^-1 U^-1 f', given its modal
+        part z = (j*w - L)^-1 U^-1 f' in `buf`, after one step of
+        refinement against j*w - R.  Also u', refined if `whole`."""
         u, x, res, z = buf["u"], buf["x"], buf["res"], buf["z"]
-        times(from_modal, z, u)
-        _harmonic(u, n_h, x, res)
-        g = z  # z is spent
-        np.matmul(rows(x), right, out=rows(g))
-        _to_cos_sin(g, n_h, res)
+        times(U, z, u)
+        times(R, u, res)
         res += f
         res -= np.multiply(u, jw, out=x)
-        blocks(times(to_modal, res, z), x)
-        kept = rows(u) @ out
-        kept += rows(z) @ out_modal
+        blocks(times(U_inv, res, z), x)
+        # each column of u and z as a (1, n) row
+        kept = u.reshape(n, -1).T[:, None, :] @ out
+        kept += z.reshape(n, -1).T[:, None, :] @ out_modal
         if whole:
-            u += times(from_modal, z, x)
+            u += times(U, z, x)
         return kept.reshape(u.shape[1], u.shape[2], -1), u
 
     # Every product below is a stack of products, one per grid point, so a
@@ -624,7 +602,7 @@ def eval_htf(
         # r and 0 for a real eigenvalue
         r_swap = np.take(r, swap, axis=0, out=buf["x"], mode="clip")
         np.subtract(r_swap, r, out=cross)
-        cross *= 0.5j * turn
+        cross *= 0.5j
         r += r_swap
         r *= 0.5
         buf["z"][...] = z_first
@@ -632,14 +610,12 @@ def eval_htf(
         kept, u = solve(first[:, None, None], buf, bool(dA))
         gains[:, start : start + step] = kept[0].T + feed[:, None]
         if dA:
-            # f' = W dA' W^-1 u', with dA' applied in harmonic coordinates
-            x = _harmonic(u, n_h, buf["x"], buf["res"])
+            # f' = R_i u', the real form of dA_i times the refined u'
             buf = sens_buffers(w.size)
-            f, g = buf["f"], buf["res"]
-            for i, d in enumerate(d_right):
-                np.matmul(rows(x), d, out=rows(g[:, i : i + 1]))
-            _to_cos_sin(g, n_h, f)
-            blocks(times(to_modal, f, buf["z"]), buf["x"])
+            f = buf["f"]
+            for i, d in enumerate(dR):
+                times(d, u, f[:, i : i + 1])
+            blocks(times(U_inv, f, buf["z"]), buf["x"])
             kept = solve(f, buf, False)[0]
             sens[:, :, start : start + step] = kept.transpose(0, 2, 1)
 

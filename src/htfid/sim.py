@@ -428,12 +428,14 @@ class _Lockstep:
 
     def _input_at(self, tau):
         # u at the 1-D elapsed times tau, one waveform for all members.
-        values = np.asarray(self.u(tau), dtype=float)
+        values = np.asarray(self.u(tau))
         if values.shape != tau.shape:
             raise InvalidInputError(
                 f"u returned shape {values.shape} for elapsed times of shape {tau.shape}"
             )
-        return values
+        if values.dtype.kind not in "iuf":
+            raise InvalidInputError(f"u returned {values.dtype} values, not real numbers")
+        return values.astype(float, copy=False)
 
     def _time(self, k, j):
         # Absolute time of point j of the chunk's half-step grid for member k.
@@ -620,7 +622,8 @@ def integrate(
     u : callable or None
         Extra input force of the time since the start, ``tau = t - t0``:
         called with a 1-D array of such times, it returns an array of that
-        shape, which every member plays; any other shape raises
+        shape and of real numbers, which every member plays; any other
+        shape or a complex, bool or non-numeric dtype raises
         `InvalidInputError`.  None means no input.
     duration, dt : float
         Total span and step; dt must divide duration.

@@ -142,6 +142,27 @@ def test_fit_refuses_nonfinite_inputs_by_name(crime_target, lab_cycle, call, nam
             call(crime_target, args)
 
 
+@pytest.mark.parametrize(
+    "setting, name",
+    [
+        ({"m": 0.0}, "m"),  # was a bare ZeroDivisionError
+        ({"m": -1.0}, "m"),  # was accepted
+        ({"m": math.nan}, "m"),
+        ({"n_h": 0}, "n_h"),  # was refused as "n_keep must be ..."
+        ({"n_h": 1.5}, "n_h"),
+    ],
+    ids=["m-zero", "m-negative", "m-nan", "n-h-zero", "n-h-fraction"],
+)
+def test_fit_checks_its_mass_and_truncation(crime_target, lab_cycle, monkeypatch, setting, name):
+    def no_hss(*args):
+        raise AssertionError("an HSS was built for a bad setting")
+
+    monkeypatch.setattr(htfid.fit, "build_hss", no_hss)
+    args = (lab_cycle.duty, lab_cycle.t_hat, 1.0)
+    with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+        fit_parameters(crime_target, (150.0, 1.0), *args, **setting)
+
+
 def test_fit_assembles_the_hss_once(crime_target, lab_cycle, count_evals, monkeypatch):
     builds = []
     original = htfid.fit.build_hss

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_sinusoid_probe_matches_theory(lab_model, lab_cycle, lab_hss10):
         assert abs(proj - ref) / abs(ref) < 5e-4
 
 
-def test_eval_htf_validation(lab_hss10):
+def test_eval_htf_validation(monkeypatch, lab_hss10):
     with pytest.raises(InvalidInputError):
         eval_htf(lab_hss10, np.array([]))
     with pytest.raises(InvalidInputError):
@@ -240,6 +241,22 @@ def test_eval_htf_validation(lab_hss10):
         eval_htf(lab_hss10, np.array([1.0, np.nan]))
     with pytest.raises(InvalidInputError):
         eval_htf(lab_hss10, np.array([1.0]), dA=[np.eye(2)])
+    # refused before any work: a complex grid (once evaluated at its real
+    # part with a ComplexWarning), a non-numeric one (once a bare
+    # ValueError) and an unknown convention (once refused after the solves)
+    monkeypatch.setattr(hss_module, "_real_form", None)
+    for grid, convention in [
+        (np.array([1.0 + 0.5j, 2.0]), "input"),
+        (np.array([1.0, 2.0], dtype=complex), "output"),
+        (["a", "b"], "input"),
+        ([[1.0], [1.0, 2.0]], "input"),
+        ([1.0, None], "input"),
+        ([1.0, 2.0], "both"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="omega_grid|convention"):
+                eval_htf(lab_hss10, grid, convention=convention)
 
 
 @pytest.mark.parametrize(
@@ -336,21 +353,23 @@ def _solve_long_double(M, b):
     return x
 
 
-@pytest.mark.parametrize(
-    "convention, complex_direction",
-    [("input", False), ("output", False), ("input", True), ("output", True)],
-    ids=["input", "output", "input-j-c", "output-j-c"],
-)
-def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention, complex_direction):
+@pytest.mark.parametrize("convention", ["input", "output"])
+def test_eval_htf_refuses_a_direction_of_no_real_system(lab_lin, lab_cycle, convention):
+    # j times the c-direction is not its own mirror: its cosine/sine form,
+    # which the sensitivity solve multiplies, is complex
+    hss = build_hss(fourier_series(lab_lin, 3))
+    dA = htfid.fit._affine_hss(1.0, lab_cycle.duty, lab_cycle.t_hat, 1.0, 3)[1]
+    with pytest.raises(InvalidInputError, match="real system"):
+        eval_htf(hss, np.array([1.0]), convention=convention, dA=[dA[0], 1j * dA[1]])
+
+
+@pytest.mark.parametrize("convention", ["input", "output"])
+def test_eval_htf_matches_long_double_oracle(lab_lin, lab_cycle, convention):
     """Gains and both (k, c) sensitivities at n_h=3 against an extended-
-    precision elimination of the same harmonic balance system; and, as a
-    third direction, j times the c-direction, which is not the HSS of a
-    real system (not its own mirror), so its cosine/sine form is complex."""
+    precision elimination of the same harmonic balance system."""
     n_h = 3
     hss = build_hss(fourier_series(lab_lin, n_h))
     dA = htfid.fit._affine_hss(1.0, lab_cycle.duty, lab_cycle.t_hat, 1.0, n_h)[1]
-    if complex_direction:
-        dA = [*dA, 1j * dA[1]]
     grid = np.linspace(0.7, 43.0, 10)
     hts = eval_htf(hss, grid, convention=convention, dA=dA)
     keep = np.arange(-n_h, n_h + 1)
@@ -586,9 +605,9 @@ def test_hss_holds_one_dense_operator_and_eval_copies_none(lab_lin, convention):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the real form, its eigendecomposition and inverse and the batch
-    # scratch peak at 2.6 n^2 complex entries; a copy of the generator
-    # would add one more
+    # the real form, held through the solves, with its eigendecomposition
+    # and inverse and the batch scratch peak at 3.1 n^2 complex entries; a
+    # copy of the generator would add one more
     assert peak <= 4.5 * n * n * np.dtype(complex).itemsize
 
 

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,13 @@ def test_integrate_rejects_threshold_of_wrong_shape():
 def test_integrate_rejects_input_of_wrong_shape(lab_model):
     with pytest.raises(InvalidInputError):
         integrate(lab_model, (0.17, 0.0), lambda t: 0.0, 1.0, 1e-3)
+    # nor values that are not real numbers: a complex input once ran with
+    # its imaginary part dropped, under a ComplexWarning
+    for u in (lambda t: np.exp(1j * t), lambda t: t + 0j, lambda t: t > 0.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="not real numbers"):
+                integrate(lab_model, (0.17, 0.0), u, 1.0, 1e-3)
 
 
 def test_integrate_signature_has_duration_and_dt():
