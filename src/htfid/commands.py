@@ -27,7 +27,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, HtfidError, InvalidInputError, check_integer, check_real
+from .errors import MAX_COUNT, ConfigError, HtfidError, InvalidInputError, check_integer, check_real
 from .estimate import (
     DEFAULT_ALPHA,
     MIN_EXCITATION,
@@ -51,7 +51,7 @@ from .hss import (
     write_htf_csv,
     write_table,
 )
-from .model import HybridModel, ModelParams, linearize, steps_in
+from .model import HybridModel, ModelParams, count_steps, linearize, steps_in
 from .sim import SETTLE_TOL, settle_limit_cycle
 
 #: Every setting's default: the study configuration.
@@ -74,6 +74,13 @@ DEFAULT_CONFIG = {
     },
     "fit": {"init_k": 150.0, "init_c": 1.0, "max_iter": 500, "n_h": FIT_N_H},
 }
+
+#: How numpy's `ValueError` begins when it refuses an array too large to index.
+NUMPY_SIZE_ERRORS = (
+    "Maximum allowed size exceeded",
+    "Maximum allowed dimension exceeded",
+    "array is too big",
+)
 
 # Lower bound of a numeric setting, as (bound, strict): a strict bound
 # must be exceeded, any other only reached.  The model and chirp
@@ -149,8 +156,8 @@ def _resolve(name: str, value, default):
     check_real(name, value, bound, strict)  # for a count too: none beyond the float range
     if type(default) is not int:
         return float(value)
-    if type(value) is float and value.is_integer():
-        value = int(value)  # a count written as 30.0
+    if type(value) is float and value.is_integer() and abs(value) <= MAX_COUNT:
+        value = int(value)  # a count written as 30.0; 1e308 stays as written
     check_integer(name, value, bound)
     return value
 
@@ -162,10 +169,12 @@ def _check_config(cfg: dict, args) -> dict:
     default, the form the commands pass on and `resolved_config.json`
     records.  Raises `ConfigError` for a value that is not a pair where
     one is due or that is inconsistent with another setting, and
-    `InvalidInputError` for a value of the wrong type or below its lower
-    bound and for settings that `ModelParams`, `ChirpPlan`, `steps_in`,
-    `check_band` or (for `identify`) `check_design` and `check_nyquist`
-    refuse.
+    `InvalidInputError` for a value of the wrong type, below its lower
+    bound or, for a count, above `MAX_COUNT`, and for settings that
+    `ModelParams`, `ChirpPlan`, `steps_in` (on the forcing period),
+    `count_steps` (on the settling run and, for `identify`, the records'
+    run), `check_band` or (for `identify`) `check_design` and
+    `check_nyquist` refuse.
     """
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
@@ -184,19 +193,23 @@ def _check_config(cfg: dict, args) -> dict:
     if th["convention"] not in ("input", "output"):
         raise ConfigError("theory.convention must be 'input' or 'output'")
     check_band(cfg["estimate"]["band"])
-    # the dt check of settling, made before any output is written
-    steps_in(ModelParams(**cfg["model"]).period, cfg["sim"]["dt"])
+    # the dt check of settling and the size of its run, made before any
+    # output is written
+    period, dt = ModelParams(**cfg["model"]).period, cfg["sim"]["dt"]
+    steps_in(period, dt)
+    count_steps(cfg["sim"]["n_cycles"] * period, dt)
     ChirpPlan(**cfg["chirp"])
     if args.command == "identify":
-        # what the estimator and the fit would refuse only after every
-        # record is integrated
+        # what the integrator, the estimator and the fit would refuse only
+        # after the orbit is settled or every record is integrated
         chirp, n_h = cfg["chirp"], cfg["estimate"]["n_harmonics"]
+        count_steps((chirp["warmup_periods"] + 1) * chirp["segment_duration"], dt)
         if n_h < max(ORDERS):
             raise ConfigError(f"estimate.n_harmonics must reach the fit's orders {ORDERS}")
         periods = chirp["segment_duration"] * cfg["model"]["forcing_freq"]
         check_design(chirp["n_segments"], n_h, periods)
         pump = 2.0 * math.pi * cfg["model"]["forcing_freq"]
-        check_nyquist(cfg["estimate"]["band"], n_h, pump, cfg["sim"]["dt"])
+        check_nyquist(cfg["estimate"]["band"], n_h, pump, dt)
     return cfg
 
 
@@ -468,5 +481,11 @@ def run(args) -> int:
         # such as a dt that does not divide the forcing period
         raise ConfigError(str(exc)) from exc
     except MemoryError as exc:  # such as n_h or grid_points 1e15
+        raise HtfidError(f"out of memory: {exc}") from exc
+    except ValueError as exc:
+        # numpy refuses an array past its index range before taking any
+        # memory, such as one of 2**63 harmonics
+        if not str(exc).startswith(NUMPY_SIZE_ERRORS):
+            raise
         raise HtfidError(f"out of memory: {exc}") from exc
     return cmd_compare(args)

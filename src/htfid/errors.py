@@ -4,6 +4,11 @@ number.  Both refuse a bool (Python counts it as an int) and a numpy bool."""
 
 import math
 import operator
+import sys
+
+#: The largest count: the largest index of a Python sequence, which is
+#: also numpy's (`np.intp`); a larger one sizes no array.
+MAX_COUNT = sys.maxsize
 
 
 class HtfidError(Exception):
@@ -14,15 +19,15 @@ class InvalidInputError(HtfidError, ValueError):
     """An argument violates a documented precondition."""
 
 
-def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+def check_integer(name: str, value, low: int, high: int = MAX_COUNT) -> None:
     """Refuse `value` unless it is an integer (a Python or numpy int, not a
-    bool) of at least `low` and, unless `high` is None, at most `high`."""
+    bool) of at least `low` and at most `high`, by default `MAX_COUNT`."""
     try:
-        ok = not isinstance(value, bool) and low <= operator.index(value)
+        ok = not isinstance(value, bool) and low <= operator.index(value) <= high
     except TypeError:
         ok = False
-    if not (ok and (high is None or value <= high)):
-        span = f"at least {low}" if high is None else f"in {low}..{high}"
+    if not ok:
+        span = f"in {low}..{high}" if low > -math.inf else f"at most {high}"
         raise InvalidInputError(f"{name} must be an integer {span}, not {value!r}")
 
 

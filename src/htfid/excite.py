@@ -83,9 +83,10 @@ def check_nyquist(plan: ChirpPlan, dt: float) -> None:
 class ExperimentRecord:
     """Deviation response to one chirp record.
 
-    `traj` holds the deviation from the orbit (xi in the x/xdot columns)
-    together with the applied input; `clock_phase` is the clock phase of
-    the record start in [0, T).
+    `traj` holds the position deviation from the orbit (xi1 in its `x`;
+    its `xdot` is None, as the estimator reads the output y = x - x_bar
+    alone) together with the applied input; `clock_phase` is the clock
+    phase of the record start in [0, T).
     """
 
     index: int
@@ -130,14 +131,15 @@ def run_experiments(model: HybridModel, cycle: LimitCycle, plan: ChirpPlan) -> l
     `segment_duration`.
 
     All records run in lockstep, as one batch of one `sim.integrate`
-    call, which stores only the captured play of each: the warm-up states
-    are dropped as they pass.  They all play one waveform, so the chirp is
-    one input of the time since each record's start: `integrate` evaluates
-    it once per point of the batch's shared grid, scans its particular
-    solutions once per chart, and superposes them with those of the two
-    shared forcing columns, weighted by each record's start phase.  The
-    orbit is subtracted from the stored samples in place, at the clock
-    phases of the run's own grid (`LimitCycle.subtract`).
+    call, which stores only the positions of the captured play of each:
+    the warm-up states are dropped as they pass, and no velocity is kept.
+    They all play one waveform, so the chirp is one input of the time
+    since each record's start: `integrate` evaluates it once per point of
+    the batch's shared grid, scans its particular solutions once per
+    chart, and superposes them with those of the two shared forcing
+    columns, weighted by each record's start phase.  The orbit's position
+    is subtracted from the stored samples in place, at the clock phases
+    of the run's own grid (`LimitCycle.subtract`).
     """
     dt = cycle.dt
     check_nyquist(plan, dt)
@@ -147,14 +149,17 @@ def run_experiments(model: HybridModel, cycle: LimitCycle, plan: ChirpPlan) -> l
     phases = clock_phases(plan, cycle.T)
     x_init = np.stack(cycle.state_at(phases), axis=1)
     u_fn = lambda tau: chirp_value(plan, np.remainder(tau, duration))
-    traj = integrate(model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phases, skip=skip)
+    traj = integrate(
+        model, x_init, u_fn, (warmup_periods + 1) * duration, dt, t0=phases, skip=skip,
+        velocity=False,
+    )
     # The capture is the first n_per stored samples; the boundary sample
     # after it is dropped so records match the DFT analysis window.
-    xi, xi_dot = traj.x[:, :n_per], traj.xdot[:, :n_per]
-    cycle.subtract(xi, xi_dot, phases, skip)
+    xi = traj.x[:, :n_per]
+    cycle.subtract(xi, None, phases, skip)
     records = []
     for k, start in enumerate((phases + warmup_periods * duration).tolist()):
-        dev = Trajectory(dt=dt, t0=start, x=xi[k], xdot=xi_dot[k], u=traj.u[k, :n_per])
+        dev = Trajectory(dt=dt, t0=start, x=xi[k], xdot=None, u=traj.u[k, :n_per])
         peak = float(np.max(np.abs(dev.x)))
         if peak > PERTURBATION_LIMIT * cycle.amplitude:
             warnings.warn(

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AmbiguousSwitchingError, InvalidInputError, check_real
+from .errors import MAX_COUNT, AmbiguousSwitchingError, InvalidInputError, check_real
 
 #: JSON keys accepted for model parameters; `ModelParams.from_dict`
 #: gives a missing one its default.
@@ -113,12 +113,24 @@ class ModelParams:
         return cls(**data)
 
 
+def count_steps(span: float, dt: float) -> float:
+    """``span / dt``, refused unless an array can index that many steps:
+    finite and at most `MAX_COUNT`."""
+    ratio = span / dt
+    if not ratio <= MAX_COUNT:  # inf too
+        raise InvalidInputError(
+            f"a span of {span} takes {ratio:.3g} steps of dt={dt}, more than an array can index"
+        )
+    return ratio
+
+
 def steps_in(span: float, dt: float) -> int:
-    """Steps of `dt` in `span`: both positive, and the steps cover the span
-    to 1e-9 of it.  The one rule for the period, a record and a run."""
+    """Steps of `dt` in `span`: both positive, as many as an array can index
+    (`count_steps`), and the steps cover the span to 1e-9 of it.  The one
+    rule for the period, a record and a run."""
     check_real("dt", dt, 0.0, strict=True)
     check_real("span", span, 0.0, strict=True)
-    n = int(round(span / dt))
+    n = int(round(count_steps(span, dt)))
     if abs(n * dt - span) > 1e-9 * span:
         raise InvalidInputError(f"dt={dt} does not divide the span {span}")
     return n

@@ -57,13 +57,14 @@ class Trajectory:
     A batch of S trajectories on one grid holds rows: `x`, `xdot` and
     `u` of shape (S, n) and one start time per row in `t0`.  Its members
     play one input, stored once: `u` is a read-only broadcast of that one
-    row.
+    row.  `xdot` is None when only positions were stored
+    (``integrate(..., velocity=False)``).
     """
 
     dt: float
     t0: float
     x: np.ndarray
-    xdot: np.ndarray
+    xdot: Optional[np.ndarray]
     u: np.ndarray
 
     @property
@@ -149,14 +150,17 @@ class LimitCycle:
     def subtract(self, x, xdot, t0, first: int = 0) -> None:
         """Subtract the orbit in place from samples first, first + 1, ... of the grid t0 + i*dt.
 
-        One row of `x` and `xdot` per start in `t0`.  The spline is evaluated
-        at one period of `grid_phases`, which is subtracted a period at a time.
+        One row of `x` and `xdot` per start in `t0`; `xdot` None means
+        positions only, from which x_bar alone is subtracted.  The spline is
+        evaluated at one period of `grid_phases`, which is subtracted a
+        period at a time.
         """
         x_bar, v_bar = self.state_at(self.grid_phases(t0, first, self.n_samples))
         n, m = x.shape[-1], self.n_samples
         for start in range(0, n, m):
             x[..., start : start + m] -= x_bar[..., : n - start]
-            xdot[..., start : start + m] -= v_bar[..., : n - start]
+            if xdot is not None:
+                xdot[..., start : start + m] -= v_bar[..., : n - start]
 
     @property
     def amplitude(self) -> float:
@@ -366,19 +370,21 @@ class _Lockstep:
     member is due.  Each member's arithmetic is elementwise or a small
     matrix product of its own: it gets the same bits in a batch as alone.
 
-    Buffers: `samples` holds every stored state and `us` the input, which
-    the result keeps.  Per chunk, `stage_g` holds each member's stage
-    drives, one table per member, and `particular` its particular
-    solutions on both charts; `states`, `stage_in` and `points` are a
-    trip's scratch.  `trajectory` frees the chunk buffers and the trip
-    scratch, with their window views, before it assembles the result.
+    Buffers: `samples` holds every stored state, its position only (one
+    row per member) unless the velocity is asked for too, and `us` the
+    input; the result keeps both.  Per chunk, `stage_g` holds each
+    member's stage drives, one table per member, and `particular` its
+    particular solutions on both charts; `states`, `stage_in` and
+    `points` are a trip's scratch.  `trajectory` frees the chunk buffers
+    and the trip scratch, with their window views, before it assembles
+    the result.
     """
 
     # Here, in `tables` and in `trips`, a diverging member or a step too long
     # for the chart's transition powers overflows on its way to the
     # DivergenceError: numpy need not warn first.  `u` is not quieted.
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, model, x_init, starts, u, dt, n_steps, skip):
+    def __init__(self, model, x_init, starts, u, dt, n_steps, skip, velocity):
         p = self.params = model.params
         self.switching, self.x_eq, self.u, self.starts = model.switching, p.equilibrium, u, starts
         self.dt, self.n_steps, self.skip = dt, n_steps, skip
@@ -395,14 +401,16 @@ class _Lockstep:
         cos_w, sin_w = p.forcing_weights(starts)
         # Each member's weights of the shared drives (cos, sin, u).
         self.weights = (cos_w, -sin_w, np.ones(S))
-        # (offset, xdot) of every sample.  A trip stores all its states, sample
-        # i at column max(i - skip + span, 0): the warm-up goes to the first
-        # `span` columns, which are dropped, and the states past a member's
-        # first leaving step are overwritten as it moves on (into `span`
-        # columns of room at the end).
+        # (offset, xdot) of every sample, or the offset alone: the first
+        # `stored` components of each state.  A trip stores all its states,
+        # sample i at column max(i - skip + span, 0): the warm-up goes to the
+        # first `span` columns, which are dropped, and the states past a
+        # member's first leaving step are overwritten as it moves on (into
+        # `span` columns of room at the end).
         span = self.span = _TRIP_WINDOWS * _WINDOW_STEPS
+        self.stored = 2 if velocity else 1
         self.us = np.zeros(n_steps + 1 - skip)  # the input, one row for all members
-        self.samples = np.empty((S, 2, span + len(self.us) + span))
+        self.samples = np.empty((S, self.stored, span + len(self.us) + span))
         self.trip_samples = sliding_window_view(self.samples, span, axis=2, writeable=True)
         # The chunk's particular solutions on both charts, member s on chart c
         # at row c*S + s, and each member's stage drives: g0 at step i's start
@@ -422,7 +430,7 @@ class _Lockstep:
         self.inner = self.points[:, 1:].reshape(S, 6, span)
         self.leaves = np.ones((S, span + 1), dtype=bool)
         self.y = np.stack([x_init[:, 0] - self.x_eq, x_init[:, 1]], axis=1)
-        self.samples[:, :, max(span - skip, 0)] = self.y
+        self.samples[:, :, max(span - skip, 0)] = self.y[:, : self.stored]
         self.n = np.zeros(S, dtype=np.intp)
         self.due = np.zeros(S, dtype=bool)
 
@@ -519,7 +527,7 @@ class _Lockstep:
             stop = np.argmax(self.leaves, axis=1)
             kept = np.minimum(stop, m)
             at = np.maximum(self.n + (1 - self.skip + span), 0)
-            self.trip_samples[members, :, at] = states[:, :, 1:]
+            self.trip_samples[members, :, at] = states[:, : self.stored, 1:]
             self.y = states[members, :, kept]
             if not np.isfinite(states).all():
                 # Any non-finite kept state, not only the last: a window's
@@ -566,7 +574,8 @@ class _Lockstep:
                 self._resume(pending, k, pending[k][0], (self.rk4(*state, h_k, g0, *g_k), g_k[1]))
         self.n += self.due
         # Every other member rewrites its sample n with the same value.
-        self.samples[self.members, :, np.maximum(self.n - self.skip + self.span, 0)] = self.y
+        at = np.maximum(self.n - self.skip + self.span, 0)
+        self.samples[self.members, :, at] = self.y[:, : self.stored]
         self.due[:] = False
 
     def _resume(self, pending, k, step, reply):
@@ -592,13 +601,15 @@ class _Lockstep:
         """
         del self.particular, self.particular_trips, self.stage_g, self.stage_g_trips
         del self.states, self.stage_in, self.points, self.inner, self.tau
-        xs, vs = self.samples[:, :, self.span : self.span + len(self.us)].transpose(1, 0, 2)
-        xs += self.x_eq
         us, t_first = self.us, self.starts + self.skip * self.dt
-        if not batch:
-            xs, vs, t_first = xs[0], vs[0], float(t_first[0])
+        kept = self.samples[:, :, self.span : self.span + len(us)]
+        if batch:
+            us = np.broadcast_to(us, kept[:, 0].shape)  # one read-only row for all
         else:
-            us = np.broadcast_to(us, xs.shape)  # one read-only row for all
+            kept, t_first = kept[0], float(t_first[0])
+        xs = kept[..., 0, :]
+        xs += self.x_eq
+        vs = kept[..., 1, :] if self.stored == 2 else None
         return Trajectory(dt=self.dt, t0=t_first, x=xs, xdot=vs, u=us)
 
 
@@ -610,6 +621,7 @@ def integrate(
     dt: float,
     t0=0.0,
     skip: int = 0,
+    velocity: bool = True,
 ) -> Trajectory:
     """Integrate the hybrid model over [t0, t0 + duration], one run or a batch.
 
@@ -633,6 +645,10 @@ def integrate(
     skip : int
         Samples integrated but not stored, such as a warm-up: the result
         starts at sample `skip`, time ``t0 + skip*dt``.
+    velocity : bool
+        Whether to store xdot too.  False stores the positions only, for a
+        caller that reads no velocity: half the samples, and the result's
+        `xdot` is None.  The positions are the same bits either way.
 
     Returns
     -------
@@ -661,7 +677,9 @@ def integrate(
     if not (np.isfinite(x_init).all() and np.isfinite(starts).all()):
         raise InvalidInputError("initial states and start times must be finite")
     check_integer("skip", skip, 0, n_steps)
-    lab = _Lockstep(model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip)
+    lab = _Lockstep(
+        model, x_init.reshape(-1, 2), starts.reshape(-1), u, dt, n_steps, skip, velocity
+    )
     for c0 in range(0, n_steps + 1, _CHUNK_STEPS):
         if lab.tables(c0, min(c0 + _CHUNK_STEPS, n_steps + 1)):
             while lab.trips():
@@ -747,12 +765,14 @@ def error_trajectory(traj: Trajectory, cycle: LimitCycle) -> Trajectory:
 
     Subtracts the orbit at matching clock phase, ``xi(t) = state(t) -
     x_bar(t mod T)`` (`LimitCycle.subtract`, on copies of the state
-    columns), keeping the input column; a batch is taken row by row.
+    columns), keeping the input column; a batch is taken row by row.  A
+    position-only trajectory (`xdot` None) gives a position-only deviation.
     The trajectory must be sampled at the cycle's own dt; anything else
     would need resampling, which is refused.
     """
     if not math.isclose(traj.dt, cycle.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ResamplingRequiredError(f"trajectory dt={traj.dt} differs from cycle dt={cycle.dt}")
-    x, xdot, u = traj.x.copy(), traj.xdot.copy(), traj.u.copy()
+    x, u = traj.x.copy(), traj.u.copy()
+    xdot = None if traj.xdot is None else traj.xdot.copy()
     cycle.subtract(x, xdot, traj.t0)
     return Trajectory(dt=traj.dt, t0=traj.t0, x=x, xdot=xdot, u=u)

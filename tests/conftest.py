@@ -22,6 +22,8 @@ from htfid import (
     spectra,
 )
 
+from helpers import records_with_velocity
+
 
 @pytest.fixture(scope="session")
 def lab_model():
@@ -47,6 +49,12 @@ def lab_hss10(lab_lin):
 def lab_records(lab_model, lab_cycle):
     # Nine 30 s chirp segments, amplitude 0.004, one warm-up play each.
     return run_experiments(lab_model, lab_cycle, ChirpPlan(warmup_periods=1))
+
+
+@pytest.fixture(scope="session")
+def lab_record_velocities(lab_model, lab_cycle):
+    """`lab_records`' deviations (xi, xi_dot), from their batch run with velocities."""
+    return records_with_velocity(lab_model, lab_cycle, ChirpPlan(warmup_periods=1))
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import htfid
-from htfid import HtfidError
+from htfid import HtfidError, integrate, run_experiments
 from htfid.cli import BLAS_THREAD_VARIABLES
+from htfid.model import steps_in
 from htfid.sim import _regula_falsi
 
 #: The directory that holds the package under test.
@@ -79,3 +81,34 @@ def locate_crossing(probe, h, value_lo, value_hi, landing):
             s = search.send(probe(s))
         except StopIteration as found:
             return found.value
+
+
+class _Captured(Exception):
+    """Stops `run_experiments` at its `integrate` call."""
+
+
+def records_with_velocity(model, cycle, plan):
+    """The deviations ``(xi, xi_dot)`` of `run_experiments`' records, velocity included.
+
+    The records keep positions only.  This runs the same batch, the
+    arguments of `run_experiments`' one `integrate` call, again with the
+    velocities stored, and subtracts the orbit from both over the captured
+    plays as `run_experiments` does from the positions.  Each array has one
+    row per record.
+    """
+    calls = []
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("htfid.excite.integrate", capture)
+        with pytest.raises(_Captured):
+            run_experiments(model, cycle, plan)
+    [(args, kwargs)] = calls
+    traj = integrate(*args, **{**kwargs, "velocity": True})
+    n = steps_in(plan.segment_duration, cycle.dt)
+    xi, xi_dot = traj.x[:, :n], traj.xdot[:, :n]
+    cycle.subtract(xi, xi_dot, kwargs["t0"], kwargs["skip"])
+    return xi, xi_dot

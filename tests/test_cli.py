@@ -7,6 +7,7 @@ import json
 import math
 import shutil
 import subprocess
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -55,13 +56,14 @@ def test_identify_traced_peak(tmp_path):
     # the orbit subtracted in place, the integrator's tables built one
     # shared drive at a time into one stage-drive table per member, its
     # chunk buffers freed before the result and the chart flags taken
-    # without a copy.  identify then peaks at 6.47 MiB of traced memory on
-    # 20 s records and 7.92 MiB on the default 30 s ones, against 7.03 and
-    # 8.57 MiB with a second drive table per member, the chunk buffers kept
-    # to the end and the flags copied (a fresh process; in this test the
-    # two runs read 6.31 and 7.64 MiB, against 6.87 and 8.29).  The count
-    # is deterministic: it sums the allocations, not the pages they touch.
-    for duration, bound_mib in ((20.0, 6.8), (30.0, 8.2)):
+    # without a copy; and the records' batch stores positions only.
+    # identify then peaks at 4.99 MiB of traced memory on 20 s records and
+    # 5.51 MiB on the default 30 s ones, against 6.44 and 7.64 MiB with a
+    # velocity row stored beside each record's positions (a fresh process
+    # with the library imported; in this test the two runs read 4.89 and
+    # 5.48 MiB, against 6.34 and 7.64).  The count is deterministic: it
+    # sums the allocations, not the pages they touch.
+    for duration, bound_mib in ((20.0, 5.3), (30.0, 5.9)):
         config = write_config(tmp_path / "cfg.json", {"chirp": {"segment_duration": duration}})
         tracemalloc.start()
         try:
@@ -193,8 +195,14 @@ def test_settings_the_library_refuses_exit_2(tmp_path, capsys, command, flags, c
 
 @pytest.mark.parametrize(
     "config",
-    [{"theory": {"grid_points": 1e15}}, {"theory": {"n_h": 10**15}}],  # 7.11 and 28.4 PiB
-    ids=["grid-points", "n-h"],
+    [
+        {"theory": {"grid_points": 1e15}},  # 7.11 PiB
+        {"theory": {"n_h": 10**15}},  # 28.4 PiB
+        # past numpy's index range, which it refuses with a ValueError
+        {"theory": {"grid_points": 2**62}},
+        {"theory": {"n_h": 2**62}},
+    ],
+    ids=["grid-points", "n-h", "grid-points-past-index", "n-h-past-index"],
 )
 def test_count_too_large_to_allocate_exits_3(tmp_path, capsys, config):
     # the settings pass every rule; the step that allocates then fails
@@ -202,6 +210,48 @@ def test_count_too_large_to_allocate_exits_3(tmp_path, capsys, config):
     assert cli.main(["htf-theory", *flags, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+
+ALL_RUNS = ("simulate", "htf-theory", "identify")
+#: Settings, each with the commands it once ended in a traceback, an
+#: OverflowError or numpy's ValueError.
+UNINDEXABLE = [
+    ("model.forcing_freq", 1e-308, ALL_RUNS),  # a period of inf steps
+    ("sim.n_cycles", 1e308, ALL_RUNS),
+    ("chirp.segment_duration", 1e308, ["identify"]),
+    ("sim.n_cycles", 2**63, ALL_RUNS),
+    ("chirp.warmup_periods", 2**63, ["identify"]),
+    ("model.forcing_freq", 1e-300, ALL_RUNS),  # 1e303 steps a period
+    ("sim.dt", 1e-300, ALL_RUNS),
+    ("theory.n_h", 1e308, ["htf-theory", "identify"]),
+    ("theory.n_h", 2**63, ["htf-theory", "identify"]),
+    ("fit.n_h", 1e308, ["identify"]),
+    ("fit.n_h", 2**63, ["identify"]),
+    ("chirp.segment_duration", 2**63, ["identify"]),
+    ("chirp.n_segments", 1e308, ["identify"]),
+    ("theory.grid_points", 1e308, ["htf-theory"]),
+]
+
+
+@pytest.mark.parametrize(
+    "setting, value, commands", UNINDEXABLE, ids=[f"{s}={v!r}" for s, v, _ in UNINDEXABLE]
+)
+def test_count_no_array_can_index_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch, setting, value, commands
+):
+    # Each is refused with one line before the orbit is settled or any
+    # file is written.
+    forbid_settling(monkeypatch)
+    section, key = setting.split(".")
+    config = write_config(tmp_path / "c.json", {section: {key: value}})
+    for command in commands:
+        out = tmp_path / command
+        start = time.perf_counter()
+        assert cli.main([command, "--config", config, "--out", str(out)]) in (2, 3), command
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not out.exists()
 
 
 def forbid_settling(monkeypatch):

@@ -17,6 +17,8 @@ from htfid.errors import PerturbationSizeWarning
 from htfid.excite import check_nyquist
 from htfid.sim import integrate
 
+from helpers import records_with_velocity, sample_buffer
+
 
 def test_chirp_formula():
     plan = ChirpPlan()
@@ -88,10 +90,15 @@ def test_clock_phases_uniform():
     assert np.array_equal(phases, np.arange(9) / 9.0)
 
 
-def test_records_shape_and_alignment(lab_records, lab_model, lab_cycle):
+def test_records_shape_and_alignment(lab_records, lab_record_velocities, lab_model, lab_cycle):
     assert len(lab_records) == 9
     chirp = chirp_value(ChirpPlan(), lab_cycle.dt * np.arange(30_000))
+    xi, xi_dot = lab_record_velocities
     for k, rec in enumerate(lab_records):
+        # the records hold positions only; the batch run again with its
+        # velocities stored gives the same positions, bit for bit
+        assert rec.traj.xdot is None
+        assert np.array_equal(rec.xi1, xi[k])
         assert rec.index == k
         assert rec.clock_phase == pytest.approx(k / 9.0, abs=1e-12)
         assert rec.traj.n_samples == 30000
@@ -103,19 +110,29 @@ def test_records_shape_and_alignment(lab_records, lab_model, lab_cycle):
         # switch the damper twice a period, engaged for about the duty
         # (0.5117 to 0.5131 measured, against 0.5125)
         x_bar, v_bar = lab_cycle.state_at(rec.traj.times())
-        on = lab_model.switching(rec.xi1 + x_bar, rec.traj.xdot + v_bar) > 0.0
+        on = lab_model.switching(rec.xi1 + x_bar, xi_dot[k] + v_bar) > 0.0
         assert np.count_nonzero(np.diff(on)) == 2 * 30
         assert abs(on.mean() - lab_cycle.duty) < 2e-3
 
 
 def test_zero_amplitude_records_stay_on_orbit(lab_model, lab_cycle):
-    recs = run_experiments(
-        lab_model, lab_cycle, ChirpPlan(amplitude=0.0, n_segments=2)
-    )
-    for rec in recs:
+    plan = ChirpPlan(amplitude=0.0, n_segments=2)
+    recs = run_experiments(lab_model, lab_cycle, plan)
+    xi, xi_dot = records_with_velocity(lab_model, lab_cycle, plan)
+    for rec, x, xdot in zip(recs, xi, xi_dot):
+        assert np.array_equal(rec.traj.x, x)
         # deviations bounded by the orbit's own periodicity residual
         assert np.max(np.abs(rec.traj.x)) < 10.0 * lab_cycle.residual[0] + 1e-12
-        assert np.max(np.abs(rec.traj.xdot)) < 10.0 * lab_cycle.residual[1] + 1e-12
+        assert np.max(np.abs(xdot)) < 10.0 * lab_cycle.residual[1] + 1e-12
+
+
+def test_records_share_one_buffer_of_positions(lab_records):
+    # The batch stores one row per record, its positions: no velocity row
+    # (which no stage of `identify` reads) and no copy per record.
+    buffer = sample_buffer(lab_records[0].xi1)
+    assert all(sample_buffer(rec.xi1) is buffer for rec in lab_records)
+    assert buffer.shape[0] == len(lab_records)
+    assert buffer.size == len(lab_records) * buffer.shape[-1]
 
 
 def test_small_signal_linearity(lab_model, lab_cycle):

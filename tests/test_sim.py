@@ -13,11 +13,13 @@ from htfid import (
     ChirpPlan,
     DivergenceError,
     EventLocalizationError,
+    ExperimentRecord,
     HybridModel,
     InvalidInputError,
     ModelParams,
     NotSettledError,
     ResamplingRequiredError,
+    Trajectory,
     chirp_value,
     clock_phases,
     LimitCycle,
@@ -25,7 +27,9 @@ from htfid import (
     integrate,
     run_experiments,
     settle_limit_cycle,
+    spectra,
 )
+from htfid.errors import MAX_COUNT
 from htfid.model import chart_matrices, steps_in
 from htfid.sim import _CHUNK_STEPS, EVENT_TOL, _ChartRecurrence
 
@@ -158,6 +162,30 @@ def test_every_span_takes_one_divisibility_rule(excess, refused):
         lambda: run_experiments(model, cycle, plan),
     ]
     assert [refuses(site) for site in sites] == [refused] * len(sites)
+
+
+@pytest.mark.parametrize("span, dt", [(1e308, 1e-3), (1.0, 1e-300), (2.0**63, 1e-3)])
+def test_steps_in_refuses_a_count_no_array_can_index(span, dt):
+    # Each once passed, to end in an OverflowError (int of inf) or in
+    # numpy's ValueError when the samples were allocated.
+    assert MAX_COUNT == np.iinfo(np.intp).max
+    with pytest.raises(InvalidInputError, match="more than an array can index"):
+        steps_in(span, dt)
+
+
+def test_runs_of_more_steps_than_an_array_can_index_are_refused(lab_model, lab_cycle):
+    # Refused before any array is allocated: by the step count, or by the
+    # count of cycles or warm-up plays itself.
+    sites = [
+        lambda: integrate(lab_model, (0.17, 0.0), None, 2.0**63, 1e-3),
+        lambda: settle_limit_cycle(lab_model, n_cycles=2**62),
+        lambda: settle_limit_cycle(lab_model, n_cycles=2**63),
+        lambda: run_experiments(lab_model, lab_cycle, ChirpPlan(warmup_periods=2**62)),
+        lambda: ChirpPlan(warmup_periods=2**63),
+    ]
+    for site in sites:
+        with pytest.raises(InvalidInputError):
+            site()
 
 
 def test_settle_requires_two_cycles(lab_model):
@@ -529,6 +557,36 @@ def test_batch_keeps_the_samples_after_skip(lab_model, lab_cycle):
     assert np.array_equal(tail.t0, phases + 1234 * lab_cycle.dt)
 
 
+def test_position_only_runs_serve_every_consumer(lab_model, lab_cycle):
+    # `velocity=False` stores the same positions and no velocity, and every
+    # consumer of a trajectory or a record takes such a run: the orbit's
+    # subtraction, the deviation trajectory and the spectra.
+    x_init, phases, u = chirp_batch(lab_cycle, ChirpPlan(n_segments=3))
+    run = lambda x0, **kwargs: integrate(lab_model, x0, u, 3.0, lab_cycle.dt, **kwargs)
+    whole = run(x_init, t0=phases, skip=1234)
+    lean = run(x_init, t0=phases, skip=1234, velocity=False)
+    assert lean.xdot is None and lean.x.shape == whole.x.shape
+    assert np.array_equal(lean.x, whole.x) and np.array_equal(lean.u, whole.u)
+    assert np.array_equal(lean.t0, whole.t0)
+    alone = run(x_init[1], t0=phases[1], velocity=False)
+    assert alone.xdot is None and np.array_equal(alone.x[1234:], whole.x[1])
+    dev, lean_dev = error_trajectory(whole, lab_cycle), error_trajectory(lean, lab_cycle)
+    assert lean_dev.xdot is None and np.array_equal(lean_dev.x, dev.x)
+    x = lean.x.copy()
+    lab_cycle.subtract(x, None, lean.t0)
+    assert np.array_equal(x, dev.x)
+
+    def records(d, velocities):
+        return [
+            ExperimentRecord(k, t0 % lab_cycle.T, Trajectory(d.dt, t0, d.x[k], v, d.u[k]))
+            for k, (t0, v) in enumerate(zip(d.t0.tolist(), velocities))
+        ]
+
+    both = spectra(records(dev, dev.xdot)), spectra(records(lean_dev, [None] * 3))
+    for full, positions in zip(*both):
+        assert np.array_equal(full.Y, positions.Y) and np.array_equal(full.U, positions.U)
+
+
 @pytest.mark.parametrize(
     "start, part",
     [((1.5e307, -1.0), "trips"), ((-1.5e307, 1.0), "trips"), ((0.15, 1e307), "due_steps")],
@@ -583,16 +641,18 @@ def test_tiled_phases_match_long_double_phases(lab_cycle):
     assert float(off.max()) <= 2e-15
 
 
-def test_tiled_subtraction_moves_records_by_rounding(lab_cycle, lab_records):
+def test_tiled_subtraction_moves_records_by_rounding(lab_cycle, lab_records, lab_record_velocities):
     # Against the orbit evaluated at np.mod(t0 + dt*i, T) on the whole
-    # run's grid, one spline evaluation per sample.
+    # run's grid, one spline evaluation per sample.  The records hold
+    # positions only; their batch run with velocities has the same ones.
     dt, skip, n = lab_cycle.dt, 30_000, 30_000
-    for rec in lab_records:
+    for rec, x, xdot in zip(lab_records, *lab_record_velocities):
+        assert np.array_equal(rec.traj.x, x)
         start = rec.clock_phase  # the capture starts a whole number of periods after t0
         tiled = np.zeros(n), np.zeros(n)
         lab_cycle.subtract(*tiled, start, skip)  # leaves minus the orbit
         direct = lab_cycle.state_at(np.mod(start + dt * np.arange(skip, skip + n), lab_cycle.T))
-        for got, want, xi in zip(tiled, direct, (rec.traj.x, rec.traj.xdot)):
+        for got, want, xi in zip(tiled, direct, (x, xdot)):
             rms = float(np.sqrt(np.mean(xi**2)))
             assert float(np.max(np.abs(got + want))) <= 1e-11 * rms
 
