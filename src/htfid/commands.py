@@ -171,10 +171,10 @@ def _check_config(cfg: dict, args) -> dict:
     one is due or that is inconsistent with another setting, and
     `InvalidInputError` for a value of the wrong type, below its lower
     bound or, for a count, above `MAX_COUNT`, and for settings that
-    `ModelParams`, `ChirpPlan`, `steps_in` (on the forcing period),
-    `count_steps` (on the settling run and, for `identify`, the records'
-    run), `check_band` or (for `identify`) `check_design` and
-    `check_nyquist` refuse.
+    `ModelParams`, `ChirpPlan`, `steps_in` (on the forcing period and,
+    for `identify`, a record), `count_steps` (on the settling run and,
+    for `identify`, the records' run), `check_band` or (for `identify`)
+    `check_design` and `check_nyquist` refuse.
     """
     if args.alpha is not None:
         cfg["estimate"]["alpha"] = args.alpha
@@ -203,6 +203,7 @@ def _check_config(cfg: dict, args) -> dict:
         # what the integrator, the estimator and the fit would refuse only
         # after the orbit is settled or every record is integrated
         chirp, n_h = cfg["chirp"], cfg["estimate"]["n_harmonics"]
+        steps_in(chirp["segment_duration"], dt)
         count_steps((chirp["warmup_periods"] + 1) * chirp["segment_duration"], dt)
         if n_h < max(ORDERS):
             raise ConfigError(f"estimate.n_harmonics must reach the fit's orders {ORDERS}")

@@ -10,16 +10,19 @@ record in the unknowns G_{-N}..G_{N} at that bin.
 Records start at staggered clock phases phi_r.  In record-local time the
 system's Fourier coefficients carry an extra factor exp(j*n*w_p*phi_r),
 which is absorbed into the corresponding regressor column so that all
-records share one set of clock-referenced unknowns; the even spread of
-the phases is what makes those columns well conditioned.
-
-Bins are coupled across frequency by a second-difference curvature
-penalty (applied per harmonic), giving the regularized normal equations
+records share one set of clock-referenced unknowns.  The R >= 2N+1
+records play one input and start T/R apart, so the sum over r of
+exp(j*(n' - n)*w_p*phi_r) is 0 for any two estimated orders: their
+columns are orthogonal, and each bin's Gram P^H P is diagonal,
+a_n = sum_r |P_rn|^2 on order n.  Bins are coupled across frequency by
+a second-difference curvature penalty within each order, so the
+regularized normal equations
 
     (P^H P + alpha * D2^T D2) g = P^H y
 
-solved by block elimination as one system over all retained bins and
-harmonics.
+fall apart into one real symmetric pentadiagonal system per order,
+(diag(a_n) + alpha * D2^T D2) g_n = b_n with b_n = sum_r conj(P_rn) y_r.
+`EstimationProblem` refuses records of any other design.
 """
 
 import cmath
@@ -196,7 +199,10 @@ class EstimationProblem:
     zeroed; it must pass `check_band` and, with the harmonic shifts,
     `check_nyquist`, and the records `check_design`.
     `n_harmonics` is a non-negative integer, `pump` finite and positive,
-    `alpha` and `min_excitation` finite and non-negative.
+    `alpha` and `min_excitation` finite and non-negative.  The R records
+    share one frequency grid and one input spectrum `U` and start T/R
+    apart (T the pump period), so the orders' regressor columns are
+    orthogonal (see the module docstring).
     """
 
     records: list
@@ -218,7 +224,16 @@ class EstimationProblem:
         for rec in self.records[1:]:
             if rec.n_bins != ref.n_bins or abs(rec.bin_spacing - ref.bin_spacing) > 1e-12:
                 raise InvalidInputError("records disagree on the frequency grid")
+            if rec.U is not ref.U and not np.array_equal(rec.U, ref.U):
+                raise InvalidInputError("records do not share one input spectrum")
         check_design(len(self.records), self.n_harmonics, self.pump / ref.bin_spacing)
+        # one record in each of the R slots T/R apart, to 1e-9 of a period
+        n, period = len(self.records), 2.0 * math.pi / self.pump
+        phases = np.array([rec.clock_phase for rec in self.records]) % period
+        slots = (phases - phases[0]) / period * n
+        nearest = np.round(slots)
+        if not np.all(np.abs(slots - nearest) <= 1e-9 * n) or len(set(nearest % n)) < n:
+            raise InvalidInputError(f"the {n} records' start phases do not lie T/{n} apart")
         check_nyquist(self.band_hz, self.n_harmonics, self.pump, ref.duration / ref.n_bins)
 
     @property
@@ -235,6 +250,13 @@ def _in_band(problem: EstimationProblem, q) -> np.ndarray:
     return (q != 0) & (lo < nu) & (nu <= hi + 0.5 * spacing)
 
 
+def _phase_factors(problem: EstimationProblem) -> np.ndarray:
+    """exp(j*n*w_p*phi_r) of record r (rows) and order n = -N..N (columns)."""
+    orders = range(-problem.n_harmonics, problem.n_harmonics + 1)
+    phases = [rec.clock_phase for rec in problem.records]
+    return np.array([[cmath.exp(1j * n * problem.pump * phi) for n in orders] for phi in phases])
+
+
 def _regressor_tensor(problem: EstimationProblem, q):
     """The `build_regressor` systems of all signed output bins q at once.
 
@@ -248,12 +270,7 @@ def _regressor_tensor(problem: EstimationProblem, q):
     q_shift = q[:, None] - np.array(orders) * problem.pump_bins
     mask = _in_band(problem, q_shift)
 
-    mod = np.array(
-        [
-            [cmath.exp(1j * n * problem.pump * rec.clock_phase) for n in orders]
-            for rec in problem.records
-        ]
-    )
+    mod = _phase_factors(problem)
     U = np.stack([_at_bins(rec.U, q_shift, n_fft) for rec in problem.records], axis=1)
     # Real and imaginary parts are formed as in scalar complex arithmetic;
     # the array product may fuse multiply-adds and round differently.
@@ -301,19 +318,19 @@ def second_difference(n_points: int) -> np.ndarray:
     return np.diff(np.eye(n_points), n=2, axis=0)
 
 
-def _curvature_bands(n_points: int, length: int) -> np.ndarray:
+def _curvature_bands(n_points: int) -> np.ndarray:
     """The diagonals of ``D2^T D2`` for ``D2 = second_difference(n_points)``.
 
     The matrix is symmetric and pentadiagonal, so three diagonals hold all
     of it.  Row `lag` of the result is diagonal `lag` from entry (0, lag)
-    on, zero-padded to `length` >= n_points: (1, 5, 6, ..., 6, 5, 1),
+    on, zero-padded to n_points entries: (1, 5, 6, ..., 6, 5, 1),
     (-2, -4, ..., -4, -2) and all ones.  Each interior point adds the
     products of the [1, -2, 1] stencil that fall on each diagonal, in O(n)
     adds; the entries are small integers, so they equal the dense
     product's diagonals bit for bit.
     """
     stencil = (1.0, -2.0, 1.0)
-    bands = np.zeros((3, length))
+    bands = np.zeros((3, n_points))
     rows = n_points - 2
     for lag in range(3):
         for a in range(3 - lag):
@@ -362,7 +379,8 @@ def _misfit(problem: EstimationProblem, Phi, y, G):
     """Data residual and curvature penalty of the per-bin harmonics G.
 
     G has shape (bins, 2N+1), one column per harmonic order; returns
-    (sum |y - Phi g|^2, alpha * sum |D2 G|^2).
+    (sum |y - Phi g|^2, alpha * sum |D2 G|^2, y - Phi g), the last of
+    shape (bins, records).
     """
     residual = y - (Phi @ G[:, :, None])[:, :, 0]
     data_residual = float(np.sum(np.abs(residual) ** 2))
@@ -371,147 +389,127 @@ def _misfit(problem: EstimationProblem, Phi, y, G):
         # The slices round as the [1, -2, 1] stencil applied term by term.
         curvature = G[:-2] - 2.0 * G[1:-1] + G[2:]
         penalty = problem.alpha * float(np.sum(np.abs(curvature) ** 2))
-    return data_residual, penalty
+    return data_residual, penalty, residual
 
 
-def _solve_coupled(problem, blocks, rhs):
-    """Solve the penalty-coupled normal equations; returns (g, cond).
+def _solve_orders(problem, a, b):
+    """Solve ``(diag(a_n) + alpha * D2^T D2) g_n = b_n`` for each order n (column).
 
-    The penalty reaches two bins, so over pairs of bins the matrix is
-    Hermitian block tridiagonal, with real penalty-only blocks U_j above
-    and U_j^T below the diagonal.  The penalty enters as its diagonals
-    d0, d1 and d2 (`_curvature_bands`, times alpha), so no n_bins^2 array
-    is formed: pair j adds [[d0[2j], d1[2j]], [d1[2j], d0[2j+1]]] (x) I to
-    its two Gram blocks, and U_j is [[d2[2j], 0], [d1[2j+1], d2[2j+1]]]
-    (x) I.  Block elimination inverts each pair's
-    Schur complement (Golub & Van Loan, Matrix Computations, 4.5).  An
-    odd bin count gets a decoupled unit bin, which solves to zero and
-    which no norm or probe sees.  `cond` is ||A||_1 times a deterministic
-    Hager estimate of ||A^-1||_1 (Higham, ACM TOMS 14, 1988).
-
-    Where the penalty dominates few bins, the explicit inverses lose
-    accuracy, so the solution takes one step of mixed-precision iterative
-    refinement (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12): the residual of the same float64 matrix, blocks and the five
-    diagonals of the penalty, is formed in long double and solved once
-    more.
+    `a` holds the orders' Gram diagonals (real, non-negative) over the
+    bins and `b` the right-hand sides; returns (g, cond), `cond` each
+    order's 1-norm condition.  Without the penalty (`_coupled`) g is b/a,
+    0 where a = 0 (the minimum-norm answer), and cond is max(a) / min(a)
+    over the excited bins, 0 with none.  With it, each matrix is symmetric
+    pentadiagonal: singular when fewer than two bins are excited (the
+    penalty leaves linear runs free), positive definite otherwise.  One
+    pass over the bins factors all orders as LDL^T (Golub & Van Loan,
+    Matrix Computations, 4.3).  `cond` is ||A||_1 times a deterministic
+    Hager estimate of ||A^-1||_1 on the same factors (Higham, ACM TOMS 14,
+    1988), and one step of refinement with the residual in long double
+    follows (Higham, Accuracy and Stability of Numerical Algorithms, 12).
     """
-    n_bins, width, _ = blocks.shape
-    pairs, n, eye = (n_bins + 1) // 2, n_bins * width, np.eye(width)
-    bands = problem.alpha * _curvature_bands(n_bins, 2 * pairs)
-    d0, d1, d2 = bands
-    # the penalty's 2 x 2 block on pair j's diagonal and the one above it
-    on = np.stack([d0[0::2], d1[0::2], d1[0::2], d0[1::2]], axis=1).reshape(pairs, 2, 2)
-    above = np.stack([d2[0::2], np.zeros(pairs), d1[1::2], d2[1::2]], axis=1).reshape(pairs, 2, 2)
-    upper = np.kron(above[:-1], eye)
-    diag = np.kron(on, eye).astype(complex)
-    diag[:, :width, :width] += blocks[0::2]
-    diag[:, width:, width:] += np.concatenate([blocks[1::2], eye[None]])[:pairs]
-
-    inverses = np.empty_like(diag)
-    for j in range(pairs):
-        schur = diag[j] - upper[j - 1].T @ (inverses[j - 1] @ upper[j - 1]) if j else diag[j]
-        try:
-            inverses[j] = np.linalg.inv(schur)
-        except np.linalg.LinAlgError:
-            raise IllConditionedError(
-                "normal matrix is singular (some harmonic carries no excitation "
-                "anywhere in the band); a larger alpha cannot help, widen the "
-                "band or reduce n_harmonics"
-            ) from None
-
-    def solve(b):
-        z = np.zeros((pairs, 2 * width), dtype=complex)
-        z.flat[:n] = b
-        for j in range(1, pairs):
-            z[j] -= upper[j - 1].T @ (inverses[j - 1] @ z[j - 1])
-        z[-1] = inverses[-1] @ z[-1]
-        for j in range(pairs - 2, -1, -1):
-            z[j] = inverses[j] @ (z[j] - upper[j] @ z[j + 1])
-        return z.ravel()[:n]
-
-    colsum = np.abs(diag).sum(axis=1)
-    colsum[1:] += np.abs(upper).sum(axis=1)
-    colsum[:-1] += np.abs(upper).sum(axis=2)
-    x = solve(np.full(n, 1.0 / n))
-    # The sign vector is x/|x|, with 1 at zeros; A^-H = A^-1 since A is Hermitian.
-    z = np.abs(solve(np.exp(1j * np.angle(x))))
-    inv_norm = max(np.abs(x).sum(), np.abs(solve(np.eye(1, n, int(np.argmax(z)))[0])).sum())
-    cond = float(colsum.ravel()[:n].max() * inv_norm)
-    if not cond <= COND_LIMIT:  # a nan estimate fails too
+    n_bins, width = a.shape
+    if not _coupled(problem, n_bins):
+        g = np.divide(b, a, out=np.zeros_like(b), where=a > 0.0)
+        return g, a.max(axis=0) / np.where(a > 0.0, a, np.inf).min(axis=0)
+    if np.count_nonzero(a > 0.0, axis=0).min() < 2:
         raise IllConditionedError(
-            f"normal matrix condition estimate {cond:.3e} is not below {COND_LIMIT:.1e}; "
-            "increase alpha"
+            "normal matrix is singular (some harmonic carries excitation at fewer than two "
+            "bins of the band); a larger alpha cannot help, widen the band or reduce n_harmonics"
         )
-    g = solve(rhs)
-    wide = g.reshape(n_bins, width).astype(np.clongdouble)
-    applied = (blocks.astype(np.clongdouble) @ wide[:, :, None])[:, :, 0]
-    for lag in range(-2, 3):
-        band = bands[abs(lag), : n_bins - abs(lag)].astype(np.longdouble)[:, None]
-        if lag >= 0:
-            applied[: n_bins - lag] += band * wide[lag:]
-        else:
-            applied[-lag:] += band * wide[: n_bins + lag]
-    residual = rhs.astype(np.clongdouble) - applied.ravel()
-    return g + solve(residual.astype(complex)), cond
+    bands = problem.alpha * _curvature_bands(n_bins)
+    # Row i + 2 belongs to bin i: rows of zeros stand for the entries off the band.
+    d0, d1, d2 = np.pad(bands, ((0, 0), (2, 0)))
+    diag = np.pad(a, ((2, 0), (0, 0))) + d0[:, None]
+    # pivots D, off = A[i+1, i] after elimination, l1 = L[i+1, i], l2 = L[i+2, i]
+    D, off, l1, l2 = np.zeros((4, n_bins + 2, width))
+    for p in range(2, n_bins + 2):
+        off[p] = d1[p] - d2[p - 1] * l1[p - 1]
+        D[p] = diag[p] - off[p - 1] * l1[p - 1] - d2[p - 2] * l2[p - 2]
+        l1[p] = off[p] / D[p]
+        l2[p] = d2[p] / D[p]
+    pivots, l1, l2 = D[2:, :, None], l1[:, :, None], l2[:, :, None]
+
+    def solve(*columns):
+        z = np.zeros((n_bins + 4, width, len(columns)))
+        z[2:-2] = np.stack(columns, axis=-1)
+        for p in range(2, n_bins + 2):
+            z[p] -= l1[p - 1] * z[p - 1] + l2[p - 2] * z[p - 2]
+        z[2:-2] /= pivots
+        for p in range(n_bins + 1, 1, -1):
+            z[p] -= l1[p] * z[p + 1] + l2[p] * z[p + 2]
+        return z[2:-2]
+
+    first = solve(b.real, b.imag, np.full(a.shape, 1.0 / n_bins))
+    g, x = first[..., 0] + 1j * first[..., 1], first[..., 2]
+    # The sign vector is sign(x), with 1 at zeros; A^-T = A^-1 since A is symmetric.
+    z = np.abs(solve(np.where(x < 0.0, -1.0, 1.0))[..., 0])
+    probe = np.zeros(a.shape)
+    probe[z.argmax(axis=0), np.arange(width)] = 1.0
+    # one refinement step, with the residual of the float64 a and bands in long double
+    wide = g.astype(np.clongdouble)
+    applied = a.astype(np.longdouble) * wide
+    for lag in range(3):
+        band = bands[lag, : n_bins - lag].astype(np.longdouble)[:, None]
+        applied[: n_bins - lag] += band * wide[lag:]
+        if lag:
+            applied[lag:] += band * wide[: n_bins - lag]
+    residual = (b - applied).astype(complex)
+    second = solve(residual.real, residual.imag, probe)
+
+    spread = np.abs(d1[2:]) + np.abs(d1[1:-1]) + np.abs(d2[2:]) + np.abs(d2[:-2])
+    norm = (np.abs(diag[2:]) + spread[:, None]).max(axis=0)
+    cond = norm * np.maximum(np.abs(x).sum(axis=0), np.abs(second[..., 2]).sum(axis=0))
+    if not np.all(cond <= COND_LIMIT):  # a nan estimate fails too
+        raise IllConditionedError(
+            f"normal matrix condition estimate {np.max(cond):.3e} is not below "
+            f"{COND_LIMIT:.1e}; increase alpha"
+        )
+    return g + (second[..., 0] + 1j * second[..., 1]), cond
 
 
 def estimate_htf(problem: EstimationProblem) -> HarmonicTransferSet:
     """Regularized least-squares estimate of G_{-N}..G_{N}.
 
-    Assembles the per-bin regressors of all records and the per-harmonic
-    curvature penalty into one block-tridiagonal Hermitian system and
-    solves the normal equations by block elimination.  With alpha = 0 (or
-    fewer than 3 bins, where the second-difference penalty is undefined)
-    nothing couples neighboring bins, and each bin is solved independently
-    by minimum-norm least squares: columns without excitation get an exact
-    zero instead of making the joint system singular.  Returns the
-    estimate in the output-frequency convention, with a per-harmonic mask
-    of bins whose regressor column actually carried excitation (values on
-    masked-out bins are purely penalty interpolation, or zero in the
-    uncoupled case) and solver diagnostics attached.
-
-    Raises
-    ------
-    NoDataError
-        If excitation screening leaves no usable bins.
-    IllConditionedError
-        If the penalized normal matrix is singular (a whole harmonic
-        without excitation) or its 1-norm condition estimate exceeds
-        1e14 or is not finite; a larger alpha regularizes it.
+    Forms each order's Gram diagonal a and right-hand side b from the
+    per-bin regressors of all records and solves one penalized system per
+    order (`_solve_orders`).  With alpha = 0 (or fewer than 3 bins, where
+    the second-difference penalty is undefined) nothing couples
+    neighboring bins, and each bin's least-squares answer is b/a: columns
+    without excitation get an exact zero.  Returns the estimate in the
+    output-frequency convention, with a per-harmonic mask of bins whose
+    regressor column actually carried excitation (values on masked-out
+    bins are purely penalty interpolation, or zero in the uncoupled case)
+    and solver diagnostics attached (listed in the README).  Raises
+    `NoDataError` if excitation screening leaves no usable bins, and
+    `IllConditionedError` if a penalized order's matrix is singular (a
+    harmonic excited at fewer than two bins) or its 1-norm condition
+    estimate is not below 1e14; a larger alpha regularizes the latter.
     """
     bins = _candidate_bins(problem)
     omegas = bins * problem.records[0].bin_spacing
-    n_bins = bins.shape[0]
     N = problem.n_harmonics
-    width = 2 * N + 1
 
     Phi, y, mask = _regressor_tensor(problem, bins)
-    if _coupled(problem, n_bins):
-        Phi_H = Phi.conj().transpose(0, 2, 1)
-        rhs = (Phi_H @ y[:, :, None]).ravel()
-        g, cond = _solve_coupled(problem, Phi_H @ Phi, rhs)
-        G = g.reshape(n_bins, width)
-    else:
-        G = np.empty((n_bins, width), dtype=complex)
-        cond = 0.0
-        for i in range(n_bins):
-            G[i], _, _, svals = np.linalg.lstsq(Phi[i], y[i], rcond=None)
-            nz = svals[svals > 0.0]
-            if nz.size:
-                cond = max(cond, float(nz[0] / nz[-1]))
+    a = np.square(Phi.real).sum(axis=1) + np.square(Phi.imag).sum(axis=1)
+    b = np.conjugate((y.conj()[:, None, :] @ Phi)[:, 0])  # Phi^H y, with no copy of Phi
+    G, cond = _solve_orders(problem, a, b)
     orders = range(-N, N + 1)
     harmonics = {n: G[:, col].copy() for col, n in enumerate(orders)}
     masks = {n: mask[:, col].copy() for col, n in enumerate(orders)}
-    data_residual, penalty_value = _misfit(problem, Phi, y, G)
+    data_residual, penalty_value, residual = _misfit(problem, Phi, y, G)
+    projected = residual @ _phase_factors(problem).conj()
+    by_order = np.sum(np.abs(projected) ** 2, axis=0) / len(problem.records)
 
     diagnostics = {
         "alpha": problem.alpha,
         "n_records": len(problem.records),
-        "n_bins": int(n_bins),
+        "n_bins": int(bins.size),
         "n_harmonics": N,
-        "cond_estimate": float(cond),
+        "cond_estimate": float(cond.max()),
+        "cond_by_order": cond.tolist(),
         "data_residual": data_residual,
+        "data_residual_by_order": by_order.tolist(),
         "penalty": penalty_value,
         "cost": data_residual + penalty_value,
         "low_excitation_columns": int(np.sum(~mask)),
@@ -542,5 +540,5 @@ def cost(problem: EstimationProblem, hts: HarmonicTransferSet) -> float:
     N = problem.n_harmonics
     Phi, y, _ = _regressor_tensor(problem, bins)
     G = np.column_stack([hts.harmonics[n] for n in range(-N, N + 1)])
-    data_residual, penalty_value = _misfit(problem, Phi, y, G)
+    data_residual, penalty_value, _ = _misfit(problem, Phi, y, G)
     return data_residual + penalty_value

@@ -280,8 +280,12 @@ def refused_before_settling(tmp_path, capsys, monkeypatch, command, flags, confi
         ([], {"chirp": {"n_segments": 6}}),  # one record short
         ([], {"chirp": {"segment_duration": 30.5}}),  # not whole periods
         ([], {"estimate": {"band": [0, 499]}}),  # 2*pi*(499 + 3) rad/s reaches pi/dt
+        ([], {"chirp": {"segment_duration": 30.0000005}}),  # whole periods, not whole steps
     ],
-    ids=["nh", "nh-0", "n-segments", "n-segments-6", "segment-duration", "band-at-nyquist"],
+    ids=[
+        "nh", "nh-0", "n-segments", "n-segments-6", "segment-duration", "band-at-nyquist",
+        "segment-steps",
+    ],
 )
 def test_identify_refuses_unidentifiable_plan_before_settling(
     tmp_path, capsys, monkeypatch, flags, config
@@ -293,11 +297,12 @@ IDENTIFY = argparse.Namespace(command="identify", alpha=None, nh=None, dt=None)
 
 
 def blank_records(n_records=9, periods=30.0):
-    """Empty spectra of records of `periods` one-second forcing periods."""
+    """Empty spectra of records of `periods` one-second forcing periods,
+    starting at phases r/n_records of a period as `run_experiments`' do."""
     n = 3000  # samples per record
     blank = np.zeros(n // 2 + 1, dtype=complex)
     freq = 2.0 * math.pi * np.fft.rfftfreq(n, d=periods / n)
-    return [SpectrumRecord(freq, blank, blank, 0.0, n)] * n_records
+    return [SpectrumRecord(freq, blank, blank, r / n_records, n) for r in range(n_records)]
 
 
 @pytest.mark.parametrize(
@@ -305,8 +310,11 @@ def blank_records(n_records=9, periods=30.0):
     [(7, 30.0, False), (6, 30.0, True), (7, 30.0 + 5e-7, False), (7, 30.0 + 2e-6, True)],
 )
 def test_identify_checks_the_estimators_design_rule(n_segments, periods, refused):
-    # the pre-flight and `EstimationProblem` accept or refuse a design alike
+    # the pre-flight and `EstimationProblem` accept or refuse a design alike;
+    # a step of 0.5 us divides every segment here, so the pre-flight's step
+    # rule refuses none of them
     cfg = commands.load_config()
+    cfg["sim"]["dt"] = 5e-7
     cfg["chirp"].update(n_segments=n_segments, segment_duration=periods)
     records = blank_records(n_segments, periods)
     sites = [

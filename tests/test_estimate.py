@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -31,7 +32,7 @@ from htfid.estimate import (
     _candidate_bins,
     _curvature_bands,
     _regressor_tensor,
-    _solve_coupled,
+    _solve_orders,
     median,
 )
 
@@ -245,20 +246,51 @@ def test_problem_validation(lab_spectra):
 
 
 def test_regressor_shapes_and_zero_record(lab_spectra):
-    silent = dataclasses.replace(
-        lab_spectra[0], U=np.zeros_like(lab_spectra[0].U)
-    )
-    problem = EstimationProblem(
-        records=[silent] + lab_spectra[1:],
-        n_harmonics=3,
-        pump=2.0 * math.pi,
-    )
+    problem = EstimationProblem(records=lab_spectra, n_harmonics=3, pump=2.0 * math.pi)
     Phi, y = build_regressor(problem, 2.0 * math.pi / 30.0 * 100)
     assert Phi.shape == (9, 7) and y.shape == (9,)
-    # a record with no input energy contributes an all-zero row
-    assert not Phi[0].any()
-    # at bin 100 every shifted line is in band, so live rows are dense
-    assert np.all(np.abs(Phi[1:]) > 0)
+    # at bin 100 every shifted line is in band, so the rows are dense
+    assert np.all(np.abs(Phi) > 0)
+    # records with no input energy contribute all-zero rows (one silent
+    # record among others no longer shares their input: see below)
+    blank = np.zeros_like(lab_spectra[0].U)
+    silent = [dataclasses.replace(rec, U=blank) for rec in lab_spectra]
+    Phi, _ = build_regressor(
+        dataclasses.replace(problem, records=silent), 2.0 * math.pi / 30.0 * 100
+    )
+    assert not Phi.any()
+
+
+def test_problem_refuses_records_that_break_orthogonality(lab_spectra):
+    # The per-order solve needs every bin's Gram diagonal: one shared input
+    # and start phases T/N apart, one record in each slot.
+    settings = dict(n_harmonics=3, pump=2.0 * math.pi)
+    louder = dataclasses.replace(lab_spectra[4], U=2.0 * lab_spectra[4].U)
+    moved = dataclasses.replace(lab_spectra[4], clock_phase=lab_spectra[4].clock_phase + 1e-3)
+    doubled = dataclasses.replace(lab_spectra[4], clock_phase=lab_spectra[5].clock_phase)
+    far = dataclasses.replace(lab_spectra[4], clock_phase=-1e308)  # no overflow escapes
+    at_zero = [dataclasses.replace(rec, clock_phase=0.0) for rec in lab_spectra]
+    for records, match in (
+        (lab_spectra[:4] + [louder] + lab_spectra[5:], "one input spectrum"),
+        (lab_spectra[:4] + [moved] + lab_spectra[5:], "start phases"),
+        (lab_spectra[:4] + [doubled] + lab_spectra[5:], "start phases"),
+        (lab_spectra[:4] + [far] + lab_spectra[5:], "start phases"),
+        (at_zero, "start phases"),
+    ):
+        with pytest.raises(InvalidInputError, match=match):
+            EstimationProblem(records=records, **settings)
+    # the slots, not the order of the records, a common offset and
+    # rounding are free: an equal copy of U, records reversed, every
+    # phase moved by 0.3 of a period plus a whole one, and 1e-12 of
+    # rounding all pass
+    copy = dataclasses.replace(lab_spectra[2], U=lab_spectra[2].U.copy())
+    EstimationProblem(records=lab_spectra[:2] + [copy] + lab_spectra[3:], **settings)
+    EstimationProblem(records=lab_spectra[::-1], **settings)
+    shifted = [
+        dataclasses.replace(rec, clock_phase=rec.clock_phase + 1.3 + 1e-12 * k)
+        for k, rec in enumerate(lab_spectra)
+    ]
+    EstimationProblem(records=shifted, **settings)
 
 
 def test_regressor_snaps_to_nearest_bin(lab_spectra):
@@ -401,11 +433,11 @@ def test_second_difference_stencil():
 @pytest.mark.parametrize("n_points", range(3, 13))
 def test_curvature_gram_is_the_dense_product(n_points):
     # the three bands are the diagonals of D2^T D2, bit for bit, and the
-    # padding (one bin, as for an odd bin count) is zero
+    # entries past each diagonal's end are zero
     d2 = second_difference(n_points)
     gram = d2.T @ d2
-    bands = _curvature_bands(n_points, n_points + 1)
-    assert bands.dtype == np.float64 and bands.shape == (3, n_points + 1)
+    bands = _curvature_bands(n_points)
+    assert bands.dtype == np.float64 and bands.shape == (3, n_points)
     for lag in range(3):
         assert bands[lag, : n_points - lag].tobytes() == gram.diagonal(lag).tobytes()
         assert not np.any(bands[lag, n_points - lag :])
@@ -425,12 +457,12 @@ def test_uncoupled_estimate_is_per_bin_least_squares():
         band_hz=(0.0, 10.0),
     )
     est = estimate_htf(problem)
-    spacing = specs[0].bin_spacing
     for i, w in enumerate(est.omega_grid):
         Phi, y = build_regressor(problem, float(w))
         g, *_ = np.linalg.lstsq(Phi, y, rcond=None)
-        for col, n in enumerate((-1, 0, 1)):
-            assert est.harmonics[n][i] == g[col]
+        # b/a on orthogonal columns, so equal to rounding (7.9e-16 measured)
+        got = np.array([est.harmonics[n][i] for n in (-1, 0, 1)])
+        assert np.max(np.abs(got - g)) <= 1e-14 * np.max(np.abs(g))
     # flat equal-magnitude spectra make the per-bin systems unitary
     assert est.diagnostics["cond_estimate"] == pytest.approx(1.0, abs=1e-9)
     assert np.max(relerr(est.harmonics[0], lti_frf(est.omega_grid))) < 1e-12
@@ -512,6 +544,35 @@ def test_estimate_diagnostics_content(lab_estimate):
     assert d["n_records"] == 9 and d["n_bins"] == 210 and d["n_harmonics"] == 3
     assert d["cost"] == pytest.approx(d["data_residual"] + d["penalty"], rel=1e-12)
     assert np.isfinite(d["cond_estimate"])
+    # one condition and one residual per order n = -3..3; the largest
+    # condition is the figure, and the orders' residuals are part of the
+    # whole (the rest lies in the record classes no order occupies)
+    assert len(d["cond_by_order"]) == len(d["data_residual_by_order"]) == 7
+    assert d["cond_estimate"] == max(d["cond_by_order"])
+    assert all(0.0 < value < 1e14 for value in d["cond_by_order"])
+    assert 0.0 < sum(d["data_residual_by_order"]) < d["data_residual"]
+
+
+def test_order_residuals_split_the_data_residual(lab_problem):
+    # With nine records at phases k/9 the nine residue classes of the
+    # orders take the whole residual apart: estimating orders -4..4 leaves
+    # nothing outside them (Parseval across the records).
+    d = estimate_htf(dataclasses.replace(lab_problem, n_harmonics=4)).diagnostics
+    assert sum(d["data_residual_by_order"]) == pytest.approx(d["data_residual"], rel=1e-12)
+
+
+def test_unexcited_order_keeps_the_diagnostics_finite(lab_spectra):
+    # (0, 0.5] Hz at alpha = 0: order -1 shifts every line out of the band,
+    # so it solves to zero, with condition 0 rather than infinity (the
+    # diagnostics are written as JSON, which has no infinity)
+    problem = EstimationProblem(
+        records=lab_spectra, n_harmonics=1, pump=2.0 * math.pi, alpha=0.0, band_hz=(0.0, 0.5)
+    )
+    est = estimate_htf(problem)
+    d = est.diagnostics
+    assert not est.excitation_mask[-1].any() and not est.harmonics[-1].any()
+    assert d["cond_by_order"][0] == 0.0
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_estimate):
@@ -525,105 +586,102 @@ def test_cond_estimate_draws_no_random_numbers(monkeypatch, lab_problem, lab_est
     assert d["cond_estimate"] == lab_estimate.diagnostics["cond_estimate"]
 
 
-def gram_blocks(n_bins, width):
+def normal_diagonals(n_bins, width):
+    """Gram diagonals a = sum_r |X_rn|^2 of five random records and random
+    right-hand sides b, both of shape (n_bins, width)."""
     rng = np.random.default_rng(7)
     X = rng.standard_normal((n_bins, 5, width)) + 1j * rng.standard_normal((n_bins, 5, width))
-    rhs = rng.standard_normal(n_bins * width) + 1j * rng.standard_normal(n_bins * width)
-    return X.conj().transpose(0, 2, 1) @ X, rhs
+    b = rng.standard_normal((n_bins, width)) + 1j * rng.standard_normal((n_bins, width))
+    return np.sum(np.abs(X) ** 2, axis=1), b
 
 
 def test_nan_condition_estimate_is_ill_conditioned():
-    blocks, rhs = gram_blocks(6, 3)
-    blocks[2, 1, 1] = np.nan
+    a, b = normal_diagonals(6, 3)
+    a[2, 1] = np.nan
     with pytest.raises(IllConditionedError, match="nan"):
-        _solve_coupled(SimpleNamespace(alpha=0.3), blocks, rhs)
-
-
-def test_inverse_fault_propagates(monkeypatch, lab_problem):
-    class ProbeFault(Exception):
-        pass
-
-    def broken(*args, **kwargs):
-        raise ProbeFault("inv failed")
-
-    monkeypatch.setattr(np.linalg, "inv", broken)
-    with pytest.raises(ProbeFault):
-        estimate_htf(lab_problem)
+        _solve_orders(SimpleNamespace(alpha=0.3), a, b)
 
 
 def test_singular_band_factor_is_ill_conditioned():
-    # the penalty alone leaves constant and linear runs of every harmonic free
-    blocks = np.zeros((7, 3, 3), dtype=complex)
-    with pytest.raises(IllConditionedError, match="normal matrix is singular"):
-        _solve_coupled(SimpleNamespace(alpha=1.0), blocks, np.ones(21, dtype=complex))
+    # the penalty alone leaves constant and linear runs of every harmonic
+    # free, and one excited bin pins only one point of such a run
+    for excited in (0.0, 1.0):
+        a = np.ones((7, 3))
+        a[:, 1] = 0.0
+        a[3, 1] = excited
+        with pytest.raises(IllConditionedError, match="normal matrix is singular"):
+            _solve_orders(SimpleNamespace(alpha=1.0), a, np.ones((7, 3), dtype=complex))
 
 
-def assert_matches_dense_oracle(blocks, rhs, alpha):
-    g, cond = _solve_coupled(SimpleNamespace(alpha=alpha), blocks, rhs)
-    n_bins, width, _ = blocks.shape
-    dense = np.zeros((n_bins * width, n_bins * width), dtype=complex)
-    for b in range(n_bins):
-        dense[b * width : (b + 1) * width, b * width : (b + 1) * width] = blocks[b]
-    d2 = np.zeros((n_bins - 2, n_bins))
-    for r in range(n_bins - 2):
-        d2[r, r : r + 3] = (1.0, -2.0, 1.0)
-    dense += alpha * np.kron(d2.T @ d2, np.eye(width))
-    want = np.linalg.solve(dense, rhs)
-    assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
-    exact = np.abs(dense).sum(axis=0).max() * np.abs(np.linalg.inv(dense)).sum(axis=0).max()
-    # the Hager probe is exact on these systems, so every column of ||A||_1
-    # (blocks above and below the diagonal) shows in the figure
-    assert cond == pytest.approx(exact, rel=1e-12)
+def order_matrices(a, alpha):
+    """The dense matrices diag(a_n) + alpha * D2^T D2, one per order (column of a)."""
+    d2 = second_difference(a.shape[0])
+    return [np.diag(column) + alpha * (d2.T @ d2) for column in a.T]
+
+
+def assert_matches_dense_oracle(a, b, alpha):
+    g, cond = _solve_orders(SimpleNamespace(alpha=alpha), a, b)
+    for n, dense in enumerate(order_matrices(a, alpha)):
+        want = np.linalg.solve(dense, b[:, n])
+        assert np.max(np.abs(g[:, n] - want)) <= 1e-12 * np.max(np.abs(want))
+        exact = np.abs(dense).sum(axis=0).max() * np.abs(np.linalg.inv(dense)).sum(axis=0).max()
+        # the Hager probe is exact on these systems, so every column of
+        # ||A||_1 (the diagonals above and below the main one) shows in it
+        assert cond[n] == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_bins", [3, 6, 7])
 def test_band_solve_matches_dense_oracle(n_bins):
-    blocks, rhs = gram_blocks(n_bins, 3)
-    assert_matches_dense_oracle(blocks, rhs, 0.3)
-
-
-@pytest.mark.parametrize("scale", [1e-2, 1e2])
-def test_unit_bin_stays_out_of_the_condition_estimate(scale):
-    # With ||A||_1 < 1 (or ||A^-1||_1 < 1) an odd bin count's unit padding
-    # bin would dominate the norm (or the probes) if either saw it.
-    blocks, rhs = gram_blocks(7, 3)
-    assert_matches_dense_oracle(scale * blocks, rhs, 0.3 * scale)
+    # with ||A||_1 < 1 (or ||A^-1||_1 < 1) too
+    a, b = normal_diagonals(n_bins, 3)
+    for scale in (1e-2, 1.0, 1e2):
+        assert_matches_dense_oracle(scale * a, b, 0.3 * scale)
 
 
 def test_coupled_solve_forms_no_square_of_the_bin_count():
-    # The penalty enters as its diagonals, so memory grows with the bin
-    # count: 1999 bins of width 3 peak at about 2.7 MiB of traced memory,
-    # where one dense n_bins^2 float64 array is 30.5 MiB (a dense penalty
-    # and its padded copy put the peak at 63.6 MiB).
+    # The penalty enters as its diagonals and the orders are solved apart,
+    # so memory grows with the bin count: 1999 bins of width 3 peak at 1.56
+    # MiB of traced memory (2.7 MiB for the pair-block solve this replaced),
+    # where one dense n_bins^2 float64 array is 30.5 MiB.
     n_bins = 1999
-    blocks, rhs = gram_blocks(n_bins, 3)
-    dense = 8 * n_bins**2
+    a, b = normal_diagonals(n_bins, 3)
     tracemalloc.start()
     try:
-        _solve_coupled(SimpleNamespace(alpha=0.3), blocks, rhs)
+        _solve_orders(SimpleNamespace(alpha=0.3), a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dense / 4
+    assert peak < 1.8 * 2**20
 
 
-def refined_reference(blocks, curv, rhs, start):
-    """Refine `start` against the normal equations of the bin blocks and the
-    bin-coupling penalty `curv`: three steps, each with the residual in long
-    double and the correction from a dense solve."""
-    n_bins, width, _ = blocks.shape
-    dense = np.kron(curv, np.eye(width)).astype(complex)
-    for b in range(n_bins):
-        dense[b * width : (b + 1) * width, b * width : (b + 1) * width] += blocks[b]
-    wide_blocks = blocks.astype(np.clongdouble)
-    wide_curv = curv.astype(np.longdouble)
-    wide_rhs = rhs.reshape(n_bins, width).astype(np.clongdouble)
-    ref = start.reshape(n_bins, width).astype(np.clongdouble)
-    for _ in range(3):
-        applied = (wide_blocks @ ref[:, :, None])[:, :, 0] + wide_curv @ ref
-        residual = (wide_rhs - applied).astype(complex)
-        ref = ref + np.linalg.solve(dense, residual.ravel()).reshape(n_bins, width)
-    return ref.astype(complex).reshape(start.shape)
+def test_estimate_traced_peak(lab_problem):
+    # 210 bins of 7 orders from 9 records: the regressor tensor (212 KiB)
+    # and its assembly set the peak, about 0.73 MiB; the pair-block solve
+    # this replaced peaked at 1.89 MiB.
+    estimate_htf(lab_problem)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        estimate_htf(lab_problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * 2**20
+
+
+def refined_reference(a, alpha, b, start):
+    """Refine `start` against each order's normal equations
+    ``(diag(a_n) + alpha * D2^T D2) g_n = b_n``: three steps, each with the
+    residual in long double and the correction from a dense solve."""
+    d2 = second_difference(a.shape[0])
+    curv = (alpha * (d2.T @ d2)).astype(np.longdouble)
+    ref = start.astype(np.clongdouble)
+    for n, dense in enumerate(order_matrices(a, alpha)):
+        for _ in range(3):
+            applied = a[:, n].astype(np.longdouble) * ref[:, n] + curv @ ref[:, n]
+            residual = (b[:, n].astype(np.clongdouble) - applied).astype(complex)
+            ref[:, n] += np.linalg.solve(dense, residual)
+    return ref.astype(complex)
 
 
 def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
@@ -631,27 +689,29 @@ def test_lab_estimate_matches_refined_reference(lab_problem, lab_estimate):
     G = np.column_stack([lab_estimate.harmonics[n] for n in orders])
     systems = [build_regressor(lab_problem, w) for w in lab_estimate.omega_grid]
     Phi, y = (np.stack(part) for part in zip(*systems))
-    Phi_H = Phi.conj().transpose(0, 2, 1)
-    d2 = second_difference(G.shape[0])
-    curv = lab_problem.alpha * (d2.T @ d2)
-    ref = refined_reference(Phi_H @ Phi, curv, Phi_H @ y[:, :, None], G)
+    gram = Phi.conj().transpose(0, 2, 1) @ Phi
+    a = np.diagonal(gram, axis1=1, axis2=2).real
+    # the records' design makes every bin's Gram diagonal (6.9e-15 measured)
+    off = gram - a[:, :, None] * np.eye(a.shape[1])
+    assert np.max(np.abs(off)) <= 1e-14 * np.max(a)
+    b = (Phi.conj().transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
+    ref = refined_reference(a, lab_problem.alpha, b, G)
     assert np.max(np.abs(G - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_penalty_dominated_few_bins_match_refined_reference(seed):
     # 7 bins of 7 orders from 9 records, Gram diagonals about 1.5e-6 and
-    # alpha = 1 (condition about 6e7): the penalty dominates, and the
-    # explicit Schur-complement inverses alone are off by some 1e-6 of
-    # max|g|.  The refinement step brings them within 1e-10.
+    # alpha = 1 (conditions 1.4e7 to 2.4e7): the penalty dominates, and
+    # the factors alone are off by 1.1e-10 to 1.8e-10 of max|g|.  The
+    # refinement step brings them within 1e-10 (6e-14 measured).
     rng = np.random.default_rng(seed)
     X = 3e-4 * (rng.standard_normal((7, 9, 7)) + 1j * rng.standard_normal((7, 9, 7)))
-    blocks = X.conj().transpose(0, 2, 1) @ X
-    rhs = 1e-3 * (rng.standard_normal(49) + 1j * rng.standard_normal(49))
-    g, cond = _solve_coupled(SimpleNamespace(alpha=1.0), blocks, rhs)
-    assert 1e7 < cond < 1e9
-    d2 = second_difference(7)
-    ref = refined_reference(blocks, d2.T @ d2, rhs, g)
+    a = np.sum(np.abs(X) ** 2, axis=1)
+    b = 1e-3 * (rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    g, cond = _solve_orders(SimpleNamespace(alpha=1.0), a, b)
+    assert np.all((1e7 < cond) & (cond < 1e9))
+    ref = refined_reference(a, 1.0, b, g)
     assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
